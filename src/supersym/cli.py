@@ -331,9 +331,7 @@ def cmd_jacobian(file: AlgebraFile, args) -> Report:
         J = jacobian.jacobian_full_group(alg, order)
         report.value("jacobian.full-group", file.name, J)
         return report
-    c = Fraction(args.c) if args.c is not None else Fraction(1)
-    if c == 0:
-        raise InputError("c must be nonzero")
+    c = args.c if args.c is not None else Fraction(1)
     gp = jacobian.GenericPoint(pair, order)
     result = jacobian.jacobian_Jc(gp, c, order)
     for k, s in result.str_powers:
@@ -430,10 +428,30 @@ class InputError(Exception):
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _nonzero_rational(text):
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = 0
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"expected a nonzero rational, got {text!r}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--emit", metavar="PATH", help="write a tab-separated report")
     sub.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    sub.add_argument("--order", type=int, default=None, help="truncation / degree bound")
+    sub.add_argument("--order", type=_positive_int, default=None, help="truncation / degree bound")
 
 
 def _build_parser():
@@ -454,7 +472,7 @@ def _build_parser():
 
     p = subs.add_parser("jacobian", help="Jacobian of the exponential map")
     p.add_argument("file")
-    p.add_argument("--c", default=None, help="scaling parameter (rational, nonzero)")
+    p.add_argument("--c", type=_nonzero_rational, default=None, help="scaling parameter (rational, nonzero)")
     p.add_argument("--full-group", action="store_true", help="Jacobian of the full supergroup")
     _add_common(p)
 
@@ -473,7 +491,10 @@ def _build_parser():
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for invalid arguments, 0 after --help
+        return exc.code
     needs_file = args.command in ("check", "gorelik", "jacobian", "tau")
     try:
         if needs_file:

@@ -15,15 +15,19 @@ the word, the swap rule keeps the length and lowers the inversion count,
 and bracket terms shorten the word.  Any rewriting schedule reaches the
 same normal form (confluence is exercised by the tests); the default
 schedule is deterministic and cached per algebra.
+
+The factorization U(g) = beta(S(q)) U(h) needs no change-of-basis matrix:
+the top-degree part of beta(w) u is the single PBW monomial +-(w u), so
+coordinates are read off by peeling top-degree terms (``Factorization``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from . import linalg
 from .liealg import LieSuperAlgebra, SymmetricPair, coefficient_parity, _is_zero_coeff
 from .superpoly import EVEN, ODD
 
@@ -391,10 +395,6 @@ def symmetrize(alg: LieSuperAlgebra, s_terms: dict) -> PbwElement:
 # symmetric-pair operations
 # ---------------------------------------------------------------------------
 
-def sigma_on_element(pair: SymmetricPair, element: dict) -> dict:
-    return {i: (c if pair.sigma_sign(i) == 1 else -c) for i, c in element.items()}
-
-
 def twisted_adjoint(pair: SymmetricPair, a_index: int, u: PbwElement) -> PbwElement:
     """ad'(a)(u) = a u - (-1)^{p(a) p(u)} u sigma(a), termwise on the
     parity-homogeneous components of u."""
@@ -449,21 +449,6 @@ def sq_monomials(pair: SymmetricPair, max_degree: int):
             yield mono
 
 
-def h_monomials(pair: SymmetricPair, max_degree: int):
-    alg = pair.algebra
-    ranges = []
-    for i in range(alg.dim):
-        if i not in set(pair.h_indices):
-            ranges.append((0,))
-        elif alg.parities[i] == ODD:
-            ranges.append((0, 1))
-        else:
-            ranges.append(tuple(range(max_degree + 1)))
-    for mono in itertools.product(*ranges):
-        if sum(mono) <= max_degree:
-            yield mono
-
-
 def pbw_monomials(alg: LieSuperAlgebra, max_degree: int):
     ranges = []
     for i in range(alg.dim):
@@ -477,40 +462,48 @@ def pbw_monomials(alg: LieSuperAlgebra, max_degree: int):
 
 
 class Factorization:
-    """Change of basis between PBW monomials of degree <= D and the
-    products beta(w) u with w an S(q) monomial and u a normal-ordered
-    monomial in U(h).  Built once per (pair, D); exactly invertible by the
-    PBW theorem."""
+    """Coordinates of U(g) in the basis of products beta(w) u, with w an
+    S(q) monomial and u a normal-ordered monomial in U(h), for elements of
+    degree <= max_degree.
+
+    By the PBW theorem the top-degree part of beta(w) u is the single PBW
+    monomial +-(w u), so the change of basis is unitriangular in degree and
+    needs no matrix: ``coordinates`` peels off a top-degree term c m at a
+    time, splitting m by support into (w, u) and subtracting (c/s) beta(w) u,
+    where s = +-1 is the coefficient of m in that product.  The products are
+    memoised per monomial.
+    """
 
     def __init__(self, pair: SymmetricPair, max_degree: int):
         self.pair = pair
         self.max_degree = max_degree
-        alg = pair.algebra
-        self.pbw_basis = sorted(pbw_monomials(alg, max_degree), key=lambda m: (sum(m), m))
-        self.pbw_index = {m: k for k, m in enumerate(self.pbw_basis)}
-        pairs = []
-        for qm in sq_monomials(pair, max_degree):
-            for hm in h_monomials(pair, max_degree - sum(qm)):
-                pairs.append((qm, hm))
-        pairs.sort(key=lambda p: (sum(p[0]) + sum(p[1]), p))
-        self.pairs = pairs
-        if len(pairs) != len(self.pbw_basis):
-            raise AssertionError("factorization basis size mismatch")
-        columns = []
-        for qm, hm in pairs:
-            prod = symmetrize_word(alg, _monomial_to_word(qm)) * PbwElement(
-                alg, {hm: Fraction(1)}
-            )
-            col = [Fraction(0)] * len(self.pbw_basis)
-            for m, c in prod.terms.items():
-                col[self.pbw_index[m]] = c
-            columns.append(col)
-        matrix = [[columns[j][i] for j in range(len(pairs))] for i in range(len(self.pbw_basis))]
-        self.inverse = linalg.invert(matrix)
+        h = set(pair.h_indices)
+        self._in_h = tuple(i in h for i in range(pair.algebra.dim))
+        self._steps = {}
+
+    @functools.cached_property
+    def pbw_basis(self):
+        """The PBW monomials of degree <= max_degree, by (degree, monomial)."""
+        return sorted(pbw_monomials(self.pair.algebra, self.max_degree), key=lambda m: (sum(m), m))
+
+    def _step(self, mono):
+        """((q part, h part) of mono, s, the terms of beta(q part) (h part)
+        other than s mono)."""
+        step = self._steps.get(mono)
+        if step is None:
+            alg = self.pair.algebra
+            qm = tuple(0 if h else e for e, h in zip(mono, self._in_h))
+            hm = tuple(e if h else 0 for e, h in zip(mono, self._in_h))
+            beta = symmetrize_word(alg, _monomial_to_word(qm))
+            rest = dict((beta * PbwElement(alg, {hm: Fraction(1)})).terms)
+            step = ((qm, hm), rest.pop(mono), rest)
+            self._steps[mono] = step
+        return step
 
     def coordinates(self, u: PbwElement) -> dict:
-        """{(q monomial, h monomial): Fraction} with u = sum beta(w) hm."""
-        vec = [Fraction(0)] * len(self.pbw_basis)
+        """{(q monomial, h monomial): Fraction} with u = sum beta(w) hm, in
+        (total degree, (q monomial, h monomial)) order."""
+        rest = {}
         for m, c in u.terms.items():
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("factorization works over rational coefficients")
@@ -518,12 +511,22 @@ class Factorization:
                 raise ValueError(
                     f"element of degree {sum(m)} exceeds the prepared bound {self.max_degree}"
                 )
-            vec[self.pbw_index[m]] = Fraction(c)
-        coeffs = [
-            sum(self.inverse[i][j] * vec[j] for j in range(len(vec)))
-            for i in range(len(vec))
-        ]
-        return {self.pairs[i]: c for i, c in enumerate(coeffs) if c != 0}
+            rest[m] = Fraction(c)
+        coords = {}
+        # a degree-d product has no degree-d term besides its lead, so the
+        # degree-d monomials present on entering degree d are all peeled
+        for degree in range(max(map(sum, rest), default=0), -1, -1):
+            for mono in [m for m in rest if sum(m) == degree]:
+                key, lead, lower = self._step(mono)
+                c = rest.pop(mono) / lead
+                coords[key] = c
+                for m, cm in lower.items():
+                    acc = rest.get(m, 0) - c * cm
+                    if acc:
+                        rest[m] = acc
+                    else:
+                        rest.pop(m, None)
+        return {k: coords[k] for k in sorted(coords, key=lambda p: (sum(p[0]) + sum(p[1]), p))}
 
 
 _factorization_cache = {}

@@ -141,6 +141,20 @@ class TestCommands:
     def test_jacobian_zero_c(self):
         assert run(["jacobian", ALGEBRAS / "osp12.alg", "--c", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jacobian", ALGEBRAS / "osp12.alg", "--c", "1/0"],
+            ["series", "--order", "-3"],
+            ["tau", ALGEBRAS / "gl11.alg", "--order", "-1"],
+            ["jacobian", ALGEBRAS / "osp12.alg", "--order", "-2"],
+        ],
+        ids=["jacobian-c-1/0", "series-order-3", "tau-order-1", "jacobian-order-2"],
+    )
+    def test_invalid_argument_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert "error: argument" in capsys.readouterr().err
+
     def test_jacobian_full_group(self, capsys):
         assert run(["jacobian", ALGEBRAS / "solvable2.alg", "--full-group", "--order", "4"]) == 0
         assert "full-group" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
 from supersym import enveloping as env
+from supersym import linalg
 from supersym.enveloping import (
     PbwElement,
     antipode,
@@ -20,8 +22,8 @@ from supersym.enveloping import (
     tensor_mul_pbw,
     twisted_adjoint,
 )
-from supersym.liealg import catalog
-from supersym.superpoly import ODD, VariableTable
+from supersym.liealg import SymmetricPair, algebra_from_matrices, catalog, defining_matrices
+from supersym.superpoly import EVEN, ODD, VariableTable
 
 
 def smono(alg, *pairs):
@@ -348,3 +350,109 @@ class TestQuotient:
         b = symmetrize(alg, {smono(alg, (0, 1)): Fraction(3)})
         coords = quotient_coordinates(pair, b)
         assert coords == {smono(alg, (0, 1)): Fraction(3)}
+
+
+def dense_coordinates(pair, max_degree):
+    """Reference route for Factorization.coordinates: invert the matrix
+    taking the products beta(w) u (w an S(q) monomial, u an h monomial) to
+    the PBW monomials of degree <= max_degree.  Returns u -> coordinates,
+    keyed and ordered as Factorization.coordinates."""
+    alg = pair.algebra
+    basis = sorted(pbw_monomials(alg, max_degree), key=lambda m: (sum(m), m))
+    index = {m: k for k, m in enumerate(basis)}
+    h_monos = [m for m in basis if all(m[i] == 0 for i in pair.q_indices)]
+    pairs = sorted(
+        (
+            (qm, hm)
+            for qm in env.sq_monomials(pair, max_degree)
+            for hm in h_monos
+            if sum(qm) + sum(hm) <= max_degree
+        ),
+        key=lambda p: (sum(p[0]) + sum(p[1]), p),
+    )
+    assert len(pairs) == len(basis)
+    matrix = [[Fraction(0)] * len(pairs) for _ in basis]
+    for j, (qm, hm) in enumerate(pairs):
+        product = symmetrize(alg, {qm: Fraction(1)}) * PbwElement(alg, {hm: Fraction(1)})
+        for m, c in product.terms.items():
+            matrix[index[m]][j] = c
+    inverse = linalg.invert(matrix)
+
+    def coordinates(u):
+        vec = [u.coefficient(m) for m in basis]
+        coeffs = [sum(row[j] * vec[j] for j in range(len(vec))) for row in inverse]
+        return {pairs[i]: c for i, c in enumerate(coeffs) if c != 0}
+
+    return coordinates
+
+
+def split_algebra(name, order):
+    """osp12 or gl11 rebuilt from its defining matrices on the basis
+    ``order`` of vector names.  gl11 trades d2 for the central c = d1 + d2,
+    so that every basis vector is an eigenvector of the involution fixing
+    x12 and d1 and negating x21 and c."""
+    mats, parities, _ = defining_matrices(name)
+    if name == "gl11":
+        x12, x21, d1, d2 = mats
+        c = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(d1, d2)]
+        vectors = {"x12": x12, "x21": x21, "d1": d1, "c": c}
+        parity = {"x12": ODD, "x21": ODD, "d1": EVEN, "c": EVEN}
+    else:
+        vectors = dict(zip(["e", "f", "H", "E", "F"], mats))
+        parity = dict(zip(["e", "f", "H", "E", "F"], parities))
+    return algebra_from_matrices(order, [parity[n] for n in order], [vectors[n] for n in order])
+
+
+def interleaved_pairs():
+    """Splits of the basis with h vectors before q vectors.  SymmetricPair
+    keeps q first, where every lead sign s is +1; the factorization reads
+    only the split, so these come as plain namespaces.  In the gl11 split
+    the odd h vector x12 precedes the odd q vector x21, so
+    beta(x21) x12 = -x12 x21 + c has lead sign s = -1."""
+    osp = split_algebra("osp12", ["H", "e", "E", "f", "F"])
+    gl = split_algebra("gl11", ["x12", "x21", "d1", "c"])
+    return [
+        types.SimpleNamespace(algebra=osp, h_indices=[0, 2, 4], q_indices=[1, 3]),
+        types.SimpleNamespace(algebra=gl, h_indices=[0, 2], q_indices=[1, 3]),
+    ]
+
+
+class TestFactorizationOracle:
+    def assert_matches_dense(self, pair, f, rng):
+        alg = pair.algebra
+        dense = dense_coordinates(pair, 3)
+        unit = (0,) * alg.dim
+        h_seen = False
+        elements = [PbwElement(alg, {m: Fraction(1)}) for m in pbw_monomials(alg, 3)]
+        for _ in range(12):
+            word = tuple(rng.randrange(alg.dim) for _ in range(rng.randrange(4)))
+            elements.append(
+                PbwElement.from_word(alg, word)
+                + PbwElement.from_basis(alg, rng.randrange(alg.dim), Fraction(rng.randrange(-3, 4), 2))
+            )
+        for u in elements:
+            coords = f.coordinates(u)
+            assert list(coords.items()) == list(dense(u).items()), u
+            h_seen |= any(hm != unit for _, hm in coords)
+        assert h_seen
+
+    @pytest.mark.parametrize("name", ["osp12", "gl11", "heisenberg_super"])
+    def test_peeling_matches_dense_inverse(self, name):
+        alg, pair = catalog(name)
+        self.assert_matches_dense(pair, factorization(pair, 3), random.Random(41))
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["osp12-permuted", "gl11-odd-h"])
+    def test_interleaved_split_matches_dense_inverse(self, index):
+        pair = interleaved_pairs()[index]
+        self.assert_matches_dense(pair, env.Factorization(pair, 3), random.Random(43))
+
+    def test_negative_lead_sign(self):
+        pair = interleaved_pairs()[1]
+        u = PbwElement.from_word(pair.algebra, (0, 1))
+        assert env.Factorization(pair, 2).coordinates(u) == {
+            ((0, 0, 0, 1), (0, 0, 0, 0)): Fraction(1),
+            ((0, 1, 0, 0), (1, 0, 0, 0)): Fraction(-1),
+        }
+
+    def test_gl11_split_is_a_symmetric_pair(self):
+        SymmetricPair(split_algebra("gl11", ["x21", "c", "x12", "d1"]), [2, 3])

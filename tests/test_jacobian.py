@@ -514,12 +514,16 @@ class TestLargerOddPart:
         assert pair.check_unimodularity()[0]
 
     def test_gorelik_invariance_q4(self):
-        # the membership pre-check of verify_twisted_invariance needs the
-        # degree-5 factorization basis of a 14-dimensional algebra, which
-        # is large; check the twisted invariance directly instead
         alg, pair = _osp14()
         gp = jac.GenericPoint(pair)
         T = jac.gorelik_candidate(gp)
         assert not T.is_zero()
         for a in range(alg.dim):
             assert env.twisted_adjoint(pair, a, T).is_zero(), alg.names[a]
+        ok, witness = cd.verify_twisted_invariance(pair, T)
+        assert ok, witness
+        basis = cd.invariant_space(pair)
+        assert len(basis) == 1
+        gen, w = basis[0], cd.tau(pair, T)
+        mono, lead = next(iter(gen.terms.items()))
+        assert not w.is_zero() and w == gen * (w.coefficient(mono) / lead)
