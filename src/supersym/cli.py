@@ -12,7 +12,8 @@ Omitted brackets are zero; the (b, a) bracket is implied by
 super-antisymmetry.  Without a ``pair`` line the even part is taken as h
 (basis order must then put the odd part first).
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 invalid input.
+Exit codes: 0 all checks pass, 1 a check failed, 2 invalid input, 3 an
+internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -345,6 +346,9 @@ def cmd_tau(file: AlgebraFile, args) -> Report:
     alg, pair, default_h = build(file)
     bound = args.order if args.order is not None else 4
     table = coderiv.sq_table(pair)
+    order = table.truncation_order
+    if order is not None and bound > order:
+        raise InputError(f"--order {bound} exceeds the degree {order} at which S(q) is truncated")
     ok = True
     witness = ""
     for mono in exhaustive_monomials(table, bound):
@@ -523,6 +527,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     report.print()
     if args.emit:
         report.emit(args.emit)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from . import linalg
 from .enveloping import (
     PbwElement,
+    _first_letters,
     _monomial_to_word,
     factorization,
     symmetrize,
@@ -39,8 +40,8 @@ _sq_table_cache = {}
 
 
 def sq_table(pair: SymmetricPair, max_degree=24) -> VariableTable:
-    """Variable table realizing S(q); generous truncation when q has even
-    vectors (every computation here is degree-bounded far below it)."""
+    """Variable table realizing S(q), truncated at even degree max_degree
+    when q has even vectors; ``coderivation_C`` refuses to pass it."""
     key = (id(pair), max_degree)
     t = _sq_table_cache.get(key)
     if t is None or t[0] is not pair:
@@ -89,7 +90,7 @@ def sq_coproduct(pair, w: SuperPolynomial) -> dict:
     out = {}
     for mono, coeff in w.terms.items():
         state = {(unit, unit): Fraction(1)}
-        for pos in _letters_of(mono):
+        for pos in _monomial_to_word(mono):
             lp = table.parities[pos]
             new = {}
             for (m1, m2), c in state.items():
@@ -122,13 +123,6 @@ def sq_coproduct(pair, w: SuperPolynomial) -> dict:
     return out
 
 
-def _letters_of(mono):
-    letters = []
-    for pos, e in enumerate(mono):
-        letters.extend([pos] * e)
-    return letters
-
-
 def _mono_mul(table, mono, pos):
     """Multiply a canonical monomial by one letter on the right."""
     if table.parities[pos] == ODD and mono[pos]:
@@ -147,41 +141,37 @@ def _mono_mul(table, mono, pos):
 # the generic-point evaluations
 # ---------------------------------------------------------------------------
 
-def koszul_sign(parities, perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j] and parities[perm[i]] == ODD and parities[perm[j]] == ODD:
-                sign = -sign
-    return sign
-
-
 def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, letters) -> dict:
     """Evaluate the universal vector field p(ad y)(a) on the monomial with
-    the given q letters: p_n times the Koszul-signed permutation sum of
-    iterated brackets.  Returns an algebra element {index: Fraction}."""
+    the given q letters: p_n times the Koszul-signed sum over all orderings
+    of the iterated brackets.  Returns an algebra element {index: Fraction}
+    in index order.
+
+    Grouping the orderings by their outermost letter gives
+    S(w)(a) = sum_k eps_k [w_k, S(w without position k)(a)], with equal
+    (letter, sub-word) terms merged (``enveloping._first_letters``); each
+    sub-word is evaluated once, so the cost is the number of distinct
+    sub-words rather than n!.
+    """
     alg = pair.algebra
     letters = tuple(letters)
-    n = len(letters)
-    pn = series.coeff(n)
-    out = {}
+    pn = series.coeff(len(letters))
     if pn == 0:
-        return out
-    letter_parities = [alg.parities[i] for i in letters]
-    for perm in itertools.permutations(range(n)):
-        sign = koszul_sign(letter_parities, perm)
-        current = dict(a_element)
-        for k in reversed(perm):
-            current = alg.bracket({letters[k]: Fraction(1)}, current)
-            if not current:
-                break
-        for i, c in current.items():
-            acc = out.get(i, Fraction(0)) + sign * c
-            if acc == 0:
-                out.pop(i, None)
-            else:
-                out[i] = acc
-    return {i: c * pn for i, c in out.items()}
+        return {}
+    memo = {(): {i: c for i, c in a_element.items() if c}}
+
+    def nested(word):
+        value = memo.get(word)
+        if value is None:
+            value = {}
+            for (letter, rest), count in _first_letters(alg.parities, word).items():
+                for i, c in alg.bracket({letter: Fraction(count)}, nested(rest)).items():
+                    value[i] = value.get(i, 0) + c
+            memo[word] = value = {i: c for i, c in value.items() if c}
+        return value
+
+    out = nested(letters)
+    return {i: out[i] * pn for i in sorted(out)}
 
 
 def _h_derivation(pair: SymmetricPair, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
@@ -192,7 +182,7 @@ def _h_derivation(pair: SymmetricPair, a_index: int, w: SuperPolynomial) -> Supe
     pa = alg.parities[a_index]
     out = table.zero()
     for mono, coeff in w.terms.items():
-        letters = _letters_of(mono)
+        letters = _monomial_to_word(mono)
         for k, pos in enumerate(letters):
             b_index = pair.q_indices[pos]
             image = alg.bracket({b_index: Fraction(1)}, {a_index: Fraction(1)})
@@ -218,9 +208,14 @@ def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> 
     c = Fraction(c)
     if c == 0:
         raise ValueError("C_c requires c != 0")
+    table = sq_table(pair)
+    order = table.truncation_order
+    # C_c^a raises the even degree by at most one, and not at all for even a in h
+    if order is not None and (not pair.in_h(a_index) or pair.algebra.parities[a_index] == ODD):
+        if any(table.even_degree(m) >= order for m in w.terms):
+            raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
     if pair.in_h(a_index):
         return _h_derivation(pair, a_index, w)
-    table = sq_table(pair)
     degree = w.total_degree()
     series = p_c(c, degree + 1)
     out = table.zero()

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 
 from .liealg import LieSuperAlgebra, SymmetricPair, coefficient_parity, _is_zero_coeff
@@ -353,34 +352,50 @@ def antipode(u: PbwElement) -> PbwElement:
     return out
 
 
-def koszul_sign_of_permutation(parities, perm) -> int:
-    """Sign of reordering graded letters by perm (image positions)."""
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j] and parities[perm[i]] == ODD and parities[perm[j]] == ODD:
-                sign = -sign
-    return sign
+def _first_letters(parities, word) -> dict:
+    """{(w_k, w without position k): summed eps_k} over the positions k,
+    zero sums dropped; eps_k = -1 exactly when w_k is odd and an odd number
+    of odd letters precede it (the Koszul sign of moving w_k to the front)."""
+    merged = {}
+    odd_before = 0
+    for k, letter in enumerate(word):
+        odd = parities[letter] == ODD
+        key = (letter, word[:k] + word[k + 1 :])
+        merged[key] = merged.get(key, 0) + (-1 if odd and odd_before % 2 else 1)
+        odd_before += odd
+    return {key: n for key, n in merged.items() if n}
 
 
 def symmetrize_word(alg: LieSuperAlgebra, word) -> PbwElement:
     """Symmetrization of a product of basis letters: the Koszul-signed
-    average over all orderings, landing in U(g)."""
-    word = tuple(word)
-    cached = alg._symmetrize_cache.get(word)
-    if cached is not None:
-        return PbwElement(alg, dict(cached))
-    n = len(word)
-    letter_parities = [alg.parities[i] for i in word]
-    acc = {}
-    for perm in itertools.permutations(range(n)):
-        sign = koszul_sign_of_permutation(letter_parities, perm)
-        for m, c in normal_form(alg, tuple(word[k] for k in perm)).items():
-            acc[m] = acc.get(m, Fraction(0)) + sign * c
-    scale = Fraction(1, math.factorial(n))
-    result = {m: c * scale for m, c in acc.items() if c != 0}
+    average over all orderings, landing in U(g), with terms in (degree,
+    monomial) order.
+
+    Grouping the orderings by their first letter gives
+    beta(w) = (1/n) sum_k eps_k w_k beta(w without position k), with equal
+    (letter, sub-word) terms merged (``_first_letters``); every sub-word's
+    value is memoised per algebra, so the cost is the number of distinct
+    sub-words rather than n!.
+    """
+    return PbwElement(alg, _symmetrized(alg, tuple(word)))
+
+
+def _symmetrized(alg: LieSuperAlgebra, word) -> dict:
+    result = alg._symmetrize_cache.get(word)
+    if result is not None:
+        return result
+    if not word:
+        result = {(0,) * alg.dim: Fraction(1)}
+    else:
+        acc = {}
+        for (letter, rest), count in _first_letters(alg.parities, word).items():
+            lm = _word_to_monomial((letter,), alg.dim)
+            for m, c in _symmetrized(alg, rest).items():
+                for mm, cm in _monomial_product(alg, lm, m).items():
+                    acc[mm] = acc.get(mm, 0) + count * c * cm
+        result = {m: acc[m] / len(word) for m in sorted(acc, key=lambda m: (sum(m), m)) if acc[m]}
     alg._symmetrize_cache[word] = result
-    return PbwElement(alg, dict(result))
+    return result
 
 
 def symmetrize(alg: LieSuperAlgebra, s_terms: dict) -> PbwElement:

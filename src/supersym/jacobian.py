@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import series as series_mod
 from .coderiv import beta_of_sq, sq_table
-from .enveloping import PbwElement
+from .enveloping import PbwElement, _monomial_to_word
 from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix, apply_matrix
 from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, truncate_even_degree
 
@@ -452,18 +452,11 @@ def interior_product(gp: GenericPoint, f: SuperPolynomial, w: SuperPolynomial) -
     out = table.zero()
     for mono, coeff in f.terms.items():
         acc = w
-        for pos in reversed(_positions_of(mono)):
+        for pos in reversed(_monomial_to_word(mono)):
             acc = acc.partial_derivative(pos)
             if acc.is_zero():
                 break
         out = out + acc * coeff
-    return out
-
-
-def _positions_of(mono):
-    out = []
-    for pos, e in enumerate(mono):
-        out.extend([pos] * e)
     return out
 
 

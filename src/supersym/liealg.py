@@ -21,6 +21,7 @@ sign bookkeeping lives in the supertrace and in how matrices are built.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -409,7 +410,7 @@ class SuperMatrix:
             power = power * self
             if power.is_zero():
                 break
-            result = result + power * Fraction(1, _fact(k))
+            result = result + power * Fraction(1, math.factorial(k))
             k += 1
         return result
 
@@ -476,10 +477,9 @@ class SuperMatrix:
         if od:
             d_rows = block(od, od)
             d = SuperMatrix(table, [ODD] * len(od), d_rows, EVEN, check=False)
-            det_d0 = _det_fraction([[e.evaluate_at_zero() for e in row] for row in d_rows])
-            if det_d0 == 0:
-                raise ValueError("odd-odd block is not invertible at zero")
             det_d = d.determinant()
+            if det_d.evaluate_at_zero() == 0:
+                raise ValueError("odd-odd block is not invertible at zero")
         if not ev:
             return det_d.inverse()
         a = SuperMatrix(table, [EVEN] * len(ev), block(ev, ev), EVEN, check=False)
@@ -515,13 +515,6 @@ class SuperMatrix:
         return f"SuperMatrix({body})"
 
 
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _perm_sign(perm):
     sign = 1
     for i in range(len(perm)):
@@ -529,19 +522,6 @@ def _perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
-
-
-def _det_fraction(rows):
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        term = Fraction(_perm_sign(perm))
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        acc += term
-    return acc
 
 
 def ad_matrix(alg: LieSuperAlgebra, element: dict, table: VariableTable) -> SuperMatrix:

@@ -17,6 +17,7 @@ All values are immutable; a table can be shared freely between threads.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 EVEN = 0
@@ -318,7 +319,7 @@ class SuperPolynomial:
             power = power * self
             if power.is_zero():
                 break
-            result = result + power * Fraction(1, _factorial(k))
+            result = result + power * Fraction(1, math.factorial(k))
             k += 1
         return result
 
@@ -379,13 +380,6 @@ class SuperPolynomial:
         return out
 
     __repr__ = __str__
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def truncate_even_degree(p: SuperPolynomial, order: int) -> SuperPolynomial:

@@ -169,6 +169,22 @@ class TestCommands:
     def test_tau_command(self):
         assert run(["tau", ALGEBRAS / "heisenberg.alg"]) == 0
 
+    def test_tau_refuses_an_order_above_the_truncation(self, tmp_path, capsys):
+        path = tmp_path / "oneletter.alg"
+        path.write_text("algebra oneletter\nbasis a even\nbasis z even\npair h = z\n")
+        assert run(["tau", path, "--order", "30"]) == 2
+        assert "--order 30 exceeds the degree 24" in capsys.readouterr().err
+        assert run(["tau", path, "--order", "24"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_internal_error_exits_3(self, monkeypatch, capsys):
+        def crash(file, args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_check", crash)
+        assert run(["check", ALGEBRAS / "osp12.alg"]) == 3
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
     def test_selftest_and_emit_stability(self, tmp_path, capsys):
         first = tmp_path / "a.tsv"
         second = tmp_path / "b.tsv"

@@ -10,7 +10,7 @@ from supersym import jacobian as jac
 from supersym import liealg, series
 from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
-from supersym.superpoly import ODD, SuperPolynomial, exhaustive_monomials
+from supersym.superpoly import EVEN, ODD, SuperPolynomial, exhaustive_monomials
 
 
 def smono(alg, *pairs):
@@ -62,6 +62,84 @@ class TestApplyRadx:
             assert direct == expected, alg.names[a]
 
 
+def permutation_radx(pair, series, a_element, letters):
+    """The defining n! sum for p(ad y)(a) on a monomial: p_n times the
+    Koszul-signed sum of [w_s1, [w_s2, ... [w_sn, a]]] over all orderings s."""
+    alg = pair.algebra
+    n = len(letters)
+    out = {}
+    for perm in itertools.permutations(range(n)):
+        odd = [alg.parities[letters[k]] == ODD for k in perm]
+        inversions = sum(odd[i] and odd[j] and perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        sign = -1 if inversions % 2 else 1
+        current = dict(a_element)
+        for k in reversed(perm):
+            current = alg.bracket({letters[k]: Fraction(1)}, current)
+        for i, c in current.items():
+            out[i] = out.get(i, Fraction(0)) + sign * c
+    pn = series.coeff(n)
+    return {i: out[i] * pn for i in sorted(out) if out[i] * pn}
+
+
+def one_letter_pair():
+    """q = <a> even, h = <z>, everything commuting."""
+    alg = LieSuperAlgebra(["a", "z"], [EVEN, EVEN], {})
+    return SymmetricPair(alg, [1])
+
+
+class TestApplyRadxOracle:
+    """The outermost-bracket expansion against the permutation sum, values
+    and key order."""
+
+    SERIES = [
+        series.TruncatedSeries1([Fraction(k + 2, k + 1) for k in range(7)]),
+        series.p_c(Fraction(2, 3), 7),  # zero in odd degrees
+    ]
+
+    def a_elements(self, alg, rng):
+        out = [{a: Fraction(1)} for a in range(alg.dim)]
+        for _ in range(3):
+            picks = rng.sample(range(alg.dim), rng.randrange(2, min(4, alg.dim) + 1))
+            out.append({a: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5])) for a in picks})
+        return out
+
+    def assert_matches(self, pair, a_element, letters):
+        for p in self.SERIES:
+            got = cd.apply_radx(pair, p, a_element, letters)
+            assert list(got.items()) == list(permutation_radx(pair, p, a_element, letters).items()), (
+                a_element,
+                letters,
+            )
+
+    def test_every_word_up_to_degree_5(self, oracle_pair):
+        alg = oracle_pair.algebra
+        rng = random.Random(59)
+        a_elements = self.a_elements(alg, rng)
+        for n in range(6):
+            for letters in itertools.combinations_with_replacement(oracle_pair.q_indices, n):
+                for a_element in a_elements if n < 4 else a_elements[-2:]:
+                    self.assert_matches(oracle_pair, a_element, letters)
+
+    def test_random_unsorted_words(self, oracle_pair):
+        alg = oracle_pair.algebra
+        q = oracle_pair.q_indices
+        odd = [i for i in q if alg.parities[i] == ODD]
+        rng = random.Random(61)
+        a_elements = self.a_elements(alg, rng)
+        for k in range(30):
+            letters = [rng.choice(q) for _ in range(rng.randrange(1, 4))] + [rng.choice(odd)]
+            if k % 2:
+                letters.append(letters[-1])  # a repeated odd letter
+            rng.shuffle(letters)
+            self.assert_matches(oracle_pair, rng.choice(a_elements), tuple(letters))
+
+    def test_tau_inverts_beta_on_a_power_of_one_letter(self):
+        # 12! orderings: out of reach for the permutation sums
+        pair = one_letter_pair()
+        w = cd.sq_table(pair).variable(0) ** 12
+        assert cd.tau(pair, cd.beta_of_sq(pair, w)) == w
+
+
 class TestCoderivationC:
     def test_degree_zero_and_one(self):
         alg, pair = catalog("osp12")
@@ -101,6 +179,15 @@ class TestCoderivationC:
                 correction = {k: nested1.get(k, Fraction(0)) - nested2.get(k, Fraction(0)) for k in set(nested1) | set(nested2)}
                 corr_poly = cd.sq_from_element(pair, {k: v for k, v in correction.items() if v != 0})
                 assert out == lead + corr_poly * Fraction(1, 3) * (1 / c)
+
+    def test_truncation_is_refused(self):
+        pair = one_letter_pair()
+        a = cd.sq_table(pair).variable(0)
+        assert cd.coderivation_C(pair, 1, 0, a**23) == a**24
+        with pytest.raises(ValueError, match="truncated at even degree 24"):
+            cd.coderivation_C(pair, 1, 0, a**24)
+        # an even h vector keeps the even degree: nothing to drop
+        assert cd.coderivation_C(pair, 1, 1, a**24).is_zero()
 
     def test_h_action_is_derivation_and_coderivation(self):
         rng = random.Random(31)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import types
 from fractions import Fraction
@@ -22,7 +23,7 @@ from supersym.enveloping import (
     tensor_mul_pbw,
     twisted_adjoint,
 )
-from supersym.liealg import SymmetricPair, algebra_from_matrices, catalog, defining_matrices
+from supersym.liealg import LieSuperAlgebra, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.superpoly import EVEN, ODD, VariableTable
 
 
@@ -210,6 +211,52 @@ class TestSymmetrize:
                 rows.append(row)
             cols = [[rows[j][i] for j in range(len(monos))] for i in range(len(monos))]
             linalg.invert(cols)  # raises if singular
+
+
+def permutation_symmetrize(alg, word):
+    """The defining n! sum for beta: the Koszul-signed average of the normal
+    forms of all orderings of the word, as {monomial: Fraction}."""
+    n = len(word)
+    acc = {}
+    for perm in itertools.permutations(range(n)):
+        odd = [alg.parities[word[k]] == ODD for k in perm]
+        inversions = sum(odd[i] and odd[j] and perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        sign = -1 if inversions % 2 else 1
+        for m, c in env.normal_form(alg, tuple(word[k] for k in perm)).items():
+            acc[m] = acc.get(m, Fraction(0)) + sign * c
+    scale = Fraction(1, math.factorial(n))
+    return {m: acc[m] * scale for m in sorted(acc, key=lambda m: (sum(m), m)) if acc[m]}
+
+
+class TestSymmetrizeOracle:
+    """The first-letter expansion against the permutation sum, values and
+    key order."""
+
+    def test_every_word_up_to_degree_5(self, oracle_pair):
+        alg = oracle_pair.algebra
+        # the diagonal pair is 8-dimensional: its degree-5 words stay in q
+        for n in range(6):
+            letters = range(alg.dim) if alg.dim <= 5 or n < 5 else oracle_pair.q_indices
+            for word in itertools.combinations_with_replacement(letters, n):
+                got = symmetrize_word(alg, word)
+                assert list(got.terms.items()) == list(permutation_symmetrize(alg, word).items()), word
+
+    def test_random_unsorted_words(self, oracle_pair):
+        alg = oracle_pair.algebra
+        odd = [i for i in range(alg.dim) if alg.parities[i] == ODD]
+        rng = random.Random(53)
+        for k in range(30):
+            word = [rng.randrange(alg.dim) for _ in range(rng.randrange(1, 4))] + [rng.choice(odd)]
+            if k % 2:
+                word.append(word[-1])  # a repeated odd letter
+            rng.shuffle(word)
+            word = tuple(word)
+            got = symmetrize_word(alg, word)
+            assert list(got.terms.items()) == list(permutation_symmetrize(alg, word).items()), word
+
+    def test_power_of_one_letter(self):
+        alg = LieSuperAlgebra(["a", "z"], [EVEN, EVEN], {})
+        assert symmetrize_word(alg, (0,) * 12) == PbwElement(alg, {(12, 0): Fraction(1)})
 
 
 class TestAntipode:

@@ -232,6 +232,13 @@ class TestBerezinian:
         m = SuperMatrix.identity(t, [EVEN, ODD, ODD])
         assert m.berezinian() == t.one()
 
+    def test_odd_block_singular_at_zero_is_refused(self):
+        t = matrix_table()
+        one, zero = t.one(), t.zero()
+        m = SuperMatrix(t, [EVEN, ODD, ODD], [[one, zero, zero], [zero, one, zero], [zero, zero, zero]], EVEN)
+        with pytest.raises(ValueError, match="not invertible at zero"):
+            m.berezinian()
+
     def test_purely_even_is_determinant(self):
         t = matrix_table()
         rng = random.Random(6)
