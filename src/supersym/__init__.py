@@ -9,7 +9,6 @@ the Jacobian of the exponential map; and Gorelik elements (Casimir
 ghosts), constructed in closed form and verified independently.
 """
 
-from .scalars import Rational, rational
 from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable
 from .series import TruncatedSeries1, TruncatedSeries2, bernoulli, p_c, q_c, w_c
 from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix, catalog
@@ -18,8 +17,6 @@ from .coderiv import Character, coderivation_C, invariant_space, tau, verify_twi
 from .jacobian import GenericPoint, gorelik_candidate, jacobian_Jc, jacobian_full_group
 
 __all__ = [
-    "Rational",
-    "rational",
     "EVEN",
     "ODD",
     "SuperPolynomial",

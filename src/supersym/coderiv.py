@@ -19,7 +19,6 @@ live here too.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import linalg
@@ -36,22 +35,10 @@ from .liealg import SymmetricPair
 from .series import TruncatedSeries1, p_c, q_c
 from .superpoly import ODD, SuperPolynomial, VariableTable, exhaustive_monomials
 
-_sq_table_cache = {}
-
-
-def sq_table(pair: SymmetricPair, max_degree=24) -> VariableTable:
-    """Variable table realizing S(q), truncated at even degree max_degree
-    when q has even vectors; ``coderivation_C`` refuses to pass it."""
-    key = (id(pair), max_degree)
-    t = _sq_table_cache.get(key)
-    if t is None or t[0] is not pair:
-        alg = pair.algebra
-        names = [alg.names[i] for i in pair.q_indices]
-        parities = [alg.parities[i] for i in pair.q_indices]
-        trunc = None if all(p == ODD for p in parities) else max_degree
-        t = (pair, VariableTable(names, parities, trunc))
-        _sq_table_cache[key] = t
-    return t[1]
+def sq_table(pair: SymmetricPair) -> VariableTable:
+    """The pair's variable table realizing S(q); ``coderivation_C`` refuses
+    to pass its truncation degree."""
+    return pair.sq_table
 
 
 def sq_one(pair) -> SuperPolynomial:
@@ -349,9 +336,9 @@ def theta_action(pair: SymmetricPair, c, chi: Character, a_index: int, w: SuperP
         raise ValueError("Theta_c requires c != 0")
     alg = pair.algebra
     table = sq_table(pair)
-    if pair.in_h(a_index):
-        return _h_derivation(pair, a_index, w) + w * chi.values.get(a_index, Fraction(0))
     out = coderivation_C(pair, c, a_index, w)
+    if pair.in_h(a_index):
+        return out + w * chi.values.get(a_index, Fraction(0))
     degree = w.total_degree()
     series = q_c(c, degree + 1)
     pa = alg.parities[a_index]
@@ -450,8 +437,7 @@ def invariant_space(pair: SymmetricPair):
     alg = pair.algebra
     table = sq_table(pair)
     qdim = len(pair.q_indices)
-    monos = [m for m in itertools.product((0, 1), repeat=qdim)]
-    monos.sort(key=lambda m: (sum(m), m))
+    monos = sorted(exhaustive_monomials(table, qdim), key=lambda m: (sum(m), m))
     index = {m: k for k, m in enumerate(monos)}
     bound = qdim + 1
     f = factorization(pair, bound)

@@ -14,7 +14,7 @@ e^2 = (1/2)[e, e], and an adjacent inversion e_i e_j with i > j becomes
 the word, the swap rule keeps the length and lowers the inversion count,
 and bracket terms shorten the word.  Any rewriting schedule reaches the
 same normal form (confluence is exercised by the tests); the default
-schedule is deterministic and cached per algebra.
+schedule is deterministic.
 
 The factorization U(g) = beta(S(q)) U(h) needs no change-of-basis matrix:
 the top-degree part of beta(w) u is the single PBW monomial +-(w u), so
@@ -24,11 +24,10 @@ coordinates are read off by peeling top-degree terms (``Factorization``).
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 
 from .liealg import LieSuperAlgebra, SymmetricPair, coefficient_parity, _is_zero_coeff
-from .superpoly import EVEN, ODD
+from .superpoly import EVEN, ODD, exhaustive_monomials
 
 
 def _monomial_to_word(mono):
@@ -50,18 +49,11 @@ def normal_form(alg: LieSuperAlgebra, word, coeff=Fraction(1), choose=None):
 
     Returns {monomial: Fraction}.  ``choose(sites)`` may pick which
     violating position to rewrite next (used to exercise confluence);
-    the default takes the leftmost and is cached.
+    the default takes the leftmost.
     """
-    word = tuple(word)
-    cacheable = choose is None
-    if cacheable:
-        cached = alg._normal_form_cache.get(word)
-        if cached is not None:
-            return {m: c * coeff for m, c in cached.items()}
-
     parities = alg.parities
     result = {}
-    stack = [(word, Fraction(1))]
+    stack = [(tuple(word), Fraction(1))]
     while stack:
         w, c = stack.pop()
         sites = []
@@ -89,9 +81,6 @@ def normal_form(alg: LieSuperAlgebra, word, coeff=Fraction(1), choose=None):
             stack.append((head + (b, a) + tail, c * sign))
             for m, cm in alg.bracket_basis(a, b).items():
                 stack.append((head + (m,) + tail, c * cm))
-
-    if cacheable:
-        alg._normal_form_cache[word] = dict(result)
     return {m: cc * coeff for m, cc in result.items()}
 
 
@@ -447,35 +436,6 @@ def gamma(pair: SymmetricPair, u: PbwElement) -> PbwElement:
 # the factorization U(g) = beta(S(q)) U(h) and the quotient mod U(g) h
 # ---------------------------------------------------------------------------
 
-def sq_monomials(pair: SymmetricPair, max_degree: int):
-    """Exponent tuples (over the full basis, supported on q) of S(q)
-    monomials of degree <= max_degree."""
-    alg = pair.algebra
-    ranges = []
-    for i in range(alg.dim):
-        if i in set(pair.h_indices):
-            ranges.append((0,))
-        elif alg.parities[i] == ODD:
-            ranges.append((0, 1))
-        else:
-            ranges.append(tuple(range(max_degree + 1)))
-    for mono in itertools.product(*ranges):
-        if sum(mono) <= max_degree:
-            yield mono
-
-
-def pbw_monomials(alg: LieSuperAlgebra, max_degree: int):
-    ranges = []
-    for i in range(alg.dim):
-        if alg.parities[i] == ODD:
-            ranges.append((0, 1))
-        else:
-            ranges.append(tuple(range(max_degree + 1)))
-    for mono in itertools.product(*ranges):
-        if sum(mono) <= max_degree:
-            yield mono
-
-
 class Factorization:
     """Coordinates of U(g) in the basis of products beta(w) u, with w an
     S(q) monomial and u a normal-ordered monomial in U(h), for elements of
@@ -499,7 +459,7 @@ class Factorization:
     @functools.cached_property
     def pbw_basis(self):
         """The PBW monomials of degree <= max_degree, by (degree, monomial)."""
-        return sorted(pbw_monomials(self.pair.algebra, self.max_degree), key=lambda m: (sum(m), m))
+        return sorted(exhaustive_monomials(self.pair.algebra, self.max_degree), key=lambda m: (sum(m), m))
 
     def _step(self, mono):
         """((q part, h part) of mono, s, the terms of beta(q part) (h part)
@@ -544,16 +504,8 @@ class Factorization:
         return {k: coords[k] for k in sorted(coords, key=lambda p: (sum(p[0]) + sum(p[1]), p))}
 
 
-_factorization_cache = {}
-
-
 def factorization(pair: SymmetricPair, max_degree: int) -> Factorization:
-    key = (id(pair), max_degree)
-    f = _factorization_cache.get(key)
-    if f is None or f.pair is not pair:
-        f = Factorization(pair, max_degree)
-        _factorization_cache[key] = f
-    return f
+    return Factorization(pair, max_degree)
 
 
 def quotient_coordinates(pair: SymmetricPair, u: PbwElement, max_degree=None) -> dict:

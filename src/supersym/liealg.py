@@ -73,8 +73,7 @@ class LieSuperAlgebra:
                 raise ValueError(f"[{self.names[i]},{self.names[i]}] must vanish for even elements")
             store[(i, j)] = cleaned
         self.brackets = store
-        # per-instance caches for the enveloping-algebra machinery
-        self._normal_form_cache = {}
+        # per-instance memos of the enveloping-algebra machinery
         self._mono_product_cache = {}
         self._symmetrize_cache = {}
         if check:
@@ -133,9 +132,6 @@ class LieSuperAlgebra:
                         out[k] = acc
         return out
 
-    def basis_element(self, i: int, coeff=Fraction(1)) -> dict:
-        return {i: coeff}
-
     def element_parity(self, u: dict):
         """Parity of an element; None when inhomogeneous."""
         seen = set()
@@ -185,6 +181,10 @@ class SymmetricPair:
     initial segment, so that normal-ordered monomials factor as
     (q part)(h part) and the quotient machinery can project on the first
     factor.
+
+    ``sq_table`` realizes S(q) as polynomials in the q vectors themselves;
+    when q has even vectors it is truncated at even degree 24, and the
+    coderivations refuse to act where that would drop terms.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices):
@@ -196,6 +196,9 @@ class SymmetricPair:
         self.h_indices = h
         self.q_indices = q
         self._check_eigenspaces()
+        parities = [algebra.parities[i] for i in q]
+        truncation = None if all(p == ODD for p in parities) else 24
+        self.sq_table = VariableTable([algebra.names[i] for i in q], parities, truncation)
 
     def _check_eigenspaces(self):
         alg = self.algebra
@@ -215,10 +218,6 @@ class SymmetricPair:
 
     def in_h(self, i: int) -> bool:
         return i >= len(self.q_indices)
-
-    @property
-    def q_dim(self):
-        return len(self.q_indices)
 
     def q_purely_odd(self) -> bool:
         return all(self.algebra.parities[i] == ODD for i in self.q_indices)
@@ -626,10 +625,11 @@ def catalog(name: str):
         pair = SymmetricPair(alg, range(q, q + p))
         return alg, pair
 
-    if name == "osp12":
-        return _catalog_osp12()
-    if name == "gl11":
-        return _catalog_gl11()
+    if name in ("osp12", "gl11"):
+        mats, parities, _ = defining_matrices(name)
+        names = ["e", "f", "H", "E", "F"] if name == "osp12" else ["x12", "x21", "d1", "d2"]
+        alg = algebra_from_matrices(names, parities, mats)
+        return alg, SymmetricPair(alg, alg.even_indices())
     if name == "heisenberg_super":
         names = ["th1", "th2", "z"]
         parities = [ODD, ODD, EVEN]
@@ -642,49 +642,12 @@ def catalog(name: str):
     raise KeyError(f"unknown catalog algebra {name!r}")
 
 
-def _catalog_osp12():
-    """osp(1|2) from its defining representation on a (1|2)-dimensional
-    space: v0 even, v1, v2 odd, preserving the even supersymmetric form
-    B(v0,v0)=1, B(v1,v2)=-B(v2,v1)=1."""
-    F = Fraction
-
-    def mat(rows):
-        return [[F(x) for x in row] for row in rows]
-
-    # odd generators first (basis order q before h)
-    e = mat([[0, 0, -1], [1, 0, 0], [0, 0, 0]])
-    f = mat([[0, 1, 0], [0, 0, 0], [1, 0, 0]])
-    # sl(2) on span(v1, v2)
-    H = mat([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
-    E = mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    Fm = mat([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
-    mats = [e, f, H, E, Fm]
-    parities = [ODD, ODD, EVEN, EVEN, EVEN]
-    brackets = _structure_constants_from_matrices(mats, parities)
-    alg = LieSuperAlgebra(["e", "f", "H", "E", "F"], parities, brackets)
-    return alg, SymmetricPair(alg, [2, 3, 4])
-
-
-def _catalog_gl11():
-    """gl(1|1) from 2x2 matrices on a (1|1)-dimensional space."""
-    F = Fraction
-
-    def mat(rows):
-        return [[F(x) for x in row] for row in rows]
-
-    E12 = mat([[0, 1], [0, 0]])
-    E21 = mat([[0, 0], [1, 0]])
-    E11 = mat([[1, 0], [0, 0]])
-    E22 = mat([[0, 0], [0, 1]])
-    mats = [E12, E21, E11, E22]
-    parities = [ODD, ODD, EVEN, EVEN]
-    brackets = _structure_constants_from_matrices(mats, parities)
-    alg = LieSuperAlgebra(["x12", "x21", "d1", "d2"], parities, brackets)
-    return alg, SymmetricPair(alg, [2, 3])
-
-
 def defining_matrices(name: str):
-    """The matrices behind the catalog entries, for oracle tests.
+    """The matrices behind the catalog entries: the defining
+    representations of osp(1|2) on a (1|2)-dimensional space (v0 even,
+    v1, v2 odd, preserving the even supersymmetric form B(v0,v0)=1,
+    B(v1,v2)=-B(v2,v1)=1; odd generators first, then sl(2) on
+    span(v1, v2)) and of gl(1|1) on a (1|1)-dimensional space.
 
     Returns (matrices, algebra parities, module parities).
     """

@@ -147,9 +147,6 @@ class SuperPolynomial:
         """The constant term."""
         return self.terms.get((0,) * len(self.table), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.evaluate_at_zero()
-
     def parity(self):
         """EVEN, ODD, or None when the terms mix parities (0 counts as even)."""
         if not self.terms:
@@ -161,11 +158,6 @@ class SuperPolynomial:
 
     def total_degree(self):
         return max((sum(m) for m in self.terms), default=0)
-
-    def homogeneous_component(self, degree: int) -> "SuperPolynomial":
-        return SuperPolynomial(
-            self.table, {m: c for m, c in self.terms.items() if sum(m) == degree}
-        )
 
     def coefficient(self, mono) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
@@ -390,8 +382,10 @@ def truncate_even_degree(p: SuperPolynomial, order: int) -> SuperPolynomial:
     )
 
 
-def exhaustive_monomials(table: VariableTable, max_degree: int):
-    """All canonical monomials of total degree <= max_degree."""
+def exhaustive_monomials(table, max_degree: int):
+    """All canonical monomials of total degree <= max_degree over the
+    ``parities`` of a VariableTable, or of a LieSuperAlgebra (its PBW
+    monomials)."""
     ranges = []
     for p in table.parities:
         ranges.append(range(2) if p == ODD else range(max_degree + 1))

@@ -85,7 +85,7 @@ def test_criterion_3_pbw_coalgebra():
     for name in CATALOG:
         alg, pair = catalog(name)
         # coalgebra morphism on all monomials of degree <= 4
-        for mono in env.pbw_monomials(alg, 4):
+        for mono in exhaustive_monomials(alg, 4):
             word = env._monomial_to_word(mono)
             lhs = env.coproduct(env.symmetrize_word(alg, word))
             rhs = {}

@@ -1,6 +1,7 @@
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from supersym import cli
 
@@ -198,3 +199,67 @@ class TestCommands:
         run(["check", ALGEBRAS / "gl11.alg", "--emit", out])
         lines = out.read_text().splitlines()
         assert all(len(line.split("\t")) == 4 for line in lines)
+
+
+NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=4)
+COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def algebra_files(draw):
+    """Small definition files: random names and parities, every bracket
+    component on a basis vector of the bracket's parity."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    parities = [draw(st.sampled_from(["even", "odd"])) for _ in names]
+    brackets = {}
+    for i in range(len(names)):
+        for j in range(i, len(names)):
+            odd = (parities[i] == "odd") != (parities[j] == "odd")
+            targets = [k for k, p in enumerate(parities) if (p == "odd") == odd]
+            if targets:
+                comps = draw(st.dictionaries(st.sampled_from(targets), COEFFS, max_size=2))
+                if comps:
+                    brackets[(i, j)] = comps
+    pair_h = draw(st.none() | st.lists(st.sampled_from(names), min_size=1, unique=True))
+    return cli.AlgebraFile(draw(NAMES), list(zip(names, parities)), brackets, pair_h)
+
+
+@given(algebra_files())
+@settings(max_examples=40, deadline=None)
+def test_parse_inverts_render(f):
+    g = cli.parse(cli.render(f))
+    assert (g.name, g.basis, g.brackets, g.pair_h) == (f.name, f.basis, f.brackets, f.pair_h)
+
+
+def small_or_junk(text):
+    """Not an integer, or one small enough to run in milliseconds."""
+    try:
+        return abs(int(text)) <= 6
+    except ValueError:
+        return True
+
+
+ORDERS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["", "0", "-0", "+2", " 3", "1.5", "2/1", "1e1", "x", "--c"]),
+    st.text(max_size=3),
+).filter(small_or_junk)
+CS = st.one_of(
+    COEFFS.map(str),
+    st.sampled_from(["0", "0/5", "1/0", "-1/2", "1e1", "1.5", "nan", "inf", "", "--order"]),
+    st.text(max_size=3),
+)
+
+
+@pytest.mark.parametrize("command", ["jacobian", "tau", "series"])
+@given(order=st.none() | ORDERS, c=st.none() | CS)
+@example(order="-3", c="1/0")
+@example(order="0", c="0")
+@settings(max_examples=25, deadline=None)
+def test_fuzzed_arguments_never_crash(command, order, c):
+    argv = [command] if command == "series" else [command, ALGEBRAS / "heisenberg.alg"]
+    if order is not None:
+        argv += ["--order", order]
+    if c is not None and command == "jacobian":
+        argv += ["--c", c]
+    assert run(argv) in (0, 1, 2)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from supersym import liealg, series
 from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, exhaustive_monomials
+
+from conftest import diagonal_pair
 
 
 def smono(alg, *pairs):
@@ -383,6 +387,15 @@ class TestTheta:
             out = cd.theta_action(pair, c, chi, 0, table.one())
             assert out == table.variable(0) * c
 
+    def test_truncation_is_refused_for_odd_h(self):
+        # the odd h0 raises the even degree: h0 . q1 q2^24 has terms in q2^25
+        pair = diagonal_pair("gl11")
+        table = cd.sq_table(pair)
+        w = table.variable(1) * table.variable(2) ** 24
+        h0 = pair.algebra.index("h0")
+        with pytest.raises(ValueError, match="truncated at even degree 24"):
+            cd.theta_action(pair, 1, cd.Character.trivial(pair), h0, w)
+
     def test_matches_induced_module(self):
         for name in ("abelian(1,2)", "osp12", "gl11"):
             alg, pair = catalog(name)
@@ -486,6 +499,19 @@ class TestInvariants:
         mono, lead = sorted(gen.terms.items())[0]
         ratio = w.coefficient(mono) / lead
         assert gen * ratio == w and ratio != 0
+
+    def test_pair_and_algebra_are_freed(self):
+        # the memos live on the algebra, the pair or a Factorization, so
+        # nothing keeps a pair alive once its user drops it
+        alg, pair = catalog("osp12")
+        element = jac.gorelik_candidate(jac.GenericPoint(pair))
+        assert cd.verify_twisted_invariance(pair, element)[0]
+        assert len(cd.invariant_space(pair)) == 1
+        assert not cd.tau(pair, element).is_zero()
+        refs = [weakref.ref(pair), weakref.ref(alg)]
+        del alg, pair, element
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_invariant_space_empty_without_unimodularity(self):
         alg = LieSuperAlgebra(

@@ -15,7 +15,6 @@ from supersym.enveloping import (
     factorization,
     gamma,
     normal_form,
-    pbw_monomials,
     quotient_coordinates,
     quotient_mod_h,
     symmetrize,
@@ -24,7 +23,15 @@ from supersym.enveloping import (
     twisted_adjoint,
 )
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
-from supersym.superpoly import EVEN, ODD, VariableTable
+from supersym.superpoly import EVEN, ODD, VariableTable, exhaustive_monomials
+
+
+def sq_monomials(pair, max_degree):
+    """The PBW monomials of degree <= max_degree supported on q."""
+    return [
+        m for m in exhaustive_monomials(pair.algebra, max_degree)
+        if all(m[i] == 0 for i in pair.h_indices)
+    ]
 
 
 def smono(alg, *pairs):
@@ -178,7 +185,7 @@ class TestSymmetrize:
         # Delta(beta(w)) = (beta x beta)(Delta_S(w)) on monomials deg <= 3
         for name in ("osp12", "gl11", "heisenberg_super"):
             alg, _ = catalog(name)
-            for mono in pbw_monomials(alg, 3):
+            for mono in exhaustive_monomials(alg, 3):
                 word = env._monomial_to_word(mono)
                 lhs = coproduct(symmetrize_word(alg, word))
                 rhs = {}
@@ -200,7 +207,7 @@ class TestSymmetrize:
 
         for name in ("osp12", "gl11"):
             alg, _ = catalog(name)
-            monos = sorted(pbw_monomials(alg, 4), key=lambda m: (sum(m), m))
+            monos = sorted(exhaustive_monomials(alg, 4), key=lambda m: (sum(m), m))
             index = {m: k for k, m in enumerate(monos)}
             rows = []
             for m in monos:
@@ -331,7 +338,7 @@ class TestTwistedAdjoint:
             alg, pair = catalog(name)
             f = factorization(pair, 3)
             unit = (0,) * alg.dim
-            for qm in env.sq_monomials(pair, 2):
+            for qm in sq_monomials(pair, 2):
                 b = symmetrize(alg, {qm: Fraction(1)})
                 for a in range(alg.dim):
                     image = twisted_adjoint(pair, a, b)
@@ -349,7 +356,7 @@ class TestGamma:
         # gamma(beta(w)) = beta(2^n w) for w in S^n(q), n <= 3
         for name in ("osp12", "gl11", "heisenberg_super"):
             alg, pair = catalog(name)
-            for qm in env.sq_monomials(pair, 3):
+            for qm in sq_monomials(pair, 3):
                 b = symmetrize(alg, {qm: Fraction(1)})
                 expected = symmetrize(alg, {qm: Fraction(2 ** sum(qm))})
                 assert gamma(pair, b) == expected, (name, qm)
@@ -405,13 +412,13 @@ def dense_coordinates(pair, max_degree):
     the PBW monomials of degree <= max_degree.  Returns u -> coordinates,
     keyed and ordered as Factorization.coordinates."""
     alg = pair.algebra
-    basis = sorted(pbw_monomials(alg, max_degree), key=lambda m: (sum(m), m))
+    basis = sorted(exhaustive_monomials(alg, max_degree), key=lambda m: (sum(m), m))
     index = {m: k for k, m in enumerate(basis)}
     h_monos = [m for m in basis if all(m[i] == 0 for i in pair.q_indices)]
     pairs = sorted(
         (
             (qm, hm)
-            for qm in env.sq_monomials(pair, max_degree)
+            for qm in sq_monomials(pair, max_degree)
             for hm in h_monos
             if sum(qm) + sum(hm) <= max_degree
         ),
@@ -470,7 +477,7 @@ class TestFactorizationOracle:
         dense = dense_coordinates(pair, 3)
         unit = (0,) * alg.dim
         h_seen = False
-        elements = [PbwElement(alg, {m: Fraction(1)}) for m in pbw_monomials(alg, 3)]
+        elements = [PbwElement(alg, {m: Fraction(1)}) for m in exhaustive_monomials(alg, 3)]
         for _ in range(12):
             word = tuple(rng.randrange(alg.dim) for _ in range(rng.randrange(4)))
             elements.append(
