@@ -532,7 +532,11 @@ def main(argv=None) -> int:
         return 3
     report.print()
     if args.emit:
-        report.emit(args.emit)
+        try:
+            report.emit(args.emit)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.all_pass() else 1
 
 

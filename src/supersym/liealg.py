@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, parity_of
+from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, parity_of, sum_of_products
 
 
 def coefficient_parity(c) -> int:
@@ -257,6 +257,9 @@ class SuperMatrix:
     ``entries[i][j]`` is the e_i component of the image of e_j; entries are
     SuperPolynomials over one shared table.  Entry (i, j) must be zero or
     homogeneous of parity p(e_i) + p(e_j) + p(operator).
+
+    Entry (i, j) of a product is one ``sum_of_products`` over row i and
+    column j: exact integer accumulation over a common denominator.
     """
 
     __slots__ = ("table", "module_parities", "op_parity", "entries")
@@ -324,20 +327,13 @@ class SuperMatrix:
                 check=False,
             )
         n = self.size
-        z = self.table.zero()
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = z
-                for k in range(n):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
+        rows = [
+            [
+                sum_of_products(self.table, [(a, other.entries[k][j]) for k, a in enumerate(row)])
+                for j in range(n)
+            ]
+            for row in self.entries
+        ]
         return SuperMatrix(
             self.table,
             self.module_parities,
@@ -359,12 +355,6 @@ class SuperMatrix:
                 for j in range(self.size)
             )
         )
-
-    def power(self, k: int) -> "SuperMatrix":
-        result = SuperMatrix.identity(self.table, self.module_parities)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)

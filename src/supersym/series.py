@@ -14,6 +14,10 @@ The two-variable series support the divided differences
 ``(f(t+u) - f(t))/u`` needed to state the functional equations that
 characterize these series; the ``check_*`` functions return the exact
 residuals so that a caller can assert they vanish identically.
+
+Products convolve integer numerators: each factor's coefficients are
+scaled to the lcm of their denominators, the convolution runs on plain
+ints, and one normalised ``Fraction`` is built per output coefficient.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from operator import mul
 
 _bernoulli_cache = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
@@ -49,13 +54,19 @@ def bernoulli(n: int) -> Fraction:
         return _bernoulli_cache[n]
 
 
+def _numerators(coefficients):
+    """The coefficients as ints over their common denominator: (ints, lcm)."""
+    den = math.lcm(*(c.denominator for c in coefficients))
+    return [c.numerator * (den // c.denominator) for c in coefficients], den
+
+
 class TruncatedSeries1:
     """Series sum c_k t^k, 0 <= k <= order, coefficients stored densely."""
 
     __slots__ = ("coefficients", "order")
 
     def __init__(self, coefficients, order=None):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
@@ -115,16 +126,12 @@ class TruncatedSeries1:
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries1([c * other for c in self.coefficients], self.order)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0 or i > n:
-                continue
-            for j, b in enumerate(other.coefficients):
-                if i + j > n:
-                    break
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries1(out, n)
+        a, da = _numerators(self.coefficients[: n + 1])
+        b, db = _numerators(other.coefficients[: n + 1])
+        den = da * db
+        return TruncatedSeries1(
+            [Fraction(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(n + 1)], n
+        )
 
     __rmul__ = __mul__
 
@@ -316,7 +323,8 @@ class TruncatedSeries2:
         self.order = order
         cleaned = {}
         for (i, j), c in coefficients.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c != 0 and i + j <= order:
                 cleaned[(i, j)] = c
         self.coefficients = cleaned
@@ -383,14 +391,21 @@ class TruncatedSeries2:
                 {k: v * other for k, v in self.coefficients.items()}, self.order
             )
         n = min(self.order, other.order)
-        terms = {}
-        for (i1, j1), a in self.coefficients.items():
-            for (i2, j2), b in other.coefficients.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > n:
-                    continue
-                terms[(i, j)] = terms.get((i, j), Fraction(0)) + a * b
-        return TruncatedSeries2(terms, n)
+        # (i, j) is packed as i*w + j, so adding keys multiplies monomials
+        w = n + 1
+        a, da = _numerators(list(self.coefficients.values()))
+        b, db = _numerators(list(other.coefficients.values()))
+        left = [(i * w + j, i + j, c) for (i, j), c in zip(self.coefficients, a)]
+        right = [(i * w + j, i + j, c) for (i, j), c in zip(other.coefficients, b)]
+        acc = {}
+        for k1, d1, c1 in left:
+            room = n - d1
+            for k2, d2, c2 in right:
+                if d2 <= room:
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + c1 * c2
+        den = da * db
+        return TruncatedSeries2({divmod(k, w): Fraction(v, den) for k, v in acc.items()}, n)
 
     __rmul__ = __mul__
 

@@ -11,6 +11,15 @@ order, odd exponents at most 1.  Reordering a product into canonical form
 accumulates the Koszul sign (one factor of -1 for every crossing of two odd
 letters), which makes equality of polynomials structural.
 
+Every product of two polynomials goes through :func:`sum_of_products`,
+which computes a sum of products ``a_1 b_1 + ... + a_k b_k`` in exact
+integers: the left coefficients are scaled to the lcm of their
+denominators, the right ones to the lcm of theirs, the scaled numerators
+are multiplied and added as plain ints, and one normalised ``Fraction`` is
+built per output monomial.  The table memoises, per monomial, the
+bitmask of its odd letters, the bitmask that gives the Koszul sign of a
+product as a popcount, and its even degree.
+
 All values are immutable; a table can be shared freely between threads.
 """
 
@@ -19,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 EVEN = 0
 ODD = 1
@@ -36,7 +46,7 @@ def parity_of(word) -> int:
 class VariableTable:
     """Ordered graded variables with an even-degree truncation order."""
 
-    __slots__ = ("names", "parities", "truncation_order", "_index")
+    __slots__ = ("names", "parities", "truncation_order", "_index", "_shapes")
 
     def __init__(self, names, parities, truncation_order=None):
         self.names = tuple(names)
@@ -51,6 +61,7 @@ class VariableTable:
             raise ValueError("truncation_order must be nonnegative")
         self.truncation_order = truncation_order
         self._index = {n: i for i, n in enumerate(self.names)}
+        self._shapes = {}
 
     def __len__(self):
         return len(self.names)
@@ -85,6 +96,34 @@ class VariableTable:
     def monomial_parity(self, mono) -> int:
         return sum(e for e, p in zip(mono, self.parities) if p == ODD) % 2
 
+    def shape(self, mono):
+        """(odd, koszul, even degree) of a canonical monomial, memoised.
+
+        Bit i of ``odd`` is set when variable i is an odd letter of
+        ``mono``; bit i of ``koszul`` when an odd number of its odd letters
+        sit after position i.  A right factor with odd mask ``o`` crosses
+        ``popcount(koszul & o)`` pairs of odd letters on the way to
+        canonical order, and ``odd & o`` is nonzero when the product
+        repeats an odd letter and vanishes.
+        """
+        shape = self._shapes.get(mono)
+        if shape is None:
+            odd = koszul = even = 0
+            after = 0
+            for i in range(len(mono) - 1, -1, -1):
+                if after:
+                    koszul |= 1 << i
+                e = mono[i]
+                if not e:
+                    continue
+                if self.parities[i] == ODD:
+                    odd |= 1 << i
+                    after ^= 1
+                else:
+                    even += e
+            shape = self._shapes[mono] = (odd, koszul, even)
+        return shape
+
     def __eq__(self, other):
         if not isinstance(other, VariableTable):
             return NotImplemented
@@ -100,25 +139,6 @@ class VariableTable:
     def __repr__(self):
         vs = ", ".join(f"{n}:{'odd' if p else 'even'}" for n, p in zip(self.names, self.parities))
         return f"VariableTable({vs}; order={self.truncation_order})"
-
-
-def _merge_monomials(table: VariableTable, m1, m2):
-    """Product of two canonical monomials: (monomial, sign) or (None, 0)."""
-    sign = 1
-    out = []
-    # Koszul sign: every odd letter of m2 crosses the odd letters of m1
-    # that sit at strictly larger table positions.
-    odd1_positions = [i for i, e in enumerate(m1) if e and table.parities[i] == ODD]
-    for i, (e1, e2) in enumerate(zip(m1, m2)):
-        if table.parities[i] == ODD:
-            if e1 and e2:
-                return None, 0
-            if e2:
-                crossings = sum(1 for j in odd1_positions if j > i)
-                if crossings % 2:
-                    sign = -sign
-        out.append(e1 + e2)
-    return tuple(out), sign
 
 
 class SuperPolynomial:
@@ -137,6 +157,15 @@ class SuperPolynomial:
                 continue
             cleaned[mono] = coeff
         self.terms = cleaned
+
+    @classmethod
+    def _from_clean(cls, table, terms):
+        """Wrap ``terms`` whose coefficients are nonzero and whose even
+        degrees are within the truncation order, without re-checking."""
+        p = object.__new__(cls)
+        p.table = table
+        p.terms = terms
+        return p
 
     # -- queries ----------------------------------------------------------
 
@@ -203,26 +232,10 @@ class SuperPolynomial:
             c = Fraction(other)
             if c == 0:
                 return self.table.zero()
-            return SuperPolynomial(self.table, {m: co * c for m, co in self.terms.items()})
+            return SuperPolynomial._from_clean(self.table, {m: co * c for m, co in self.terms.items()})
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        self._check_table(other)
-        table = self.table
-        order = table.truncation_order
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m, sign = _merge_monomials(table, m1, m2)
-                if m is None:
-                    continue
-                if order is not None and table.even_degree(m) > order:
-                    continue
-                c = terms.get(m, Fraction(0)) + sign * c1 * c2
-                if c == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = c
-        return SuperPolynomial(table, terms)
+        return sum_of_products(self.table, ((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -372,6 +385,51 @@ class SuperPolynomial:
         return out
 
     __repr__ = __str__
+
+
+def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
+    """a_1 b_1 + ... + a_k b_k for the (a, b) polynomial pairs over ``table``.
+
+    Every left coefficient is scaled to the lcm of the left denominators,
+    every right one to the lcm of the right denominators, so the products
+    accumulate as plain ints over the product of the two lcms; one
+    normalised Fraction is built per surviving monomial.
+    """
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    for p in itertools.chain.from_iterable(pairs):
+        if p.table is not table and p.table != table:
+            raise ValueError("polynomials live over different variable tables")
+    if not pairs:
+        return table.zero()
+    left_den = math.lcm(*(c.denominator for a, _ in pairs for c in a.terms.values()))
+    right_den = math.lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
+    order = table.truncation_order
+    limit = 0 if order is None else order  # no even letters without an order
+    shape = table.shape
+    acc = {}
+    for a, b in pairs:
+        right = [
+            (m, *shape(m), c.numerator * (right_den // c.denominator))
+            for m, c in b.terms.items()
+        ]
+        for m1, c1 in a.terms.items():
+            odd1, koszul1, even1 = shape(m1)
+            room = limit - even1
+            c1 = c1.numerator * (left_den // c1.denominator)
+            for m2, odd2, _, even2, c2 in right:
+                if odd1 & odd2 or even2 > room:
+                    continue
+                c = c1 * c2
+                if (koszul1 & odd2).bit_count() & 1:
+                    c = -c
+                m = tuple(map(add, m1, m2))
+                v = acc.get(m, 0) + c
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+    den = left_den * right_den
+    return SuperPolynomial._from_clean(table, {m: Fraction(v, den) for m, v in acc.items()})
 
 
 def truncate_even_degree(p: SuperPolynomial, order: int) -> SuperPolynomial:

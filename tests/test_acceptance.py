@@ -298,24 +298,24 @@ def test_criterion_8_full_group_jacobian():
     _report(8, "full-group Jacobian against the determinant oracle", time.perf_counter() - start)
 
 
-def test_criterion_9_cli():
+def test_criterion_9_cli(tmp_path):
     start = time.perf_counter()
     base = [sys.executable, "-m", "supersym.cli"]
     run = lambda *argv: subprocess.run(
         base + list(argv), capture_output=True, text=True, cwd=str(ALGEBRAS.parent)
     )
 
-    selftest = run("selftest", "--seed", "11", "--emit", "build/selftest1.tsv")
+    selftest = run("selftest", "--seed", "11", "--emit", str(tmp_path / "selftest1.tsv"))
     assert selftest.returncode == 0, selftest.stdout + selftest.stderr
 
     bad = run("gorelik", str(ALGEBRAS / "nonunimodular.alg"))
     assert bad.returncode == 2
     assert "str_q(ad x) = -2" in bad.stderr
 
-    again = run("selftest", "--seed", "11", "--emit", "build/selftest2.tsv")
+    again = run("selftest", "--seed", "11", "--emit", str(tmp_path / "selftest2.tsv"))
     assert again.returncode == 0
-    p1 = ALGEBRAS.parent / "build" / "selftest1.tsv"
-    p2 = ALGEBRAS.parent / "build" / "selftest2.tsv"
+    p1 = tmp_path / "selftest1.tsv"
+    p2 = tmp_path / "selftest2.tsv"
     assert p1.read_bytes() == p2.read_bytes()
     _report(9, "CLI selftest, non-unimodular refusal, byte-stable emission",
             time.perf_counter() - start)

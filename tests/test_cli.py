@@ -186,6 +186,14 @@ class TestCommands:
         assert run(["check", ALGEBRAS / "osp12.alg"]) == 3
         assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
+    def test_unwritable_emit_path_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.tsv"
+        assert run(["series", "--order", "2", "--emit", target]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" in captured.out
+        assert captured.err.startswith("error: ")
+        assert not target.exists()
+
     def test_selftest_and_emit_stability(self, tmp_path, capsys):
         first = tmp_path / "a.tsv"
         second = tmp_path / "b.tsv"

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersym import series
 from supersym.series import TruncatedSeries1, TruncatedSeries2
@@ -209,3 +210,87 @@ class TestClassicalIdentities:
         n = 10
         for c in (Fraction(2), Fraction(1, 3), Fraction(-5, 7)):
             assert series.p_c(c, n) == series.p_c(1, n).scale_variable(1 / c) * c
+
+
+# -- oracle: the Fraction-by-Fraction convolutions the integer kernels replaced
+
+
+def oracle_product1(a, b):
+    """Coefficient list of a*b in one variable, one Fraction operation each."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i, x in enumerate(a.coefficients):
+        if x == 0 or i > n:
+            continue
+        for j, y in enumerate(b.coefficients):
+            if i + j > n:
+                break
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def oracle_product2(a, b):
+    """Coefficient dict of a*b in two variables, one Fraction operation each."""
+    n = min(a.order, b.order)
+    terms = {}
+    for (i1, j1), x in a.coefficients.items():
+        for (i2, j2), y in b.coefficients.items():
+            i, j = i1 + i2, j1 + j2
+            if i + j > n:
+                continue
+            terms[(i, j)] = terms.get((i, j), Fraction(0)) + x * y
+    return {k: v for k, v in terms.items() if v != 0}
+
+
+_BIG = 10**12
+coefficients = st.one_of(
+    st.just(0),
+    st.sampled_from([1, -1, 2]),
+    st.builds(
+        Fraction,
+        st.integers(-_BIG, _BIG),
+        st.integers(1, _BIG) | st.integers(-_BIG, -1),
+    ),
+).map(Fraction)
+
+
+def series1(order):
+    return st.lists(coefficients, max_size=order + 1).map(lambda c: TruncatedSeries1(c, order))
+
+
+def series2(order):
+    keys = st.tuples(st.integers(0, order), st.integers(0, order)).filter(lambda k: sum(k) <= order)
+    return st.dictionaries(keys, coefficients, max_size=12).map(lambda c: TruncatedSeries2(c, order))
+
+
+class TestProductOracle:
+    @given(series1(30), series1(30), st.integers(27, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_one_variable_product_matches_fraction_loop(self, a, b, order):
+        b = b.truncate(order)
+        product = a * b
+        assert product.order == order
+        assert product.coefficients == oracle_product1(a, b)
+        assert all(type(c) is Fraction for c in product.coefficients)
+
+    @given(series2(30), series2(30), st.integers(27, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_two_variable_product_matches_fraction_loop(self, a, b, order):
+        b = TruncatedSeries2(b.coefficients, order)
+        product = a * b
+        assert product.order == order
+        # same values and the same key order as the Fraction loop
+        assert list(product.coefficients.items()) == list(oracle_product2(a, b).items())
+
+    def test_order_30_products_of_the_distinguished_series(self):
+        n = 30
+        p, q, w = series.p_c(Fraction(2, 3), n), series.q_c(-3, n), series.w_c(5, n)
+        for a, b in ((p, q), (q, w), (w, p), (p, p)):
+            assert (a * b).coefficients == oracle_product1(a, b)
+        pairs2 = [
+            (TruncatedSeries2.from_sum(p, n), series.divided_difference(q, n - 1)),
+            (TruncatedSeries2.from_t(w, n), TruncatedSeries2.from_u(p, n)),
+        ]
+        for a, b in pairs2:
+            assert (a * b).coefficients == oracle_product2(a, b)

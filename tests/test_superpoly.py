@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supersym.liealg import SuperMatrix
 from supersym.superpoly import (
     EVEN,
     ODD,
     SuperPolynomial,
     VariableTable,
     exhaustive_monomials,
+    sum_of_products,
     truncate_even_degree,
 )
 
@@ -259,3 +261,135 @@ class TestQueries:
         assert e.coefficient((3,)) == Fraction(1, 6)
         with pytest.raises(ValueError):
             t.one().exp()
+
+
+# -- oracle: the Fraction-by-Fraction product the integer kernel replaced ----
+
+def oracle_merge_monomials(table, m1, m2):
+    """Product of two canonical monomials: (monomial, sign) or (None, 0)."""
+    sign = 1
+    out = []
+    odd1_positions = [i for i, e in enumerate(m1) if e and table.parities[i] == ODD]
+    for i, (e1, e2) in enumerate(zip(m1, m2)):
+        if table.parities[i] == ODD:
+            if e1 and e2:
+                return None, 0
+            if e2:
+                crossings = sum(1 for j in odd1_positions if j > i)
+                if crossings % 2:
+                    sign = -sign
+        out.append(e1 + e2)
+    return tuple(out), sign
+
+
+def oracle_product(a, b):
+    """The terms dict of a*b, one Fraction operation per coefficient product."""
+    table = a.table
+    order = table.truncation_order
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m, sign = oracle_merge_monomials(table, m1, m2)
+            if m is None:
+                continue
+            if order is not None and table.even_degree(m) > order:
+                continue
+            c = terms.get(m, Fraction(0)) + sign * c1 * c2
+            if c == 0:
+                terms.pop(m, None)
+            else:
+                terms[m] = c
+    return terms
+
+
+_BIG = 10**12
+
+coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -2]),
+    st.builds(
+        Fraction,
+        st.integers(-_BIG, _BIG).filter(bool),
+        st.integers(1, _BIG) | st.integers(-_BIG, -1),
+    ),
+).map(Fraction)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 5))
+    parities = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+    order = draw(st.integers(0, 3))
+    if EVEN not in parities:
+        order = draw(st.sampled_from([None, order]))
+    return VariableTable([f"v{i}" for i in range(n)], parities, order)
+
+
+def polys(table, max_terms=5):
+    monos = list(exhaustive_monomials(table, 3))
+    terms = st.dictionaries(st.sampled_from(monos), coefficients, max_size=max_terms)
+    return terms.map(lambda t: SuperPolynomial(table, t))
+
+
+@st.composite
+def poly_pairs(draw):
+    table = draw(tables())
+    return draw(polys(table)), draw(polys(table))
+
+
+class TestProductOracle:
+    @given(poly_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_fraction_loop(self, ab):
+        a, b = ab
+        product = a * b
+        # same values and the same key order as the Fraction loop
+        assert list(product.terms.items()) == list(oracle_product(a, b).items())
+        assert all(type(c) is Fraction for c in product.terms.values())
+
+    def test_cancelling_products_match_fraction_loop(self):
+        t = VariableTable(["s", "x1", "x2"], [EVEN, ODD, ODD], 2)
+        s, x1, x2 = (t.variable(i) for i in range(3))
+        half = Fraction(1, 2)
+        cases = [
+            (x1 + x2, x1 + x2),                      # x1 x2 + x2 x1 = 0
+            (s + x1, s - x1),                        # cross terms cancel
+            (s * half + x1 * x2, s * -2 + x1 * x2),  # large cancellation pattern
+            (s * s, s),                              # truncated away
+        ]
+        for a, b in cases:
+            assert (a * b).terms == oracle_product(a, b)
+        assert ((x1 + x2) * (x1 + x2)).is_zero()
+        assert (s * s * s).is_zero()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sum_of_products_matches_accumulated_products(self, data):
+        table = data.draw(tables())
+        k = data.draw(st.integers(0, 4))
+        pairs = [(data.draw(polys(table)), data.draw(polys(table))) for _ in range(k)]
+        acc = table.zero()
+        for a, b in pairs:
+            acc = acc + SuperPolynomial(table, oracle_product(a, b))
+        assert sum_of_products(table, pairs).terms == acc.terms
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_product_matches_entrywise_accumulation(self, data):
+        table = data.draw(tables())
+        n = data.draw(st.integers(1, 3))
+        parities = data.draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+
+        def matrix():
+            rows = [[data.draw(polys(table, 3)) for _ in range(n)] for _ in range(n)]
+            return SuperMatrix(table, parities, rows, check=False)
+
+        a, b = matrix(), matrix()
+        product = a * b
+        for i in range(n):
+            for j in range(n):
+                acc = table.zero()
+                for k in range(n):
+                    acc = acc + SuperPolynomial(
+                        table, oracle_product(a.entries[i][k], b.entries[k][j])
+                    )
+                assert product.entries[i][j].terms == acc.terms
