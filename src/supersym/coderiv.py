@@ -112,16 +112,16 @@ def sq_coproduct(pair, w: SuperPolynomial) -> dict:
 
 def _mono_mul(table, mono, pos):
     """Multiply a canonical monomial by one letter on the right."""
-    sign = 1
-    if table.parities[pos] == ODD:
-        odd, koszul, _ = table.shape(mono)
-        if odd >> pos & 1:
-            return None, 0
-        if koszul >> pos & 1:
-            sign = -1
+    if table.parities[pos] == ODD and mono[pos]:
+        return None, 0
+    crossings = sum(
+        1
+        for j in range(pos + 1, len(mono))
+        if mono[j] and table.parities[j] == ODD
+    ) if table.parities[pos] == ODD else 0
     new = list(mono)
     new[pos] += 1
-    return tuple(new), sign
+    return tuple(new), (-1 if crossings % 2 else 1)
 
 
 # ---------------------------------------------------------------------------

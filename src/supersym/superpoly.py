@@ -16,9 +16,9 @@ which computes a sum of products ``a_1 b_1 + ... + a_k b_k`` in exact
 integers: the left coefficients are scaled to the lcm of their
 denominators, the right ones to the lcm of theirs, the scaled numerators
 are multiplied and added as plain ints, and one normalised ``Fraction`` is
-built per output monomial.  The table memoises, per monomial, the
-bitmask of its odd letters, the bitmask that gives the Koszul sign of a
-product as a popcount, and its even degree.
+built per output monomial.  Each call computes, once per term of each
+factor, the bitmask of its odd letters, the bitmask that gives the Koszul
+sign of a product as a popcount, and its even degree.
 
 All values are immutable; a table can be shared freely between threads.
 """
@@ -46,7 +46,7 @@ def parity_of(word) -> int:
 class VariableTable:
     """Ordered graded variables with an even-degree truncation order."""
 
-    __slots__ = ("names", "parities", "truncation_order", "_index", "_shapes")
+    __slots__ = ("names", "parities", "truncation_order", "_index")
 
     def __init__(self, names, parities, truncation_order=None):
         self.names = tuple(names)
@@ -61,7 +61,6 @@ class VariableTable:
             raise ValueError("truncation_order must be nonnegative")
         self.truncation_order = truncation_order
         self._index = {n: i for i, n in enumerate(self.names)}
-        self._shapes = {}
 
     def __len__(self):
         return len(self.names)
@@ -95,34 +94,6 @@ class VariableTable:
 
     def monomial_parity(self, mono) -> int:
         return sum(e for e, p in zip(mono, self.parities) if p == ODD) % 2
-
-    def shape(self, mono):
-        """(odd, koszul, even degree) of a canonical monomial, memoised.
-
-        Bit i of ``odd`` is set when variable i is an odd letter of
-        ``mono``; bit i of ``koszul`` when an odd number of its odd letters
-        sit after position i.  A right factor with odd mask ``o`` crosses
-        ``popcount(koszul & o)`` pairs of odd letters on the way to
-        canonical order, and ``odd & o`` is nonzero when the product
-        repeats an odd letter and vanishes.
-        """
-        shape = self._shapes.get(mono)
-        if shape is None:
-            odd = koszul = even = 0
-            after = 0
-            for i in range(len(mono) - 1, -1, -1):
-                if after:
-                    koszul |= 1 << i
-                e = mono[i]
-                if not e:
-                    continue
-                if self.parities[i] == ODD:
-                    odd |= 1 << i
-                    after ^= 1
-                else:
-                    even += e
-            shape = self._shapes[mono] = (odd, koszul, even)
-        return shape
 
     def __eq__(self, other):
         if not isinstance(other, VariableTable):
@@ -387,6 +358,31 @@ class SuperPolynomial:
     __repr__ = __str__
 
 
+def _shape(parities, mono):
+    """(odd, koszul, even degree) of a canonical monomial.
+
+    Bit i of ``odd`` is set when variable i is an odd letter of ``mono``;
+    bit i of ``koszul`` when an odd number of its odd letters sit after
+    position i.  A right factor with odd mask ``o`` crosses
+    ``popcount(koszul & o)`` pairs of odd letters on the way to canonical
+    order, and ``odd & o`` is nonzero when the product repeats an odd
+    letter and vanishes.
+    """
+    odd = koszul = even = after = 0
+    for i in range(len(mono) - 1, -1, -1):
+        if after:
+            koszul |= 1 << i
+        e = mono[i]
+        if not e:
+            continue
+        if parities[i] == ODD:
+            odd |= 1 << i
+            after ^= 1
+        else:
+            even += e
+    return odd, koszul, even
+
+
 def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
     """a_1 b_1 + ... + a_k b_k for the (a, b) polynomial pairs over ``table``.
 
@@ -405,15 +401,15 @@ def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
     right_den = math.lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
     order = table.truncation_order
     limit = 0 if order is None else order  # no even letters without an order
-    shape = table.shape
+    parities = table.parities
     acc = {}
     for a, b in pairs:
         right = [
-            (m, *shape(m), c.numerator * (right_den // c.denominator))
+            (m, *_shape(parities, m), c.numerator * (right_den // c.denominator))
             for m, c in b.terms.items()
         ]
         for m1, c1 in a.terms.items():
-            odd1, koszul1, even1 = shape(m1)
+            odd1, koszul1, even1 = _shape(parities, m1)
             room = limit - even1
             c1 = c1.numerator * (left_den // c1.denominator)
             for m2, odd2, _, even2, c2 in right:
