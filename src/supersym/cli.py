@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from fractions import Fraction
 
 from . import coderiv, enveloping, jacobian, liealg, series
@@ -148,16 +147,24 @@ def render(file: AlgebraFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build(file: AlgebraFile):
-    """(algebra, pair, used_default_pair); raises ValueError on bad input."""
+def _algebra(file: AlgebraFile, check=True):
     names = [nm for nm, _ in file.basis]
     parities = [par for _, par in file.basis]
-    alg = liealg.LieSuperAlgebra(names, parities, file.brackets)
+    return liealg.LieSuperAlgebra(names, parities, file.brackets, check)
+
+
+def _pair(alg, file: AlgebraFile):
+    """(pair, used_default_pair): h from the file's ``pair`` line, else the
+    even part."""
     if file.pair_h is not None:
-        h = [alg.index(nm) for nm in file.pair_h]
-        return alg, liealg.SymmetricPair(alg, h), False
-    h = alg.even_indices()
-    return alg, liealg.SymmetricPair(alg, h), True
+        return liealg.SymmetricPair(alg, [alg.index(nm) for nm in file.pair_h]), False
+    return liealg.SymmetricPair(alg, alg.even_indices()), True
+
+
+def build(file: AlgebraFile):
+    """(algebra, pair, used_default_pair); raises ValueError on bad input."""
+    alg = _algebra(file)
+    return (alg, *_pair(alg, file))
 
 
 def catalog_file(name: str) -> AlgebraFile:
@@ -177,7 +184,6 @@ class Report:
 
     def __init__(self):
         self.records = []  # (check, target, status, witness)
-        self.elapsed = {}
 
     def add(self, check, target, ok, witness=""):
         status = "PASS" if ok else "FAIL"
@@ -204,36 +210,22 @@ class Report:
             print(line.rstrip(), file=out)
 
 
-def _timed(report, check, target, fn):
-    start = time.perf_counter()
-    ok, witness = fn()
-    report.elapsed[(check, target)] = time.perf_counter() - start
-    report.add(check, target, ok, witness)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_check(file: AlgebraFile, args) -> Report:
     report = Report()
-    names = [nm for nm, _ in file.basis]
-    parities = [par for _, par in file.basis]
     try:
-        alg = liealg.LieSuperAlgebra(names, parities, file.brackets, check=False)
+        alg = _algebra(file, check=False)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     ok, witness = alg.check_jacobi()
     report.add("check.jacobi", file.name, ok, witness if witness else "")
     if not ok:
         return report
-    default_h = file.pair_h is None
     try:
-        if default_h:
-            pair = liealg.SymmetricPair(alg, alg.even_indices())
-        else:
-            pair = liealg.SymmetricPair(alg, [alg.index(nm) for nm in file.pair_h])
+        pair, default_h = _pair(alg, file)
     except ValueError as exc:
         report.add("check.pair", file.name, False, str(exc))
         return report

@@ -6,11 +6,16 @@ coderivation pairing the coproduct legs of a monomial with the evaluations
 
     p(ad y)(a) : b_1...b_n  |->  p_n  sum_s  (Koszul sign) ad b_{s(1)} ... ad b_{s(n)} (a)
 
-of the generic-point series, and the action of a in h is the superalgebra
-derivation extending b |-> -[b, a].  With p = p_c = t*coth(t/c) these
-assemble into the representation C_c; twisting by a character chi of h
-through the odd series q_c = -tanh(t/(2c)) gives the representations
+of the generic-point series, a crossing the first leg with the sign
+(-1)^{p(a) p(leg1)}; the action of a in h is the superalgebra derivation
+extending the adjoint action b |-> [a, b].  With p = p_c = t*coth(t/c)
+these assemble into the representation C_c; twisting by a character chi
+of h through the odd series q_c = -tanh(t/(2c)) gives the representations
 Theta_{c,chi} that match left multiplication on the induced module.
+
+Every Koszul sign of a product in S(q) comes from the product kernel of
+``superpoly``: the coproduct through its monomial sign, the h-derivation
+through products and left derivatives.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the twisted
 adjoint invariance checker, and the brute-force invariant-space solver
@@ -19,7 +24,10 @@ live here too.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+from operator import sub
 
 from . import linalg
 from .enveloping import (
@@ -33,7 +41,15 @@ from .enveloping import (
 )
 from .liealg import SymmetricPair
 from .series import TruncatedSeries1, p_c, q_c
-from .superpoly import ODD, SuperPolynomial, VariableTable, exhaustive_monomials
+from .superpoly import (
+    ODD,
+    SuperPolynomial,
+    VariableTable,
+    _koszul,
+    exhaustive_monomials,
+    sum_of_products,
+)
+
 
 def sq_table(pair: SymmetricPair) -> VariableTable:
     """The pair's variable table realizing S(q); ``coderivation_C`` refuses
@@ -41,25 +57,18 @@ def sq_table(pair: SymmetricPair) -> VariableTable:
     return pair.sq_table
 
 
-def sq_one(pair) -> SuperPolynomial:
-    return sq_table(pair).one()
-
-
-def sq_letter(pair, q_position: int) -> SuperPolynomial:
-    return sq_table(pair).variable(q_position)
-
-
 def sq_from_element(pair, element: dict) -> SuperPolynomial:
     """Embed a q-supported algebra element as a degree-1 polynomial."""
     table = sq_table(pair)
-    out = table.zero()
+    unit = (0,) * len(table)
+    terms = {}
     for i, c in element.items():
         if c == 0:
             continue
         if pair.in_h(i):
             raise ValueError("element has components outside q")
-        out = out + table.variable(i) * c
-    return out
+        terms[unit[:i] + (1,) + unit[i + 1 :]] = Fraction(c)
+    return SuperPolynomial(table, terms)
 
 
 def sq_monomial_letters(pair, mono):
@@ -71,57 +80,20 @@ def sq_monomial_letters(pair, mono):
 
 
 def sq_coproduct(pair, w: SuperPolynomial) -> dict:
-    """Coproduct of S(q), as {(monomial, monomial): Fraction}."""
-    table = sq_table(pair)
-    unit = (0,) * len(table)
+    """Coproduct of S(q), as {(monomial, monomial): Fraction}:
+
+        Delta(x^m) = sum_{k <= m} prod_i C(m_i, k_i) (Koszul sign) x^(m-k) (x) x^k,
+
+    the sign being the one that reorders x^(m-k) x^k into x^m.  Keys come
+    monomial by monomial of ``w``, each with its k in lexicographic order.
+    """
+    parities = sq_table(pair).parities
     out = {}
     for mono, coeff in w.terms.items():
-        state = {(unit, unit): Fraction(1)}
-        for pos in _monomial_to_word(mono):
-            lp = table.parities[pos]
-            new = {}
-            for (m1, m2), c in state.items():
-                # append the letter to the first leg: crosses the second leg
-                s = -1 if lp == ODD and table.monomial_parity(m2) == ODD else 1
-                prod, psign = _mono_mul(table, m1, pos)
-                if prod is not None:
-                    key = (prod, m2)
-                    acc = new.get(key, Fraction(0)) + c * s * psign
-                    if acc == 0:
-                        new.pop(key, None)
-                    else:
-                        new[key] = acc
-                # append to the second leg: no crossing
-                prod, psign = _mono_mul(table, m2, pos)
-                if prod is not None:
-                    key = (m1, prod)
-                    acc = new.get(key, Fraction(0)) + c * psign
-                    if acc == 0:
-                        new.pop(key, None)
-                    else:
-                        new[key] = acc
-            state = new
-        for key, c in state.items():
-            acc = out.get(key, Fraction(0)) + c * coeff
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+        for k in itertools.product(*(range(e + 1) for e in mono)):
+            rest = tuple(map(sub, mono, k))
+            out[rest, k] = coeff * (math.prod(map(math.comb, mono, k)) * _koszul(parities, rest, k))
     return out
-
-
-def _mono_mul(table, mono, pos):
-    """Multiply a canonical monomial by one letter on the right."""
-    if table.parities[pos] == ODD and mono[pos]:
-        return None, 0
-    crossings = sum(
-        1
-        for j in range(pos + 1, len(mono))
-        if mono[j] and table.parities[j] == ODD
-    ) if table.parities[pos] == ODD else 0
-    new = list(mono)
-    new[pos] += 1
-    return tuple(new), (-1 if crossings % 2 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -163,57 +135,42 @@ def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, l
 
 def _h_derivation(pair: SymmetricPair, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
     """For a in h the representation is the superalgebra derivation of S(q)
-    extending b |-> -[b, a]; one Koszul sign of p(a) per letter crossed."""
+    extending b |-> [a, b]; a derivation of a free supercommutative algebra
+    is sum_b D(b) d_b with left derivatives d_b."""
     alg = pair.algebra
-    table = sq_table(pair)
-    pa = alg.parities[a_index]
-    out = table.zero()
-    for mono, coeff in w.terms.items():
-        letters = _monomial_to_word(mono)
-        for k, pos in enumerate(letters):
-            b_index = pair.q_indices[pos]
-            image = alg.bracket({b_index: Fraction(1)}, {a_index: Fraction(1)})
-            if not image:
-                continue
-            crossed = sum(1 for j in letters[:k] if table.parities[j] == ODD)
-            sign = -1 if (pa * crossed) % 2 else 1
-            prefix = table.one()
-            for j in letters[:k]:
-                prefix = prefix * table.variable(j)
-            suffix = table.one()
-            for j in letters[k + 1 :]:
-                suffix = suffix * table.variable(j)
-            repl = table.zero()
-            for i, c in image.items():
-                repl = repl + sq_letter(pair, pair.q_indices.index(i)) * (-c)
-            out = out + prefix * repl * suffix * (coeff * sign)
-    return out
+    pairs = []
+    for pos, b in enumerate(pair.q_indices):
+        image = alg.bracket_basis(a_index, b)
+        if image:
+            pairs.append((sq_from_element(pair, image), w.partial_derivative(pos)))
+    return sum_of_products(sq_table(pair), pairs)
 
 
 def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
-    """The universal representation C_c^a acting on w in S(q)."""
+    """The universal representation C_c^a acting on w in S(q): for a in q,
+    the sum over the coproduct legs of w of (-1)^{p(a) p(leg1)}
+    p_c(ad leg1)(a) leg2, the sign being a crossing the first leg."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("C_c requires c != 0")
     table = sq_table(pair)
     order = table.truncation_order
+    pa = pair.algebra.parities[a_index]
     # C_c^a raises the even degree by at most one, and not at all for even a in h
-    if order is not None and (not pair.in_h(a_index) or pair.algebra.parities[a_index] == ODD):
+    if order is not None and (not pair.in_h(a_index) or pa == ODD):
         if any(table.even_degree(m) >= order for m in w.terms):
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
     if pair.in_h(a_index):
         return _h_derivation(pair, a_index, w)
-    degree = w.total_degree()
-    series = p_c(c, degree + 1)
-    out = table.zero()
+    series = p_c(c, w.total_degree() + 1)
     a_element = {a_index: Fraction(1)}
+    pairs = []
     for (leg1, leg2), coeff in sq_coproduct(pair, w).items():
         value = apply_radx(pair, series, a_element, sq_monomial_letters(pair, leg1))
-        if not value:
-            continue
-        piece = sq_from_element(pair, value) * SuperPolynomial(table, {leg2: Fraction(1)})
-        out = out + piece * coeff
-    return out
+        if value:
+            sign = -1 if pa and table.monomial_parity(leg1) else 1
+            pairs.append((sq_from_element(pair, value), SuperPolynomial(table, {leg2: coeff * sign})))
+    return sum_of_products(table, pairs)
 
 
 def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) -> SuperPolynomial:
@@ -233,7 +190,7 @@ def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) 
 def tau(pair: SymmetricPair, u: PbwElement) -> SuperPolynomial:
     """tau(u) = C_1^u(1): the inverse of the symmetrization onto
     U(g)/U(g)h, as an element of S(q)."""
-    return coderivation_C_u(pair, Fraction(1), u, sq_one(pair))
+    return coderivation_C_u(pair, Fraction(1), u, sq_table(pair).one())
 
 
 def scale_degrees(pair: SymmetricPair, w: SuperPolynomial, c) -> SuperPolynomial:
@@ -304,15 +261,7 @@ class Character:
     def supertrace_on_quotient(cls, pair):
         """a |-> str over q of ad a, the character twisting the dualizing
         module; always a valid character."""
-        alg = pair.algebra
-        values = {}
-        for a in pair.h_indices:
-            s = Fraction(0)
-            for i in pair.q_indices:
-                coeff = alg.bracket_basis(a, i).get(i, Fraction(0))
-                s += (-1 if alg.parities[i] == ODD else 1) * coeff
-            values[a] = s
-        return cls(pair, values)
+        return cls(pair, pair.q_supertraces())
 
     def of_element(self, element: dict) -> Fraction:
         return sum(

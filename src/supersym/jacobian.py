@@ -117,12 +117,7 @@ def str_ad_power_full(gp: GenericPoint, k: int) -> SuperPolynomial:
 
 
 def _str_power_over(gp, k, indices):
-    mat = gp.ad_y_power(k)
-    acc = gp.table.zero()
-    for i in indices:
-        sign = -1 if gp.algebra.parities[i] == ODD else 1
-        acc = acc + mat.entries[i][i] * sign
-    return acc
+    return gp.ad_y_power(k).restrict(indices).supertrace()
 
 
 class JacobianResult:
@@ -341,15 +336,7 @@ def twisted_vector_field(gp: GenericPoint, c, a_index: int) -> dict:
 
 def str_q_of_ad_field(gp: GenericPoint, field: dict) -> SuperPolynomial:
     """Supertrace over the q block of ad(field) for an h-valued field."""
-    alg = gp.algebra
-    mat = ad_matrix(alg, field, gp.table)
-    acc = gp.table.zero()
-    op = mat.op_parity
-    for i in gp.pair.q_indices:
-        pi = alg.parities[i]
-        sign = -1 if (pi * (pi + op)) % 2 else 1
-        acc = acc + mat.entries[i][i] * sign
-    return acc
+    return ad_matrix(gp.algebra, field, gp.table).restrict(gp.pair.q_indices).supertrace()
 
 
 def str_w_of_ad_y(gp: GenericPoint, c) -> SuperPolynomial:
@@ -394,13 +381,7 @@ def divergence_check(alg: LieSuperAlgebra, p: series_mod.TruncatedSeries1, a_ind
     if acc_mat is None:
         rhs = gp.table.zero()
     else:
-        prod = acc_mat * ada
-        acc = gp.table.zero()
-        for i in range(alg.dim):
-            pi = alg.parities[i]
-            sign = -1 if (pi * (pi + prod.op_parity)) % 2 else 1
-            acc = acc + prod.entries[i][i] * sign
-        rhs = -1 * acc
+        rhs = -1 * (acc_mat * ada).supertrace()
     return truncate_even_degree(lhs - rhs, order)
 
 

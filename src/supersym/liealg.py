@@ -146,13 +146,19 @@ class LieSuperAlgebra:
         return None
 
     def check_jacobi(self):
-        """Super-Jacobi on all basis triples; (True, None) or (False, witness)."""
+        """Super-Jacobi on the basis triples a <= b <= c; (True, None) or
+        (False, witness).
+
+        The Jacobiator is graded-antisymmetric in its arguments, so it
+        vanishes on every triple when it vanishes on the sorted ones, and
+        the first failing triple in lexicographic order is a sorted one.
+        """
         n = self.dim
         for a in range(n):
             pa = self.parities[a]
-            for b in range(n):
+            for b in range(a, n):
                 pb = self.parities[b]
-                for c in range(n):
+                for c in range(b, n):
                     pc = self.parities[c]
                     acc = {}
                     for (x, y, z, px, pz) in (
@@ -222,22 +228,25 @@ class SymmetricPair:
     def q_purely_odd(self) -> bool:
         return all(self.algebra.parities[i] == ODD for i in self.q_indices)
 
+    def q_supertraces(self) -> dict:
+        """{a: str over the q block of ad a} for every basis vector a of h."""
+        alg = self.algebra
+        out = {}
+        for a in self.h_indices:
+            s = Fraction(0)
+            for i in self.q_indices:
+                c = alg.bracket_basis(a, i).get(i, Fraction(0))
+                s += -c if alg.parities[i] == ODD else c
+            out[a] = s
+        return out
+
     def check_unimodularity(self):
         """str over the q block of ad a, for every basis a in h.
 
         Returns (True, []) or (False, witnesses) where each witness is
         (name of a, supertrace value).
         """
-        alg = self.algebra
-        bad = []
-        for a in self.h_indices:
-            s = Fraction(0)
-            for i in self.q_indices:
-                c = alg.bracket_basis(a, i).get(i, Fraction(0))
-                sign = -1 if alg.parities[i] == ODD else 1
-                s += sign * c
-            if s != 0:
-                bad.append((alg.names[a], s))
+        bad = [(self.algebra.names[a], s) for a, s in self.q_supertraces().items() if s != 0]
         return (not bad), bad
 
     def __repr__(self):

@@ -18,7 +18,10 @@ denominators, the right ones to the lcm of theirs, the scaled numerators
 are multiplied and added as plain ints, and one normalised ``Fraction`` is
 built per output monomial.  Each call computes, once per term of each
 factor, the bitmask of its odd letters, the bitmask that gives the Koszul
-sign of a product as a popcount, and its even degree.
+sign of a product as a popcount, and its even degree.  The same masks give
+the sign of a single monomial product (``_koszul``), which the left
+derivative and the coproduct of S(q) use; no other module counts crossings
+of odd letters.
 
 All values are immutable; a table can be shared freely between threads.
 """
@@ -237,38 +240,19 @@ class SuperPolynomial:
     # -- calculus ----------------------------------------------------------
 
     def partial_derivative(self, var) -> "SuperPolynomial":
-        """Left derivative with respect to ``var``.
-
-        For an odd variable the operator is moved from the left over the
-        preceding odd letters of each monomial, one Koszul sign per
-        crossing.
-        """
+        """Left derivative with respect to ``var``: the coefficient of
+        ``var * rest`` in each monomial, so an odd variable picks up the
+        Koszul sign of moving it to the front."""
         table = self.table
         i = var if isinstance(var, int) else table.index(var)
-        odd = table.parities[i] == ODD
+        letter = tuple(1 if j == i else 0 for j in range(len(table)))
         terms = {}
         for mono, coeff in self.terms.items():
             e = mono[i]
-            if e == 0:
-                continue
-            new = list(mono)
-            new[i] = e - 1
-            if odd:
-                crossings = sum(
-                    1
-                    for j in range(i)
-                    if mono[j] and table.parities[j] == ODD
-                )
-                c = -coeff if crossings % 2 else coeff
-            else:
-                c = coeff * e
-            key = tuple(new)
-            c = terms.get(key, Fraction(0)) + c
-            if c == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-        return SuperPolynomial(table, terms)
+            if e:
+                rest = mono[:i] + (e - 1,) + mono[i + 1 :]
+                terms[rest] = coeff * e * _koszul(table.parities, letter, rest)
+        return SuperPolynomial._from_clean(table, terms)
 
     def berezin_integral(self) -> Fraction:
         """Iterated odd derivative, highest variable first, evaluated at 0.
@@ -381,6 +365,16 @@ def _shape(parities, mono):
         else:
             even += e
     return odd, koszul, even
+
+
+def _koszul(parities, m1, m2) -> int:
+    """The sign taking the product ``m1 * m2`` of two canonical monomials to
+    canonical order, or 0 when an odd letter repeats."""
+    odd1, koszul1, _ = _shape(parities, m1)
+    odd2 = _shape(parities, m2)[0]
+    if odd1 & odd2:
+        return 0
+    return -1 if (koszul1 & odd2).bit_count() & 1 else 1
 
 
 def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:

@@ -5,10 +5,15 @@ import pytest
 from supersym.liealg import SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 
 
-def diagonal_pair(name):
+def diagonal_pair(name, keep=None):
     """(g + g, swap) realized on V + V: q_X = diag(X, -X) and h_X = diag(X, X),
-    so q inherits the parity mix of g (both parities in q and in h)."""
+    so q inherits the parity mix of g (both parities in q and in h).  With
+    ``keep``, g is the subalgebra spanned by those catalog basis vectors."""
     mats, parities, _ = defining_matrices(name)
+    letters = catalog(name)[0].names
+    chosen = [i for i, x in enumerate(letters) if keep is None or x in keep]
+    mats = [mats[i] for i in chosen]
+    parities = [parities[i] for i in chosen]
     n = len(mats[0])
 
     def block(x, s):
@@ -16,7 +21,7 @@ def diagonal_pair(name):
         bottom = [[0] * n + [s * v for v in row] for row in x]
         return top + bottom
 
-    names = [f"q{i}" for i in range(len(mats))] + [f"h{i}" for i in range(len(mats))]
+    names = [f"{side}_{letters[i]}" for side in "qh" for i in chosen]
     mats2 = [block(x, -1) for x in mats] + [block(x, 1) for x in mats]
     alg = algebra_from_matrices(names, parities + parities, mats2)
     return SymmetricPair(alg, range(len(mats), 2 * len(mats)))

@@ -170,6 +170,11 @@ class TestCommands:
     def test_tau_command(self):
         assert run(["tau", ALGEBRAS / "heisenberg.alg"]) == 0
 
+    def test_tau_on_a_pair_with_odd_h(self, capsys):
+        # h and q both mix parities; the odd h vectors act by the adjoint sign rule
+        assert run(["tau", ALGEBRAS / "diag_gl11.alg", "--order", "3"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_tau_refuses_an_order_above_the_truncation(self, tmp_path, capsys):
         path = tmp_path / "oneletter.alg"
         path.write_text("algebra oneletter\nbasis a even\nbasis z even\npair h = z\n")

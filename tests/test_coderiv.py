@@ -14,7 +14,7 @@ from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, exhaustive_monomials
 
-from conftest import diagonal_pair
+from conftest import ORACLE_PAIRS, diagonal_pair
 
 
 def smono(alg, *pairs):
@@ -392,7 +392,7 @@ class TestTheta:
         pair = diagonal_pair("gl11")
         table = cd.sq_table(pair)
         w = table.variable(1) * table.variable(2) ** 24
-        h0 = pair.algebra.index("h0")
+        h0 = pair.algebra.index("h_x12")
         with pytest.raises(ValueError, match="truncated at even degree 24"):
             cd.theta_action(pair, 1, cd.Character.trivial(pair), h0, w)
 
@@ -522,3 +522,190 @@ class TestInvariants:
         pair = SymmetricPair(alg, [2])
         assert not pair.check_unimodularity()[0]
         assert cd.invariant_space(pair) == []
+
+
+# ---------------------------------------------------------------------------
+# oracles for the S(q) operators: the letter-by-letter coproduct and the
+# prefix/suffix h-derivation, each counting its Koszul signs by hand
+# ---------------------------------------------------------------------------
+
+def _mono_mul(table, mono, pos):
+    """Multiply a canonical monomial by one letter on the right."""
+    if table.parities[pos] == ODD and mono[pos]:
+        return None, 0
+    crossings = sum(
+        1
+        for j in range(pos + 1, len(mono))
+        if mono[j] and table.parities[j] == ODD
+    ) if table.parities[pos] == ODD else 0
+    new = list(mono)
+    new[pos] += 1
+    return tuple(new), (-1 if crossings % 2 else 1)
+
+
+def oracle_sq_coproduct(pair, w):
+    """Coproduct of S(q), letter by letter: each letter of each monomial
+    goes to the first leg (crossing the second) or to the second leg."""
+    table = cd.sq_table(pair)
+    unit = (0,) * len(table)
+    out = {}
+    for mono, coeff in w.terms.items():
+        state = {(unit, unit): Fraction(1)}
+        for pos in env._monomial_to_word(mono):
+            lp = table.parities[pos]
+            new = {}
+            for (m1, m2), c in state.items():
+                s = -1 if lp == ODD and table.monomial_parity(m2) == ODD else 1
+                prod, psign = _mono_mul(table, m1, pos)
+                if prod is not None:
+                    key = (prod, m2)
+                    acc = new.get(key, Fraction(0)) + c * s * psign
+                    if acc == 0:
+                        new.pop(key, None)
+                    else:
+                        new[key] = acc
+                prod, psign = _mono_mul(table, m2, pos)
+                if prod is not None:
+                    key = (m1, prod)
+                    acc = new.get(key, Fraction(0)) + c * psign
+                    if acc == 0:
+                        new.pop(key, None)
+                    else:
+                        new[key] = acc
+            state = new
+        for key, c in state.items():
+            acc = out.get(key, Fraction(0)) + c * coeff
+            if acc == 0:
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return out
+
+
+def oracle_h_derivation(pair, a_index, w):
+    """The derivation extending b |-> [a, b], letter by letter: replace the
+    k-th letter of each monomial, with one sign p(a) per odd letter crossed."""
+    alg = pair.algebra
+    table = cd.sq_table(pair)
+    pa = alg.parities[a_index]
+    out = table.zero()
+    for mono, coeff in w.terms.items():
+        letters = env._monomial_to_word(mono)
+        for k, pos in enumerate(letters):
+            image = alg.bracket({a_index: Fraction(1)}, {pair.q_indices[pos]: Fraction(1)})
+            if not image:
+                continue
+            crossed = sum(1 for j in letters[:k] if table.parities[j] == ODD)
+            sign = -1 if (pa * crossed) % 2 else 1
+            prefix = table.one()
+            for j in letters[:k]:
+                prefix = prefix * table.variable(j)
+            suffix = table.one()
+            for j in letters[k + 1 :]:
+                suffix = suffix * table.variable(j)
+            repl = table.zero()
+            for i, c in image.items():
+                repl = repl + table.variable(pair.q_indices.index(i)) * c
+            out = out + prefix * repl * suffix * (coeff * sign)
+    return out
+
+
+SQ_ORACLE_PAIRS = dict(ORACLE_PAIRS, **{"diag-osp12": lambda: diagonal_pair("osp12")})
+
+
+@pytest.fixture(params=sorted(SQ_ORACLE_PAIRS))
+def sq_pair(request):
+    return SQ_ORACLE_PAIRS[request.param]()
+
+
+def random_sq_polynomials(pair, rng, count, max_degree=4, max_terms=4):
+    table = cd.sq_table(pair)
+    monos = sq_monos(pair, max_degree)
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, max_terms)):
+            terms[rng.choice(monos)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        yield SuperPolynomial(table, terms)
+
+
+class TestSqOracles:
+    def test_coproduct_on_every_monomial_up_to_degree_5(self, sq_pair):
+        table = cd.sq_table(sq_pair)
+        for mono in sq_monos(sq_pair, 5):
+            w = SuperPolynomial(table, {mono: Fraction(3, 2)})
+            # same values in the same key order
+            assert list(cd.sq_coproduct(sq_pair, w).items()) == list(
+                oracle_sq_coproduct(sq_pair, w).items()
+            ), mono
+
+    def test_coproduct_on_random_polynomials(self, sq_pair):
+        rng = random.Random(7)
+        for w in random_sq_polynomials(sq_pair, rng, 25):
+            assert list(cd.sq_coproduct(sq_pair, w).items()) == list(
+                oracle_sq_coproduct(sq_pair, w).items()
+            ), w
+
+    def test_h_derivation_on_every_monomial_up_to_degree_5(self, sq_pair):
+        table = cd.sq_table(sq_pair)
+        for mono in sq_monos(sq_pair, 5):
+            w = SuperPolynomial(table, {mono: Fraction(1)})
+            for a in sq_pair.h_indices:
+                got = cd._h_derivation(sq_pair, a, w)
+                expected = oracle_h_derivation(sq_pair, a, w)
+                # same values in the same key order
+                assert list(got.terms.items()) == list(expected.terms.items()), (a, mono)
+
+    def test_h_derivation_on_random_polynomials(self, sq_pair):
+        rng = random.Random(11)
+        for w in random_sq_polynomials(sq_pair, rng, 25):
+            for a in sq_pair.h_indices:
+                got = cd._h_derivation(sq_pair, a, w)
+                # same values; several monomials may reach a key in another order
+                assert got.terms == oracle_h_derivation(sq_pair, a, w).terms, (a, w)
+
+
+# ---------------------------------------------------------------------------
+# pairs with odd h vectors and a q of both parities
+# ---------------------------------------------------------------------------
+
+MIXED_PAIRS = {
+    "diag-gl11": lambda: diagonal_pair("gl11"),
+    "diag-osp12": lambda: diagonal_pair("osp12"),
+    # the Borel subalgebra {e, H, E} of osp(1|2): its supertrace character
+    # is nonzero on the diagonal copy of H
+    "diag-borel": lambda: diagonal_pair("osp12", {"e", "H", "E"}),
+}
+
+
+@pytest.fixture(params=sorted(MIXED_PAIRS))
+def mixed_pair(request):
+    return MIXED_PAIRS[request.param]()
+
+
+class TestMixedParityPairs:
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_representation(self, mixed_pair, c):
+        ok, witness = cd.check_representation(mixed_pair, c, 2)
+        assert ok, witness
+
+    @pytest.mark.parametrize("character", ["trivial", "supertrace_on_quotient"])
+    def test_theta_matches_induced_module(self, mixed_pair, character):
+        chi = getattr(cd.Character, character)(mixed_pair)
+        ok, witness = cd.check_theta_vs_induced(mixed_pair, chi, 2)
+        assert ok, witness
+
+    # on the Borel pair tau(beta(w)) == w held before the sign fixes too
+    # (checked up to degree 7), so this case runs where it can fail
+    @pytest.mark.parametrize("name", ["diag-gl11", "diag-osp12"])
+    def test_tau_inverts_beta(self, name):
+        pair = MIXED_PAIRS[name]()
+        table = cd.sq_table(pair)
+        for mono in sq_monos(pair, 4):
+            w = SuperPolynomial(table, {mono: Fraction(1)})
+            assert cd.tau(pair, cd.beta_of_sq(pair, w)) == w, mono
+
+    def test_borel_supertrace_character_is_nonzero(self):
+        pair = MIXED_PAIRS["diag-borel"]()
+        chi = cd.Character.supertrace_on_quotient(pair)
+        names = pair.algebra.names
+        assert {names[a]: v for a, v in chi.values.items()} == {"h_e": 0, "h_H": 1, "h_E": 0}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from supersym.liealg import (
     defining_matrices,
 )
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, VariableTable, exhaustive_monomials
+
+from conftest import diagonal_pair
 
 
 def matrix_table(order=6):
@@ -102,6 +105,58 @@ class TestJacobi:
         ok, witness = broken.check_jacobi()
         assert not ok
         assert witness is not None and len(witness) == 4
+
+
+def oracle_check_jacobi(alg):
+    """Super-Jacobi on all n^3 ordered basis triples."""
+    n = alg.dim
+    for a, b, c in itertools.product(range(n), repeat=3):
+        acc = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            sign = -1 if (alg.parities[x] * alg.parities[z]) % 2 else 1
+            for m, cm in alg.bracket_basis(y, z).items():
+                for k, ck in alg.bracket_basis(x, m).items():
+                    acc[k] = acc.get(k, Fraction(0)) + sign * cm * ck
+        if any(v != 0 for v in acc.values()):
+            residual = {alg.names[k]: v for k, v in acc.items() if v != 0}
+            return False, (alg.names[a], alg.names[b], alg.names[c], residual)
+    return True, None
+
+
+def random_brackets(rng):
+    """Super-antisymmetric structure constants with few nonzero entries, so
+    that some of them satisfy the Jacobi identity."""
+    n = rng.randint(2, 5)
+    parities = [rng.choice([EVEN, ODD]) for _ in range(n)]
+    density = rng.choice([0.1, 0.25, 0.5])
+    brackets = {}
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and parities[i] == EVEN:
+                continue
+            target = [k for k in range(n) if parities[k] == (parities[i] + parities[j]) % 2]
+            comps = {k: Fraction(rng.randint(-2, 2)) for k in target if rng.random() < density}
+            if comps:
+                brackets[(i, j)] = comps
+    return LieSuperAlgebra([f"b{i}" for i in range(n)], parities, brackets, check=False)
+
+
+class TestJacobiOracle:
+    def test_sorted_triples_match_all_triples(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(300):
+            alg = random_brackets(rng)
+            got = alg.check_jacobi()
+            assert got == oracle_check_jacobi(alg), alg.brackets
+            outcomes.add(got[0])
+        assert outcomes == {True, False}
+
+    def test_catalog_and_diagonal_pairs_match(self):
+        algebras = [catalog(name)[0] for name in ("osp12", "gl11", "heisenberg_super", "solvable2")]
+        algebras += [diagonal_pair(name).algebra for name in ("osp12", "gl11")]
+        for alg in algebras:
+            assert alg.check_jacobi() == oracle_check_jacobi(alg) == (True, None)
 
 
 class TestCatalog:

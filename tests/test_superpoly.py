@@ -11,6 +11,7 @@ from supersym.superpoly import (
     ODD,
     SuperPolynomial,
     VariableTable,
+    _koszul,
     exhaustive_monomials,
     sum_of_products,
     truncate_even_degree,
@@ -393,3 +394,58 @@ class TestProductOracle:
                         table, oracle_product(a.entries[i][k], b.entries[k][j])
                     )
                 assert product.entries[i][j].terms == acc.terms
+
+
+def inversion_sign(parities, m1, m2):
+    """The Koszul sign of m1 m2 by brute force: the parity of the inversions
+    among the odd letters of m1 followed by those of m2, or 0 when an odd
+    letter repeats."""
+    odd = [i for m in (m1, m2) for i, e in enumerate(m) for _ in range(e) if parities[i] == ODD]
+    if len(set(odd)) < len(odd):
+        return 0
+    inversions = sum(1 for x, y in itertools.combinations(odd, 2) if x > y)
+    return -1 if inversions % 2 else 1
+
+
+@st.composite
+def monomial_pairs(draw):
+    n = draw(st.integers(1, 6))
+    parities = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+
+    def mono():
+        return tuple(
+            draw(st.integers(0, 1 if p == ODD else 3)) for p in parities
+        )
+
+    return parities, mono(), mono()
+
+
+class TestKoszulSign:
+    @given(monomial_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_inversion_parity(self, case):
+        parities, m1, m2 = case
+        assert _koszul(parities, m1, m2) == inversion_sign(parities, m1, m2)
+
+    def test_repeated_odd_letter_vanishes(self):
+        parities = (ODD, EVEN, ODD)
+        assert _koszul(parities, (1, 2, 0), (1, 0, 1)) == 0
+        assert _koszul(parities, (0, 0, 1), (1, 0, 0)) == -1
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_left_derivative_matches_crossing_count(self, data):
+        # the derivative moves the variable from the left over the
+        # preceding odd letters of each monomial, one sign per crossing
+        table = data.draw(tables())
+        p = data.draw(polys(table))
+        i = data.draw(st.integers(0, len(table) - 1))
+        expected = table.zero()
+        for mono, coeff in p.terms.items():
+            if not mono[i]:
+                continue
+            rest = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+            crossings = sum(1 for j in range(i) if mono[j] and table.parities[j] == ODD)
+            sign = -1 if table.parities[i] == ODD and crossings % 2 else 1
+            expected = expected + SuperPolynomial(table, {rest: coeff * mono[i] * sign})
+        assert p.partial_derivative(i).terms == expected.terms
