@@ -19,7 +19,8 @@ through products and left derivatives.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the twisted
 adjoint invariance checker, and the brute-force invariant-space solver
-live here too.
+live here too.  tau keeps C_1^word(1) for each PBW word it meets in
+``pair.tau_memo``, which is freed with the pair.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def sq_coproduct(pair, w: SuperPolynomial) -> dict:
 # the generic-point evaluations
 # ---------------------------------------------------------------------------
 
-def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, letters) -> dict:
+def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, letters, nests=None) -> dict:
     """Evaluate the universal vector field p(ad y)(a) on the monomial with
     the given q letters: p_n times the Koszul-signed sum over all orderings
     of the iterated brackets.  Returns an algebra element {index: Fraction}
@@ -110,14 +111,15 @@ def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, l
     S(w)(a) = sum_k eps_k [w_k, S(w without position k)(a)], with equal
     (letter, sub-word) terms merged (``enveloping._first_letters``); each
     sub-word is evaluated once, so the cost is the number of distinct
-    sub-words rather than n!.
+    sub-words rather than n!.  The nests do not depend on p, so calls may
+    share them through ``nests`` ({word: S(word)(a)}, seeded with () -> a).
     """
     alg = pair.algebra
     letters = tuple(letters)
     pn = series.coeff(len(letters))
     if pn == 0:
         return {}
-    memo = {(): {i: c for i, c in a_element.items() if c}}
+    memo = {(): {i: c for i, c in a_element.items() if c}} if nests is None else nests
 
     def nested(word):
         value = memo.get(word)
@@ -146,13 +148,9 @@ def _h_derivation(pair: SymmetricPair, a_index: int, w: SuperPolynomial) -> Supe
     return sum_of_products(sq_table(pair), pairs)
 
 
-def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
-    """The universal representation C_c^a acting on w in S(q): for a in q,
-    the sum over the coproduct legs of w of (-1)^{p(a) p(leg1)}
-    p_c(ad leg1)(a) leg2, the sign being a crossing the first leg."""
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("C_c requires c != 0")
+def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w: SuperPolynomial, nests: dict):
+    """C_c^a on w, with p_c built to at least the total degree of w and
+    ``nests`` holding each letter's bracket nests for ``apply_radx``."""
     table = sq_table(pair)
     order = table.truncation_order
     pa = pair.algebra.parities[a_index]
@@ -162,35 +160,57 @@ def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> 
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
     if pair.in_h(a_index):
         return _h_derivation(pair, a_index, w)
-    series = p_c(c, w.total_degree() + 1)
     a_element = {a_index: Fraction(1)}
+    memo = nests.setdefault(a_index, {(): a_element})
     pairs = []
     for (leg1, leg2), coeff in sq_coproduct(pair, w).items():
-        value = apply_radx(pair, series, a_element, sq_monomial_letters(pair, leg1))
+        value = apply_radx(pair, series, a_element, sq_monomial_letters(pair, leg1), memo)
         if value:
             sign = -1 if pa and table.monomial_parity(leg1) else 1
             pairs.append((sq_from_element(pair, value), SuperPolynomial(table, {leg2: coeff * sign})))
     return sum_of_products(table, pairs)
 
 
-def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) -> SuperPolynomial:
-    """Multiplicative extension u -> C_c^u to the enveloping algebra."""
+def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
+    """The universal representation C_c^a acting on w in S(q): for a in q,
+    the sum over the coproduct legs of w of (-1)^{p(a) p(leg1)}
+    p_c(ad leg1)(a) leg2, the sign being a crossing the first leg."""
+    return _words(pair, c, PbwElement.from_basis(pair.algebra, a_index), {(): w})
+
+
+def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> SuperPolynomial:
+    """C_c^u(w) for w = chains[()]: each PBW word x_1...x_n of u is applied from
+    its longest suffix found in ``chains``, and each new chain C^{x_j}(...(w))
+    is stored there unless it raises.  C_c raises the degree by at most one."""
+    c = Fraction(c)
+    if c == 0:
+        raise ValueError("C_c requires c != 0")
     table = sq_table(pair)
+    series = p_c(c, chains[()].total_degree() + u.degree())
+    nests = {}
     out = table.zero()
     for mono, coeff in u.terms.items():
-        acc = w
-        for letter in reversed(_monomial_to_word(mono)):
-            acc = coderivation_C(pair, c, letter, acc)
+        word = _monomial_to_word(mono)
+        k = next(k for k in range(len(word) + 1) if word[k:] in chains)
+        acc = chains[word[k:]]
+        for j in range(k - 1, -1, -1):
             if acc.is_zero():
                 break
+            acc = chains[word[j:]] = _coderivation(pair, series, word[j], acc, nests)
         out = out + acc * coeff
     return out
 
 
+def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) -> SuperPolynomial:
+    """Multiplicative extension u -> C_c^u to the enveloping algebra."""
+    return _words(pair, c, u, {(): w})
+
+
 def tau(pair: SymmetricPair, u: PbwElement) -> SuperPolynomial:
-    """tau(u) = C_1^u(1): the inverse of the symmetrization onto
-    U(g)/U(g)h, as an element of S(q)."""
-    return coderivation_C_u(pair, Fraction(1), u, sq_table(pair).one())
+    """tau(u) = C_1^u(1): the inverse of the symmetrization onto U(g)/U(g)h, as
+    an element of S(q).  The chain C_1^word(1) of every PBW word met, and of its
+    suffixes (PBW words too), stays in ``pair.tau_memo`` while the pair lives."""
+    return _words(pair, 1, u, pair.tau_memo)
 
 
 def scale_degrees(pair: SymmetricPair, w: SuperPolynomial, c) -> SuperPolynomial:
@@ -391,11 +411,11 @@ def invariant_space(pair: SymmetricPair):
     bound = qdim + 1
     f = factorization(pair, bound)
     unit = (0,) * alg.dim
+    betas = [beta_of_sq(pair, SuperPolynomial(table, {m: Fraction(1)})) for m in monos]
     rows = []
     for a in range(alg.dim):
-        for m in monos:
-            w = SuperPolynomial(table, {m: Fraction(1)})
-            image = twisted_adjoint(pair, a, beta_of_sq(pair, w))
+        for m, beta in zip(monos, betas):
+            image = twisted_adjoint(pair, a, beta)
             row_block = {}
             for (qm, hm), c in f.coordinates(image).items():
                 if hm != unit:
@@ -407,7 +427,6 @@ def invariant_space(pair: SymmetricPair):
                     row_block[index[qm_local]] = c
             rows.append((a, m, row_block))
     # columns: the 2^q monomial coordinates; rows: every output coordinate
-    matrix = []
     extra_keys = sorted(
         {k for _, _, blk in rows for k in blk if isinstance(k, tuple)},
         key=str,

@@ -190,7 +190,8 @@ class SymmetricPair:
 
     ``sq_table`` realizes S(q) as polynomials in the q vectors themselves;
     when q has even vectors it is truncated at even degree 24, and the
-    coderivations refuse to act where that would drop terms.
+    coderivations refuse to act where that would drop terms.  ``tau_memo``
+    ({PBW word: C_1^word(1)}) is filled by ``coderiv.tau`` and dies with the pair.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices):
@@ -205,6 +206,7 @@ class SymmetricPair:
         parities = [algebra.parities[i] for i in q]
         truncation = None if all(p == ODD for p in parities) else 24
         self.sq_table = VariableTable([algebra.names[i] for i in q], parities, truncation)
+        self.tau_memo = {(): self.sq_table.one()}
 
     def _check_eigenspaces(self):
         alg = self.algebra

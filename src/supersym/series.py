@@ -442,7 +442,8 @@ def _coerce2(x, order):
 
 
 def divided_difference(f: TruncatedSeries1, order=None) -> TruncatedSeries2:
-    """(f(t+u) - f(t))/u, exact in the truncated two-variable ring.
+    """(f(t+u) - f(t))/u = sum_{n>0} f_n sum_{k<n} C(n, k) t^k u^(n-k-1),
+    exact in the truncated two-variable ring.
 
     Division by u shifts total degree down by one, so coefficients of f up
     to degree order+1 are consumed: f.order must be at least order+1.
@@ -453,15 +454,12 @@ def divided_difference(f: TruncatedSeries1, order=None) -> TruncatedSeries2:
         raise ValueError(
             f"divided difference to total order {order} needs the series to order {order + 1}"
         )
-    diff = TruncatedSeries2.from_sum(f, order + 1) - TruncatedSeries2.from_t(f, order + 1)
+    nums, den = _numerators(f.coefficients[: order + 2])
     terms = {}
-    for (i, j), c in diff.coefficients.items():
-        if j == 0:
-            if c != 0:
-                raise AssertionError("difference is not divisible by u")
-            continue
-        if i + j - 1 <= order:
-            terms[(i, j - 1)] = c
+    for n, a in enumerate(nums):
+        if a and n:
+            for k in range(n):
+                terms[(k, n - k - 1)] = Fraction(a * math.comb(n, k), den)
     return TruncatedSeries2(terms, order)
 
 

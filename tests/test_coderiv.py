@@ -501,13 +501,19 @@ class TestInvariants:
         assert gen * ratio == w and ratio != 0
 
     def test_pair_and_algebra_are_freed(self):
-        # the memos live on the algebra, the pair or a Factorization, so
-        # nothing keeps a pair alive once its user drops it
+        # the memos live on the algebra, the pair (its tau chains among
+        # them) or a Factorization, so nothing keeps a pair alive once its
+        # user drops it
         alg, pair = catalog("osp12")
         element = jac.gorelik_candidate(jac.GenericPoint(pair))
         assert cd.verify_twisted_invariance(pair, element)[0]
         assert len(cd.invariant_space(pair)) == 1
         assert not cd.tau(pair, element).is_zero()
+        table = cd.sq_table(pair)
+        for mono in sq_monos(pair, 4):
+            w = SuperPolynomial(table, {mono: Fraction(1)})
+            assert cd.tau(pair, cd.beta_of_sq(pair, w)) == w
+        assert len(pair.tau_memo) > 1
         refs = [weakref.ref(pair), weakref.ref(alg)]
         del alg, pair, element
         gc.collect()
@@ -709,3 +715,120 @@ class TestMixedParityPairs:
         chi = cd.Character.supertrace_on_quotient(pair)
         names = pair.algebra.names
         assert {names[a]: v for a, v in chi.values.items()} == {"h_e": 0, "h_H": 1, "h_E": 0}
+
+
+# ---------------------------------------------------------------------------
+# tau and C_c^u through the chain memo, against one C_c^a call per letter
+# ---------------------------------------------------------------------------
+
+def oracle_coderivation_C_u(pair, c, u, w):
+    """C_c^u(w) letter by letter: every letter is one ``coderivation_C``
+    call, which builds its own p_c; nothing is kept between letters."""
+    table = cd.sq_table(pair)
+    out = table.zero()
+    for mono, coeff in u.terms.items():
+        acc = w
+        for letter in reversed(env._monomial_to_word(mono)):
+            acc = cd.coderivation_C(pair, c, letter, acc)
+            if acc.is_zero():
+                break
+        out = out + acc * coeff
+    return out
+
+
+def random_pbw_elements(pair, rng, count, max_degree=4):
+    """Sums of 2 to 4 random PBW monomials: the even-numbered ones over all
+    of g, the first one ending in an h letter, the odd-numbered ones over q
+    (tau is zero on a word that ends in h)."""
+    alg = pair.algebra
+    for _ in range(count):
+        terms = {}
+        for k in range(rng.randint(2, 4)):
+            mono = [0] * alg.dim
+            for _ in range(rng.randint(0, max_degree)):
+                i = rng.choice(pair.q_indices) if k % 2 else rng.randrange(alg.dim)
+                if alg.parities[i] == EVEN or not mono[i]:
+                    mono[i] += 1
+            if k == 0:
+                mono[rng.choice(pair.h_indices)] = 1
+            terms[tuple(mono)] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5]))
+        yield PbwElement(alg, terms)
+
+
+def heisenberg_4_1():
+    """The (4|1)-dimensional Heisenberg superalgebra, q = <th1..th4>, h = <z>."""
+    alg = LieSuperAlgebra(
+        ["th1", "th2", "th3", "th4", "z"],
+        [ODD] * 4 + [EVEN],
+        {(0, 1): {4: Fraction(1)}, (2, 3): {4: Fraction(1)}},
+    )
+    return SymmetricPair(alg, [4])
+
+
+def assert_same_terms(got, expected, *where):
+    # same values in the same key order
+    assert list(got.terms.items()) == list(expected.terms.items()), where
+
+
+class TestTauOracle:
+    def test_beta_of_every_monomial_on_a_fresh_and_a_warm_pair(self, sq_pair):
+        table = cd.sq_table(sq_pair)
+        assert list(sq_pair.tau_memo) == [()]
+        elements = [cd.beta_of_sq(sq_pair, SuperPolynomial(table, {m: Fraction(1)})) for m in sq_monos(sq_pair, 5)]
+        expected = [oracle_coderivation_C_u(sq_pair, 1, u, table.one()) for u in elements]
+        for sweep in ("fresh", "warm"):
+            for u, e in zip(elements, expected):
+                assert_same_terms(cd.tau(sq_pair, u), e, sweep, u)
+
+    def test_random_elements_with_h_letters(self, sq_pair):
+        rng = random.Random(67)
+        table = cd.sq_table(sq_pair)
+        for u in random_pbw_elements(sq_pair, rng, 40):
+            assert_same_terms(cd.tau(sq_pair, u), oracle_coderivation_C_u(sq_pair, 1, u, table.one()), u)
+
+    def test_coderivation_C_u_on_random_polynomials(self, sq_pair):
+        rng = random.Random(71)
+        pbw = random_pbw_elements(sq_pair, rng, 20, max_degree=3)
+        for u, w in zip(pbw, random_sq_polynomials(sq_pair, rng, 20, max_degree=3)):
+            for c in (1, Fraction(2, 3)):
+                got = cd.coderivation_C_u(sq_pair, c, u, w)
+                assert_same_terms(got, oracle_coderivation_C_u(sq_pair, c, u, w), c, u, w)
+        assert list(sq_pair.tau_memo) == [()]
+
+    def test_truncation_is_refused_twice_and_stores_nothing(self):
+        # the input of TestTheta.test_truncation_is_refused_for_odd_h: tau
+        # never lets an h letter act (it comes last in a PBW word), and
+        # j(h0) j(q1) j(q2)^24 is out of reach of normal ordering, so the
+        # word of w = q1 q2^24 itself: its first letter meets q2^24
+        pair = diagonal_pair("gl11")
+        alg = pair.algebra
+        u = PbwElement(alg, {smono(alg, (alg.index("q_x21"), 1), (alg.index("q_d1"), 24)): Fraction(1)})
+        word = env._monomial_to_word(next(iter(u.terms)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="truncated at even degree 24"):
+                cd.tau(pair, u)
+            assert word not in pair.tau_memo and word[1:] in pair.tau_memo
+        with pytest.raises(ValueError, match="truncated at even degree 24"):
+            oracle_coderivation_C_u(pair, 1, u, cd.sq_table(pair).one())
+
+    # TruncatedSeries1.coeff reads 0 past the order, so a p_c built too
+    # short would go unnoticed; these are the deepest words of their pairs,
+    # and the diagonal ones read p_4 on a word of length 5
+    @pytest.mark.parametrize(
+        "make, mono",
+        [
+            (lambda: catalog("osp12")[1], (1, 1)),
+            (heisenberg_4_1, (1, 1, 1, 1)),
+            (one_letter_pair, (24,)),
+            (lambda: diagonal_pair("osp12"), (0, 0, 1, 2, 2)),
+            (lambda: diagonal_pair("gl11"), (0, 1, 0, 4)),
+        ],
+    )
+    def test_deepest_words(self, make, mono):
+        pair = make()
+        table = cd.sq_table(pair)
+        w = SuperPolynomial(table, {mono: Fraction(1)})
+        u = cd.beta_of_sq(pair, w)
+        got = cd.tau(pair, u)
+        assert_same_terms(got, oracle_coderivation_C_u(pair, 1, u, table.one()))
+        assert got == w

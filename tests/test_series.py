@@ -294,3 +294,37 @@ class TestProductOracle:
         ]
         for a, b in pairs2:
             assert (a * b).coefficients == oracle_product2(a, b)
+
+
+def oracle_divided_difference(f, order):
+    """(f(t+u) - f(t))/u by subtracting the two expansions and shifting u
+    down, with the exact division asserted."""
+    diff = TruncatedSeries2.from_sum(f, order + 1) - TruncatedSeries2.from_t(f, order + 1)
+    terms = {}
+    for (i, j), c in diff.coefficients.items():
+        if j == 0:
+            assert c == 0, "difference is not divisible by u"
+            continue
+        if i + j - 1 <= order:
+            terms[(i, j - 1)] = c
+    return TruncatedSeries2(terms, order)
+
+
+class TestDividedDifferenceOracle:
+    @given(series1(31), st.integers(0, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_subtraction_route(self, f, order):
+        got = series.divided_difference(f, order)
+        expected = oracle_divided_difference(f, order)
+        assert got.order == expected.order == order
+        # same values and the same key order
+        assert list(got.coefficients.items()) == list(expected.coefficients.items())
+        assert all(type(c) is Fraction for c in got.coefficients.values())
+
+    def test_distinguished_series_at_every_order(self):
+        for f in (series.p_c(Fraction(2, 3), 31), series.q_c(-3, 31), series.w_c(5, 31)):
+            for order in range(31):
+                got = series.divided_difference(f, order)
+                expected = oracle_divided_difference(f, order)
+                assert list(got.coefficients.items()) == list(expected.coefficients.items())
+            assert series.divided_difference(f) == oracle_divided_difference(f, 30)
