@@ -180,7 +180,8 @@ def catalog_file(name: str) -> AlgebraFile:
 # ---------------------------------------------------------------------------
 
 class Report:
-    """Ordered list of check records."""
+    """Ordered list of check records.  A check is PASS or FAIL; a computed
+    value that nothing checked is VALUE, which ``all_pass`` ignores."""
 
     def __init__(self):
         self.records = []  # (check, target, status, witness)
@@ -190,10 +191,10 @@ class Report:
         self.records.append((check, target, status, str(witness)))
 
     def value(self, check, target, witness):
-        self.records.append((check, target, "PASS", str(witness)))
+        self.records.append((check, target, "VALUE", str(witness)))
 
     def all_pass(self):
-        return all(status == "PASS" for _, _, status, _ in self.records)
+        return all(status != "FAIL" for _, _, status, _ in self.records)
 
     def emit(self, path):
         lines = [

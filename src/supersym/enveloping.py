@@ -14,7 +14,15 @@ e^2 = (1/2)[e, e], and an adjacent inversion e_i e_j with i > j becomes
 the word, the swap rule keeps the length and lowers the inversion count,
 and bracket terms shorten the word.  Any rewriting schedule reaches the
 same normal form (confluence is exercised by the tests); the default
-schedule is deterministic.
+schedule is deterministic.  Rewriting is exponential in a repeated
+letter, so it serves words only (``from_word``, ``antipode``).
+
+Monomial products insert letters: those of m1, last first, are multiplied
+into e^m2, and with e^m = e_j rest, e_i e^m is e_i inserted when i < j or
+e_i = e_j is even; (1/2) sum_k [e_i, e_i]_k e_k rest when e_i = e_j is
+odd; (-1)^{p_i p_j} e_j (e_i rest) + sum_k [e_i, e_j]_k e_k rest when
+i > j.  Each recursive product has lower degree or is an insertion, so
+the cost is polynomial in the degree.
 
 The factorization U(g) = beta(S(q)) U(h) needs no change-of-basis matrix:
 the top-degree part of beta(w) u is the single PBW monomial +-(w u), so
@@ -85,12 +93,52 @@ def normal_form(alg: LieSuperAlgebra, word, coeff=Fraction(1), choose=None):
 
 
 def _monomial_product(alg: LieSuperAlgebra, m1, m2):
+    """e^m1 e^m2 in normal order, {monomial: Fraction}, memoised per algebra
+    under (m1, m2); the letters of m1 go in one at a time, last first."""
     key = (m1, m2)
-    cached = alg._mono_product_cache.get(key)
-    if cached is None:
-        cached = normal_form(alg, _monomial_to_word(m1) + _monomial_to_word(m2))
-        alg._mono_product_cache[key] = cached
-    return cached
+    acc = alg._mono_product_cache.get(key)
+    if acc is None:
+        acc = {m2: Fraction(1)}
+        for i in reversed(_monomial_to_word(m1)):
+            nxt = {}
+            for m, c in acc.items():
+                _add_scaled(nxt, _letter_product(alg, i, m), c)
+            acc = nxt
+        alg._mono_product_cache[key] = acc
+    return acc
+
+
+def _letter_product(alg: LieSuperAlgebra, i, m):
+    """e_i e^m in normal order, memoised per algebra under (i, m), by the
+    letter-insertion rules of the module docstring."""
+    key = (i, m)
+    out = alg._mono_product_cache.get(key)
+    if out is None:
+        parities = alg.parities
+        j = next((k for k, e in enumerate(m) if e), alg.dim)  # first letter of e^m
+        if i < j or (i == j and parities[i] != ODD):
+            out = {m[:i] + (m[i] + 1,) + m[i + 1 :]: Fraction(1)}
+        else:
+            rest = m[:j] + (m[j] - 1,) + m[j + 1 :]
+            out = {}
+            if i > j:
+                sign = -1 if parities[i] == ODD and parities[j] == ODD else 1
+                for n, c in _letter_product(alg, i, rest).items():
+                    _add_scaled(out, _letter_product(alg, j, n), sign * c)
+            for k, c in alg.bracket_basis(i, j).items():
+                _add_scaled(out, _letter_product(alg, k, rest), c / 2 if i == j else c)
+        alg._mono_product_cache[key] = out
+    return out
+
+
+def _add_scaled(acc: dict, terms: dict, c):
+    """acc += c * terms, dropping monomials whose sum reaches zero."""
+    for m, cm in terms.items():
+        v = acc.get(m, 0) + c * cm
+        if v:
+            acc[m] = v
+        else:
+            acc.pop(m, None)
 
 
 def monomial_parity(alg: LieSuperAlgebra, mono) -> int:
@@ -313,12 +361,7 @@ def coproduct(u: PbwElement) -> dict:
             lm = tuple(1 if j == letter else 0 for j in range(alg.dim))
             primitive = {(lm, unit): Fraction(1), (unit, lm): Fraction(1)}
             state = tensor_mul_pbw(alg, state, primitive)
-        for key, c in state.items():
-            acc = out.get(key, Fraction(0)) + c * coeff
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+        _add_scaled(out, state, coeff)
     return out
 
 
@@ -378,11 +421,9 @@ def _symmetrized(alg: LieSuperAlgebra, word) -> dict:
     else:
         acc = {}
         for (letter, rest), count in _first_letters(alg.parities, word).items():
-            lm = _word_to_monomial((letter,), alg.dim)
             for m, c in _symmetrized(alg, rest).items():
-                for mm, cm in _monomial_product(alg, lm, m).items():
-                    acc[mm] = acc.get(mm, 0) + count * c * cm
-        result = {m: acc[m] / len(word) for m in sorted(acc, key=lambda m: (sum(m), m)) if acc[m]}
+                _add_scaled(acc, _letter_product(alg, letter, m), count * c)
+        result = {m: acc[m] / len(word) for m in sorted(acc, key=lambda m: (sum(m), m))}
     alg._symmetrize_cache[word] = result
     return result
 
@@ -495,12 +536,7 @@ class Factorization:
                 key, lead, lower = self._step(mono)
                 c = rest.pop(mono) / lead
                 coords[key] = c
-                for m, cm in lower.items():
-                    acc = rest.get(m, 0) - c * cm
-                    if acc:
-                        rest[m] = acc
-                    else:
-                        rest.pop(m, None)
+                _add_scaled(rest, lower, -c)
         return {k: coords[k] for k in sorted(coords, key=lambda p: (sum(p[0]) + sum(p[1]), p))}
 
 

@@ -2,9 +2,11 @@
 exponential map, divergence identities, and the Gorelik candidate.
 
 The generic point of q is y = sum e_i x^i with one dual variable x^i per
-q basis vector, of the same parity.  Supertraces of powers of ad y are
-computed by exact matrix powers over the super-polynomial ring (the
-permutation-sum expansion survives in the tests as a small-case oracle).
+q basis vector, of the same parity.  str(M^k) of an even operator M is
+read off the half powers M^ceil(k/2) and M^floor(k/2); as ad y swaps q and
+h, str_q (ad y)^2m = str Q^m with Q = (ad y)^2 on q.  Truncating at an even
+degree is a quotient by an ideal, so the grouping changes no coefficient;
+full powers survive as test oracles and in the Berezinian route.
 
 The Jacobian J_c is exp(str over q of w_c(ad y)) with
 w_c = log(sinh(t/c)/(t/c)); for purely odd q it is a polynomial, no
@@ -23,7 +25,7 @@ from . import series as series_mod
 from .coderiv import beta_of_sq, sq_table
 from .enveloping import PbwElement, _monomial_to_word
 from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix, apply_matrix
-from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, truncate_even_degree
+from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, sum_of_products, truncate_even_degree
 
 
 class _FullSpan:
@@ -102,22 +104,51 @@ class GenericPoint:
         return self.order + n_odd
 
 
+def supertraces_of_powers(mat: SuperMatrix, ks) -> dict:
+    """{k: str(M^k)} for the k in ``ks``, in that order, M an even operator:
+    str(M^k) = sum_{i,j} (-1)^{p_i} (M^a)_ij (M^b)_ji with a = ceil(k/2),
+    b = floor(k/2), in one ``sum_of_products``; only M^a is ever formed."""
+    if mat.op_parity != EVEN:
+        raise ValueError("supertraces of powers need an even operator")
+    ks = list(ks)
+    powers = [SuperMatrix.identity(mat.table, mat.module_parities), mat]
+    while len(powers) <= (max(ks, default=0) + 1) // 2:
+        powers.append(powers[-1] * mat)
+    out = {}
+    for k in ks:
+        left, right = powers[(k + 1) // 2].entries, powers[k // 2].entries
+        out[k] = sum_of_products(mat.table, [
+            (-e if p == ODD else e, right[j][i])
+            for i, p in enumerate(mat.module_parities) for j, e in enumerate(left[i])
+        ])
+    return out
+
+
+def _q_square(gp: GenericPoint) -> SuperMatrix:
+    """Q = (ad y)^2 on q, so that (ad y)^2m on q is Q^m."""
+    ad = gp.ad_y()
+    return (ad * ad).restrict(gp.pair.q_indices)
+
+
+def _even_str_powers(gp: GenericPoint) -> list:
+    """[(2m, str Q^m)] for 2 <= 2m <= max_power()."""
+    halves = supertraces_of_powers(_q_square(gp), range(1, gp.max_power() // 2 + 1))
+    return [(2 * m, s) for m, s in halves.items()]
+
+
 def str_ad_power(gp: GenericPoint, k: int) -> SuperPolynomial:
-    """Supertrace over the q block of (ad y)^k; requires k even (odd powers
-    swap the eigenspaces, so their q block is not defined)."""
+    """Supertrace over the q block of (ad y)^k, as str Q^(k/2); requires k
+    even (odd powers swap the eigenspaces, so their q block is not
+    defined)."""
     if k % 2:
         raise ValueError("odd powers of ad y do not stabilize q")
-    return _str_power_over(gp, k, gp.pair.q_indices)
+    return supertraces_of_powers(_q_square(gp), [k // 2])[k // 2]
 
 
 def str_ad_power_full(gp: GenericPoint, k: int) -> SuperPolynomial:
-    """Supertrace over the whole algebra of (ad y)^k (any k); meaningful
-    for the h = 0 generic point."""
-    return _str_power_over(gp, k, range(gp.algebra.dim))
-
-
-def _str_power_over(gp, k, indices):
-    return gp.ad_y_power(k).restrict(indices).supertrace()
+    """Supertrace over the whole algebra of (ad y)^k (any k), from half
+    powers; meaningful for the h = 0 generic point."""
+    return supertraces_of_powers(gp.ad_y(), [k])[k]
 
 
 class JacobianResult:
@@ -136,7 +167,8 @@ class JacobianResult:
 
 
 def jacobian_Jc(gp: GenericPoint, c, order=None) -> JacobianResult:
-    """J_c = exp(str over q of w_c(ad y)), assembled degree by degree.
+    """J_c = exp(str over q of w_c(ad y)), assembled degree by degree from
+    the supertraces (2m, str Q^m) of Q = (ad y)^2 on q.
 
     The summation always runs to the full nilpotency bound of ad y (odd
     letters let high powers contribute low even degrees); a smaller
@@ -145,22 +177,24 @@ def jacobian_Jc(gp: GenericPoint, c, order=None) -> JacobianResult:
     c = Fraction(c)
     if c == 0:
         raise ValueError("J_c requires c != 0")
-    bound = gp.max_power()
-    w = series_mod.w_c(c, max(bound, 2))
-    acc = gp.table.zero()
-    str_powers = []
-    for k in range(2, bound + 1, 2):
-        s = str_ad_power(gp, k)
-        str_powers.append((k, s))
-        wk = w.coeff(k)
-        if wk != 0 and not s.is_zero():
-            acc = acc + s * wk
-    J = acc.exp()
+    str_powers = _even_str_powers(gp)
+    J = _w_sum(gp, c, str_powers).exp()
     if order is None:
         order = gp.order
     elif not gp.purely_odd and order < gp.order:
         J = truncate_even_degree(J, order)
     return JacobianResult(J, c, order, str_powers)
+
+
+def _w_sum(gp: GenericPoint, c, str_powers) -> SuperPolynomial:
+    """sum_k w_c[k] str_q (ad y)^k over the (k, supertrace) pairs."""
+    w = series_mod.w_c(c, max(gp.max_power(), 2))
+    acc = gp.table.zero()
+    for k, s in str_powers:
+        wk = w.coeff(k)
+        if wk != 0 and not s.is_zero():
+            acc = acc + s * wk
+    return acc
 
 
 def jacobian_J2_q2(gp: GenericPoint) -> SuperPolynomial:
@@ -210,14 +244,11 @@ def jacobian_full_group(alg: LieSuperAlgebra, order: int = 6) -> SuperPolynomial
         [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(bound + 1)], bound
     )
     w = series_mod.log_of_one_plus(r - 1)
+    ks = [k for k in range(1, bound + 1) if w.coeff(k) != 0]
     acc = gp.table.zero()
-    for k in range(1, bound + 1):
-        wk = w.coeff(k)
-        if wk == 0:
-            continue
-        s = str_ad_power_full(gp, k)
+    for k, s in supertraces_of_powers(gp.ad_y(), ks).items():
         if not s.is_zero():
-            acc = acc + s * wk
+            acc = acc + s * w.coeff(k)
     return acc.exp()
 
 
@@ -341,15 +372,7 @@ def str_q_of_ad_field(gp: GenericPoint, field: dict) -> SuperPolynomial:
 
 def str_w_of_ad_y(gp: GenericPoint, c) -> SuperPolynomial:
     """str over q of w_c(ad y), the logarithm of the Jacobian."""
-    bound = gp.max_power()
-    w = series_mod.w_c(c, max(bound, 2))
-    acc = gp.table.zero()
-    for k in range(2, bound + 1, 2):
-        wk = w.coeff(k)
-        if wk == 0:
-            continue
-        acc = acc + str_ad_power(gp, k) * wk
-    return acc
+    return _w_sum(gp, c, _even_str_powers(gp))
 
 
 def divergence_check(alg: LieSuperAlgebra, p: series_mod.TruncatedSeries1, a_index: int, order: int = 4) -> SuperPolynomial:

@@ -139,6 +139,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "jacobian.J" in out and "1/24" not in out  # J_2 = 1 - 1/4 x1*x2
 
+    @pytest.mark.parametrize(
+        "argv, statuses",
+        [
+            (["jacobian", "osp12.alg", "--c", "2/3", "--order", "7"],
+             {"jacobian.str-power": "VALUE", "jacobian.J": "VALUE"}),
+            (["jacobian", "solvable2.alg", "--full-group", "--order", "4"],
+             {"jacobian.full-group": "VALUE"}),
+            (["gorelik", "osp12.alg", "--against-solver"],
+             {"gorelik.unimodularity": "PASS", "gorelik.element": "VALUE", "gorelik.invariance": "PASS",
+              "gorelik.solver-dimension": "PASS", "gorelik.solver-proportional": "PASS"}),
+        ],
+        ids=["jacobian", "jacobian-full-group", "gorelik"],
+    )
+    def test_unchecked_values_are_not_passes(self, argv, statuses, tmp_path, capsys):
+        # a value nothing checked is reported as VALUE, not PASS, and does
+        # not change the exit code
+        out = tmp_path / "r.tsv"
+        assert run([argv[0], ALGEBRAS / argv[1], *argv[2:], "--emit", out]) == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()]
+        assert {check: status for check, _, status, _ in rows} == statuses
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in printed] == [status for _, _, status, _ in rows]
+
     def test_jacobian_zero_c(self):
         assert run(["jacobian", ALGEBRAS / "osp12.alg", "--c", "0"]) == 2
 

@@ -25,6 +25,8 @@ from supersym.enveloping import (
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.superpoly import EVEN, ODD, VariableTable, exhaustive_monomials
 
+from conftest import diagonal_pair
+
 
 def sq_monomials(pair, max_degree):
     """The PBW monomials of degree <= max_degree supported on q."""
@@ -136,6 +138,46 @@ class TestMultiply:
         key = smono(alg, (0, 1), (1, 1))
         assert uv.terms == {key: -a}
         assert vu.terms == {key: -a}
+
+
+PRODUCT_ALGEBRAS = ("abelian(1,2)", "osp12", "gl11", "heisenberg_super", "solvable2", "diag-gl11")
+
+
+class TestLetterProductOracle:
+    """The letter-by-letter PBW product against word rewriting
+    (``normal_form`` of the concatenated word)."""
+
+    @pytest.mark.parametrize("name", PRODUCT_ALGEBRAS)
+    def test_every_pair_of_low_degree_monomials(self, name):
+        alg = diagonal_pair("gl11").algebra if name == "diag-gl11" else catalog(name)[0]
+        monos = list(exhaustive_monomials(alg, 3))
+        for m1, m2 in itertools.product(monos, repeat=2):
+            want = normal_form(alg, env._monomial_to_word(m1) + env._monomial_to_word(m2))
+            assert env._monomial_product(alg, m1, m2) == want, (name, m1, m2)
+
+    def test_repeated_even_letter(self):
+        alg = diagonal_pair("gl11").algebra
+        d1, x21 = alg.index("q_d1"), alg.index("q_x21")
+        for n in range(8):
+            power = smono(alg, (d1, n))
+            want = normal_form(alg, (d1,) * n + (x21,))
+            assert env._monomial_product(alg, power, smono(alg, (x21, 1))) == want, n
+
+    def test_high_power_by_the_binomial_formula(self):
+        # e^n x = sum_k C(n, k) (ad e)^k(x) e^(n-k) for even e; word
+        # rewriting does not finish d1^24 x21, the letter product does
+        alg = diagonal_pair("gl11").algebra
+        d1, x21 = alg.index("q_d1"), alg.index("q_x21")
+        n = 24
+        got = PbwElement(alg, {smono(alg, (d1, n)): Fraction(1)}) * PbwElement.from_basis(alg, x21)
+        want = PbwElement.zero(alg)
+        ad_k = {x21: Fraction(1)}
+        for k in range(n + 1):
+            rest = PbwElement(alg, {smono(alg, (d1, n - k)): Fraction(1)})
+            want = want + (PbwElement.from_element(alg, ad_k) * rest).scale(math.comb(n, k))
+            ad_k = alg.bracket({d1: Fraction(1)}, ad_k)
+        assert got == want
+        assert got.coefficient(smono(alg, (x21, 1), (d1, n))) == 1
 
 
 class TestCoproduct:

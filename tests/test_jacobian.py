@@ -12,6 +12,8 @@ from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.superpoly import ODD, SuperPolynomial
 
+from conftest import diagonal_pair
+
 
 def smono(alg, *pairs):
     m = [0] * alg.dim
@@ -95,6 +97,80 @@ class TestStrAdPower:
             got = jac.str_ad_power_full(gp, k)
             want = str_ad_power_by_nested_brackets(gp, k, range(alg.dim))
             assert got == want
+
+
+def str_by_full_power(gp, k, indices):
+    """Oracle for the half-power route: the full power (ad y)^k, restricted
+    to ``indices``, then its supertrace."""
+    return gp.ad_y_power(k).restrict(indices).supertrace()
+
+
+CATALOG = ("abelian(1,2)", "osp12", "gl11", "heisenberg_super", "solvable2")
+
+
+def _route_cases():
+    """(label, pair, order): every catalog pair at the default order, and
+    the diagonal gl(1|1) and osp(1|2) pairs, whose q mixes parities, at
+    orders 6-8 (odd and even truncations)."""
+    cases = [(name, catalog(name)[1], 6) for name in CATALOG]
+    for name in ("gl11", "osp12"):
+        pair = diagonal_pair(name)
+        cases += [(f"diag-{name}", pair, order) for order in (6, 7, 8)]
+    return cases
+
+
+ROUTE_CASES = _route_cases()
+ROUTE_IDS = [f"{label}-{order}" for label, _, order in ROUTE_CASES]
+
+
+class TestHalfPowerRoute:
+    """The supertraces read off half powers (and off Q = (ad y)^2 on q)
+    against the full powers of ad y, for every power up to the nilpotency
+    bound."""
+
+    @pytest.mark.parametrize("label, pair, order", ROUTE_CASES, ids=ROUTE_IDS)
+    def test_q_block_against_full_powers(self, label, pair, order):
+        gp = jac.GenericPoint(pair, order)
+        for k in range(0, gp.max_power() + 1, 2):
+            assert jac.str_ad_power(gp, k) == str_by_full_power(gp, k, pair.q_indices), (label, k)
+        str_powers = jac.jacobian_Jc(gp, 1).str_powers
+        assert [k for k, _ in str_powers] == list(range(2, gp.max_power() + 1, 2))
+        for k, s in str_powers:
+            assert s == str_by_full_power(gp, k, pair.q_indices), (label, k)
+
+    @pytest.mark.parametrize("label, pair, order", ROUTE_CASES, ids=ROUTE_IDS)
+    def test_whole_algebra_against_full_powers(self, label, pair, order):
+        gp = jac.GenericPoint.full(pair.algebra, order)
+        every = range(pair.algebra.dim)
+        for k in range(gp.max_power() + 1):
+            assert jac.str_ad_power_full(gp, k) == str_by_full_power(gp, k, every), (label, k)
+
+    @pytest.mark.parametrize("label, pair, order", ROUTE_CASES, ids=ROUTE_IDS)
+    def test_jacobian_against_berezinian(self, label, pair, order):
+        gp = jac.GenericPoint(pair, order)
+        for c in (Fraction(1), Fraction(2), Fraction(2, 3)):
+            r = jac.sh_over_t_scaled(c, gp.max_power())
+            assert jac.jacobian_Jc(gp, c).J == jac.jacobian_via_berezinian(gp, r), (label, c)
+
+    def test_powers_are_exact_past_the_truncation(self):
+        # half powers of a truncated matrix multiply to the truncated full
+        # power: with even letters, high powers still reach low even degree
+        pair = diagonal_pair("osp12")
+        gp = jac.GenericPoint(pair, 2)
+        mat = gp.ad_y()
+        every = range(pair.algebra.dim)
+        got = jac.supertraces_of_powers(mat, range(gp.max_power() + 2))
+        assert list(got) == list(range(gp.max_power() + 2))
+        for k, s in got.items():
+            assert s == str_by_full_power(gp, k, every), k
+        assert got[gp.max_power() + 1].is_zero()
+
+    def test_odd_operator_refused(self):
+        alg, _ = catalog("osp12")
+        gp = jac.GenericPoint.full(alg)
+        odd = liealg.ad_matrix(alg, {0: gp.table.one()}, gp.table)
+        with pytest.raises(ValueError):
+            jac.supertraces_of_powers(odd, [2])
 
 
 class TestJacobianJc:

@@ -1,0 +1,78 @@
+"""Run the acceptance command list of a supersym checkout and record its
+outputs, one set of files per command.
+
+    python3 tools/acceptance_outputs.py SRC_DIR OUT_DIR
+
+SRC_DIR is a checkout (its ``src/`` is put on PYTHONPATH and commands run
+from it, so ``algebras/*.alg`` resolve there).  For every command,
+OUT_DIR receives ``<name>.stdout``, ``<name>.exit`` and, when the command
+wrote one, ``<name>.tsv`` (its ``--emit`` report).  Two checkouts give
+byte-identical outputs exactly when
+
+    diff -r OUT_A OUT_B
+
+prints nothing.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import glob
+import os
+import subprocess
+import sys
+
+
+def commands(src_dir):
+    """(name, argv) for every acceptance command, in a fixed order."""
+    out = [("selftest", ["selftest", "--seed", "0"]), ("series-30", ["series", "--order", "30"])]
+    for path in sorted(glob.glob(os.path.join(src_dir, "algebras", "*.alg"))):
+        rel = os.path.relpath(path, src_dir)
+        stem = os.path.splitext(os.path.basename(path))[0]
+        out += [
+            (f"{stem}.tau", ["tau", rel]),
+            (f"{stem}.tau-5", ["tau", rel, "--order", "5"]),
+            (f"{stem}.gorelik", ["gorelik", rel, "--against-solver"]),
+            (f"{stem}.jacobian", ["jacobian", rel]),
+            (f"{stem}.jacobian-c2_3-7", ["jacobian", rel, "--c", "2/3", "--order", "7"]),
+            (f"{stem}.jacobian-full-8", ["jacobian", rel, "--full-group", "--order", "8"]),
+            (f"{stem}.check", ["check", rel]),
+        ]
+    return out
+
+
+def run(src_dir, out_dir):
+    src_dir = os.path.abspath(src_dir)
+    out_dir = os.path.abspath(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=os.path.join(src_dir, "src"))
+    for name, argv in commands(src_dir):
+        base = os.path.join(out_dir, name)
+        tsv = base + ".tsv"
+        if os.path.exists(tsv):
+            os.remove(tsv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "supersym.cli", *argv, "--emit", tsv],
+            cwd=src_dir,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            check=False,
+        )
+        with open(base + ".stdout", "wb") as fh:
+            fh.write(proc.stdout)
+        with open(base + ".exit", "w") as fh:
+            fh.write(f"{proc.returncode}\n")
+        print(f"{proc.returncode}  {name}", flush=True)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    run(*argv)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
