@@ -10,7 +10,8 @@ File grammar (line oriented, ``#`` starts a comment)::
 
 Omitted brackets are zero; the (b, a) bracket is implied by
 super-antisymmetry.  Without a ``pair`` line the even part is taken as h
-(basis order must then put the odd part first).
+(basis order must then put the odd part first).  The ``algebra`` and
+``pair`` lines may appear once each.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 invalid input, 3 an
 internal error (an unexpected exception).
@@ -66,6 +67,8 @@ def parse(source: str) -> AlgebraFile:
         if head == "algebra":
             if len(tokens) != 2:
                 raise ParseError(line_no, "expected: algebra <name>")
+            if name is not None:
+                raise ParseError(line_no, "duplicate 'algebra' line")
             name = tokens[1]
         elif head == "basis":
             if len(tokens) != 3 or tokens[2] not in ("even", "odd"):
@@ -112,6 +115,8 @@ def parse(source: str) -> AlgebraFile:
             for nm in tokens[3:]:
                 if nm not in index:
                     raise ParseError(line_no, f"unknown basis element {nm!r}")
+            if pair_h is not None:
+                raise ParseError(line_no, "duplicate 'pair' line")
             pair_h = list(tokens[3:])
         else:
             raise ParseError(line_no, f"unknown directive {head!r}")

@@ -18,8 +18,9 @@ Every Koszul sign of a product in S(q) comes from the product kernel of
 through products and left derivatives.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the twisted
-adjoint invariance checker, and the brute-force invariant-space solver
-live here too.  tau keeps C_1^word(1) for each PBW word it meets in
+adjoint invariance checker, and the invariant-space solver live here too;
+the last two apply the operators of a Lie-generating set only
+(``lie_generators``).  tau keeps C_1^word(1) for each PBW word it meets in
 ``pair.tau_memo``, which is freed with the pair.
 """
 
@@ -376,9 +377,29 @@ def beta_of_sq(pair: SymmetricPair, w: SuperPolynomial) -> PbwElement:
     return symmetrize(alg, terms)
 
 
+def lie_generators(pair: SymmetricPair) -> list:
+    """A Lie-generating set of g, as basis indices: q, then the h vectors at
+    the non-pivot columns of the RREF of the [q_i, q_j] (all in h).
+
+    Those h vectors span a complement of [q, q] in h, and q + [q, q] is an
+    ideal of g, so the subalgebra they generate with q is all of g.  The
+    twisted adjoint action ad' is a representation of g for every pair the
+    program builds (``LieSuperAlgebra`` checks the Jacobi identity and
+    ``SymmetricPair._check_eigenspaces`` makes sigma an automorphism), so an
+    element is ad'-invariant as soon as every generator kills it.
+    """
+    alg = pair.algebra
+    q = pair.q_indices
+    rows = [alg.bracket_basis(i, j) for k, i in enumerate(q) for j in q[k:]]
+    _, pivots = linalg.rref(rows)
+    return q + [a for a in pair.h_indices if a not in pivots]
+
+
 def verify_twisted_invariance(pair: SymmetricPair, element: PbwElement):
-    """Check that an element of beta(S(q)) is killed by every twisted
-    adjoint operator ad'(a).  Returns (True, None) or (False, witness)."""
+    """Check that an element of beta(S(q)) is killed by the twisted adjoint
+    operators ad'(a) of a Lie-generating set (``lie_generators``), which is
+    enough since ad' is a representation.  Returns (True, None) or
+    (False, witness), the witness naming a generator."""
     alg = pair.algebra
     # membership in beta(S(q)): the h coordinates of the factorization vanish
     bound = max(element.degree() + 1, 1)
@@ -387,7 +408,7 @@ def verify_twisted_invariance(pair: SymmetricPair, element: PbwElement):
     for (qm, hm), c in f.coordinates(element).items():
         if hm != unit and c != 0:
             return False, ("not in beta(S(q))", hm, c)
-    for a in range(alg.dim):
+    for a in lie_generators(pair):
         image = twisted_adjoint(pair, a, element)
         if not image.is_zero():
             return False, (alg.names[a], str(image))
@@ -396,54 +417,28 @@ def verify_twisted_invariance(pair: SymmetricPair, element: PbwElement):
 
 def invariant_space(pair: SymmetricPair):
     """Exact basis of the twisted-adjoint invariants inside beta(S(q)), for
-    purely odd q: assemble all operators ad'(a) in the S(q)-monomial
-    coordinates (transported through tau) and solve the stacked kernel.
+    purely odd q: write ad'(a) beta(m) in the coordinates of the
+    factorization for every S(q) monomial m and every a of a Lie-generating
+    set (``lie_generators``; invariance under it is invariance under g, ad'
+    being a representation), and solve the stacked sparse system.  Output
+    coordinates with an h factor are rows too, so the stability of
+    beta(S(q)) is not assumed.
 
     Returns a list of S(q) elements w; the invariants are beta(w).
     """
     if not pair.q_purely_odd():
         raise ValueError("the invariant-space solver requires purely odd q")
-    alg = pair.algebra
     table = sq_table(pair)
     qdim = len(pair.q_indices)
     monos = sorted(exhaustive_monomials(table, qdim), key=lambda m: (sum(m), m))
-    index = {m: k for k, m in enumerate(monos)}
-    bound = qdim + 1
-    f = factorization(pair, bound)
-    unit = (0,) * alg.dim
+    f = factorization(pair, qdim + 1)
     betas = [beta_of_sq(pair, SuperPolynomial(table, {m: Fraction(1)})) for m in monos]
-    rows = []
-    for a in range(alg.dim):
-        for m, beta in zip(monos, betas):
-            image = twisted_adjoint(pair, a, beta)
-            row_block = {}
-            for (qm, hm), c in f.coordinates(image).items():
-                if hm != unit:
-                    # h components constrain the kernel too; do not assume
-                    # the stability of beta(S(q)), solve with them included
-                    row_block[("h", qm, hm)] = c
-                else:
-                    qm_local = tuple(qm[i] for i in pair.q_indices)
-                    row_block[index[qm_local]] = c
-            rows.append((a, m, row_block))
-    # columns: the 2^q monomial coordinates; rows: every output coordinate
-    extra_keys = sorted(
-        {k for _, _, blk in rows for k in blk if isinstance(k, tuple)},
-        key=str,
-    )
-    extra_index = {k: len(monos) + i for i, k in enumerate(extra_keys)}
-    out_rows = {}
-    for a, m, blk in rows:
-        col = index[m]
-        for k, c in blk.items():
-            r = extra_index[k] if isinstance(k, tuple) else k
-            out_rows.setdefault((a, r), [Fraction(0)] * len(monos))[col] = c
-    matrix = [v for _, v in sorted(out_rows.items())]
-    if not matrix:
-        matrix = [[Fraction(0)] * len(monos)]
-    kernel = linalg.nullspace(matrix)
-    basis = []
-    for vec in kernel:
-        terms = {monos[i]: c for i, c in enumerate(vec) if c != 0}
-        basis.append(SuperPolynomial(table, terms))
-    return basis
+    rows = {}  # (generator, output coordinate) -> {column: coefficient}
+    for a in lie_generators(pair):
+        for col, beta in enumerate(betas):
+            for key, c in f.coordinates(twisted_adjoint(pair, a, beta)).items():
+                rows.setdefault((a, key), {})[col] = c
+    return [
+        SuperPolynomial(table, {monos[i]: c for i, c in vec.items()})
+        for vec in linalg.nullspace(list(rows.values()), len(monos))
+    ]

@@ -94,16 +94,19 @@ def normal_form(alg: LieSuperAlgebra, word, coeff=Fraction(1), choose=None):
 
 def _monomial_product(alg: LieSuperAlgebra, m1, m2):
     """e^m1 e^m2 in normal order, {monomial: Fraction}, memoised per algebra
-    under (m1, m2); the letters of m1 go in one at a time, last first."""
+    under (m1, m2); the letters of m1 go in one at a time, last first, so
+    the first letter is multiplied into the memoised product of the rest."""
     key = (m1, m2)
     acc = alg._mono_product_cache.get(key)
     if acc is None:
-        acc = {m2: Fraction(1)}
-        for i in reversed(_monomial_to_word(m1)):
-            nxt = {}
-            for m, c in acc.items():
-                _add_scaled(nxt, _letter_product(alg, i, m), c)
-            acc = nxt
+        i = next((k for k, e in enumerate(m1) if e), None)  # first letter of e^m1
+        if i is None:
+            acc = {m2: Fraction(1)}
+        else:
+            acc = {}
+            rest = m1[:i] + (m1[i] - 1,) + m1[i + 1 :]
+            for m, c in _monomial_product(alg, rest, m2).items():
+                _add_scaled(acc, _letter_product(alg, i, m), c)
         alg._mono_product_cache[key] = acc
     return acc
 
@@ -442,18 +445,30 @@ def symmetrize(alg: LieSuperAlgebra, s_terms: dict) -> PbwElement:
 
 def twisted_adjoint(pair: SymmetricPair, a_index: int, u: PbwElement) -> PbwElement:
     """ad'(a)(u) = a u - (-1)^{p(a) p(u)} u sigma(a), termwise on the
-    parity-homogeneous components of u."""
+    parity-homogeneous components of u.
+
+    A term c e^m gives c (e_a e^m - (-1)^{p(a) p(m)} sigma_a e^m e_a): the
+    parity of c enters both the sign and the crossing of c past e_a, and
+    cancels.  Both products are memoised per algebra (``_letter_product``,
+    ``_monomial_product``); the terms accumulate into one dict.
+    """
     alg = pair.algebra
-    ja = PbwElement.from_basis(alg, a_index)
-    jsa = ja if pair.sigma_sign(a_index) == 1 else -ja
-    pa = alg.parities[a_index]
-    out = PbwElement.zero(alg)
+    ea = tuple(1 if j == a_index else 0 for j in range(alg.dim))
+    odd_a = alg.parities[a_index] == ODD
+    right_sign = -pair.sigma_sign(a_index)
+    out = {}
     for mono, coeff in u.terms.items():
-        term = PbwElement(alg, {mono: coeff})
-        pu = (monomial_parity(alg, mono) + coefficient_parity(coeff)) % 2
-        sign = -1 if (pa * pu) % 2 else 1
-        out = out + ja * term - (term * jsa).scale(sign)
-    return out
+        s = -right_sign if odd_a and monomial_parity(alg, mono) else right_sign
+        for product, sign in ((_letter_product(alg, a_index, mono), 1), (_monomial_product(alg, mono, ea), s)):
+            for m, cm in product.items():
+                term = coeff * (cm * sign)
+                acc = out.get(m)
+                acc = term if acc is None else acc + term
+                if _is_zero_coeff(acc):
+                    out.pop(m, None)
+                else:
+                    out[m] = acc
+    return PbwElement(alg, out)
 
 
 def twisted_adjoint_u(pair: SymmetricPair, u: PbwElement, v: PbwElement) -> PbwElement:

@@ -125,9 +125,16 @@ def supertraces_of_powers(mat: SuperMatrix, ks) -> dict:
 
 
 def _q_square(gp: GenericPoint) -> SuperMatrix:
-    """Q = (ad y)^2 on q, so that (ad y)^2m on q is Q^m."""
+    """Q = (ad y)^2 on q, so that (ad y)^2m on q is Q^m.  ad y swaps q and h,
+    so Q_ij = sum over k in h of (ad y)_ik (ad y)_kj: one ``sum_of_products``
+    per entry of the q block."""
     ad = gp.ad_y()
-    return (ad * ad).restrict(gp.pair.q_indices)
+    pair = gp.pair
+    rows = [
+        [sum_of_products(gp.table, [(ad.entries[i][k], ad.entries[k][j]) for k in pair.h_indices]) for j in pair.q_indices]
+        for i in pair.q_indices
+    ]
+    return SuperMatrix(gp.table, [ad.module_parities[i] for i in pair.q_indices], rows, EVEN, check=False)
 
 
 def _even_str_powers(gp: GenericPoint) -> list:

@@ -1,8 +1,11 @@
 """Exact rational linear algebra: RREF, solving, null spaces, inverses.
 
-Everything works on lists of lists of Fractions.  Pivots are always the
-first nonzero entry in column order, so reduced forms (and therefore null
-space bases) are deterministic.
+One elimination kernel, ``rref``, works on sparse rows: {column: rational}
+dicts, in which zero entries may be left out.  Pivots are always the first
+nonzero entry in column order, so the reduced form (and therefore every
+null space basis) is the unique RREF of the row space, whatever the order
+of the rows.  ``solve`` and ``invert`` take dense lists of lists and go
+through the same kernel.
 """
 
 from __future__ import annotations
@@ -10,77 +13,80 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _subtract(target: dict, f, row: dict):
+    """target -= f * row, dropping the entries that reach zero."""
+    for j, x in row.items():
+        v = target.get(j, 0) - f * x
+        if v:
+            target[j] = v
+        else:
+            del target[j]
+
+
 def rref(rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    """Reduced row echelon form of sparse rows.  Returns (pivot rows,
+    pivot columns): the nonzero rows of the RREF as {column: Fraction}
+    dicts, in pivot-column order, each with 1 at its pivot column.
+
+    Gauss-Jordan one row at a time: an incoming row is cleared at every
+    pivot column found so far; what is left, if anything, is scaled to 1 at
+    its first column, which becomes a new pivot, and that column is cleared
+    from the earlier pivot rows.  Clearing a column only adds entries to
+    the right of a row's pivot, so the pivot rows stay reduced throughout.
+    """
+    reduced = {}  # pivot column -> row, 1 there and 0 at every other pivot
+    for row in rows:
+        row = {j: Fraction(x) for j, x in row.items() if x}
+        for p in [p for p in row if p in reduced]:
+            _subtract(row, row[p], reduced[p])
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+        lead = min(row)
+        pv = row[lead]
+        if pv != 1:
+            row = {j: x / pv for j, x in row.items()}
+        for other in reduced.values():
+            if lead in other:
+                _subtract(other, other[lead], row)
+        reduced[lead] = row
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
 
 
-def nullspace(rows):
-    """Basis of the right null space, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def nullspace(rows, ncols):
+    """Basis of the right null space of sparse rows over ``ncols`` columns,
+    one {column: Fraction} vector per free column, keys in column order."""
     m, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = {fc: Fraction(1)}
+        for row, pc in zip(m, pivots):
+            x = row.get(fc)
+            if x:
+                v[pc] = -x
+        basis.append({j: v[j] for j in sorted(v)})
     return basis
 
 
 def solve(rows, rhs):
-    """Unique solution of rows * x = rhs; raises ValueError otherwise."""
-    nrows = len(rows)
+    """Unique solution of rows * x = rhs for a dense matrix; raises
+    ValueError otherwise."""
     ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
+    m, pivots = rref([{**dict(enumerate(r)), ncols: b} for r, b in zip(rows, rhs)])
     if ncols in pivots:
         raise ValueError("inconsistent linear system")
     if len(pivots) < ncols:
         raise ValueError("underdetermined linear system")
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = m[i][ncols]
-    return x
+    return [row.get(ncols, Fraction(0)) for row in m]
 
 
 def invert(rows):
-    """Inverse of a square matrix; raises ValueError when singular."""
+    """Inverse of a dense square matrix; raises ValueError when singular."""
     n = len(rows)
-    aug = [
-        list(map(Fraction, rows[i])) + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    m, pivots = rref(aug)
+    m, pivots = rref([{**dict(enumerate(r)), n + i: 1} for i, r in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in m]

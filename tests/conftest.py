@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from supersym.liealg import SymmetricPair, algebra_from_matrices, catalog, defining_matrices
+from supersym.superpoly import EVEN, ODD
 
 
 def diagonal_pair(name, keep=None):
@@ -35,6 +36,56 @@ def rescaled_pair(name, scales):
     scaled = [[[Fraction(s) * v for v in row] for row in x] for s, x in zip(scales, mats)]
     alg = algebra_from_matrices(pair.algebra.names, parities, scaled)
     return SymmetricPair(alg, pair.h_indices)
+
+
+def gl_pair(m, n):
+    """gl(m|n) from its elementary matrices E_ij, the odd ones first, with
+    h = the even part gl(m) + gl(n)."""
+    size = m + n
+    odd, even = [], []
+    for i in range(size):
+        for j in range(size):
+            mat = [[0] * size for _ in range(size)]
+            mat[i][j] = 1
+            (odd if (i < m) != (j < m) else even).append((f"E{i + 1}{j + 1}", mat))
+    basis = odd + even
+    alg = algebra_from_matrices(
+        [nm for nm, _ in basis], [ODD] * len(odd) + [EVEN] * len(even), [x for _, x in basis]
+    )
+    return SymmetricPair(alg, range(len(odd), len(basis)))
+
+
+def osp14_pair():
+    """osp(1|4) from its defining representation on a (1|4)-dimensional
+    space: v0 even with B(v0, v0) = 1; v1..v4 odd with the symplectic form
+    pairing (v1, v3) and (v2, v4).  The odd part is four-dimensional and
+    its anticommutators span the ten-dimensional even part sp(4)."""
+    J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+
+    def odd_matrix(gamma):
+        rows = [[Fraction(0)] * 5 for _ in range(5)]
+        for i in range(4):
+            rows[i + 1][0] = Fraction(gamma[i])
+        for j in range(4):
+            rows[0][j + 1] = -sum(Fraction(gamma[i]) * J[i][j] for i in range(4))
+        return rows
+
+    odd = [odd_matrix([1 if k == a else 0 for k in range(4)]) for a in range(4)]
+    even = []
+    for a in range(4):
+        for b in range(a, 4):
+            anti = [
+                [
+                    sum(odd[a][i][k] * odd[b][k][j] + odd[b][i][k] * odd[a][k][j] for k in range(5))
+                    for j in range(5)
+                ]
+                for i in range(5)
+            ]
+            even.append(anti)
+    names = [f"b{a+1}" for a in range(4)] + [f"s{k+1}" for k in range(10)]
+    parities = [ODD] * 4 + [EVEN] * 10
+    alg = algebra_from_matrices(names, parities, odd + even)
+    return alg, SymmetricPair(alg, range(4, 14))
 
 
 ORACLE_PAIRS = {

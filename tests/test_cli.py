@@ -44,6 +44,23 @@ class TestParse:
             cli.parse(src)
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "src, line",
+        [
+            ("algebra one\nbasis a odd\nalgebra two\n", 3),
+            ("algebra demo\nbasis a odd\nbasis b even\npair h = b\n# again\npair h = b\n", 6),
+        ],
+    )
+    def test_repeated_algebra_or_pair_line(self, src, line, tmp_path, capsys):
+        # a second line would silently replace the first
+        with pytest.raises(cli.ParseError) as err:
+            cli.parse(src)
+        assert f"line {line}" in str(err.value) and "duplicate" in str(err.value)
+        path = tmp_path / "twice.alg"
+        path.write_text(src)
+        assert run(["check", path]) == 2
+        assert f"line {line}" in capsys.readouterr().err
+
     def test_malformed_rational(self):
         src = "algebra demo\nbasis a even\nbasis b even\nbracket a b = 1/0 b\n"
         with pytest.raises(cli.ParseError) as err:

@@ -9,12 +9,14 @@ import pytest
 from supersym import coderiv as cd
 from supersym import enveloping as env
 from supersym import jacobian as jac
-from supersym import liealg, series
+from supersym import liealg, linalg, series
 from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, exhaustive_monomials
 
-from conftest import ORACLE_PAIRS, diagonal_pair
+from conftest import ORACLE_PAIRS, diagonal_pair, gl_pair, osp14_pair
+from test_enveloping import oracle_twisted_adjoint
+from test_linalg import oracle_nullspace
 
 
 def smono(alg, *pairs):
@@ -520,14 +522,177 @@ class TestInvariants:
         assert [ref() for ref in refs] == [None, None]
 
     def test_invariant_space_empty_without_unimodularity(self):
-        alg = LieSuperAlgebra(
-            ["th1", "th2", "x"],
-            [ODD, ODD, 0],
-            {(0, 2): {0: Fraction(1)}, (1, 2): {1: Fraction(1)}},
-        )
-        pair = SymmetricPair(alg, [2])
+        pair = non_unimodular_pair()
         assert not pair.check_unimodularity()[0]
         assert cd.invariant_space(pair) == []
+
+
+def non_unimodular_pair():
+    alg = LieSuperAlgebra(
+        ["th1", "th2", "x"],
+        [ODD, ODD, 0],
+        {(0, 2): {0: Fraction(1)}, (1, 2): {1: Fraction(1)}},
+    )
+    return SymmetricPair(alg, [2])
+
+
+# ---------------------------------------------------------------------------
+# oracles for the invariant solver and checker: every basis vector as an
+# operator, the PbwElement twisted adjoint and the dense elimination loop
+# ---------------------------------------------------------------------------
+
+def oracle_verify_twisted_invariance(pair, element):
+    alg = pair.algebra
+    f = env.factorization(pair, max(element.degree() + 1, 1))
+    unit = (0,) * alg.dim
+    for (qm, hm), c in f.coordinates(element).items():
+        if hm != unit and c != 0:
+            return False, ("not in beta(S(q))", hm, c)
+    for a in range(alg.dim):
+        image = oracle_twisted_adjoint(pair, a, element)
+        if not image.is_zero():
+            return False, (alg.names[a], str(image))
+    return True, None
+
+
+def oracle_invariant_space(pair):
+    alg = pair.algebra
+    table = cd.sq_table(pair)
+    qdim = len(pair.q_indices)
+    monos = sorted(exhaustive_monomials(table, qdim), key=lambda m: (sum(m), m))
+    f = env.factorization(pair, qdim + 1)
+    betas = [cd.beta_of_sq(pair, SuperPolynomial(table, {m: Fraction(1)})) for m in monos]
+    keys = {}
+    for a in range(alg.dim):
+        for col, beta in enumerate(betas):
+            for key, c in f.coordinates(oracle_twisted_adjoint(pair, a, beta)).items():
+                keys.setdefault((a, key), [Fraction(0)] * len(monos))[col] = c
+    matrix = list(keys.values())
+    return [
+        SuperPolynomial(table, {monos[i]: c for i, c in enumerate(vec) if c != 0})
+        for vec in oracle_nullspace(matrix, len(monos))
+    ]
+
+
+SOLVER_PAIRS = {
+    **{name: (lambda name=name: catalog(name)[1]) for name in (
+        "osp12", "gl11", "heisenberg_super", "abelian(0,1)", "abelian(0,3)", "abelian(1,2)", "solvable2",
+    )},
+    "osp12-rescaled": ORACLE_PAIRS["osp12-rescaled"],
+    "non-unimodular": non_unimodular_pair,
+    "gl12": lambda: gl_pair(1, 2),
+    "osp14": lambda: osp14_pair()[1],
+}
+
+
+class TestGeneratingSetSolverOracle:
+    """The solver and the checker on a Lie-generating set against the
+    all-basis routes."""
+
+    @pytest.mark.parametrize("name", sorted(SOLVER_PAIRS))
+    def test_invariant_space(self, name):
+        pair = SOLVER_PAIRS[name]()
+        got = cd.invariant_space(pair)
+        want = oracle_invariant_space(pair)
+        assert [list(w.terms.items()) for w in got] == [list(w.terms.items()) for w in want]
+
+    @pytest.mark.parametrize("name", ["gl12", "osp14"])
+    def test_larger_pairs_give_the_gorelik_line(self, name):
+        pair = SOLVER_PAIRS[name]()
+        basis = cd.invariant_space(pair)
+        assert len(basis) == 1
+        gen, w = basis[0], cd.tau(pair, jac.gorelik_candidate(jac.GenericPoint(pair)))
+        mono, lead = sorted(gen.terms.items())[0]
+        ratio = w.coefficient(mono) / lead
+        assert ratio != 0 and gen * ratio == w
+
+    @pytest.mark.parametrize("name", sorted(SOLVER_PAIRS))
+    def test_verify_twisted_invariance(self, name):
+        pair = SOLVER_PAIRS[name]()
+        alg = pair.algebra
+        table = cd.sq_table(pair)
+        rng = random.Random(71)
+        elements = [PbwElement.from_basis(alg, a) for a in range(alg.dim)]
+        elements += [cd.beta_of_sq(pair, w) for w in cd.invariant_space(pair)]
+        monos = list(exhaustive_monomials(table, len(pair.q_indices)))
+        for _ in range(4):
+            w = SuperPolynomial(table, {m: Fraction(rng.randrange(-2, 3)) for m in rng.sample(monos, min(3, len(monos)))})
+            elements.append(cd.beta_of_sq(pair, w))
+        if pair.check_unimodularity()[0]:
+            elements.append(jac.gorelik_candidate(jac.GenericPoint(pair)))
+        generators = {alg.names[a] for a in cd.lie_generators(pair)}
+        verdicts = set()
+        for u in elements:
+            got, want = cd.verify_twisted_invariance(pair, u), oracle_verify_twisted_invariance(pair, u)
+            assert got[0] == want[0], u
+            if not got[0] and want[1][0] != "not in beta(S(q))":
+                assert got[1][0] in generators
+            else:
+                assert got == want
+            verdicts.add(got[0])
+        # an invariant passes wherever the pair is unimodular
+        assert verdicts == ({True, False} if pair.check_unimodularity()[0] else {False})
+
+    def test_mixed_q_is_refused(self):
+        with pytest.raises(ValueError, match="purely odd"):
+            cd.invariant_space(diagonal_pair("gl11"))
+
+
+def lie_closure_dimension(alg, indices):
+    """Dimension of the subalgebra generated by the basis vectors at
+    ``indices``: bracket the span with the generators until it stops
+    growing."""
+    span = [{i: Fraction(1)} for i in indices]
+    while True:
+        grown = span + [alg.bracket({i: Fraction(1)}, v) for i in indices for v in span]
+        rows, _ = linalg.rref(grown)
+        if len(rows) == len(span):
+            return len(rows)
+        span = rows
+
+
+GENERATOR_PAIRS = {
+    **{name: (lambda name=name: catalog(name)[1]) for name in (
+        "osp12", "gl11", "heisenberg_super", "abelian(1,2)", "abelian(0,3)", "solvable2",
+    )},
+    "diag-gl11": lambda: diagonal_pair("gl11"),
+    "diag-osp12": lambda: diagonal_pair("osp12"),
+    "gl12": lambda: gl_pair(1, 2),
+    "gl22": lambda: gl_pair(2, 2),
+    "osp14": lambda: osp14_pair()[1],
+}
+
+
+class TestLieGenerators:
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("solvable2", ["x", "y"]),  # q empty: all of h
+            ("abelian(0,3)", ["e1", "e2", "e3"]),  # h empty: q only
+            ("abelian(1,2)", ["e1", "e2", "a1"]),  # [q, q] = 0: q and all of h
+            ("heisenberg_super", ["th1", "th2"]),
+            ("osp12", ["e", "f"]),
+        ],
+    )
+    def test_edge_pairs(self, name, want):
+        alg, pair = catalog(name)
+        assert [alg.names[i] for i in cd.lie_generators(pair)] == want
+
+    def test_gl11_keeps_q_and_one_diagonal_vector(self):
+        alg, pair = catalog("gl11")
+        got = [alg.names[i] for i in cd.lie_generators(pair)]
+        assert got[:2] == ["x12", "x21"] and len(got) == 3 and got[2] in ("d1", "d2")
+
+    @pytest.mark.parametrize("m, n, count", [(1, 2, 5), (2, 2, 9)])
+    def test_gl_counts(self, m, n, count):
+        pair = gl_pair(m, n)
+        gens = cd.lie_generators(pair)
+        assert len(gens) == count and gens[: len(pair.q_indices)] == pair.q_indices
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_PAIRS))
+    def test_generates_the_algebra(self, name):
+        pair = GENERATOR_PAIRS[name]()
+        assert lie_closure_dimension(pair.algebra, cd.lie_generators(pair)) == pair.algebra.dim
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,21 @@ class TestLetterProductOracle:
             want = normal_form(alg, env._monomial_to_word(m1) + env._monomial_to_word(m2))
             assert env._monomial_product(alg, m1, m2) == want, (name, m1, m2)
 
+    @pytest.mark.parametrize("name", PRODUCT_ALGEBRAS)
+    def test_suffix_memo_against_the_letter_loop(self, name):
+        # the product through the memoised product of the rest of m1 against
+        # the loop that inserts every letter of m1 afresh, key order too
+        alg = diagonal_pair("gl11").algebra if name == "diag-gl11" else catalog(name)[0]
+        monos = list(exhaustive_monomials(alg, 3))
+        for m1, m2 in itertools.product(monos, repeat=2):
+            acc = {m2: Fraction(1)}
+            for i in reversed(env._monomial_to_word(m1)):
+                nxt = {}
+                for m, c in acc.items():
+                    env._add_scaled(nxt, env._letter_product(alg, i, m), c)
+                acc = nxt
+            assert list(env._monomial_product(alg, m1, m2).items()) == list(acc.items()), (name, m1, m2)
+
     def test_repeated_even_letter(self):
         alg = diagonal_pair("gl11").algebra
         d1, x21 = alg.index("q_d1"), alg.index("q_x21")
@@ -386,6 +401,64 @@ class TestTwistedAdjoint:
                     image = twisted_adjoint(pair, a, b)
                     for (q_part, h_part), c in f.coordinates(image).items():
                         assert h_part == unit, (name, alg.names[a], qm)
+
+
+def oracle_twisted_adjoint(pair, a_index, u):
+    """ad'(a)(u) = a u - (-1)^{p(a) p(u)} u sigma(a) through PbwElement
+    products, one element per term and per sum."""
+    alg = pair.algebra
+    ja = PbwElement.from_basis(alg, a_index)
+    jsa = ja if pair.sigma_sign(a_index) == 1 else -ja
+    pa = alg.parities[a_index]
+    out = PbwElement.zero(alg)
+    for mono, coeff in u.terms.items():
+        term = PbwElement(alg, {mono: coeff})
+        sign = -1 if pa * term.term_parity(mono, coeff) else 1
+        out = out + ja * term - (term * jsa).scale(sign)
+    return out
+
+
+class TestTwistedAdjointOracle:
+    """The one-pass twisted adjoint against the route through PbwElement
+    products, values and key order."""
+
+    def elements(self, pair, rng):
+        alg = pair.algebra
+        out = [symmetrize(alg, {m: Fraction(1)}) for m in sq_monomials(pair, 3)]
+        for _ in range(8):
+            word = tuple(rng.randrange(alg.dim) for _ in range(rng.randrange(5)))
+            out.append(
+                PbwElement.from_word(alg, word, Fraction(rng.randrange(1, 5), rng.randrange(1, 4)))
+                + PbwElement.from_basis(alg, rng.randrange(alg.dim), Fraction(rng.randrange(-3, 4)))
+            )
+        return out
+
+    def assert_matches(self, pair, elements):
+        for u in elements:
+            for a in range(pair.algebra.dim):
+                got, want = twisted_adjoint(pair, a, u), oracle_twisted_adjoint(pair, a, u)
+                assert list(got.terms.items()) == list(want.terms.items()), (pair, a, u)
+
+    def test_oracle_pairs(self, oracle_pair):
+        self.assert_matches(oracle_pair, self.elements(oracle_pair, random.Random(61)))
+
+    def test_diagonal_osp12_and_abelian(self):
+        for pair in (diagonal_pair("osp12"), catalog("abelian(1,2)")[1], catalog("solvable2")[1]):
+            self.assert_matches(pair, self.elements(pair, random.Random(62)))
+
+    def test_odd_and_even_polynomial_coefficients(self):
+        # the parity of a coefficient cancels out of the sign: u = c e^m
+        # with c an odd scalar takes the same route as with c even
+        alg, pair = catalog("osp12")
+        t = VariableTable(["s", "x"], [ODD, EVEN], 4)
+        s, x = t.variable(0), t.variable(1)
+        rng = random.Random(63)
+        elements = []
+        for c in (s, x * Fraction(2, 3), x * s + s):
+            for _ in range(4):
+                word = tuple(rng.randrange(alg.dim) for _ in range(rng.randrange(4)))
+                elements.append(PbwElement(alg, {m: c * v for m, v in normal_form(alg, word).items()}))
+        self.assert_matches(pair, elements)
 
 
 class TestGamma:

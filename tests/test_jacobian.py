@@ -12,7 +12,7 @@ from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.superpoly import ODD, SuperPolynomial
 
-from conftest import diagonal_pair
+from conftest import diagonal_pair, gl_pair, osp14_pair as _osp14
 
 
 def smono(alg, *pairs):
@@ -137,6 +137,15 @@ class TestHalfPowerRoute:
         assert [k for k, _ in str_powers] == list(range(2, gp.max_power() + 1, 2))
         for k, s in str_powers:
             assert s == str_by_full_power(gp, k, pair.q_indices), (label, k)
+
+    @pytest.mark.parametrize("label, pair, order", ROUTE_CASES, ids=ROUTE_IDS)
+    def test_q_square_against_the_full_product(self, label, pair, order):
+        # Q sums over h only; the full product ad y . ad y, restricted to q
+        gp = jac.GenericPoint(pair, order)
+        got, want = jac._q_square(gp), (gp.ad_y() * gp.ad_y()).restrict(pair.q_indices)
+        assert got.module_parities == want.module_parities and got.op_parity == want.op_parity
+        for row, want_row in zip(got.entries, want.entries):
+            assert [list(e.terms.items()) for e in row] == [list(e.terms.items()) for e in want_row]
 
     @pytest.mark.parametrize("label, pair, order", ROUTE_CASES, ids=ROUTE_IDS)
     def test_whole_algebra_against_full_powers(self, label, pair, order):
@@ -485,39 +494,6 @@ class TestQuotientTransport:
             assert ratio != 0 and gen * ratio == w
 
 
-def _osp14():
-    """osp(1|4) from its defining representation on a (1|4)-dimensional
-    space: v0 even with B(v0, v0) = 1; v1..v4 odd with the symplectic form
-    pairing (v1, v3) and (v2, v4).  The odd part is four-dimensional and
-    its anticommutators span the ten-dimensional even part sp(4)."""
-    J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-
-    def odd_matrix(gamma):
-        rows = [[Fraction(0)] * 5 for _ in range(5)]
-        for i in range(4):
-            rows[i + 1][0] = Fraction(gamma[i])
-        for j in range(4):
-            rows[0][j + 1] = -sum(Fraction(gamma[i]) * J[i][j] for i in range(4))
-        return rows
-
-    odd = [odd_matrix([1 if k == a else 0 for k in range(4)]) for a in range(4)]
-    even = []
-    for a in range(4):
-        for b in range(a, 4):
-            anti = [
-                [
-                    sum(odd[a][i][k] * odd[b][k][j] + odd[b][i][k] * odd[a][k][j] for k in range(5))
-                    for j in range(5)
-                ]
-                for i in range(5)
-            ]
-            even.append(anti)
-    names = [f"b{a+1}" for a in range(4)] + [f"s{k+1}" for k in range(10)]
-    parities = [ODD] * 4 + [0] * 10
-    alg = liealg.algebra_from_matrices(names, parities, odd + even)
-    return alg, SymmetricPair(alg, range(4, 14))
-
-
 def _diagonal_pair(base):
     """The symmetric pair (a + a, swap): h the diagonal copy, q the
     antidiagonal one.  q inherits the full parity mix of the base algebra."""
@@ -603,3 +579,35 @@ class TestLargerOddPart:
         gen, w = basis[0], cd.tau(pair, T)
         mono, lead = next(iter(gen.terms.items()))
         assert not w.is_zero() and w == gen * (w.coefficient(mono) / lead)
+
+
+ANTICENTRE_PAIRS = {
+    "osp12": lambda: catalog("osp12")[1],
+    "gl11": lambda: catalog("gl11")[1],
+    "heisenberg_super": lambda: catalog("heisenberg_super")[1],
+    "gl12": lambda: gl_pair(1, 2),
+    "osp14": lambda: _osp14()[1],
+}
+
+
+class TestAnticentre:
+    """Gorelik's anticentre route, through plain PbwElement products only:
+    with h = g_0 and q = g_1, ad'(a) T = 0 says a T = (-1)^{|a|(|T|+1)} T a,
+    so T T commutes with every basis vector.  abelian(1,2) is left out:
+    there T T = 0 and the second check would pass vacuously."""
+
+    @pytest.mark.parametrize("name", sorted(ANTICENTRE_PAIRS))
+    def test_gorelik_element_anticommutes_and_its_square_is_central(self, name):
+        pair = ANTICENTRE_PAIRS[name]()
+        alg = pair.algebra
+        assert pair.h_indices == alg.even_indices() and pair.check_unimodularity()[0]
+        T = jac.gorelik_candidate(jac.GenericPoint(pair))
+        pt = T.parity()
+        assert pt is not None and not T.is_zero()
+        square = T * T
+        assert not square.is_zero()
+        for a in range(alg.dim):
+            ja = PbwElement.from_basis(alg, a)
+            sign = -1 if alg.parities[a] * (pt + 1) % 2 else 1
+            assert ja * T == (T * ja).scale(sign), alg.names[a]
+            assert ja * square == square * ja, alg.names[a]
