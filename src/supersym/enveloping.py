@@ -2,10 +2,10 @@
 
 A PBW monomial is an exponent tuple over the ordered basis of g (odd
 exponents at most 1); an element is a finite coefficient map from such
-monomials.  Coefficients are Fractions, or parity-homogeneous
-SuperPolynomials when computing over an extended scalar ring; scalars are
-written on the right of the monomial, so the product of two terms picks up
-the Koszul sign of moving the first coefficient across the second monomial.
+monomials.  Coefficients are rational (ints or Fractions; the constructor
+refuses anything else), so they commute with every letter.  Every sum
+c_1 terms_1 + ... + c_k terms_k in the module goes through one kernel,
+``_combine``, which accumulates ints over a common denominator.
 
 Normal ordering rewrites a word by repeatedly fixing the leftmost
 violation: an adjacent repeated odd letter collapses through
@@ -15,7 +15,7 @@ the word, the swap rule keeps the length and lowers the inversion count,
 and bracket terms shorten the word.  Any rewriting schedule reaches the
 same normal form (confluence is exercised by the tests); the default
 schedule is deterministic.  Rewriting is exponential in a repeated
-letter, so it serves words only (``from_word``, ``antipode``).
+letter, so it serves as the reference route only (``normal_form``).
 
 Monomial products insert letters: those of m1, last first, are multiplied
 into e^m2, and with e^m = e_j rest, e_i e^m is e_i inserted when i < j or
@@ -32,9 +32,10 @@ coordinates are read off by peeling top-degree terms (``Factorization``).
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
-from .liealg import LieSuperAlgebra, SymmetricPair, coefficient_parity, _is_zero_coeff
+from .liealg import LieSuperAlgebra, SymmetricPair
 from .superpoly import EVEN, ODD, exhaustive_monomials
 
 
@@ -103,10 +104,9 @@ def _monomial_product(alg: LieSuperAlgebra, m1, m2):
         if i is None:
             acc = {m2: Fraction(1)}
         else:
-            acc = {}
             rest = m1[:i] + (m1[i] - 1,) + m1[i + 1 :]
-            for m, c in _monomial_product(alg, rest, m2).items():
-                _add_scaled(acc, _letter_product(alg, i, m), c)
+            prefix = _monomial_product(alg, rest, m2)
+            acc = _combine([(c, _letter_product(alg, i, m)) for m, c in prefix.items()])
         alg._mono_product_cache[key] = acc
     return acc
 
@@ -123,25 +123,44 @@ def _letter_product(alg: LieSuperAlgebra, i, m):
             out = {m[:i] + (m[i] + 1,) + m[i + 1 :]: Fraction(1)}
         else:
             rest = m[:j] + (m[j] - 1,) + m[j + 1 :]
-            out = {}
+            pairs = []
             if i > j:
                 sign = -1 if parities[i] == ODD and parities[j] == ODD else 1
-                for n, c in _letter_product(alg, i, rest).items():
-                    _add_scaled(out, _letter_product(alg, j, n), sign * c)
+                swapped = _letter_product(alg, i, rest)
+                pairs = [(sign * c, _letter_product(alg, j, n)) for n, c in swapped.items()]
             for k, c in alg.bracket_basis(i, j).items():
-                _add_scaled(out, _letter_product(alg, k, rest), c / 2 if i == j else c)
+                pairs.append((c / 2 if i == j else c, _letter_product(alg, k, rest)))
+            out = _combine(pairs)
         alg._mono_product_cache[key] = out
     return out
 
 
-def _add_scaled(acc: dict, terms: dict, c):
-    """acc += c * terms, dropping monomials whose sum reaches zero."""
-    for m, cm in terms.items():
-        v = acc.get(m, 0) + c * cm
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
+def _combine(pairs) -> dict:
+    """c_1 terms_1 + ... + c_k terms_k for (c, terms) pairs with rational
+    scalars c and {key: nonzero rational} dicts terms, as {key: Fraction}.
+
+    Every scalar is scaled to the lcm of the scalar denominators and every
+    coefficient to the lcm of the coefficient denominators, so the products
+    accumulate as plain ints; a key whose running sum reaches zero leaves
+    the dict, so the keys come in the order of the term-by-term sum.  One
+    normalised Fraction is built per surviving key.
+    """
+    pairs = [(c, terms) for c, terms in pairs if c and terms]
+    if not pairs:
+        return {}
+    scalar_den = math.lcm(*(c.denominator for c, _ in pairs))
+    coeff_den = math.lcm(*(v.denominator for _, terms in pairs for v in terms.values()))
+    acc = {}
+    for c, terms in pairs:
+        c = c.numerator * (scalar_den // c.denominator)
+        for key, v in terms.items():
+            s = acc.get(key, 0) + c * v.numerator * (coeff_den // v.denominator)
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    den = scalar_den * coeff_den
+    return {key: Fraction(s, den) for key, s in acc.items()}
 
 
 def monomial_parity(alg: LieSuperAlgebra, mono) -> int:
@@ -157,7 +176,9 @@ class PbwElement:
         self.alg = alg
         cleaned = {}
         for m, c in (terms or {}).items():
-            if not _is_zero_coeff(c):
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"PbwElement coefficients are rational, not {type(c).__name__}")
+            if c:
                 cleaned[m] = c
         self.terms = cleaned
 
@@ -191,7 +212,12 @@ class PbwElement:
 
     @classmethod
     def from_word(cls, alg, word, coeff=Fraction(1)):
-        return cls(alg, normal_form(alg, word, coeff))
+        """coeff times the product of the letters of ``word``, inserted one
+        at a time from the last (``_letter_product``)."""
+        terms = cls.from_scalar(alg, coeff).terms
+        for i in reversed(word):
+            terms = _combine([(c, _letter_product(alg, i, m)) for m, c in terms.items()])
+        return cls(alg, terms)
 
     # -- structure -----------------------------------------------------------
 
@@ -201,11 +227,8 @@ class PbwElement:
     def degree(self):
         return max((sum(m) for m in self.terms), default=0)
 
-    def term_parity(self, mono, coeff) -> int:
-        return (monomial_parity(self.alg, mono) + coefficient_parity(coeff)) % 2
-
     def parity(self):
-        seen = {self.term_parity(m, c) for m, c in self.terms.items()}
+        seen = {monomial_parity(self.alg, m) for m in self.terms}
         if not seen:
             return EVEN
         if len(seen) == 1:
@@ -224,15 +247,7 @@ class PbwElement:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            acc = c if acc is None else acc + c
-            if _is_zero_coeff(acc):
-                terms.pop(m, None)
-            else:
-                terms[m] = acc
-        return PbwElement(self.alg, terms)
+        return PbwElement(self.alg, _combine([(1, self.terms), (1, other.terms)]))
 
     __radd__ = __add__
 
@@ -255,25 +270,14 @@ class PbwElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        other = self._coerce(other)
         self._check(other)
         alg = self.alg
-        out = {}
-        for m1, c1 in self.terms.items():
-            p1 = coefficient_parity(c1)
-            for m2, c2 in other.terms.items():
-                sign = -1 if (p1 * monomial_parity(alg, m2)) % 2 else 1
-                coeff = c1 * c2 * sign
-                if _is_zero_coeff(coeff):
-                    continue
-                for m, cm in _monomial_product(alg, m1, m2).items():
-                    term = coeff * cm
-                    acc = out.get(m)
-                    acc = term if acc is None else acc + term
-                    if _is_zero_coeff(acc):
-                        out.pop(m, None)
-                    else:
-                        out[m] = acc
-        return PbwElement(alg, out)
+        return PbwElement(alg, _combine([
+            (c1 * c2, _monomial_product(alg, m1, m2))
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        ]))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -327,64 +331,48 @@ class PbwElement:
 
 def tensor_mul_pbw(alg, left: dict, right: dict) -> dict:
     """Product in U(g) (x) U(g) of tensors given as {(m1, m2): coeff}."""
-    out = {}
+    pairs = []
     for (a1, a2), c1 in left.items():
         for (b1, b2), c2 in right.items():
             sign = -1 if (monomial_parity(alg, a2) * monomial_parity(alg, b1)) % 2 else 1
-            first = _monomial_product(alg, a1, b1)
             second = _monomial_product(alg, a2, b2)
-            base = c1 * c2 * sign
-            for m1, d1 in first.items():
-                for m2, d2 in second.items():
-                    key = (m1, m2)
-                    term = base * d1 * d2
-                    acc = out.get(key)
-                    acc = term if acc is None else acc + term
-                    if acc == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
-    return out
+            for m1, d1 in _monomial_product(alg, a1, b1).items():
+                pairs.append((c1 * c2 * sign * d1, {(m1, m2): d2 for m2, d2 in second.items()}))
+    return _combine(pairs)
 
 
 def coproduct(u: PbwElement) -> dict:
     """Hopf coproduct, as {(monomial, monomial): Fraction}.
 
-    Determined by primitivity of the basis letters and multiplicativity;
-    only Fraction coefficients are supported.
+    Determined by primitivity of the basis letters and multiplicativity.
     """
     alg = u.alg
     unit = (0,) * alg.dim
-    out = {}
+    pairs = []
     for mono, coeff in u.terms.items():
-        if not isinstance(coeff, (int, Fraction)):
-            raise TypeError("coproduct is implemented for rational coefficients")
         state = {(unit, unit): Fraction(1)}
         for letter in _monomial_to_word(mono):
             lm = tuple(1 if j == letter else 0 for j in range(alg.dim))
             primitive = {(lm, unit): Fraction(1), (unit, lm): Fraction(1)}
             state = tensor_mul_pbw(alg, state, primitive)
-        _add_scaled(out, state, coeff)
-    return out
+        pairs.append((coeff, state))
+    return _combine(pairs)
 
 
 def antipode(u: PbwElement) -> PbwElement:
-    """The Hopf antipode: anti-automorphism with S(j(a)) = -j(a)."""
+    """The Hopf antipode: anti-automorphism with S(j(a)) = -j(a).
+
+    S(e^m) is (-1)^n times the reversed word of e^m, with the Koszul sign
+    (-1)^{k(k-1)/2} of reversing its k odd letters.
+    """
     alg = u.alg
-    out = PbwElement.zero(alg)
+    pairs = []
     for mono, coeff in u.terms.items():
         word = _monomial_to_word(mono)
-        n = len(word)
-        rev = tuple(reversed(word))
-        # Koszul sign of fully reversing the letters
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if alg.parities[word[i]] == ODD and alg.parities[word[j]] == ODD:
-                    sign = -sign
-        total = coeff * sign * (-1) ** n
-        out = out + PbwElement.from_word(alg, rev, total)
-    return out
+        k = sum(e for e, p in zip(mono, alg.parities) if p == ODD)
+        sign = -1 if (k * (k - 1) // 2 + len(word)) % 2 else 1
+        pairs.append((coeff * sign, PbwElement.from_word(alg, word[::-1]).terms))
+    return PbwElement(alg, _combine(pairs))
 
 
 def _first_letters(parities, word) -> dict:
@@ -422,21 +410,21 @@ def _symmetrized(alg: LieSuperAlgebra, word) -> dict:
     if not word:
         result = {(0,) * alg.dim: Fraction(1)}
     else:
-        acc = {}
-        for (letter, rest), count in _first_letters(alg.parities, word).items():
-            for m, c in _symmetrized(alg, rest).items():
-                _add_scaled(acc, _letter_product(alg, letter, m), count * c)
-        result = {m: acc[m] / len(word) for m in sorted(acc, key=lambda m: (sum(m), m))}
+        n = len(word)
+        acc = _combine([
+            (c * count / n, _letter_product(alg, letter, m))
+            for (letter, rest), count in _first_letters(alg.parities, word).items()
+            for m, c in _symmetrized(alg, rest).items()
+        ])
+        result = {m: acc[m] for m in sorted(acc, key=lambda m: (sum(m), m))}
     alg._symmetrize_cache[word] = result
     return result
 
 
 def symmetrize(alg: LieSuperAlgebra, s_terms: dict) -> PbwElement:
     """Symmetrization of a symmetric-algebra element {monomial: coeff}."""
-    out = PbwElement.zero(alg)
-    for mono, coeff in s_terms.items():
-        out = out + symmetrize_word(alg, _monomial_to_word(mono)).scale(coeff)
-    return out
+    pairs = [(c, symmetrize_word(alg, _monomial_to_word(m)).terms) for m, c in s_terms.items()]
+    return PbwElement(alg, _combine(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -447,40 +435,32 @@ def twisted_adjoint(pair: SymmetricPair, a_index: int, u: PbwElement) -> PbwElem
     """ad'(a)(u) = a u - (-1)^{p(a) p(u)} u sigma(a), termwise on the
     parity-homogeneous components of u.
 
-    A term c e^m gives c (e_a e^m - (-1)^{p(a) p(m)} sigma_a e^m e_a): the
-    parity of c enters both the sign and the crossing of c past e_a, and
-    cancels.  Both products are memoised per algebra (``_letter_product``,
-    ``_monomial_product``); the terms accumulate into one dict.
+    A term c e^m gives c (e_a e^m - (-1)^{p(a) p(m)} sigma_a e^m e_a).
+    Both products are memoised per algebra (``_letter_product``,
+    ``_monomial_product``); the terms accumulate in one ``_combine``.
     """
     alg = pair.algebra
     ea = tuple(1 if j == a_index else 0 for j in range(alg.dim))
     odd_a = alg.parities[a_index] == ODD
     right_sign = -pair.sigma_sign(a_index)
-    out = {}
+    pairs = []
     for mono, coeff in u.terms.items():
         s = -right_sign if odd_a and monomial_parity(alg, mono) else right_sign
-        for product, sign in ((_letter_product(alg, a_index, mono), 1), (_monomial_product(alg, mono, ea), s)):
-            for m, cm in product.items():
-                term = coeff * (cm * sign)
-                acc = out.get(m)
-                acc = term if acc is None else acc + term
-                if _is_zero_coeff(acc):
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-    return PbwElement(alg, out)
+        pairs.append((coeff, _letter_product(alg, a_index, mono)))
+        pairs.append((coeff * s, _monomial_product(alg, mono, ea)))
+    return PbwElement(alg, _combine(pairs))
 
 
 def twisted_adjoint_u(pair: SymmetricPair, u: PbwElement, v: PbwElement) -> PbwElement:
     """The extension of ad' to a representation of U(g): for a monomial
     j(a_1)...j(a_n), the composition ad'(a_1) o ... o ad'(a_n)."""
-    out = PbwElement.zero(pair.algebra)
+    pairs = []
     for mono, coeff in u.terms.items():
         acc = v
         for letter in reversed(_monomial_to_word(mono)):
             acc = twisted_adjoint(pair, letter, acc)
-        out = out + acc.scale(coeff)
-    return out
+        pairs.append((coeff, acc.terms))
+    return PbwElement(pair.algebra, _combine(pairs))
 
 
 def gamma(pair: SymmetricPair, u: PbwElement) -> PbwElement:
@@ -499,10 +479,10 @@ class Factorization:
 
     By the PBW theorem the top-degree part of beta(w) u is the single PBW
     monomial +-(w u), so the change of basis is unitriangular in degree and
-    needs no matrix: ``coordinates`` peels off a top-degree term c m at a
-    time, splitting m by support into (w, u) and subtracting (c/s) beta(w) u,
-    where s = +-1 is the coefficient of m in that product.  The products are
-    memoised per monomial.
+    needs no matrix: ``coordinates`` peels off the top-degree terms c m,
+    splitting each m by support into (w, u) and subtracting (c/s) beta(w) u,
+    where s = +-1 is the coefficient of m in that product, one degree at a
+    time in one ``_combine``.  The products are memoised per monomial.
     """
 
     def __init__(self, pair: SymmetricPair, max_degree: int):
@@ -534,24 +514,20 @@ class Factorization:
     def coordinates(self, u: PbwElement) -> dict:
         """{(q monomial, h monomial): Fraction} with u = sum beta(w) hm, in
         (total degree, (q monomial, h monomial)) order."""
-        rest = {}
-        for m, c in u.terms.items():
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError("factorization works over rational coefficients")
-            if sum(m) > self.max_degree:
-                raise ValueError(
-                    f"element of degree {sum(m)} exceeds the prepared bound {self.max_degree}"
-                )
-            rest[m] = Fraction(c)
+        top = u.degree()
+        if top > self.max_degree:
+            raise ValueError(f"element of degree {top} exceeds the prepared bound {self.max_degree}")
+        rest = u.terms
         coords = {}
-        # a degree-d product has no degree-d term besides its lead, so the
-        # degree-d monomials present on entering degree d are all peeled
-        for degree in range(max(map(sum, rest), default=0), -1, -1):
+        # a degree-d product has no degree-d term besides its lead, so every
+        # degree-d coordinate is known before any of its products is subtracted
+        for degree in range(top, -1, -1):
+            pairs = [(1, {m: c for m, c in rest.items() if sum(m) < degree})]
             for mono in [m for m in rest if sum(m) == degree]:
                 key, lead, lower = self._step(mono)
-                c = rest.pop(mono) / lead
-                coords[key] = c
-                _add_scaled(rest, lower, -c)
+                coords[key] = c = rest[mono] / lead
+                pairs.append((-c, lower))
+            rest = _combine(pairs)
         return {k: coords[k] for k in sorted(coords, key=lambda p: (sum(p[0]) + sum(p[1]), p))}
 
 
