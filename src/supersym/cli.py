@@ -20,6 +20,7 @@ internal error (an unexpected exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -267,7 +268,7 @@ def cmd_series(args) -> Report:
         q = series.q_c(c, order + 1)
         if perturb:
             coeffs = list(q.coefficients)
-            coeffs[3] += 1
+            coeffs[3 if order >= 2 else 1] += 1  # odd, and within order + 1
             q = series.TruncatedSeries1(coeffs, order + 1)
         residuals = series.check_coinduced_equations(h1, q, c, order)
         for k, r in enumerate(residuals, start=1):
@@ -456,7 +457,10 @@ def _add_common(sub):
     sub.add_argument("--order", type=_positive_int, default=None, help="truncation / degree bound")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first ``main`` call of a process
+    and shared by the later ones (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="supersym",
         description="Exact verification toolkit for Lie superalgebra symmetric pairs",

@@ -189,7 +189,7 @@ def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> SuperPolynomi
     table = sq_table(pair)
     series = p_c(c, chains[()].total_degree() + u.degree())
     nests = {}
-    out = table.zero()
+    pairs = []
     for mono, coeff in u.terms.items():
         word = _monomial_to_word(mono)
         k = next(k for k in range(len(word) + 1) if word[k:] in chains)
@@ -198,8 +198,8 @@ def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> SuperPolynomi
             if acc.is_zero():
                 break
             acc = chains[word[j:]] = _coderivation(pair, series, word[j], acc, nests)
-        out = out + acc * coeff
-    return out
+        pairs.append((acc, table.constant(coeff)))
+    return sum_of_products(table, pairs)
 
 
 def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) -> SuperPolynomial:

@@ -15,9 +15,14 @@ The two-variable series support the divided differences
 characterize these series; the ``check_*`` functions return the exact
 residuals so that a caller can assert they vanish identically.
 
-Products convolve integer numerators: each factor's coefficients are
-scaled to the lcm of their denominators, the convolution runs on plain
-ints, and one normalised ``Fraction`` is built per output coefficient.
+A series is stored as integer numerators over one positive denominator,
+divided through by their common factor so that the stored form is unique:
+a one-variable series as the dense list ``nums`` (``c_k = nums[k] / den``),
+a two-variable one as the dict ``nums`` of its nonzero numerators keyed by
+``(i, j)``.  Sums, scalar multiples, products, substitution and divided
+differences run on plain ints; a ``Fraction`` is built only when a
+coefficient is read (``coeff``, ``coefficients``, printing).  Equality and
+hashing compare the stored ints.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from operator import mul
 
 _bernoulli_cache = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
+
+_ZERO = Fraction(0)
 
 
 def bernoulli(n: int) -> Fraction:
@@ -61,9 +68,9 @@ def _numerators(coefficients):
 
 
 class TruncatedSeries1:
-    """Series sum c_k t^k, 0 <= k <= order, coefficients stored densely."""
+    """Series sum c_k t^k, 0 <= k <= order, with c_k = nums[k] / den."""
 
-    __slots__ = ("coefficients", "order")
+    __slots__ = ("nums", "den", "order", "_fractions")
 
     def __init__(self, coefficients, order=None):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
@@ -72,9 +79,24 @@ class TruncatedSeries1:
         if order < 0:
             raise ValueError("order must be nonnegative")
         coeffs = coeffs[: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        self.coefficients = coeffs
+        coeffs += [_ZERO] * (order + 1 - len(coeffs))
+        self.nums, self.den = _numerators(coeffs)
         self.order = order
+        self._fractions = coeffs
+
+    @classmethod
+    def _reduced(cls, nums, den, order):
+        """The series nums[k] / den, 0 <= k <= order, for a list of order + 1
+        ints and den > 0, divided through by their common factor."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        common = math.gcd(den, *nums)
+        if common > 1:
+            nums = [v // common for v in nums]
+            den //= common
+        s = object.__new__(cls)
+        s.nums, s.den, s.order, s._fractions = nums, den, order, None
+        return s
 
     @classmethod
     def zero(cls, order):
@@ -95,26 +117,37 @@ class TruncatedSeries1:
             coeffs[k] = Fraction(c)
         return cls(coeffs, order)
 
+    @property
+    def coefficients(self) -> list:
+        """The coefficients as a new list of Fractions, constant term first;
+        the Fractions are built once per series."""
+        if self._fractions is None:
+            den = self.den
+            self._fractions = [Fraction(v, den) if v else _ZERO for v in self.nums]
+        return list(self._fractions)
+
     def coeff(self, k) -> Fraction:
-        return self.coefficients[k] if 0 <= k <= self.order else Fraction(0)
+        return (self._fractions or self.coefficients)[k] if 0 <= k <= self.order else _ZERO
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
+        return not any(self.nums)
 
     def truncate(self, order) -> "TruncatedSeries1":
-        return TruncatedSeries1(self.coefficients, order)
+        nums = self.nums[: order + 1]
+        return TruncatedSeries1._reduced(nums + [0] * (order + 1 - len(nums)), self.den, order)
 
     def __add__(self, other):
         other = _coerce1(other, self.order)
-        n = min(self.order, other.order)
-        return TruncatedSeries1(
-            [self.coeff(k) + other.coeff(k) for k in range(n + 1)], n
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return TruncatedSeries1._reduced(
+            [x * sa + y * sb for x, y in zip(self.nums, other.nums)], den, min(self.order, other.order)
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries1([-c for c in self.coefficients], self.order)
+        return TruncatedSeries1._reduced([-v for v in self.nums], self.den, self.order)
 
     def __sub__(self, other):
         return self + (-_coerce1(other, self.order))
@@ -124,13 +157,14 @@ class TruncatedSeries1:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries1([c * other for c in self.coefficients], self.order)
+            num = other.numerator
+            return TruncatedSeries1._reduced(
+                [v * num for v in self.nums], self.den * other.denominator, self.order
+            )
         n = min(self.order, other.order)
-        a, da = _numerators(self.coefficients[: n + 1])
-        b, db = _numerators(other.coefficients[: n + 1])
-        den = da * db
-        return TruncatedSeries1(
-            [Fraction(sum(map(mul, a[: k + 1], b[k::-1])), den) for k in range(n + 1)], n
+        a, b = self.nums, other.nums
+        return TruncatedSeries1._reduced(
+            [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)], self.den * other.den, n
         )
 
     __rmul__ = __mul__
@@ -140,35 +174,35 @@ class TruncatedSeries1:
             other = TruncatedSeries1.constant(other, self.order)
         if not isinstance(other, TruncatedSeries1):
             return NotImplemented
-        return self.order == other.order and self.coefficients == other.coefficients
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.order, tuple(self.coefficients)))
+        return hash((self.order, self.den, tuple(self.nums)))
 
     def derivative(self) -> "TruncatedSeries1":
         if self.order == 0:
             return TruncatedSeries1.zero(0)
-        return TruncatedSeries1(
-            [k * self.coefficients[k] for k in range(1, self.order + 1)],
-            self.order - 1,
+        return TruncatedSeries1._reduced(
+            [k * v for k, v in enumerate(self.nums[1:], 1)], self.den, self.order - 1
         )
 
     def divide_by_t(self) -> "TruncatedSeries1":
         """t-shift f/t for f with zero constant term."""
-        if self.coefficients[0] != 0:
+        if self.nums[0]:
             raise ValueError("cannot divide by t: nonzero constant term")
-        return TruncatedSeries1(self.coefficients[1:], self.order - 1)
+        return TruncatedSeries1._reduced(self.nums[1:], self.den, self.order - 1)
 
     def scale_variable(self, c) -> "TruncatedSeries1":
         """f(c*t)."""
         c = Fraction(c)
-        return TruncatedSeries1(
-            [co * c**k for k, co in enumerate(self.coefficients)], self.order
+        p, q, n = c.numerator, c.denominator, self.order
+        return TruncatedSeries1._reduced(
+            [v * p**k * q ** (n - k) for k, v in enumerate(self.nums)], self.den * q**n, n
         )
 
     def parity(self):
         """0 if even, 1 if odd, None if mixed (0 counts as both)."""
-        seen = {k % 2 for k, c in enumerate(self.coefficients) if c != 0}
+        seen = {k % 2 for k, v in enumerate(self.nums) if v}
         if not seen:
             return 0
         if len(seen) == 1:
@@ -202,15 +236,36 @@ def _coerce1(x, order):
     return TruncatedSeries1.constant(x, order)
 
 
+def _from_ratios(ratios, order) -> TruncatedSeries1:
+    """sum num/den t^k over the {k: (num, den)} of ints (den nonzero, k <= order)."""
+    den = math.lcm(*[d for _, d in ratios.values()])
+    nums = [0] * (order + 1)
+    for k, (num, d) in ratios.items():
+        nums[k] = num * (den // d)
+    return TruncatedSeries1._reduced(nums, den, order)
+
+
 def compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
-    """f(g(t)); requires g(0) = 0 so the substitution is finite."""
-    if g.coeff(0) != 0:
+    """f(g(t)); requires g(0) = 0 so the substitution is finite.
+
+    Horner's rule on numerators: after each step the value so far is
+    r / (f.den * d), so multiplying by g multiplies d by g.den and the next
+    coefficient of f enters as f.nums[k] * d.
+    """
+    if g.nums[0]:
         raise ValueError("composition requires zero constant term in the inner series")
     n = min(f.order, g.order)
-    result = TruncatedSeries1.constant(f.coeff(n), n)
+    gn = g.nums[: n + 1]
+    r, d = [f.nums[n]] + [0] * n, 1
     for k in range(n - 1, -1, -1):
-        result = result * g + TruncatedSeries1.constant(f.coeff(k), n)
-    return result
+        r = [sum(map(mul, r[: j + 1], gn[j::-1])) for j in range(n + 1)]
+        d *= g.den
+        r[0] += f.nums[k] * d
+        common = math.gcd(d, *r)
+        if common > 1:
+            r = [v // common for v in r]
+            d //= common
+    return TruncatedSeries1._reduced(r, f.den * d, n)
 
 
 def exp_series(order) -> TruncatedSeries1:
@@ -259,48 +314,54 @@ def cosh_series(order) -> TruncatedSeries1:
 
 
 def p_c(c, order) -> TruncatedSeries1:
-    """t*coth(t/c): even, constant term c, Bernoulli coefficients."""
+    """t*coth(t/c): even, constant term c, Bernoulli coefficients
+    B_2n 2^2n / ((2n)! c^(2n-1))."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("p_c requires c != 0")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = c
+    a, b = c.numerator, c.denominator
+    ratios = {0: (a, b)}
     for n in range(1, order // 2 + 1):
-        coeffs[2 * n] = (
-            bernoulli(2 * n) * Fraction(2 ** (2 * n), math.factorial(2 * n)) / c ** (2 * n - 1)
+        bn = bernoulli(2 * n)
+        ratios[2 * n] = (
+            bn.numerator * 4**n * b ** (2 * n - 1),
+            bn.denominator * math.factorial(2 * n) * a ** (2 * n - 1),
         )
-    return TruncatedSeries1(coeffs, order)
+    return _from_ratios(ratios, order)
 
 
 def q_c(c, order) -> TruncatedSeries1:
-    """-tanh(t/(2c)): odd, leading term -t/(2c)."""
+    """-tanh(t/(2c)): odd, leading term -t/(2c); coefficients
+    -2 B_2n (2^2n - 1) / ((2n)! c^(2n-1))."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("q_c requires c != 0")
-    coeffs = [Fraction(0)] * (order + 1)
+    a, b = c.numerator, c.denominator
+    ratios = {}
     for n in range(1, (order + 1) // 2 + 1):
-        k = 2 * n - 1
-        if k > order:
-            break
-        coeffs[k] = (
-            -2 * bernoulli(2 * n) * Fraction(2 ** (2 * n) - 1, math.factorial(2 * n)) / c ** (2 * n - 1)
+        bn = bernoulli(2 * n)
+        ratios[2 * n - 1] = (
+            -2 * bn.numerator * (4**n - 1) * b ** (2 * n - 1),
+            bn.denominator * math.factorial(2 * n) * a ** (2 * n - 1),
         )
-    return TruncatedSeries1(coeffs, order)
+    return _from_ratios(ratios, order)
 
 
 def w_c(c, order) -> TruncatedSeries1:
-    """log(sinh(t/c)/(t/c)): even, zero constant term."""
+    """log(sinh(t/c)/(t/c)): even, zero constant term; coefficients
+    B_2n 2^2n / (2n (2n)! c^2n)."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("w_c requires c != 0")
-    coeffs = [Fraction(0)] * (order + 1)
+    a, b = c.numerator, c.denominator
+    ratios = {}
     for n in range(1, order // 2 + 1):
-        coeffs[2 * n] = (
-            bernoulli(2 * n)
-            * Fraction(2 ** (2 * n), 2 * n * math.factorial(2 * n))
-            / c ** (2 * n)
+        bn = bernoulli(2 * n)
+        ratios[2 * n] = (
+            bn.numerator * 4**n * b ** (2 * n),
+            bn.denominator * 2 * n * math.factorial(2 * n) * a ** (2 * n),
         )
-    return TruncatedSeries1(coeffs, order)
+    return _from_ratios(ratios, order)
 
 
 def t_over_exp_minus_one(order) -> TruncatedSeries1:
@@ -315,19 +376,33 @@ def t_over_exp_minus_one(order) -> TruncatedSeries1:
 # ---------------------------------------------------------------------------
 
 class TruncatedSeries2:
-    """Series sum c_{ij} t^i u^j over the triangle i + j <= order."""
+    """Series sum c_{ij} t^i u^j over the triangle i + j <= order, with
+    c_{ij} = nums[(i, j)] / den and the zero coefficients left out."""
 
-    __slots__ = ("coefficients", "order")
+    __slots__ = ("nums", "den", "order")
 
     def __init__(self, coefficients, order):
-        self.order = order
         cleaned = {}
         for (i, j), c in coefficients.items():
             if type(c) is not Fraction:
                 c = Fraction(c)
             if c != 0 and i + j <= order:
                 cleaned[(i, j)] = c
-        self.coefficients = cleaned
+        nums, self.den = _numerators(cleaned.values())
+        self.nums = dict(zip(cleaned, nums))
+        self.order = order
+
+    @classmethod
+    def _reduced(cls, nums, den, order):
+        """The series over den > 0 with the nonzero numerators ``nums``, all
+        keys within the order, divided through by their common factor."""
+        common = math.gcd(den, *nums.values())
+        if common > 1:
+            nums = {k: v // common for k, v in nums.items()}
+            den //= common
+        s = object.__new__(cls)
+        s.nums, s.den, s.order = nums, den, order
+        return s
 
     @classmethod
     def zero(cls, order):
@@ -336,48 +411,59 @@ class TruncatedSeries2:
     @classmethod
     def from_t(cls, f: TruncatedSeries1, order):
         """f(t) viewed in two variables."""
-        return cls({(k, 0): c for k, c in enumerate(f.coefficients)}, order)
+        return cls._reduced({(k, 0): v for k, v in enumerate(f.nums[: order + 1]) if v}, f.den, order)
 
     @classmethod
     def from_u(cls, f: TruncatedSeries1, order):
         """f(u) viewed in two variables."""
-        return cls({(0, k): c for k, c in enumerate(f.coefficients)}, order)
+        return cls._reduced({(0, k): v for k, v in enumerate(f.nums[: order + 1]) if v}, f.den, order)
 
     @classmethod
     def from_sum(cls, f: TruncatedSeries1, order):
         """f(t + u), expanded binomially."""
-        terms = {}
-        for n, c in enumerate(f.coefficients):
-            if c == 0 or n > order:
-                continue
-            for k in range(n + 1):
-                terms[(k, n - k)] = terms.get((k, n - k), Fraction(0)) + c * math.comb(n, k)
-        return cls(terms, order)
+        terms = {
+            (k, n - k): v * math.comb(n, k)
+            for n, v in enumerate(f.nums[: order + 1])
+            if v
+            for k in range(n + 1)
+        }
+        return cls._reduced(terms, f.den, order)
+
+    @property
+    def coefficients(self) -> dict:
+        """The nonzero coefficients as a new {(i, j): Fraction} dict."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.nums.items()}
 
     def coeff(self, i, j) -> Fraction:
-        return self.coefficients.get((i, j), Fraction(0))
+        v = self.nums.get((i, j))
+        return Fraction(v, self.den) if v else _ZERO
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.nums
 
     def swap(self) -> "TruncatedSeries2":
         """Exchange t and u."""
-        return TruncatedSeries2(
-            {(j, i): c for (i, j), c in self.coefficients.items()}, self.order
+        return TruncatedSeries2._reduced(
+            {(j, i): v for (i, j), v in self.nums.items()}, self.den, self.order
         )
 
     def __add__(self, other):
         other = _coerce2(other, self.order)
         n = min(self.order, other.order)
-        terms = {k: v for k, v in self.coefficients.items()}
-        for k, v in other.coefficients.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return TruncatedSeries2(terms, n)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        terms = {k: v * sa for k, v in self.nums.items()}
+        for k, v in other.nums.items():
+            terms[k] = terms.get(k, 0) + v * sb
+        return TruncatedSeries2._reduced(
+            {k: v for k, v in terms.items() if v and k[0] + k[1] <= n}, den, n
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries2({k: -v for k, v in self.coefficients.items()}, self.order)
+        return TruncatedSeries2._reduced({k: -v for k, v in self.nums.items()}, self.den, self.order)
 
     def __sub__(self, other):
         return self + (-_coerce2(other, self.order))
@@ -387,16 +473,14 @@ class TruncatedSeries2:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries2(
-                {k: v * other for k, v in self.coefficients.items()}, self.order
-            )
+            num = other.numerator
+            terms = {k: v * num for k, v in self.nums.items()} if num else {}
+            return TruncatedSeries2._reduced(terms, self.den * other.denominator, self.order)
         n = min(self.order, other.order)
         # (i, j) is packed as i*w + j, so adding keys multiplies monomials
         w = n + 1
-        a, da = _numerators(list(self.coefficients.values()))
-        b, db = _numerators(list(other.coefficients.values()))
-        left = [(i * w + j, i + j, c) for (i, j), c in zip(self.coefficients, a)]
-        right = [(i * w + j, i + j, c) for (i, j), c in zip(other.coefficients, b)]
+        left = [(i * w + j, i + j, c) for (i, j), c in self.nums.items()]
+        right = [(i * w + j, i + j, c) for (i, j), c in other.nums.items()]
         acc = {}
         for k1, d1, c1 in left:
             room = n - d1
@@ -404,8 +488,9 @@ class TruncatedSeries2:
                 if d2 <= room:
                     k = k1 + k2
                     acc[k] = acc.get(k, 0) + c1 * c2
-        den = da * db
-        return TruncatedSeries2({divmod(k, w): Fraction(v, den) for k, v in acc.items()}, n)
+        return TruncatedSeries2._reduced(
+            {divmod(k, w): v for k, v in acc.items() if v}, self.den * other.den, n
+        )
 
     __rmul__ = __mul__
 
@@ -414,17 +499,17 @@ class TruncatedSeries2:
             other = TruncatedSeries2({(0, 0): other}, self.order)
         if not isinstance(other, TruncatedSeries2):
             return NotImplemented
-        return self.order == other.order and self.coefficients == other.coefficients
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.coefficients.items())))
+        return hash((self.order, self.den, frozenset(self.nums.items())))
 
     def __str__(self):
-        if not self.coefficients:
+        if not self.nums:
             return f"0 (+ O(total degree {self.order + 1}))"
         pieces = []
-        for (i, j) in sorted(self.coefficients, key=lambda k: (k[0] + k[1], k)):
-            c = self.coefficients[(i, j)]
+        for (i, j) in sorted(self.nums, key=lambda k: (k[0] + k[1], k)):
+            c = Fraction(self.nums[(i, j)], self.den)
             mono = "".join(
                 [f" t^{i}" if i > 1 else " t" if i == 1 else "",
                  f" u^{j}" if j > 1 else " u" if j == 1 else ""]
@@ -454,13 +539,12 @@ def divided_difference(f: TruncatedSeries1, order=None) -> TruncatedSeries2:
         raise ValueError(
             f"divided difference to total order {order} needs the series to order {order + 1}"
         )
-    nums, den = _numerators(f.coefficients[: order + 2])
     terms = {}
-    for n, a in enumerate(nums):
+    for n, a in enumerate(f.nums[: order + 2]):
         if a and n:
             for k in range(n):
-                terms[(k, n - k - 1)] = Fraction(a * math.comb(n, k), den)
-    return TruncatedSeries2(terms, order)
+                terms[(k, n - k - 1)] = a * math.comb(n, k)
+    return TruncatedSeries2._reduced(terms, f.den, order)
 
 
 def divided_difference_t(f: TruncatedSeries1, order=None) -> TruncatedSeries2:

@@ -207,6 +207,33 @@ class TestCommands:
         assert run(["series", "--order", "8", "--perturb"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_series_perturbation_at_the_smallest_orders(self, order, capsys):
+        # the perturbed coefficients of p_c and q_c exist at every order
+        assert run(["series", "--order", order, "--perturb"]) == 1
+        failed = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert "series.symmetric.eq2" in failed and "series.coinduced.eq2" in failed
+
+    def test_repeated_calls_carry_no_state(self, tmp_path, capsys):
+        # one parser serves every call in a process
+        def report(*argv):
+            out = tmp_path / "r.tsv"
+            code = run([*argv, "--emit", out])
+            capsys.readouterr()
+            return code, out.read_text()
+
+        perturbed = report("series", "--order", "3", "--perturb")
+        plain = report("series", "--order", "3")
+        assert perturbed[0] == 1 and plain[0] == 0
+        osp = ALGEBRAS / "osp12.alg"
+        default = report("jacobian", osp, "--order", "4")
+        with_c = report("jacobian", osp, "--c", "2/3", "--order", "4")
+        assert with_c != default
+        assert report("jacobian", osp, "--order", "4") == default
+        assert report("series", "--order", "3") == plain
+        assert report("series", "--order", "3", "--perturb") == perturbed
+        assert cli._build_parser() is cli._build_parser()
+
     def test_tau_command(self):
         assert run(["tau", ALGEBRAS / "heisenberg.alg"]) == 0
 

@@ -901,6 +901,23 @@ def oracle_coderivation_C_u(pair, c, u, w):
     return out
 
 
+def oracle_word_loop(pair, c, u, w):
+    """C_c^u(w) with one SuperPolynomial ``+`` per PBW word, as ``_words``
+    summed before its single ``sum_of_products`` call; no chain is kept."""
+    table = cd.sq_table(pair)
+    p = series.p_c(c, w.total_degree() + u.degree())
+    nests = {}
+    out = table.zero()
+    for mono, coeff in u.terms.items():
+        acc = w
+        for letter in reversed(env._monomial_to_word(mono)):
+            if acc.is_zero():
+                break
+            acc = cd._coderivation(pair, p, letter, acc, nests)
+        out = out + acc * coeff
+    return out
+
+
 def random_pbw_elements(pair, rng, count, max_degree=4):
     """Sums of 2 to 4 random PBW monomials: the even-numbered ones over all
     of g, the first one ending in an h letter, the odd-numbered ones over q
@@ -944,6 +961,14 @@ class TestTauOracle:
         for sweep in ("fresh", "warm"):
             for u, e in zip(elements, expected):
                 assert_same_terms(cd.tau(sq_pair, u), e, sweep, u)
+
+    @pytest.mark.parametrize("name", ["diag-gl11", "diag-osp12"])
+    def test_one_sum_over_the_words_matches_the_word_loop(self, name):
+        pair = MIXED_PAIRS[name]()
+        table = cd.sq_table(pair)
+        for mono in sq_monos(pair, 4):
+            u = cd.beta_of_sq(pair, SuperPolynomial(table, {mono: Fraction(1)}))
+            assert_same_terms(cd.tau(pair, u), oracle_word_loop(pair, 1, u, table.one()), mono)
 
     def test_random_elements_with_h_letters(self, sq_pair):
         rng = random.Random(67)

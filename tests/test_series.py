@@ -328,3 +328,135 @@ class TestDividedDifferenceOracle:
                 expected = oracle_divided_difference(f, order)
                 assert list(got.coefficients.items()) == list(expected.coefficients.items())
             assert series.divided_difference(f) == oracle_divided_difference(f, 30)
+
+
+# -- the stored form: integer numerators over one denominator, against
+# -- Fraction loops over the coefficients
+
+
+def oracle_linear1(a, b, sb):
+    """Coefficient list of a + sb * b in one variable."""
+    n = min(a.order, b.order)
+    return [a.coeff(k) + sb * b.coeff(k) for k in range(n + 1)]
+
+
+def oracle_linear2(a, b, sb):
+    """Coefficient dict of a + sb * b in two variables, in the key order
+    of the dict sum: the keys of a, then the new keys of b."""
+    n = min(a.order, b.order)
+    terms = dict(a.coefficients)
+    for k, v in b.coefficients.items():
+        terms[k] = terms.get(k, Fraction(0)) + sb * v
+    return {k: v for k, v in terms.items() if v != 0 and sum(k) <= n}
+
+
+def oracle_from_sum(f, order):
+    terms = {}
+    for n, c in enumerate(f.coefficients):
+        if c != 0 and n <= order:
+            for k in range(n + 1):
+                terms[(k, n - k)] = c * math.comb(n, k)
+    return terms
+
+
+def oracle_divided_difference_loop(f, order):
+    terms = {}
+    for n, c in enumerate(f.coefficients[: order + 2]):
+        if c != 0 and n:
+            for k in range(n):
+                terms[(k, n - k - 1)] = c * math.comb(n, k)
+    return terms
+
+
+def oracle_compose(f, g):
+    """Horner's rule with one Fraction operation per coefficient."""
+    n = min(f.order, g.order)
+    out = [f.coeff(n)] + [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        out = oracle_product1(TruncatedSeries1(out, n), g.truncate(n))
+        out[0] += f.coeff(k)
+    return out
+
+
+def assert_reduced(s):
+    nums = s.nums if isinstance(s, TruncatedSeries1) else list(s.nums.values())
+    assert s.den > 0 and math.gcd(s.den, *nums) == 1
+
+
+scalars = st.sampled_from([0, 1, -1, 3]) | coefficients
+
+
+class TestStoredForm:
+    @given(series1(30), series1(30), st.integers(27, 30), scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_one_variable_linear_operations(self, a, b, order, s):
+        b = b.truncate(order)
+        for got, expected in [
+            (a + b, oracle_linear1(a, b, 1)),
+            (a - b, oracle_linear1(a, b, -1)),
+            (-a, [-c for c in a.coefficients]),
+            (a * s, [c * s for c in a.coefficients]),
+            (s * a, [c * s for c in a.coefficients]),
+        ]:
+            assert got.coefficients == expected
+            assert all(type(c) is Fraction for c in got.coefficients)
+            assert_reduced(got)
+
+    @given(series2(30), series2(30), st.integers(27, 30), scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_two_variable_linear_operations(self, a, b, order, s):
+        b = TruncatedSeries2(b.coefficients, order)
+        for got, expected in [
+            (a + b, oracle_linear2(a, b, 1)),
+            (a - b, oracle_linear2(a, b, -1)),
+            (-a, {k: -v for k, v in a.coefficients.items()}),
+            (a * s, {k: v * s for k, v in a.coefficients.items() if s != 0}),
+            (a.swap(), {(j, i): v for (i, j), v in a.coefficients.items()}),
+        ]:
+            # same values in the same key order
+            assert list(got.coefficients.items()) == list(expected.items())
+            assert all(type(c) is Fraction for c in got.coefficients.values())
+            assert all(got.coeff(*k) == v and type(got.coeff(*k)) is Fraction for k, v in expected.items())
+            assert_reduced(got)
+
+    @given(series1(31), st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_from_sum_from_t_from_u_and_divided_difference(self, f, order):
+        parts = {k: v for k, v in enumerate(f.coefficients) if v != 0 and k <= order}
+        for got, expected in [
+            (TruncatedSeries2.from_sum(f, order), oracle_from_sum(f, order)),
+            (TruncatedSeries2.from_t(f, order), {(k, 0): v for k, v in parts.items()}),
+            (TruncatedSeries2.from_u(f, order), {(0, k): v for k, v in parts.items()}),
+            (series.divided_difference(f, order), oracle_divided_difference_loop(f, order)),
+        ]:
+            assert got.order == order
+            assert list(got.coefficients.items()) == list(expected.items())
+            assert_reduced(got)
+
+    @given(series1(8), st.lists(coefficients, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_compose(self, f, tail):
+        g = TruncatedSeries1([0] + tail, 8)
+        got = series.compose(f, g)
+        assert got.coefficients == oracle_compose(f, g)
+        assert_reduced(got)
+
+    def test_compose_of_the_distinguished_series(self):
+        n = 30
+        w = series.w_c(Fraction(2, 3), n)
+        for f, g in [(series.log1p_series(n), series.sinh_over_t(n) - 1), (series.exp_series(n), w)]:
+            assert series.compose(f, g).coefficients == oracle_compose(f, g)
+
+    @given(series1(30), series2(30))
+    @settings(max_examples=40, deadline=None)
+    def test_canonical_form(self, a, b):
+        for s in (a, b):
+            back = (s * 2) * Fraction(1, 2)
+            assert back == s and hash(back) == hash(s)
+            assert (back.nums, back.den) == (s.nums, s.den)
+            assert_reduced(s)
+        scaled = TruncatedSeries1([2, 4], 1) * Fraction(1, 6)
+        assert (scaled.nums, scaled.den) == ([1, 2], 3)
+        scaled = TruncatedSeries2({(0, 1): 6, (1, 0): 18}, 1) * Fraction(1, 8)
+        assert (scaled.nums, scaled.den) == ({(0, 1): 3, (1, 0): 9}, 4)
+        assert (TruncatedSeries1.zero(3).den, TruncatedSeries2.zero(3).den) == (1, 1)

@@ -24,7 +24,11 @@ import sys
 
 def commands(src_dir):
     """(name, argv) for every acceptance command, in a fixed order."""
-    out = [("selftest", ["selftest", "--seed", "0"]), ("series-30", ["series", "--order", "30"])]
+    out = [
+        ("selftest", ["selftest", "--seed", "0"]),
+        ("series-30", ["series", "--order", "30"]),
+        ("series-30-perturb", ["series", "--order", "30", "--perturb"]),
+    ]
     for path in sorted(glob.glob(os.path.join(src_dir, "algebras", "*.alg"))):
         rel = os.path.relpath(path, src_dir)
         stem = os.path.splitext(os.path.basename(path))[0]
