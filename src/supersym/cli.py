@@ -240,13 +240,13 @@ def cmd_check(file: AlgebraFile, args) -> Report:
     report.add("check.pair", file.name, True, f"q=[{','.join(alg.names[i] for i in pair.q_indices)}]"
                f" h=[{','.join(alg.names[i] for i in pair.h_indices)}]{note}")
     ok, witnesses = pair.check_unimodularity()
-    report.add(
-        "check.unimodularity",
-        file.name,
-        ok,
-        "" if ok else "; ".join(f"str_q(ad {nm}) = {v}" for nm, v in witnesses),
-    )
+    report.add("check.unimodularity", file.name, ok, _unimodularity_witness(witnesses))
     return report
+
+
+def _unimodularity_witness(witnesses) -> str:
+    """The nonzero q-supertraces of a pair, as text ("" when there are none)."""
+    return "; ".join(f"str_q(ad {nm}) = {v}" for nm, v in witnesses)
 
 
 def cmd_series(args) -> Report:
@@ -288,10 +288,7 @@ def cmd_gorelik(file: AlgebraFile, args) -> Report:
         raise InputError("the Gorelik construction requires a purely odd q part")
     ok, witnesses = pair.check_unimodularity()
     if not ok:
-        raise InputError(
-            "pair is not unimodular: "
-            + "; ".join(f"str_q(ad {nm}) = {v}" for nm, v in witnesses)
-        )
+        raise InputError("pair is not unimodular: " + _unimodularity_witness(witnesses))
     report.add("gorelik.unimodularity", file.name, True, "")
     gp = jacobian.GenericPoint(pair)
     element = jacobian.gorelik_candidate(gp)
@@ -344,21 +341,25 @@ def cmd_tau(file: AlgebraFile, args) -> Report:
     report = Report()
     alg, pair, default_h = build(file)
     bound = args.order if args.order is not None else 4
-    table = coderiv.sq_table(pair)
-    order = table.truncation_order
+    order = coderiv.sq_table(pair).truncation_order
     if order is not None and bound > order:
         raise InputError(f"--order {bound} exceeds the degree {order} at which S(q) is truncated")
-    ok = True
-    witness = ""
+    failure = _tau_sweep(pair, bound)
+    witness = f"monomial {failure[0]}: tau(beta(w)) = {failure[1]}" if failure else ""
+    report.add("tau.inverse-of-symmetrization", f"{file.name} degree<={bound}", not failure, witness)
+    return report
+
+
+def _tau_sweep(pair, bound):
+    """The first S(q) monomial w of degree <= bound with tau(beta(w)) != w,
+    as (monomial, tau(beta(w))), or None."""
+    table = coderiv.sq_table(pair)
     for mono in exhaustive_monomials(table, bound):
         w = SuperPolynomial(table, {mono: Fraction(1)})
         back = coderiv.tau(pair, coderiv.beta_of_sq(pair, w))
         if back != w:
-            ok = False
-            witness = f"monomial {mono}: tau(beta(w)) = {back}"
-            break
-    report.add("tau.inverse-of-symmetrization", f"{file.name} degree<={bound}", ok, witness)
-    return report
+            return mono, back
+    return None
 
 
 def cmd_selftest(args) -> Report:
@@ -389,13 +390,7 @@ def cmd_selftest(args) -> Report:
             continue
         ok, witness = coderiv.check_representation(pair, Fraction(2), 2)
         report.add("selftest.coderivation-representation", name, ok, witness if witness else "")
-        table = coderiv.sq_table(pair)
-        tau_ok = True
-        for mono in exhaustive_monomials(table, 3):
-            w = SuperPolynomial(table, {mono: Fraction(1)})
-            if coderiv.tau(pair, coderiv.beta_of_sq(pair, w)) != w:
-                tau_ok = False
-        report.add("selftest.tau-inverse", name, tau_ok, "")
+        report.add("selftest.tau-inverse", name, _tau_sweep(pair, 3) is None, "")
 
     for name in ("osp12", "gl11", "heisenberg_super", "abelian(1,2)"):
         alg, pair = liealg.catalog(name)

@@ -236,9 +236,9 @@ def check_representation(pair: SymmetricPair, c, max_degree: int):
                 lhs = coderivation_C(pair, c, a, coderivation_C(pair, c, b, w)) - (
                     coderivation_C(pair, c, b, coderivation_C(pair, c, a, w)) * sign
                 )
-                rhs = table.zero()
-                for k, ck in bracket.items():
-                    rhs = rhs + coderivation_C(pair, c, k, w) * ck
+                rhs = sum_of_products(
+                    table, [(coderivation_C(pair, c, k, w), table.constant(ck)) for k, ck in bracket.items()]
+                )
                 if lhs != rhs:
                     return False, (alg.names[a], alg.names[b], mono, str(lhs - rhs))
     return True, None
@@ -306,23 +306,20 @@ def theta_action(pair: SymmetricPair, c, chi: Character, a_index: int, w: SuperP
         raise ValueError("Theta_c requires c != 0")
     alg = pair.algebra
     table = sq_table(pair)
-    out = coderivation_C(pair, c, a_index, w)
+    one = table.one()
+    pairs = [(coderivation_C(pair, c, a_index, w), one)]
     if pair.in_h(a_index):
-        return out + w * chi.values.get(a_index, Fraction(0))
-    degree = w.total_degree()
-    series = q_c(c, degree + 1)
+        return sum_of_products(table, pairs + [(w, table.constant(chi.values.get(a_index, 0)))])
+    series = q_c(c, w.total_degree() + 1)
     pa = alg.parities[a_index]
     a_element = {a_index: Fraction(1)}
     for (leg1, leg2), coeff in sq_coproduct(pair, w).items():
         value = apply_radx(pair, series, a_element, sq_monomial_letters(pair, leg2))
-        if not value:
-            continue
         scalar = chi.of_element(value)
-        if scalar == 0:
-            continue
-        sign = -1 if (pa * table.monomial_parity(leg1)) % 2 else 1
-        out = out + SuperPolynomial(table, {leg1: coeff}) * (scalar * sign)
-    return out
+        if scalar:
+            sign = -1 if (pa * table.monomial_parity(leg1)) % 2 else 1
+            pairs.append((SuperPolynomial(table, {leg1: coeff * scalar * sign}), one))
+    return sum_of_products(table, pairs)
 
 
 def induced_action(pair: SymmetricPair, chi: Character, a_index: int, w: SuperPolynomial, max_degree=None) -> SuperPolynomial:
@@ -331,19 +328,16 @@ def induced_action(pair: SymmetricPair, chi: Character, a_index: int, w: SuperPo
     push the h factors through chi."""
     alg = pair.algebra
     table = sq_table(pair)
-    out = table.zero()
+    f = factorization(pair, max_degree if max_degree is not None else w.total_degree() + 1)
+    pairs = []
     for mono, coeff in w.terms.items():
-        letters = sq_monomial_letters(pair, mono)
-        u = PbwElement.from_basis(alg, a_index) * symmetrize_word(alg, letters)
-        bound = max_degree if max_degree is not None else max(u.degree(), 1)
-        f = factorization(pair, bound)
+        u = PbwElement.from_basis(alg, a_index) * symmetrize_word(alg, sq_monomial_letters(pair, mono))
+        terms = {}
         for (qm, hm), cc in f.coordinates(u).items():
-            scalar = chi.of_h_monomial(hm)
-            if scalar == 0:
-                continue
             qm_local = tuple(qm[i] for i in pair.q_indices)
-            out = out + SuperPolynomial(table, {qm_local: cc * scalar * coeff})
-    return out
+            terms[qm_local] = terms.get(qm_local, 0) + cc * chi.of_h_monomial(hm)
+        pairs.append((SuperPolynomial(table, terms), table.constant(coeff)))
+    return sum_of_products(table, pairs)
 
 
 def check_theta_vs_induced(pair: SymmetricPair, chi: Character, max_degree: int):

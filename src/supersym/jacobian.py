@@ -17,7 +17,6 @@ the exterior algebra S(q), is the Gorelik candidate.
 
 from __future__ import annotations
 
-import math
 import warnings
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from . import series as series_mod
 from .coderiv import beta_of_sq, sq_table
 from .enveloping import PbwElement, _monomial_to_word
 from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix, apply_matrix
-from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, sum_of_products, truncate_even_degree
+from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, power_sum, sum_of_products, truncate_even_degree
 
 
 class _FullSpan:
@@ -40,12 +39,6 @@ class _FullSpan:
 
     def in_h(self, i):
         return False
-
-    def q_purely_odd(self):
-        return all(p == ODD for p in self.algebra.parities)
-
-    def check_unimodularity(self):
-        return True, []
 
 
 class GenericPoint:
@@ -185,7 +178,7 @@ def jacobian_Jc(gp: GenericPoint, c, order=None) -> JacobianResult:
     if c == 0:
         raise ValueError("J_c requires c != 0")
     str_powers = _even_str_powers(gp)
-    J = _w_sum(gp, c, str_powers).exp()
+    J = _w_sum(gp, series_mod.w_c(c, max(gp.max_power(), 2)), str_powers).exp()
     if order is None:
         order = gp.order
     elif not gp.purely_odd and order < gp.order:
@@ -193,15 +186,15 @@ def jacobian_Jc(gp: GenericPoint, c, order=None) -> JacobianResult:
     return JacobianResult(J, c, order, str_powers)
 
 
-def _w_sum(gp: GenericPoint, c, str_powers) -> SuperPolynomial:
-    """sum_k w_c[k] str_q (ad y)^k over the (k, supertrace) pairs."""
-    w = series_mod.w_c(c, max(gp.max_power(), 2))
-    acc = gp.table.zero()
-    for k, s in str_powers:
-        wk = w.coeff(k)
-        if wk != 0 and not s.is_zero():
-            acc = acc + s * wk
-    return acc
+def _w_sum(gp: GenericPoint, w: series_mod.TruncatedSeries1, str_powers) -> SuperPolynomial:
+    """sum_k w[k] str (ad y)^k over the (k, supertrace) pairs."""
+    table = gp.table
+    return sum_of_products(table, [(s, table.constant(w.coeff(k))) for k, s in str_powers])
+
+
+def _f_of_ad_y(gp: GenericPoint, f: series_mod.TruncatedSeries1) -> SuperMatrix:
+    """f(ad y) from the memoised powers of ad y, up to the nilpotency bound."""
+    return power_sum(f.coefficients[: gp.max_power() + 1], gp.ad_y_power)
 
 
 def jacobian_J2_q2(gp: GenericPoint) -> SuperPolynomial:
@@ -247,29 +240,14 @@ def jacobian_full_group(alg: LieSuperAlgebra, order: int = 6) -> SuperPolynomial
     x of g, computed as exp(str(w(ad x))) with w = log((1 - e^{-t})/t)."""
     gp = GenericPoint.full(alg, order)
     bound = gp.max_power()
-    r = series_mod.TruncatedSeries1(
-        [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(bound + 1)], bound
-    )
-    w = series_mod.log_of_one_plus(r - 1)
+    w = series_mod.log_of_one_plus(series_mod.one_minus_exp_neg_t_over_t(bound) - 1)
     ks = [k for k in range(1, bound + 1) if w.coeff(k) != 0]
-    acc = gp.table.zero()
-    for k, s in supertraces_of_powers(gp.ad_y(), ks).items():
-        if not s.is_zero():
-            acc = acc + s * w.coeff(k)
-    return acc.exp()
+    return _w_sum(gp, w, supertraces_of_powers(gp.ad_y(), ks).items()).exp()
 
 
 def jacobian_via_berezinian(gp: GenericPoint, r: series_mod.TruncatedSeries1) -> SuperPolynomial:
     """Cross-check route: Ber over q of r(ad y) by the block formula."""
-    bound = gp.max_power()
-    acc = SuperMatrix.identity(gp.table, gp.algebra.parities) * r.coeff(0)
-    for k in range(1, bound + 1):
-        rk = r.coeff(k)
-        if rk == 0:
-            continue
-        acc = acc + gp.ad_y_power(k) * rk
-    restricted = acc.restrict(gp.pair.q_indices)
-    return restricted.berezinian()
+    return _f_of_ad_y(gp, r).restrict(gp.pair.q_indices).berezinian()
 
 
 def sh_over_t_scaled(c, order) -> series_mod.TruncatedSeries1:
@@ -303,16 +281,12 @@ def apply_vector_field(gp: GenericPoint, field: dict, f: SuperPolynomial) -> Sup
     """The derivation attached to the field v = sum e_i z^i applied to f:
     sum_i (-1)^{p(v) p_i} z^i (d f / d x^i)."""
     pv = vector_field_parity(gp, field)
-    table = gp.table
-    out = table.zero()
     pos_of = {q_idx: pos for pos, q_idx in enumerate(gp.pair.q_indices)}
-    for i, comp in field.items():
-        if comp.is_zero():
-            continue
-        pos = pos_of[i]
-        sign = -1 if (pv * gp.algebra.parities[i]) % 2 else 1
-        out = out + comp * f.partial_derivative(pos) * sign
-    return out
+    return sum_of_products(gp.table, [
+        (-comp if (pv * gp.algebra.parities[i]) % 2 else comp, f.partial_derivative(pos_of[i]))
+        for i, comp in field.items()
+        if not comp.is_zero()
+    ])
 
 
 def divergence(gp: GenericPoint, field: dict) -> SuperPolynomial:
@@ -326,37 +300,18 @@ def divergence(gp: GenericPoint, field: dict) -> SuperPolynomial:
     convention).
     """
     table = gp.table
-    out = table.zero()
     pos_of = {q_idx: pos for pos, q_idx in enumerate(gp.pair.q_indices)}
-    for i, comp in field.items():
-        if comp.is_zero():
-            continue
-        pos = pos_of[i]
-        sign = -1 if gp.algebra.parities[i] == ODD else 1
-        out = out + comp.partial_derivative(pos) * sign
-    return out
+    return sum_of_products(table, [
+        (comp.partial_derivative(pos_of[i]), table.constant(-1 if gp.algebra.parities[i] == ODD else 1))
+        for i, comp in field.items()
+        if not comp.is_zero()
+    ])
 
 
 def series_of_ad_y(gp: GenericPoint, f: series_mod.TruncatedSeries1, element: dict) -> dict:
-    """The vector field f(ad y)(a) for a constant element a, via matrix
-    powers applied to a."""
-    table = gp.table
-    vec = {
-        i: (table.constant(c) if isinstance(c, (int, Fraction)) else c)
-        for i, c in element.items()
-    }
-    out = {}
-    bound = gp.max_power()
-    for k in range(0, bound + 1):
-        fk = f.coeff(k)
-        if fk == 0:
-            continue
-        image = apply_matrix(gp.ad_y_power(k), vec)
-        for i, comp in image.items():
-            term = comp * fk
-            acc = out.get(i)
-            acc = term if acc is None else acc + term
-            out[i] = acc
+    """The vector field f(ad y)(a) for a constant element a, the matrix
+    f(ad y) applied to a."""
+    out = apply_matrix(_f_of_ad_y(gp, f), element)
     return {i: c for i, c in out.items() if not c.is_zero()}
 
 
@@ -379,7 +334,7 @@ def str_q_of_ad_field(gp: GenericPoint, field: dict) -> SuperPolynomial:
 
 def str_w_of_ad_y(gp: GenericPoint, c) -> SuperPolynomial:
     """str over q of w_c(ad y), the logarithm of the Jacobian."""
-    return _w_sum(gp, c, _even_str_powers(gp))
+    return _w_sum(gp, series_mod.w_c(c, max(gp.max_power(), 2)), _even_str_powers(gp))
 
 
 def divergence_check(alg: LieSuperAlgebra, p: series_mod.TruncatedSeries1, a_index: int, order: int = 4) -> SuperPolynomial:
@@ -396,22 +351,12 @@ def divergence_check(alg: LieSuperAlgebra, p: series_mod.TruncatedSeries1, a_ind
     """
     gp = GenericPoint.full(alg, order + 1)
     field = series_of_ad_y(gp, p, {a_index: Fraction(1)})
-    lhs = divergence(gp, field) if field else gp.table.zero()
+    lhs = divergence(gp, field)
 
     # Phi(t) = (p(t) - p(0))/t, so the right side is -str(Phi(ad x) ad a)
     phi = (p - p.coeff(0)).divide_by_t()
     ada = ad_matrix(alg, {a_index: gp.table.one()}, gp.table)
-    acc_mat = None
-    for k in range(0, gp.max_power() + 1):
-        fk = phi.coeff(k)
-        if fk == 0:
-            continue
-        term = gp.ad_y_power(k) * fk
-        acc_mat = term if acc_mat is None else acc_mat + term
-    if acc_mat is None:
-        rhs = gp.table.zero()
-    else:
-        rhs = -1 * (acc_mat * ada).supertrace()
+    rhs = -1 * (_f_of_ad_y(gp, phi) * ada).supertrace()
     return truncate_even_degree(lhs - rhs, order)
 
 
@@ -436,14 +381,14 @@ def key_identity_check(gp: GenericPoint, c, a_index: int, order=None) -> SuperPo
     pair = work.pair
     field = twisted_vector_field(work, c, a_index)
     w_str = str_w_of_ad_y(work, c)
-    t1 = apply_vector_field(work, field, w_str) if field else work.table.zero()
-    t2 = divergence(work, field) if field else work.table.zero()
+    t1 = apply_vector_field(work, field, w_str)
+    t2 = divergence(work, field)
     if pair.in_h(a_index):
         theta = {a_index: work.table.one()}
     else:
         q_series = series_mod.q_c(c, work.max_power() + 1)
         theta = series_of_ad_y(work, q_series, {a_index: Fraction(1)})
-    t3 = str_q_of_ad_field(work, theta) if theta else work.table.zero()
+    t3 = str_q_of_ad_field(work, theta)
     residual = t1 + t2 - t3
     if not gp.purely_odd:
         residual = truncate_even_degree(residual, order)
@@ -460,15 +405,15 @@ def interior_product(gp: GenericPoint, f: SuperPolynomial, w: SuperPolynomial) -
     x^{i_1} ... x^{i_k} (ascending) acts as the composition with x^{i_k}
     applied first."""
     table = sq_table(gp.pair)
-    out = table.zero()
+    pairs = []
     for mono, coeff in f.terms.items():
         acc = w
         for pos in reversed(_monomial_to_word(mono)):
             acc = acc.partial_derivative(pos)
             if acc.is_zero():
                 break
-        out = out + acc * coeff
-    return out
+        pairs.append((acc, table.constant(coeff)))
+    return sum_of_products(table, pairs)
 
 
 def top_monomial(pair: SymmetricPair) -> SuperPolynomial:

@@ -20,12 +20,14 @@ sign bookkeeping lives in the supertrace and in how matrices are built.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
-from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, parity_of, sum_of_products
+from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, _power_table, parity_of, power_sum, sum_of_products
 
 
 def coefficient_parity(c) -> int:
@@ -222,7 +224,7 @@ class SymmetricPair:
 
     def sigma_sign(self, i: int) -> int:
         """+1 on h, -1 on q."""
-        return 1 if i in set(self.h_indices) else -1
+        return 1 if self.in_h(i) else -1
 
     def in_h(self, i: int) -> bool:
         return i >= len(self.q_indices)
@@ -380,11 +382,11 @@ class SuperMatrix:
 
     def supertrace(self) -> SuperPolynomial:
         """str X = sum_i (-1)^{p_i (p_i + p_X)} X_ii."""
-        acc = self.table.zero()
-        for i in range(self.size):
-            sign = -1 if (self.module_parities[i] * (self.module_parities[i] + self.op_parity)) % 2 else 1
-            acc = acc + self.entries[i][i] * sign
-        return acc
+        table = self.table
+        return sum_of_products(table, [
+            (self.entries[i][i], table.constant(-1 if (p * (p + self.op_parity)) % 2 else 1))
+            for i, p in enumerate(self.module_parities)
+        ])
 
     def restrict(self, indices) -> "SuperMatrix":
         indices = list(indices)
@@ -399,66 +401,33 @@ class SuperMatrix:
 
     def exp(self) -> "SuperMatrix":
         """exp of an operator whose entries vanish at zero (nilpotent)."""
-        for row in self.entries:
-            for e in row:
-                if e.evaluate_at_zero() != 0:
-                    raise ValueError("exp requires entries with zero constant term")
-        result = SuperMatrix.identity(self.table, self.module_parities)
-        power = SuperMatrix.identity(self.table, self.module_parities)
-        k = 1
-        while True:
-            power = power * self
-            if power.is_zero():
-                break
-            result = result + power * Fraction(1, math.factorial(k))
-            k += 1
-        return result
+        if any(e.evaluate_at_zero() != 0 for row in self.entries for e in row):
+            raise ValueError("exp requires entries with zero constant term")
+        coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
+        return power_sum(coeffs, _power_table(SuperMatrix.identity(self.table, self.module_parities), self))
 
     def determinant(self) -> SuperPolynomial:
         """Leibniz determinant; valid because all entries here are even."""
         n = self.size
+        table = self.table
         if n == 0:
-            return self.table.one()
-        acc = self.table.zero()
+            return table.one()
+        pairs = []
         for perm in itertools.permutations(range(n)):
-            sign = _perm_sign(perm)
-            prod = self.table.one()
-            zero = False
-            for i in range(n):
-                e = self.entries[i][perm[i]]
-                if e.is_zero():
-                    zero = True
-                    break
-                prod = prod * e
-            if zero:
-                continue
-            acc = acc + prod * sign
-        return acc
+            factors = [self.entries[i][perm[i]] for i in range(n)]
+            if not any(e.is_zero() for e in factors):
+                pairs.append((functools.reduce(mul, factors[:-1], table.constant(_perm_sign(perm))), factors[-1]))
+        return sum_of_products(table, pairs)
 
     def _neumann_inverse(self) -> "SuperMatrix":
         """Exact inverse: invert the constant part over Q, then sum the
         Neumann series of the augmentation remainder."""
-        const = self.constant_part()
-        inv_const_rows = linalg.invert(const)
         table = self.table
-        inv0 = SuperMatrix(
-            table,
-            self.module_parities,
-            [[table.constant(c) for c in row] for row in inv_const_rows],
-            EVEN,
-            check=False,
-        )
+        rows = [[table.constant(c) for c in row] for row in linalg.invert(self.constant_part())]
+        inv0 = SuperMatrix(table, self.module_parities, rows, EVEN, check=False)
         n_part = inv0 * self.augmentation_part()
-        result = SuperMatrix.identity(table, self.module_parities)
-        power = SuperMatrix.identity(table, self.module_parities)
-        sign = 1
-        while True:
-            power = power * n_part
-            sign = -sign
-            if power.is_zero():
-                break
-            result = result + power * sign
-        return result * inv0
+        one = SuperMatrix.identity(table, self.module_parities)
+        return power_sum(itertools.cycle((1, -1)), _power_table(one, n_part)) * inv0
 
     def berezinian(self) -> SuperPolynomial:
         """Ber X = det(A - B D^{-1} C) det(D)^{-1} for even invertible X,
@@ -488,23 +457,20 @@ class SuperMatrix:
         d_inv = d._neumann_inverse()
         b_rows = block(ev, od)
         c_rows = block(od, ev)
-        # Schur complement A - B D^{-1} C, assembled entrywise.
+        # Schur complement A - (B D^{-1}) C, one sum_of_products per entry.
         n_e, n_o = len(ev), len(od)
-        schur_rows = []
-        for i in range(n_e):
-            row = []
-            for j in range(n_e):
-                acc = a.entries[i][j]
-                for k in range(n_o):
-                    for m in range(n_o):
-                        t1 = b_rows[i][k]
-                        t2 = d_inv.entries[k][m]
-                        t3 = c_rows[m][j]
-                        if t1.is_zero() or t2.is_zero() or t3.is_zero():
-                            continue
-                        acc = acc - t1 * t2 * t3
-                row.append(acc)
-            schur_rows.append(row)
+        bd = [
+            [sum_of_products(table, [(b_rows[i][k], d_inv.entries[k][m]) for k in range(n_o)]) for m in range(n_o)]
+            for i in range(n_e)
+        ]
+        one = table.one()
+        schur_rows = [
+            [
+                sum_of_products(table, [(a.entries[i][j], one)] + [(bd[i][m], -c_rows[m][j]) for m in range(n_o)])
+                for j in range(n_e)
+            ]
+            for i in range(n_e)
+        ]
         schur = SuperMatrix(table, [EVEN] * n_e, schur_rows, EVEN, check=False)
         return schur.determinant() * det_d.inverse()
 

@@ -306,6 +306,11 @@ def sinh_over_t(order) -> TruncatedSeries1:
     )
 
 
+def one_minus_exp_neg_t_over_t(order) -> TruncatedSeries1:
+    """(1 - e^{-t})/t, coefficients (-1)^k/(k+1)!."""
+    return TruncatedSeries1([Fraction((-1) ** k, math.factorial(k + 1)) for k in range(order + 1)], order)
+
+
 def cosh_series(order) -> TruncatedSeries1:
     return TruncatedSeries1(
         [Fraction(1, math.factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(order + 1)],
@@ -618,11 +623,7 @@ def exp_jacobian_identity_residual(order) -> TruncatedSeries1:
     w = log((1 - e^{-t})/t); identically zero, and the reason the full
     exponential-map Jacobian formula closes."""
     p = t_over_exp_minus_one(order + 1)
-    # r = (1 - e^{-t})/t
-    r = TruncatedSeries1(
-        [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(order + 2)], order + 1
-    )
-    w = log_of_one_plus(r - 1)
+    w = log_of_one_plus(one_minus_exp_neg_t_over_t(order + 1) - 1)
     lhs = w.derivative() * p.coeff(0)
     rhs = (p - p.coeff(0)).divide_by_t()
     return lhs - rhs

@@ -23,11 +23,18 @@ the sign of a single monomial product (``_koszul``), which the left
 derivative and the coproduct of S(q) use; no other module counts crossings
 of odd letters.
 
+Every power series in a nilpotent ``SuperPolynomial`` or ``SuperMatrix``
+(``exp``, ``inverse``, the Neumann series of a matrix, ``f(ad y)`` at a
+generic point) is summed by :func:`power_sum`, from its coefficients and a
+function k -> x^k, so kept powers (``GenericPoint.ad_y_power``) are reused;
+each entry of the sum is one ``sum_of_products``.
+
 All values are immutable; a table can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -272,16 +279,8 @@ class SuperPolynomial:
         """exp of a polynomial with zero constant term (nilpotent, exact)."""
         if self.evaluate_at_zero() != 0:
             raise ValueError("exp is only defined for zero constant term")
-        result = self.table.one()
-        power = self.table.one()
-        k = 1
-        while True:
-            power = power * self
-            if power.is_zero():
-                break
-            result = result + power * Fraction(1, math.factorial(k))
-            k += 1
-        return result
+        coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
+        return power_sum(coeffs, _power_table(self.table.one(), self))
 
     def inverse(self) -> "SuperPolynomial":
         """Inverse of a polynomial whose constant term is invertible.
@@ -293,16 +292,7 @@ class SuperPolynomial:
         if c0 == 0:
             raise ZeroDivisionError("constant term is zero; not invertible")
         e = self * (Fraction(1) / c0) - 1  # augmentation part, nilpotent
-        result = self.table.one()
-        power = self.table.one()
-        sign = 1
-        while True:
-            power = power * e
-            sign = -sign
-            if power.is_zero():
-                break
-            result = result + power * sign
-        return result * (Fraction(1) / c0)
+        return power_sum(itertools.cycle((1, -1)), _power_table(self.table.one(), e)) * (Fraction(1) / c0)
 
     # -- rendering ----------------------------------------------------------
 
@@ -420,6 +410,45 @@ def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
                     del acc[m]
     den = left_den * right_den
     return SuperPolynomial._from_clean(table, {m: Fraction(v, den) for m, v in acc.items()})
+
+
+def power_sum(coeffs, power):
+    """c_0 x^0 + c_1 x^1 + ... for a nilpotent SuperPolynomial or SuperMatrix
+    x, the powers given as ``power(k) = x^k``.
+
+    A power is asked for only when its coefficient is nonzero, in increasing
+    k, and the sum stops at the first one that is zero or when ``coeffs``
+    runs out.  Each entry of the sum is one ``sum_of_products`` of the kept
+    powers with their coefficients as constants.
+    """
+    one = power(0)
+    table = one.table
+    powers, consts = [], []
+    for k, c in enumerate(coeffs):
+        if c:
+            p = power(k)
+            if p.is_zero():
+                break
+            powers.append(p)
+            consts.append(table.constant(c))
+    if isinstance(one, SuperPolynomial):
+        return sum_of_products(table, zip(powers, consts))
+    n = one.size
+    rows = [
+        [sum_of_products(table, [(p.entries[i][j], c) for p, c in zip(powers, consts)]) for j in range(n)]
+        for i in range(n)
+    ]
+    return type(one)(table, one.module_parities, rows, one.op_parity, check=False)
+
+
+def _power_table(one, x):
+    """k -> x^k with x^0 = one, each power formed once from the one below."""
+
+    @functools.cache
+    def power(k):
+        return one if k == 0 else power(k - 1) * x
+
+    return power
 
 
 def truncate_even_degree(p: SuperPolynomial, order: int) -> SuperPolynomial:

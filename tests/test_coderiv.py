@@ -405,6 +405,21 @@ class TestTheta:
                 ok, witness = cd.check_theta_vs_induced(pair, chi, 2)
                 assert ok, (name, witness)
 
+    def test_induced_action_builds_one_factorization(self, monkeypatch):
+        # a sum of monomials of several degrees is refactored through one
+        # Factorization, and the action stays linear in w
+        alg, pair = catalog("osp12")
+        chi = cd.Character.supertrace_on_quotient(pair)
+        table = cd.sq_table(pair)
+        monos = sq_monos(pair, 2)
+        w = SuperPolynomial(table, {m: Fraction(k + 1, 2) for k, m in enumerate(monos)})
+        singles = [cd.induced_action(pair, chi, 0, SuperPolynomial(table, {m: c})) for m, c in w.terms.items()]
+        built = []
+        real = cd.factorization
+        monkeypatch.setattr(cd, "factorization", lambda p, bound: built.append(bound) or real(p, bound))
+        assert cd.induced_action(pair, chi, 0, w) == sum(singles, table.zero())
+        assert built == [w.total_degree() + 1]
+
     def test_matches_induced_nontrivial_character(self):
         alg = LieSuperAlgebra(["y", "x"], [0, 0], {(0, 1): {0: Fraction(-1)}})
         pair = SymmetricPair(alg, [1])

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersym import coderiv as cd
 from supersym import enveloping as env
@@ -10,9 +11,10 @@ from supersym import jacobian as jac
 from supersym import liealg, series
 from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
-from supersym.superpoly import ODD, SuperPolynomial
+from supersym.liealg import SuperMatrix, apply_matrix
+from supersym.superpoly import ODD, SuperPolynomial, power_sum
 
-from conftest import diagonal_pair, gl_pair, osp14_pair as _osp14
+from conftest import ORACLE_PAIRS, diagonal_pair, gl_pair, osp14_pair as _osp14
 
 
 def smono(alg, *pairs):
@@ -611,3 +613,54 @@ class TestAnticentre:
             sign = -1 if alg.parities[a] * (pt + 1) % 2 else 1
             assert ja * T == (T * ja).scale(sign), alg.names[a]
             assert ja * square == square * ja, alg.names[a]
+
+
+_POINTS = {}
+
+
+def _oracle_point(label):
+    """One generic point per ORACLE_PAIRS pair, at order 4, kept across
+    examples so its powers of ad y are formed once."""
+    if label not in _POINTS:
+        _POINTS[label] = jac.GenericPoint(ORACLE_PAIRS[label](), 4)
+    return _POINTS[label]
+
+
+def f_of_ad_y_by_loop(gp, f):
+    """The term-by-term loop that ``power_sum`` replaced in
+    ``jacobian_via_berezinian``: identity * f_0 plus f_k (ad y)^k."""
+    acc = SuperMatrix.identity(gp.table, gp.algebra.parities) * f.coeff(0)
+    for k in range(1, gp.max_power() + 1):
+        if f.coeff(k) != 0:
+            acc = acc + gp.ad_y_power(k) * f.coeff(k)
+    return acc
+
+
+def series_of_ad_y_by_loop(gp, f, element):
+    """The loop that ``series_of_ad_y`` ran before: each power applied to
+    the element, the images added one term at a time."""
+    vec = {i: gp.table.constant(c) for i, c in element.items()}
+    out = {}
+    for k in range(gp.max_power() + 1):
+        if f.coeff(k) != 0:
+            for i, comp in apply_matrix(gp.ad_y_power(k), vec).items():
+                out[i] = out[i] + comp * f.coeff(k) if i in out else comp * f.coeff(k)
+    return {i: c for i, c in out.items() if not c.is_zero()}
+
+
+class TestPowerSumOfAdY:
+    """f(ad y) through ``power_sum`` over the memoised powers against the
+    term-by-term loops it replaced, for random series f."""
+
+    @pytest.mark.parametrize("label", sorted(ORACLE_PAIRS))
+    @given(st.lists(st.fractions(max_denominator=7, min_value=-5, max_value=5), min_size=1, max_size=10))
+    @settings(max_examples=25, deadline=None)
+    def test_against_the_term_by_term_loops(self, label, coeffs):
+        gp = _oracle_point(label)
+        f = series.TruncatedSeries1(coeffs, len(coeffs) - 1)
+        want = f_of_ad_y_by_loop(gp, f)
+        assert power_sum(f.coefficients[: gp.max_power() + 1], gp.ad_y_power) == want
+        if f.coeff(0) != 0:  # the q block is invertible at zero
+            assert jac.jacobian_via_berezinian(gp, f) == want.restrict(gp.pair.q_indices).berezinian()
+        for a in range(gp.algebra.dim):
+            assert jac.series_of_ad_y(gp, f, {a: 1}) == series_of_ad_y_by_loop(gp, f, {a: 1})

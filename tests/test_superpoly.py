@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from supersym.superpoly import (
     VariableTable,
     _koszul,
     exhaustive_monomials,
+    power_sum,
     sum_of_products,
     truncate_even_degree,
 )
@@ -449,3 +451,62 @@ class TestKoszulSign:
             sign = -1 if table.parities[i] == ODD and crossings % 2 else 1
             expected = expected + SuperPolynomial(table, {rest: coeff * mono[i] * sign})
         assert p.partial_derivative(i).terms == expected.terms
+
+
+def oracle_power_sum(coeffs, x, one):
+    """The term-by-term loop that ``power_sum`` replaced: add c_k x^k while
+    the power is nonzero, one ``+`` per term."""
+    result = one * 0
+    power = one
+    for c in coeffs:
+        if power.is_zero():
+            break
+        result = result + power * c
+        power = power * x
+    return result
+
+
+@st.composite
+def nilpotent_polys(draw):
+    """A table and a polynomial on it with zero constant term."""
+    table = draw(tables())
+    x = draw(polys(table))
+    return table, x - x.evaluate_at_zero()
+
+
+class TestPowerSum:
+    @given(nilpotent_polys(), st.lists(coefficients | st.just(Fraction(0)), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_term_by_term_loop(self, tx, coeffs):
+        table, x = tx
+        got = power_sum(coeffs, lambda k: x ** k)
+        assert got == oracle_power_sum(coeffs, x, table.one())
+
+    @given(nilpotent_polys(), coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_exp_and_inverse_match_their_loops(self, tx, c0):
+        table, x = tx
+        exp_coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
+        assert x.exp() == oracle_power_sum(exp_coeffs, x, table.one())
+        # (c0 + x)^-1 = c0^-1 sum_k (-x/c0)^k
+        inv_c0 = Fraction(1) / c0
+        inverse = oracle_power_sum(itertools.cycle((1, -1)), x * inv_c0, table.one()) * inv_c0
+        assert (x + c0).inverse() == inverse
+        assert (x + c0) * inverse == table.one()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_sum_matches_the_term_by_term_loop(self, data):
+        table = data.draw(tables())
+        n = data.draw(st.integers(1, 3))
+        rows = [[data.draw(polys(table, 3)) for _ in range(n)] for _ in range(n)]
+        rows = [[p - p.evaluate_at_zero() for p in row] for row in rows]
+        x = SuperMatrix(table, [EVEN] * n, rows, check=False)
+        one = SuperMatrix.identity(table, [EVEN] * n)
+        coeffs = data.draw(st.lists(coefficients | st.just(Fraction(0)), max_size=6))
+        powers = [one]
+        while len(powers) < len(coeffs):
+            powers.append(powers[-1] * x)
+        assert power_sum(coeffs, powers.__getitem__) == oracle_power_sum(coeffs, x, one)
+        exp_coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
+        assert x.exp() == oracle_power_sum(exp_coeffs, x, one)

@@ -5,9 +5,9 @@ outputs, one set of files per command.
 
 SRC_DIR is a checkout (its ``src/`` is put on PYTHONPATH and commands run
 from it, so ``algebras/*.alg`` resolve there).  For every command,
-OUT_DIR receives ``<name>.stdout``, ``<name>.exit`` and, when the command
-wrote one, ``<name>.tsv`` (its ``--emit`` report).  Two checkouts give
-byte-identical outputs exactly when
+OUT_DIR receives ``<name>.stdout``, ``<name>.stderr``, ``<name>.exit``
+and, when the command wrote one, ``<name>.tsv`` (its ``--emit`` report).
+Two checkouts give byte-identical outputs exactly when
 
     diff -r OUT_A OUT_B
 
@@ -59,11 +59,13 @@ def run(src_dir, out_dir):
             cwd=src_dir,
             env=env,
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
             check=False,
         )
         with open(base + ".stdout", "wb") as fh:
             fh.write(proc.stdout)
+        with open(base + ".stderr", "wb") as fh:
+            fh.write(proc.stderr)
         with open(base + ".exit", "w") as fh:
             fh.write(f"{proc.returncode}\n")
         print(f"{proc.returncode}  {name}", flush=True)
