@@ -26,15 +26,13 @@ the last two apply the operators of a Lie-generating set only
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
-from operator import sub
 
 from . import linalg
 from .enveloping import (
     PbwElement,
-    _first_letters,
+    _first_letter_sum,
+    _form,
     _monomial_to_word,
     factorization,
     symmetrize,
@@ -47,7 +45,7 @@ from .superpoly import (
     ODD,
     SuperPolynomial,
     VariableTable,
-    _koszul,
+    coproduct_terms,
     exhaustive_monomials,
     sum_of_products,
 )
@@ -82,20 +80,9 @@ def sq_monomial_letters(pair, mono):
 
 
 def sq_coproduct(pair, w: SuperPolynomial) -> dict:
-    """Coproduct of S(q), as {(monomial, monomial): Fraction}:
-
-        Delta(x^m) = sum_{k <= m} prod_i C(m_i, k_i) (Koszul sign) x^(m-k) (x) x^k,
-
-    the sign being the one that reorders x^(m-k) x^k into x^m.  Keys come
-    monomial by monomial of ``w``, each with its k in lexicographic order.
-    """
-    parities = sq_table(pair).parities
-    out = {}
-    for mono, coeff in w.terms.items():
-        for k in itertools.product(*(range(e + 1) for e in mono)):
-            rest = tuple(map(sub, mono, k))
-            out[rest, k] = coeff * (math.prod(map(math.comb, mono, k)) * _koszul(parities, rest, k))
-    return out
+    """Coproduct of S(q), as {(monomial, monomial): Fraction}, in the key
+    order of ``superpoly.coproduct_terms``."""
+    return coproduct_terms(sq_table(pair).parities, w.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -110,30 +97,29 @@ def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, l
 
     Grouping the orderings by their outermost letter gives
     S(w)(a) = sum_k eps_k [w_k, S(w without position k)(a)], with equal
-    (letter, sub-word) terms merged (``enveloping._first_letters``); each
+    (letter, sub-word) terms merged (``enveloping._first_letter_sum``); each
     sub-word is evaluated once, so the cost is the number of distinct
     sub-words rather than n!.  The nests do not depend on p, so calls may
-    share them through ``nests`` ({word: S(word)(a)}, seeded with () -> a).
+    share them through ``nests`` ({word: S(word)(a)}, seeded with () -> a),
+    whose values are integer forms (``enveloping._combine``) over the
+    integer bracket table; p_n multiplies the result once.
     """
     alg = pair.algebra
     letters = tuple(letters)
     pn = series.coeff(len(letters))
     if pn == 0:
         return {}
-    memo = {(): {i: c for i, c in a_element.items() if c}} if nests is None else nests
+    memo = {(): _form({i: c for i, c in a_element.items() if c})} if nests is None else nests
+    brackets, bden = alg.int_brackets, alg.bracket_den
 
     def nested(word):
         value = memo.get(word)
         if value is None:
-            value = {}
-            for (letter, rest), count in _first_letters(alg.parities, word).items():
-                for i, c in alg.bracket({letter: Fraction(count)}, nested(rest)).items():
-                    value[i] = value.get(i, 0) + c
-            memo[word] = value = {i: c for i, c in value.items() if c}
+            value = memo[word] = _first_letter_sum(alg.parities, word, nested, lambda k, i: (bden, brackets[k][i]))
         return value
 
-    out = nested(letters)
-    return {i: out[i] * pn for i in sorted(out)}
+    den, out = nested(letters)
+    return {i: Fraction(out[i] * pn.numerator, den * pn.denominator) for i in sorted(out)}
 
 
 def _h_derivation(pair: SymmetricPair, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
@@ -162,7 +148,7 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
     if pair.in_h(a_index):
         return _h_derivation(pair, a_index, w)
     a_element = {a_index: Fraction(1)}
-    memo = nests.setdefault(a_index, {(): a_element})
+    memo = nests.setdefault(a_index, {(): (1, {a_index: 1})})
     pairs = []
     for (leg1, leg2), coeff in sq_coproduct(pair, w).items():
         value = apply_radx(pair, series, a_element, sq_monomial_letters(pair, leg1), memo)

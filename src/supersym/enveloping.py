@@ -3,9 +3,13 @@
 A PBW monomial is an exponent tuple over the ordered basis of g (odd
 exponents at most 1); an element is a finite coefficient map from such
 monomials.  Coefficients are rational (ints or Fractions; the constructor
-refuses anything else), so they commute with every letter.  Every sum
-c_1 terms_1 + ... + c_k terms_k in the module goes through one kernel,
-``_combine``, which accumulates ints over a common denominator.
+refuses anything else), so they commute with every letter.  Inside the
+module a linear combination is a form (den, {key: int}), the ints over one
+positive denominator: the memoised products (``_letter_product``,
+``_monomial_product``) and symmetrizations (``_symmetrized``) are stored so,
+and every sum of forms goes through one kernel, ``_combine``, with int
+scalars over one more denominator.  Fractions are built only where an
+element leaves the module (``PbwElement.terms``, coordinates).
 
 Normal ordering rewrites a word by repeatedly fixing the leftmost
 violation: an adjacent repeated odd letter collapses through
@@ -36,7 +40,7 @@ import math
 from fractions import Fraction
 
 from .liealg import LieSuperAlgebra, SymmetricPair
-from .superpoly import EVEN, ODD, exhaustive_monomials
+from .superpoly import EVEN, ODD, coproduct_terms, exhaustive_monomials
 
 
 def _monomial_to_word(mono):
@@ -94,73 +98,83 @@ def normal_form(alg: LieSuperAlgebra, word, coeff=Fraction(1), choose=None):
 
 
 def _monomial_product(alg: LieSuperAlgebra, m1, m2):
-    """e^m1 e^m2 in normal order, {monomial: Fraction}, memoised per algebra
-    under (m1, m2); the letters of m1 go in one at a time, last first, so
-    the first letter is multiplied into the memoised product of the rest."""
+    """e^m1 e^m2 in normal order as a form, memoised per algebra under
+    (m1, m2); the letters of m1 go in one at a time, last first, so the
+    first letter is multiplied into the memoised product of the rest."""
     key = (m1, m2)
     acc = alg._mono_product_cache.get(key)
     if acc is None:
         i = next((k for k, e in enumerate(m1) if e), None)  # first letter of e^m1
         if i is None:
-            acc = {m2: Fraction(1)}
+            acc = (1, {m2: 1})
         else:
             rest = m1[:i] + (m1[i] - 1,) + m1[i + 1 :]
-            prefix = _monomial_product(alg, rest, m2)
-            acc = _combine([(c, _letter_product(alg, i, m)) for m, c in prefix.items()])
+            den, prefix = _monomial_product(alg, rest, m2)
+            acc = _combine([(c, _letter_product(alg, i, m)) for m, c in prefix.items()], den)
         alg._mono_product_cache[key] = acc
     return acc
 
 
 def _letter_product(alg: LieSuperAlgebra, i, m):
-    """e_i e^m in normal order, memoised per algebra under (i, m), by the
-    letter-insertion rules of the module docstring."""
+    """e_i e^m in normal order as a form, memoised per algebra under (i, m),
+    by the letter-insertion rules of the module docstring; the bracket
+    constants are ``alg.int_brackets`` over ``alg.bracket_den``."""
     key = (i, m)
     out = alg._mono_product_cache.get(key)
     if out is None:
         parities = alg.parities
         j = next((k for k, e in enumerate(m) if e), alg.dim)  # first letter of e^m
         if i < j or (i == j and parities[i] != ODD):
-            out = {m[:i] + (m[i] + 1,) + m[i + 1 :]: Fraction(1)}
+            out = (1, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1})
         else:
             rest = m[:j] + (m[j] - 1,) + m[j + 1 :]
-            pairs = []
-            if i > j:
+            bden, brackets = alg.bracket_den, alg.int_brackets[i][j].items()
+            if i == j:  # odd square: e e = (1/2)[e, e]
+                out = _combine([(c, _letter_product(alg, k, rest)) for k, c in brackets], 2 * bden)
+            else:
                 sign = -1 if parities[i] == ODD and parities[j] == ODD else 1
-                swapped = _letter_product(alg, i, rest)
-                pairs = [(sign * c, _letter_product(alg, j, n)) for n, c in swapped.items()]
-            for k, c in alg.bracket_basis(i, j).items():
-                pairs.append((c / 2 if i == j else c, _letter_product(alg, k, rest)))
-            out = _combine(pairs)
+                den, swapped = _letter_product(alg, i, rest)
+                pairs = [(sign * bden * c, _letter_product(alg, j, n)) for n, c in swapped.items()]
+                pairs += [(den * c, _letter_product(alg, k, rest)) for k, c in brackets]
+                out = _combine(pairs, den * bden)
         alg._mono_product_cache[key] = out
     return out
 
 
-def _combine(pairs) -> dict:
-    """c_1 terms_1 + ... + c_k terms_k for (c, terms) pairs with rational
-    scalars c and {key: nonzero rational} dicts terms, as {key: Fraction}.
+def _combine(pairs, den=1) -> tuple:
+    """(s_1 f_1 + ... + s_k f_k) / den for (s, f) pairs of int scalars s and
+    forms f = (d, {key: nonzero int}), as a form in lowest terms.
 
-    Every scalar is scaled to the lcm of the scalar denominators and every
-    coefficient to the lcm of the coefficient denominators, so the products
-    accumulate as plain ints; a key whose running sum reaches zero leaves
-    the dict, so the keys come in the order of the term-by-term sum.  One
-    normalised Fraction is built per surviving key.
+    Every form is scaled to the lcm of the d, so the products accumulate as
+    plain ints; a key whose running sum reaches zero leaves the dict, so the
+    keys come in the order of the term-by-term sum.
     """
-    pairs = [(c, terms) for c, terms in pairs if c and terms]
-    if not pairs:
-        return {}
-    scalar_den = math.lcm(*(c.denominator for c, _ in pairs))
-    coeff_den = math.lcm(*(v.denominator for _, terms in pairs for v in terms.values()))
+    pairs = [(s, f) for s, f in pairs if s and f[1]]
+    lcm = math.lcm(*(d for _, (d, _) in pairs))
     acc = {}
-    for c, terms in pairs:
-        c = c.numerator * (scalar_den // c.denominator)
+    for s, (d, terms) in pairs:
+        s *= lcm // d
         for key, v in terms.items():
-            s = acc.get(key, 0) + c * v.numerator * (coeff_den // v.denominator)
-            if s:
-                acc[key] = s
+            t = acc.get(key, 0) + s * v
+            if t:
+                acc[key] = t
             else:
                 del acc[key]
-    den = scalar_den * coeff_den
-    return {key: Fraction(s, den) for key, s in acc.items()}
+    den *= lcm
+    g = math.gcd(den, *acc.values())
+    if g > 1:
+        return den // g, {key: v // g for key, v in acc.items()}
+    return den, acc
+
+
+def _form(terms) -> tuple:
+    """{key: rational} as a form, over the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in terms.values()))
+    return den, {key: v.numerator * (den // v.denominator) for key, v in terms.items()}
+
+
+def _fractions(form) -> dict:
+    return {key: Fraction(v, form[0]) for key, v in form[1].items()}
 
 
 def monomial_parity(alg: LieSuperAlgebra, mono) -> int:
@@ -204,20 +218,16 @@ class PbwElement:
     @classmethod
     def from_element(cls, alg, element: dict):
         """Canonical injection of g (an index -> coefficient dict)."""
-        terms = {}
-        for i, c in element.items():
-            mono = tuple(1 if j == i else 0 for j in range(alg.dim))
-            terms[mono] = c
-        return cls(alg, terms)
+        return cls(alg, {tuple(1 if j == i else 0 for j in range(alg.dim)): c for i, c in element.items()})
 
     @classmethod
     def from_word(cls, alg, word, coeff=Fraction(1)):
         """coeff times the product of the letters of ``word``, inserted one
         at a time from the last (``_letter_product``)."""
-        terms = cls.from_scalar(alg, coeff).terms
+        den, terms = _form(cls.from_scalar(alg, coeff).terms)
         for i in reversed(word):
-            terms = _combine([(c, _letter_product(alg, i, m)) for m, c in terms.items()])
-        return cls(alg, terms)
+            den, terms = _combine([(c, _letter_product(alg, i, m)) for m, c in terms.items()], den)
+        return cls(alg, _fractions((den, terms)))
 
     # -- structure -----------------------------------------------------------
 
@@ -247,7 +257,7 @@ class PbwElement:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return PbwElement(self.alg, _combine([(1, self.terms), (1, other.terms)]))
+        return PbwElement(self.alg, _fractions(_combine([(1, _form(self.terms)), (1, _form(other.terms))])))
 
     __radd__ = __add__
 
@@ -273,11 +283,10 @@ class PbwElement:
         other = self._coerce(other)
         self._check(other)
         alg = self.alg
-        return PbwElement(alg, _combine([
-            (c1 * c2, _monomial_product(alg, m1, m2))
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-        ]))
+        (d1, left), (d2, right) = _form(self.terms), _form(other.terms)
+        return PbwElement(alg, _fractions(_combine([
+            (c1 * c2, _monomial_product(alg, m1, m2)) for m1, c1 in left.items() for m2, c2 in right.items()
+        ], d1 * d2)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -331,32 +340,23 @@ class PbwElement:
 
 def tensor_mul_pbw(alg, left: dict, right: dict) -> dict:
     """Product in U(g) (x) U(g) of tensors given as {(m1, m2): coeff}."""
+    (dl, left), (dr, right) = _form(left), _form(right)
     pairs = []
     for (a1, a2), c1 in left.items():
         for (b1, b2), c2 in right.items():
             sign = -1 if (monomial_parity(alg, a2) * monomial_parity(alg, b1)) % 2 else 1
-            second = _monomial_product(alg, a2, b2)
-            for m1, d1 in _monomial_product(alg, a1, b1).items():
-                pairs.append((c1 * c2 * sign * d1, {(m1, m2): d2 for m2, d2 in second.items()}))
-    return _combine(pairs)
+            d2, second = _monomial_product(alg, a2, b2)
+            d1, first = _monomial_product(alg, a1, b1)
+            for m1, e1 in first.items():
+                pairs.append((c1 * c2 * sign * e1, (d1 * d2, {(m1, m2): e2 for m2, e2 in second.items()})))
+    return _fractions(_combine(pairs, dl * dr))
 
 
 def coproduct(u: PbwElement) -> dict:
-    """Hopf coproduct, as {(monomial, monomial): Fraction}.
-
-    Determined by primitivity of the basis letters and multiplicativity.
-    """
-    alg = u.alg
-    unit = (0,) * alg.dim
-    pairs = []
-    for mono, coeff in u.terms.items():
-        state = {(unit, unit): Fraction(1)}
-        for letter in _monomial_to_word(mono):
-            lm = tuple(1 if j == letter else 0 for j in range(alg.dim))
-            primitive = {(lm, unit): Fraction(1), (unit, lm): Fraction(1)}
-            state = tensor_mul_pbw(alg, state, primitive)
-        pairs.append((coeff, state))
-    return _combine(pairs)
+    """Hopf coproduct, as {(monomial, monomial): coefficient}.  The letters
+    are primitive, and those of a PBW monomial increase, so their product
+    in U(g) (x) U(g) needs no bracket: ``superpoly.coproduct_terms``."""
+    return coproduct_terms(u.alg.parities, u.terms)
 
 
 def antipode(u: PbwElement) -> PbwElement:
@@ -366,27 +366,14 @@ def antipode(u: PbwElement) -> PbwElement:
     (-1)^{k(k-1)/2} of reversing its k odd letters.
     """
     alg = u.alg
+    den, terms = _form(u.terms)
     pairs = []
-    for mono, coeff in u.terms.items():
+    for mono, coeff in terms.items():
         word = _monomial_to_word(mono)
         k = sum(e for e, p in zip(mono, alg.parities) if p == ODD)
         sign = -1 if (k * (k - 1) // 2 + len(word)) % 2 else 1
-        pairs.append((coeff * sign, PbwElement.from_word(alg, word[::-1]).terms))
-    return PbwElement(alg, _combine(pairs))
-
-
-def _first_letters(parities, word) -> dict:
-    """{(w_k, w without position k): summed eps_k} over the positions k,
-    zero sums dropped; eps_k = -1 exactly when w_k is odd and an odd number
-    of odd letters precede it (the Koszul sign of moving w_k to the front)."""
-    merged = {}
-    odd_before = 0
-    for k, letter in enumerate(word):
-        odd = parities[letter] == ODD
-        key = (letter, word[:k] + word[k + 1 :])
-        merged[key] = merged.get(key, 0) + (-1 if odd and odd_before % 2 else 1)
-        odd_before += odd
-    return {key: n for key, n in merged.items() if n}
+        pairs.append((coeff * sign, _form(PbwElement.from_word(alg, word[::-1]).terms)))
+    return PbwElement(alg, _fractions(_combine(pairs, den)))
 
 
 def symmetrize_word(alg: LieSuperAlgebra, word) -> PbwElement:
@@ -396,35 +383,48 @@ def symmetrize_word(alg: LieSuperAlgebra, word) -> PbwElement:
 
     Grouping the orderings by their first letter gives
     beta(w) = (1/n) sum_k eps_k w_k beta(w without position k), with equal
-    (letter, sub-word) terms merged (``_first_letters``); every sub-word's
+    (letter, sub-word) terms merged (``_first_letter_sum``); every sub-word's
     value is memoised per algebra, so the cost is the number of distinct
     sub-words rather than n!.
     """
-    return PbwElement(alg, _symmetrized(alg, tuple(word)))
+    return PbwElement(alg, _fractions(_symmetrized(alg, tuple(word))))
 
 
-def _symmetrized(alg: LieSuperAlgebra, word) -> dict:
+def _symmetrized(alg: LieSuperAlgebra, word) -> tuple:
+    """beta(word) as a form, memoised per algebra."""
     result = alg._symmetrize_cache.get(word)
-    if result is not None:
-        return result
-    if not word:
-        result = {(0,) * alg.dim: Fraction(1)}
-    else:
-        n = len(word)
-        acc = _combine([
-            (c * count / n, _letter_product(alg, letter, m))
-            for (letter, rest), count in _first_letters(alg.parities, word).items()
-            for m, c in _symmetrized(alg, rest).items()
-        ])
-        result = {m: acc[m] for m in sorted(acc, key=lambda m: (sum(m), m))}
-    alg._symmetrize_cache[word] = result
+    if result is None:
+        value, product = functools.partial(_symmetrized, alg), functools.partial(_letter_product, alg)
+        den, acc = _first_letter_sum(alg.parities, word, value, product, len(word)) if word else (1, {(0,) * alg.dim: 1})
+        result = alg._symmetrize_cache[word] = (den, {m: acc[m] for m in sorted(acc, key=lambda m: (sum(m), m))})
     return result
+
+
+def _first_letter_sum(parities, word, value, product, den=1) -> tuple:
+    """(1/den) sum_k eps_k product(w_k, value(w without position k)), for
+    ``value`` giving forms and ``product(letter, key)`` a form per key of
+    them.  eps_k = -1 exactly when w_k is odd and an odd number of odd
+    letters precede it (the Koszul sign of moving w_k to the front); equal
+    (letter, sub-word) terms are merged first, zero sums dropped."""
+    merged, odd_before = {}, 0
+    for k, letter in enumerate(word):
+        odd = parities[letter] == ODD
+        key = (letter, word[:k] + word[k + 1 :])
+        merged[key] = merged.get(key, 0) + (-1 if odd and odd_before % 2 else 1)
+        odd_before += odd
+    subs = [(letter, count, value(rest)) for (letter, rest), count in merged.items() if count]
+    lcm = math.lcm(*(d for _, _, (d, _) in subs))
+    return _combine([
+        (count * c * (lcm // d), product(letter, key)) for letter, count, (d, terms) in subs for key, c in terms.items()
+    ], den * lcm)
 
 
 def symmetrize(alg: LieSuperAlgebra, s_terms: dict) -> PbwElement:
     """Symmetrization of a symmetric-algebra element {monomial: coeff}."""
-    pairs = [(c, symmetrize_word(alg, _monomial_to_word(m)).terms) for m, c in s_terms.items()]
-    return PbwElement(alg, _combine(pairs))
+    den, terms = _form(s_terms)
+    return PbwElement(alg, _fractions(_combine(
+        [(c, _symmetrized(alg, _monomial_to_word(m))) for m, c in terms.items()], den
+    )))
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +443,26 @@ def twisted_adjoint(pair: SymmetricPair, a_index: int, u: PbwElement) -> PbwElem
     ea = tuple(1 if j == a_index else 0 for j in range(alg.dim))
     odd_a = alg.parities[a_index] == ODD
     right_sign = -pair.sigma_sign(a_index)
+    den, terms = _form(u.terms)
     pairs = []
-    for mono, coeff in u.terms.items():
+    for mono, coeff in terms.items():
         s = -right_sign if odd_a and monomial_parity(alg, mono) else right_sign
         pairs.append((coeff, _letter_product(alg, a_index, mono)))
         pairs.append((coeff * s, _monomial_product(alg, mono, ea)))
-    return PbwElement(alg, _combine(pairs))
+    return PbwElement(alg, _fractions(_combine(pairs, den)))
 
 
 def twisted_adjoint_u(pair: SymmetricPair, u: PbwElement, v: PbwElement) -> PbwElement:
     """The extension of ad' to a representation of U(g): for a monomial
     j(a_1)...j(a_n), the composition ad'(a_1) o ... o ad'(a_n)."""
+    den, terms = _form(u.terms)
     pairs = []
-    for mono, coeff in u.terms.items():
+    for mono, coeff in terms.items():
         acc = v
         for letter in reversed(_monomial_to_word(mono)):
             acc = twisted_adjoint(pair, letter, acc)
-        pairs.append((coeff, acc.terms))
-    return PbwElement(pair.algebra, _combine(pairs))
+        pairs.append((coeff, _form(acc.terms)))
+    return PbwElement(pair.algebra, _fractions(_combine(pairs, den)))
 
 
 def gamma(pair: SymmetricPair, u: PbwElement) -> PbwElement:
@@ -482,7 +484,8 @@ class Factorization:
     needs no matrix: ``coordinates`` peels off the top-degree terms c m,
     splitting each m by support into (w, u) and subtracting (c/s) beta(w) u,
     where s = +-1 is the coefficient of m in that product, one degree at a
-    time in one ``_combine``.  The products are memoised per monomial.
+    time in one ``_combine``.  The products are memoised per monomial, as
+    forms.
     """
 
     def __init__(self, pair: SymmetricPair, max_degree: int):
@@ -498,16 +501,16 @@ class Factorization:
         return sorted(exhaustive_monomials(self.pair.algebra, self.max_degree), key=lambda m: (sum(m), m))
 
     def _step(self, mono):
-        """((q part, h part) of mono, s, the terms of beta(q part) (h part)
-        other than s mono)."""
+        """((q part, h part) of mono, s, the form of the terms of
+        beta(q part) (h part) other than s mono)."""
         step = self._steps.get(mono)
         if step is None:
             alg = self.pair.algebra
             qm = tuple(0 if h else e for e, h in zip(mono, self._in_h))
             hm = tuple(e if h else 0 for e, h in zip(mono, self._in_h))
-            beta = symmetrize_word(alg, _monomial_to_word(qm))
-            rest = dict((beta * PbwElement(alg, {hm: Fraction(1)})).terms)
-            step = ((qm, hm), rest.pop(mono), rest)
+            den, beta = _symmetrized(alg, _monomial_to_word(qm))
+            den, rest = _combine([(c, _monomial_product(alg, m, hm)) for m, c in beta.items()], den)
+            step = ((qm, hm), 1 if rest.pop(mono) > 0 else -1, (den, rest))
             self._steps[mono] = step
         return step
 
@@ -517,17 +520,18 @@ class Factorization:
         top = u.degree()
         if top > self.max_degree:
             raise ValueError(f"element of degree {top} exceeds the prepared bound {self.max_degree}")
-        rest = u.terms
+        den, rest = _form(u.terms)
         coords = {}
         # a degree-d product has no degree-d term besides its lead, so every
         # degree-d coordinate is known before any of its products is subtracted
         for degree in range(top, -1, -1):
-            pairs = [(1, {m: c for m, c in rest.items() if sum(m) < degree})]
+            pairs = [(1, (1, {m: c for m, c in rest.items() if sum(m) < degree}))]
             for mono in [m for m in rest if sum(m) == degree]:
-                key, lead, lower = self._step(mono)
-                coords[key] = c = rest[mono] / lead
+                key, sign, lower = self._step(mono)
+                c = rest[mono] * sign
+                coords[key] = Fraction(c, den)
                 pairs.append((-c, lower))
-            rest = _combine(pairs)
+            den, rest = _combine(pairs, den)
         return {k: coords[k] for k in sorted(coords, key=lambda p: (sum(p[0]) + sum(p[1]), p))}
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import series as series_mod
 from .coderiv import beta_of_sq, sq_table
 from .enveloping import PbwElement, _monomial_to_word
-from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix, apply_matrix
+from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix
 from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, power_sum, sum_of_products, truncate_even_degree
 
 
@@ -58,6 +58,8 @@ class GenericPoint:
         }
         self._ad_y = None
         self._ad_y_powers = {}
+        self._lifts = {}
+        self._str_powers = None
 
     @classmethod
     def full(cls, alg: LieSuperAlgebra, order: int = 6) -> "GenericPoint":
@@ -82,6 +84,12 @@ class GenericPoint:
                 mat = self.ad_y_power(k - 1) * self.ad_y()
             self._ad_y_powers[k] = mat
         return mat
+
+    def lifted(self, order: int) -> "GenericPoint":
+        """This pair's generic point at ``order``, built once and kept here."""
+        if order not in self._lifts:
+            self._lifts[order] = GenericPoint(self.pair, order)
+        return self._lifts[order]
 
     def max_power(self) -> int:
         """Powers of ad y vanish beyond this bound.
@@ -131,9 +139,11 @@ def _q_square(gp: GenericPoint) -> SuperMatrix:
 
 
 def _even_str_powers(gp: GenericPoint) -> list:
-    """[(2m, str Q^m)] for 2 <= 2m <= max_power()."""
-    halves = supertraces_of_powers(_q_square(gp), range(1, gp.max_power() // 2 + 1))
-    return [(2 * m, s) for m, s in halves.items()]
+    """[(2m, str Q^m)] for 2 <= 2m <= max_power(), formed once per point."""
+    if gp._str_powers is None:
+        halves = supertraces_of_powers(_q_square(gp), range(1, gp.max_power() // 2 + 1))
+        gp._str_powers = [(2 * m, s) for m, s in halves.items()]
+    return gp._str_powers
 
 
 def str_ad_power(gp: GenericPoint, k: int) -> SuperPolynomial:
@@ -226,12 +236,8 @@ def jacobian_J2_q2(gp: GenericPoint) -> SuperPolynomial:
 
 
 def _constant_ad(alg, idx):
-    n = alg.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        for m, c in alg.bracket_basis(idx, k).items():
-            rows[m][k] = c
-    return rows
+    ints, den = alg.int_brackets[idx], alg.bracket_den
+    return [[Fraction(ints[k].get(m, 0), den) for k in range(alg.dim)] for m in range(alg.dim)]
 
 
 def jacobian_full_group(alg: LieSuperAlgebra, order: int = 6) -> SuperPolynomial:
@@ -309,10 +315,17 @@ def divergence(gp: GenericPoint, field: dict) -> SuperPolynomial:
 
 
 def series_of_ad_y(gp: GenericPoint, f: series_mod.TruncatedSeries1, element: dict) -> dict:
-    """The vector field f(ad y)(a) for a constant element a, the matrix
-    f(ad y) applied to a."""
-    out = apply_matrix(_f_of_ad_y(gp, f), element)
-    return {i: c for i, c in out.items() if not c.is_zero()}
+    """The vector field f(ad y)(a) = sum_k f_k (ad y)^k a for a constant
+    element a: the columns of the memoised powers at a, one
+    ``sum_of_products`` per component."""
+    table, pairs = gp.table, {}
+    for k, fk in enumerate(f.coefficients[: gp.max_power() + 1]):
+        for j, c in element.items() if fk else ():
+            for i, row in enumerate(gp.ad_y_power(k).entries):
+                if c and not row[j].is_zero():
+                    pairs.setdefault(i, []).append((row[j], table.constant(fk * c)))
+    out = {i: sum_of_products(table, ps) for i, ps in pairs.items()}
+    return {i: v for i, v in out.items() if not v.is_zero()}
 
 
 def twisted_vector_field(gp: GenericPoint, c, a_index: int) -> dict:
@@ -377,7 +390,7 @@ def key_identity_check(gp: GenericPoint, c, a_index: int, order=None) -> SuperPo
         raise ValueError("c must be nonzero")
     if order is None:
         order = gp.order
-    work = gp if gp.purely_odd else GenericPoint(gp.pair, order + 1)
+    work = gp if gp.purely_odd else gp.lifted(order + 1)
     pair = work.pair
     field = twisted_vector_field(work, c, a_index)
     w_str = str_w_of_ad_y(work, c)

@@ -47,7 +47,10 @@ def _is_zero_coeff(c) -> bool:
 
 
 class LieSuperAlgebra:
-    """Basis with parities plus structure constants."""
+    """Basis with parities plus structure constants: ``brackets`` as given,
+    {(i, j): {k: Fraction}} for i <= j, and ``int_brackets[i][j]``, [e_i, e_j]
+    for both index orders as {k: int} over the one denominator
+    ``bracket_den``, read by the integer kernels."""
 
     def __init__(self, names, parities, brackets, check=True):
         self.names = tuple(names)
@@ -75,7 +78,14 @@ class LieSuperAlgebra:
                 raise ValueError(f"[{self.names[i]},{self.names[i]}] must vanish for even elements")
             store[(i, j)] = cleaned
         self.brackets = store
-        # per-instance memos of the enveloping-algebra machinery
+        self.bracket_den = den = math.lcm(*(c.denominator for comps in store.values() for c in comps.values()))
+        n = len(self.names)
+        self.int_brackets = ints = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j), comps in store.items():
+            ints[i][j] = {k: c.numerator * (den // c.denominator) for k, c in comps.items()}
+            sign = -1 if (self.parities[i] * self.parities[j]) % 2 == 0 else 1
+            ints[j][i] = {k: sign * v for k, v in ints[i][j].items()}
+        # per-instance memos of the enveloping-algebra machinery, as forms
         self._mono_product_cache = {}
         self._symmetrize_cache = {}
         if check:
@@ -104,11 +114,7 @@ class LieSuperAlgebra:
 
     def bracket_basis(self, i: int, j: int) -> dict:
         """[e_i, e_j] as {k: Fraction}, for any index order."""
-        if i <= j:
-            return dict(self.brackets.get((i, j), {}))
-        base = self.brackets.get((j, i), {})
-        sign = -1 if (self.parities[i] * self.parities[j]) % 2 == 0 else 1
-        return {k: sign * c for k, c in base.items()}
+        return {k: Fraction(v, self.bracket_den) for k, v in self.int_brackets[i][j].items()}
 
     def bracket(self, u: dict, v: dict) -> dict:
         """Bracket of two elements with (right-side) coefficients."""
@@ -154,27 +160,23 @@ class LieSuperAlgebra:
         The Jacobiator is graded-antisymmetric in its arguments, so it
         vanishes on every triple when it vanishes on the sorted ones, and
         the first failing triple in lexicographic order is a sorted one.
+        The sums run over ``int_brackets``; a residual is rebuilt as
+        Fractions over ``bracket_den`` squared.
         """
         n = self.dim
+        parities, ints = self.parities, self.int_brackets
         for a in range(n):
-            pa = self.parities[a]
             for b in range(a, n):
-                pb = self.parities[b]
                 for c in range(b, n):
-                    pc = self.parities[c]
                     acc = {}
-                    for (x, y, z, px, pz) in (
-                        (a, b, c, pa, pc),
-                        (b, c, a, pb, pa),
-                        (c, a, b, pc, pb),
-                    ):
-                        sign = -1 if (px * pz) % 2 else 1
-                        inner = self.bracket_basis(y, z)
-                        for m, cm in inner.items():
-                            for k, ck in self.bracket_basis(x, m).items():
-                                acc[k] = acc.get(k, Fraction(0)) + sign * cm * ck
-                    if any(v != 0 for v in acc.values()):
-                        residual = {self.names[k]: v for k, v in acc.items() if v != 0}
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        sign = -1 if parities[x] & parities[z] else 1
+                        for m, cm in ints[y][z].items():
+                            for k, ck in ints[x][m].items():
+                                acc[k] = acc.get(k, 0) + sign * cm * ck
+                    if any(acc.values()):
+                        den = self.bracket_den ** 2
+                        residual = {self.names[k]: Fraction(v, den) for k, v in acc.items() if v}
                         return False, (self.names[a], self.names[b], self.names[c], residual)
         return True, None
 
@@ -234,15 +236,11 @@ class SymmetricPair:
 
     def q_supertraces(self) -> dict:
         """{a: str over the q block of ad a} for every basis vector a of h."""
-        alg = self.algebra
-        out = {}
-        for a in self.h_indices:
-            s = Fraction(0)
-            for i in self.q_indices:
-                c = alg.bracket_basis(a, i).get(i, Fraction(0))
-                s += -c if alg.parities[i] == ODD else c
-            out[a] = s
-        return out
+        alg, ints = self.algebra, self.algebra.int_brackets
+        return {
+            a: Fraction(sum((-1) ** alg.parities[i] * ints[a][i].get(i, 0) for i in self.q_indices), alg.bracket_den)
+            for a in self.h_indices
+        }
 
     def check_unimodularity(self):
         """str over the q block of ad a, for every basis a in h.
@@ -510,26 +508,6 @@ def ad_matrix(alg: LieSuperAlgebra, element: dict, table: VariableTable) -> Supe
         cols.append(image)
     rows = [[cols[j].get(i, table.zero()) for j in range(n)] for i in range(n)]
     return SuperMatrix(table, alg.parities, rows, op_parity)
-
-
-def apply_matrix(mat: SuperMatrix, vec: dict) -> dict:
-    """Matrix times column vector (right-coefficient convention)."""
-    out = {}
-    for j, c in vec.items():
-        if _is_zero_coeff(c):
-            continue
-        for i in range(mat.size):
-            e = mat.entries[i][j]
-            if e.is_zero():
-                continue
-            term = e * c
-            acc = out.get(i)
-            acc = term if acc is None else acc + term
-            if _is_zero_coeff(acc):
-                out.pop(i, None)
-            else:
-                out[i] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 EVEN = 0
 ODD = 1
@@ -367,6 +367,25 @@ def _koszul(parities, m1, m2) -> int:
     return -1 if (koszul1 & odd2).bit_count() & 1 else 1
 
 
+def coproduct_terms(parities, terms) -> dict:
+    """The coproduct of primitive letters on {monomial: coeff} terms, as
+    {(monomial, monomial): coefficient}:
+
+        Delta(x^m) = sum_{k <= m} prod_i C(m_i, k_i) (Koszul sign) x^(m-k) (x) x^k,
+
+    the sign being the one that reorders x^(m-k) x^k into x^m.  Keys come
+    monomial by monomial, each with its k in lexicographic order.  It is
+    the coproduct of S(q) and of U(g) on PBW monomials, whose letters come
+    in increasing order and so multiply in U(g) (x) U(g) without brackets.
+    """
+    out = {}
+    for mono, coeff in terms.items():
+        for k in itertools.product(*(range(e + 1) for e in mono)):
+            rest = tuple(map(sub, mono, k))
+            out[rest, k] = coeff * (math.prod(map(math.comb, mono, k)) * _koszul(parities, rest, k))
+    return out
+
+
 def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
     """a_1 b_1 + ... + a_k b_k for the (a, b) polynomial pairs over ``table``.
 
@@ -462,10 +481,9 @@ def truncate_even_degree(p: SuperPolynomial, order: int) -> SuperPolynomial:
 def exhaustive_monomials(table, max_degree: int):
     """All canonical monomials of total degree <= max_degree over the
     ``parities`` of a VariableTable, or of a LieSuperAlgebra (its PBW
-    monomials)."""
-    ranges = []
-    for p in table.parities:
-        ranges.append(range(2) if p == ODD else range(max_degree + 1))
-    for mono in itertools.product(*ranges):
-        if sum(mono) <= max_degree:
-            yield mono
+    monomials), as a list in lexicographic order.  It is grown from the
+    last variable, each step keeping only the monomials within the bound."""
+    monos = [()] if max_degree >= 0 else []
+    for p in reversed(table.parities):
+        monos = [(e, *m) for e in range(2 if p == ODD else max_degree + 1) for m in monos if e + sum(m) <= max_degree]
+    return monos

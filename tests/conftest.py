@@ -6,6 +6,28 @@ from supersym.liealg import SymmetricPair, algebra_from_matrices, catalog, defin
 from supersym.superpoly import EVEN, ODD
 
 
+def apply_matrix(mat, vec: dict) -> dict:
+    """Matrix times column vector (right-coefficient convention), one entry
+    at a time: the route ``jacobian.series_of_ad_y`` took before it read
+    the column of each power directly."""
+    out = {}
+    for j, c in vec.items():
+        if c == 0 or (not isinstance(c, (int, Fraction)) and c.is_zero()):
+            continue
+        for i in range(mat.size):
+            e = mat.entries[i][j]
+            if e.is_zero():
+                continue
+            term = e * c
+            acc = out.get(i)
+            acc = term if acc is None else acc + term
+            if acc.is_zero():
+                out.pop(i, None)
+            else:
+                out[i] = acc
+    return out
+
+
 def diagonal_pair(name, keep=None):
     """(g + g, swap) realized on V + V: q_X = diag(X, -X) and h_X = diag(X, X),
     so q inherits the parity mix of g (both parities in q and in h).  With

@@ -26,7 +26,7 @@ from supersym.enveloping import (
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.superpoly import EVEN, ODD, VariableTable, exhaustive_monomials
 
-from conftest import diagonal_pair
+from conftest import diagonal_pair, gl_pair
 
 
 def sq_monomials(pair, max_degree):
@@ -174,9 +174,110 @@ class TestCombine:
     @example([(0, {"a": Fraction(1, 3)})])
     @example([(1, {"a": 1, "b": Fraction(1, 2)}), (Fraction(-1, 2), {"a": 2}), (2, {"a": Fraction(1, 6)})])
     def test_against_the_term_by_term_sum(self, pairs):
-        got, want = env._combine(pairs), term_by_term(pairs)
-        assert list(got.items()) == list(want.items())
-        assert all(type(v) is Fraction for v in got.values())
+        # the rational scalars as ints over their lcm, each dict as a form
+        den = math.lcm(*(Fraction(c).denominator for c, _ in pairs))
+        got = env._combine([(int(c * den), env._form(terms)) for c, terms in pairs], den)
+        want = term_by_term(pairs)
+        assert list(env._fractions(got).items()) == list(want.items())
+        d, nums = got
+        assert d > 0 and math.gcd(d, *nums.values()) == 1
+        assert all(type(v) is int for v in nums.values())
+
+
+def fraction_letter_product(alg, i, m, memo):
+    """e_i e^m by the letter-insertion rules on {monomial: Fraction} dicts,
+    summed term by term, as the products ran before the integer forms;
+    memoised in ``memo``."""
+    if (i, m) not in memo:
+        parities = alg.parities
+        j = next((k for k, e in enumerate(m) if e), alg.dim)
+        if i < j or (i == j and parities[i] != ODD):
+            out = {m[:i] + (m[i] + 1,) + m[i + 1 :]: Fraction(1)}
+        else:
+            rest = m[:j] + (m[j] - 1,) + m[j + 1 :]
+            pairs = []
+            if i > j:
+                sign = -1 if parities[i] == ODD and parities[j] == ODD else 1
+                swapped = fraction_letter_product(alg, i, rest, memo)
+                pairs = [(sign * c, fraction_letter_product(alg, j, n, memo)) for n, c in swapped.items()]
+            for k, c in alg.bracket_basis(i, j).items():
+                pairs.append((c / 2 if i == j else c, fraction_letter_product(alg, k, rest, memo)))
+            out = term_by_term(pairs)
+        memo[i, m] = out
+    return memo[i, m]
+
+
+def fraction_monomial_product(alg, m1, m2, memo):
+    acc = {m2: Fraction(1)}
+    for i in reversed(env._monomial_to_word(m1)):
+        acc = term_by_term([(c, fraction_letter_product(alg, i, m, memo)) for m, c in acc.items()])
+    return acc
+
+
+def first_letters(parities, word):
+    """{(w_k, w without position k): summed Koszul sign of moving w_k to the
+    front}, zero sums dropped."""
+    merged, odd_before = {}, 0
+    for k, letter in enumerate(word):
+        odd = parities[letter] == ODD
+        key = (letter, word[:k] + word[k + 1 :])
+        merged[key] = merged.get(key, 0) + (-1 if odd and odd_before % 2 else 1)
+        odd_before += odd
+    return {key: n for key, n in merged.items() if n}
+
+
+def fraction_symmetrized(alg, word, memo, products):
+    """beta(word) by the first-letter recursion on Fraction dicts."""
+    if word not in memo:
+        n = len(word)
+        acc = term_by_term([
+            (Fraction(count, n) * c, fraction_letter_product(alg, letter, m, products))
+            for (letter, rest), count in first_letters(alg.parities, word).items()
+            for m, c in fraction_symmetrized(alg, rest, memo, products).items()
+        ]) if word else {(0,) * alg.dim: Fraction(1)}
+        memo[word] = {m: acc[m] for m in sorted(acc, key=lambda m: (sum(m), m))}
+    return memo[word]
+
+
+class TestIntegerFormsOnGl22:
+    """The integer forms (den, {monomial: int}) of the memoised products and
+    symmetrizations against the Fraction letter loop, values and key order,
+    on gl(2|2)."""
+
+    def test_monomial_products_up_to_degree_three(self):
+        alg = gl_pair(2, 2).algebra
+        by_degree = {}
+        for m in exhaustive_monomials(alg, 3):
+            by_degree.setdefault(sum(m), []).append(m)
+        memo, count = {}, 0
+        for d1, d2 in itertools.product(range(4), repeat=2):
+            for m1, m2 in itertools.product(by_degree[d1], by_degree[d2] if d1 + d2 <= 3 else ()):
+                want = fraction_monomial_product(alg, m1, m2, memo)
+                den, nums = env._monomial_product(alg, m1, m2)
+                assert math.gcd(den, *nums.values()) == 1
+                assert list(env._fractions((den, nums)).items()) == list(want.items()), (m1, m2)
+                count += 1
+        assert count == 6017
+
+    def test_symmetrized_weight_zero_words(self):
+        # E_ij has weight eps_i - eps_j under the diagonal torus of h
+        pair = gl_pair(2, 2)
+        alg = pair.algebra
+        q = pair.q_indices
+        words = []
+        for subset in itertools.product((0, 1), repeat=len(q)):
+            weight = [0] * 4
+            for i, e in zip(q, subset):
+                weight[int(alg.names[i][1]) - 1] += e
+                weight[int(alg.names[i][2]) - 1] -= e
+            if not any(weight):
+                words.append(tuple(i for i, e in zip(q, subset) if e))
+        assert len(words) == 18
+        memo, products = {}, {}
+        for word in words:
+            want = fraction_symmetrized(alg, word, memo, products)
+            assert list(env._fractions(env._symmetrized(alg, word)).items()) == list(want.items()), word
+            assert list(symmetrize_word(alg, word).terms.items()) == list(want.items()), word
 
 
 class TestLetterProductOracle:
@@ -189,7 +290,7 @@ class TestLetterProductOracle:
         monos = list(exhaustive_monomials(alg, 3))
         for m1, m2 in itertools.product(monos, repeat=2):
             want = normal_form(alg, env._monomial_to_word(m1) + env._monomial_to_word(m2))
-            assert env._monomial_product(alg, m1, m2) == want, (name, m1, m2)
+            assert env._fractions(env._monomial_product(alg, m1, m2)) == want, (name, m1, m2)
 
     @pytest.mark.parametrize("name", PRODUCT_ALGEBRAS)
     def test_suffix_memo_against_the_letter_loop(self, name):
@@ -202,12 +303,12 @@ class TestLetterProductOracle:
             for i in reversed(env._monomial_to_word(m1)):
                 nxt = {}
                 for m, c in acc.items():
-                    for n, cn in env._letter_product(alg, i, m).items():
+                    for n, cn in env._fractions(env._letter_product(alg, i, m)).items():
                         nxt[n] = nxt.get(n, 0) + c * cn
                         if not nxt[n]:
                             del nxt[n]
                 acc = nxt
-            assert list(env._monomial_product(alg, m1, m2).items()) == list(acc.items()), (name, m1, m2)
+            assert list(env._fractions(env._monomial_product(alg, m1, m2)).items()) == list(acc.items()), (name, m1, m2)
 
     def test_repeated_even_letter(self):
         alg = diagonal_pair("gl11").algebra
@@ -215,7 +316,7 @@ class TestLetterProductOracle:
         for n in range(8):
             power = smono(alg, (d1, n))
             want = normal_form(alg, (d1,) * n + (x21,))
-            assert env._monomial_product(alg, power, smono(alg, (x21, 1))) == want, n
+            assert env._fractions(env._monomial_product(alg, power, smono(alg, (x21, 1)))) == want, n
 
     def test_high_power_by_the_binomial_formula(self):
         # e^n x = sum_k C(n, k) (ad e)^k(x) e^(n-k) for even e; word

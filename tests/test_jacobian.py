@@ -11,10 +11,10 @@ from supersym import jacobian as jac
 from supersym import liealg, series
 from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
-from supersym.liealg import SuperMatrix, apply_matrix
+from supersym.liealg import SuperMatrix
 from supersym.superpoly import ODD, SuperPolynomial, power_sum
 
-from conftest import ORACLE_PAIRS, diagonal_pair, gl_pair, osp14_pair as _osp14
+from conftest import ORACLE_PAIRS, apply_matrix, diagonal_pair, gl_pair, osp14_pair as _osp14
 
 
 def smono(alg, *pairs):
@@ -361,6 +361,20 @@ class TestKeyIdentity:
             for a in range(alg.dim):
                 assert jac.key_identity_check(gp, c, a).is_zero(), (name, c, alg.names[a])
 
+    def test_one_raised_point_per_generic_point(self, monkeypatch):
+        # with even q vectors the check runs on the point one order up; it is
+        # built once, so the 8 checks form ad y^1..^6 and Q^2 once: 7
+        # products, where a fresh point per check made 32
+        calls = []
+        product = SuperMatrix.__mul__
+        monkeypatch.setattr(SuperMatrix, "__mul__", lambda x, y: calls.append(y) or product(x, y))
+        pair = diagonal_pair("gl11")
+        gp = jac.GenericPoint(pair, 3)
+        for a in range(pair.algebra.dim):
+            assert jac.key_identity_check(gp, 1, a).is_zero()
+        assert sum(isinstance(y, SuperMatrix) for y in calls) == 7
+        assert gp.lifted(4) is gp.lifted(4)
+
     def test_even_q_pair(self):
         alg = LieSuperAlgebra(["y", "x"], [0, 0], {(0, 1): {0: Fraction(-1)}})
         pair = SymmetricPair(alg, [1])
@@ -663,4 +677,5 @@ class TestPowerSumOfAdY:
         if f.coeff(0) != 0:  # the q block is invertible at zero
             assert jac.jacobian_via_berezinian(gp, f) == want.restrict(gp.pair.q_indices).berezinian()
         for a in range(gp.algebra.dim):
-            assert jac.series_of_ad_y(gp, f, {a: 1}) == series_of_ad_y_by_loop(gp, f, {a: 1})
+            got, want = jac.series_of_ad_y(gp, f, {a: 1}), series_of_ad_y_by_loop(gp, f, {a: 1})
+            assert list(got.items()) == list(want.items())

@@ -10,13 +10,12 @@ from supersym.liealg import (
     SuperMatrix,
     SymmetricPair,
     ad_matrix,
-    apply_matrix,
     catalog,
     defining_matrices,
 )
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, VariableTable, exhaustive_monomials
 
-from conftest import diagonal_pair
+from conftest import apply_matrix, diagonal_pair
 
 
 def matrix_table(order=6):
@@ -141,7 +140,74 @@ def random_brackets(rng):
     return LieSuperAlgebra([f"b{i}" for i in range(n)], parities, brackets, check=False)
 
 
+def fraction_check_jacobi(alg):
+    """The sorted-triple check on Fraction brackets, as it ran before the
+    integer bracket table."""
+    n = alg.dim
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(b, n):
+                acc = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    sign = -1 if (alg.parities[x] * alg.parities[z]) % 2 else 1
+                    for m, cm in alg.bracket_basis(y, z).items():
+                        for k, ck in alg.bracket_basis(x, m).items():
+                            acc[k] = acc.get(k, Fraction(0)) + sign * cm * ck
+                if any(v != 0 for v in acc.values()):
+                    residual = {alg.names[k]: v for k, v in acc.items() if v != 0}
+                    return False, (alg.names[a], alg.names[b], alg.names[c], residual)
+    return True, None
+
+
+def rescaled(alg, rng):
+    """The algebra in the basis e_i -> s_i e_i for random rational s_i: the
+    Jacobi outcome is kept, the constants become rational."""
+    s = [Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 3, 5])) for _ in range(alg.dim)]
+    brackets = {
+        (i, j): {k: c * s[i] * s[j] / s[k] for k, c in comps.items()} for (i, j), comps in alg.brackets.items()
+    }
+    return LieSuperAlgebra(alg.names, alg.parities, brackets, check=False)
+
+
+def same_witness(got, want):
+    """Equal verdicts, and equal residuals in key order, as Fractions."""
+    assert got == want
+    if not got[0]:
+        assert list(got[1][3].items()) == list(want[1][3].items())
+        assert all(type(v) is Fraction for v in got[1][3].values())
+
+
 class TestJacobiOracle:
+    def test_integer_table_against_the_fraction_route(self):
+        rng = random.Random(13)
+        outcomes = set()
+        for _ in range(300):
+            alg = rescaled(random_brackets(rng), rng)
+            got = alg.check_jacobi()
+            same_witness(got, fraction_check_jacobi(alg))
+            assert got == oracle_check_jacobi(alg), alg.brackets
+            outcomes.add((got[0], alg.bracket_den > 1))
+        assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+
+    def test_tampered_osp12_witness(self):
+        # the constants of algebras/nonjacobi.alg: [e, f] = 2/3 H, [e, H] = -e + 1/2 f
+        alg, _ = catalog("osp12")
+        brackets = {k: dict(v) for k, v in alg.brackets.items()}
+        brackets[(0, 1)] = {2: Fraction(2, 3)}
+        brackets[(0, 2)] = {0: Fraction(-1), 1: Fraction(1, 2)}
+        broken = LieSuperAlgebra(alg.names, alg.parities, brackets, check=False)
+        assert broken.bracket_den == 6
+        got = broken.check_jacobi()
+        same_witness(got, fraction_check_jacobi(broken))
+        assert got == (False, ("e", "e", "f", {"e": Fraction(-2, 3), "f": Fraction(-2, 3)}))
+
+    def test_integer_table_matches_bracket_basis(self):
+        for alg in (catalog("osp12")[0], rescaled(catalog("osp12")[0], random.Random(3))):
+            for i, j in itertools.product(range(alg.dim), repeat=2):
+                ints = alg.int_brackets[i][j]
+                assert {k: Fraction(v, alg.bracket_den) for k, v in ints.items()} == alg.bracket_basis(i, j)
+                assert list(ints) == list(alg.bracket_basis(i, j))
+
     def test_sorted_triples_match_all_triples(self):
         rng = random.Random(5)
         outcomes = set()

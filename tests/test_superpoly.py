@@ -510,3 +510,17 @@ class TestPowerSum:
         assert power_sum(coeffs, powers.__getitem__) == oracle_power_sum(coeffs, x, one)
         exp_coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
         assert x.exp() == oracle_power_sum(exp_coeffs, x, one)
+
+
+class TestExhaustiveMonomials:
+    def test_against_the_filtered_product(self):
+        # the enumerator that formed every exponent tuple and kept those
+        # within the degree bound, order included
+        rng = random.Random(7)
+        for _ in range(200):
+            parities = [rng.choice([EVEN, ODD]) for _ in range(rng.randint(0, 6))]
+            table = VariableTable([f"v{i}" for i in range(len(parities))], parities, 5)
+            d = rng.randint(-1, 5)
+            ranges = [range(2) if p == ODD else range(d + 1) for p in table.parities]
+            want = [m for m in itertools.product(*ranges) if sum(m) <= d]
+            assert list(exhaustive_monomials(table, d)) == want, (table.parities, d)
