@@ -14,14 +14,19 @@ of h through the odd series q_c = -tanh(t/(2c)) gives the representations
 Theta_{c,chi} that match left multiplication on the induced module.
 
 Every Koszul sign of a product in S(q) comes from the product kernel of
-``superpoly``: the coproduct through its monomial sign, the h-derivation
-through products and left derivatives.
+``superpoly``: the coproduct and C_c through its monomial sign, the
+h-derivation through products and left derivatives.
+
+C_c, C_c^u and tau run on forms (den, {S(q) monomial: int}), as in
+``enveloping._combine``, and build one SuperPolynomial per result.  Their
+memos die with the pair: ``pair.nest_memo`` keeps the bracket nests
+S(word)(a) and ``pair.tau_memo`` the chain C_1^word(1) of each PBW word
+tau meets, both as forms.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the twisted
 adjoint invariance checker, and the invariant-space solver live here too;
 the last two apply the operators of a Lie-generating set only
-(``lie_generators``).  tau keeps C_1^word(1) for each PBW word it meets in
-``pair.tau_memo``, which is freed with the pair.
+(``lie_generators``), and hand U(g) elements to the factorization as forms.
 """
 
 from __future__ import annotations
@@ -31,9 +36,13 @@ from fractions import Fraction
 from . import linalg
 from .enveloping import (
     PbwElement,
+    _combine,
     _first_letter_sum,
     _form,
+    _fractions,
     _monomial_to_word,
+    _symmetrized,
+    _twisted_adjoint,
     factorization,
     symmetrize,
     symmetrize_word,
@@ -45,6 +54,7 @@ from .superpoly import (
     ODD,
     SuperPolynomial,
     VariableTable,
+    _koszul,
     coproduct_terms,
     exhaustive_monomials,
     sum_of_products,
@@ -72,11 +82,9 @@ def sq_from_element(pair, element: dict) -> SuperPolynomial:
 
 
 def sq_monomial_letters(pair, mono):
-    """Monomial of the S(q) table -> tuple of algebra basis indices."""
-    letters = []
-    for pos, e in enumerate(mono):
-        letters.extend([pair.q_indices[pos]] * e)
-    return tuple(letters)
+    """Monomial of the S(q) table -> tuple of algebra basis indices (the q
+    vectors are the first ones)."""
+    return _monomial_to_word(mono)
 
 
 def sq_coproduct(pair, w: SuperPolynomial) -> dict:
@@ -89,7 +97,7 @@ def sq_coproduct(pair, w: SuperPolynomial) -> dict:
 # the generic-point evaluations
 # ---------------------------------------------------------------------------
 
-def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, letters, nests=None) -> dict:
+def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, letters) -> dict:
     """Evaluate the universal vector field p(ad y)(a) on the monomial with
     the given q letters: p_n times the Koszul-signed sum over all orderings
     of the iterated brackets.  Returns an algebra element {index: Fraction}
@@ -99,27 +107,27 @@ def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, l
     S(w)(a) = sum_k eps_k [w_k, S(w without position k)(a)], with equal
     (letter, sub-word) terms merged (``enveloping._first_letter_sum``); each
     sub-word is evaluated once, so the cost is the number of distinct
-    sub-words rather than n!.  The nests do not depend on p, so calls may
-    share them through ``nests`` ({word: S(word)(a)}, seeded with () -> a),
-    whose values are integer forms (``enveloping._combine``) over the
-    integer bracket table; p_n multiplies the result once.
+    sub-words rather than n!.  The nests are integer forms (``_nested``);
+    p_n multiplies the result once.
     """
-    alg = pair.algebra
     letters = tuple(letters)
     pn = series.coeff(len(letters))
     if pn == 0:
         return {}
-    memo = {(): _form({i: c for i, c in a_element.items() if c})} if nests is None else nests
-    brackets, bden = alg.int_brackets, alg.bracket_den
-
-    def nested(word):
-        value = memo.get(word)
-        if value is None:
-            value = memo[word] = _first_letter_sum(alg.parities, word, nested, lambda k, i: (bden, brackets[k][i]))
-        return value
-
-    den, out = nested(letters)
+    den, out = _nested(pair.algebra, {(): _form({i: c for i, c in a_element.items() if c})}, letters)
     return {i: Fraction(out[i] * pn.numerator, den * pn.denominator) for i in sorted(out)}
+
+
+def _nested(alg, memo: dict, word) -> tuple:
+    """S(word)(a) as a form over the integer bracket table, kept in ``memo``
+    ({word: form}, seeded with () -> a)."""
+    value = memo.get(word)
+    if value is None:
+        brackets, bden = alg.int_brackets, alg.bracket_den
+        value = memo[word] = _first_letter_sum(
+            alg.parities, word, lambda rest: _nested(alg, memo, rest), lambda k, i: (bden, brackets[k][i])
+        )
+    return value
 
 
 def _h_derivation(pair: SymmetricPair, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
@@ -135,69 +143,86 @@ def _h_derivation(pair: SymmetricPair, a_index: int, w: SuperPolynomial) -> Supe
     return sum_of_products(sq_table(pair), pairs)
 
 
-def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w: SuperPolynomial, nests: dict):
-    """C_c^a on w, with p_c built to at least the total degree of w and
-    ``nests`` holding each letter's bracket nests for ``apply_radx``."""
+def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w: tuple) -> tuple:
+    """C_c^a on the form w, with p_c built to at least the total degree of w.
+    For a in q, the leg leg1 (x) leg2 of the coproduct gives the int form
+    S(leg1)(a) of ``pair.nest_memo``, each letter x_i of it multiplied into
+    leg2 with the Koszul sign of x_i leg2, scaled by the int ratio p_n and
+    the sign (-1)^{p(a) p(leg1)}; one ``_combine`` sums the legs."""
     table = sq_table(pair)
     order = table.truncation_order
-    pa = pair.algebra.parities[a_index]
+    alg = pair.algebra
+    pa = alg.parities[a_index]
+    den, terms = w
     # C_c^a raises the even degree by at most one, and not at all for even a in h
     if order is not None and (not pair.in_h(a_index) or pa == ODD):
-        if any(table.even_degree(m) >= order for m in w.terms):
+        if any(table.even_degree(m) >= order for m in terms):
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
     if pair.in_h(a_index):
-        return _h_derivation(pair, a_index, w)
-    a_element = {a_index: Fraction(1)}
-    memo = nests.setdefault(a_index, {(): (1, {a_index: 1})})
+        return _form(_h_derivation(pair, a_index, _poly(table, w)).terms)
+    parities, nums = table.parities, series.nums
+    memo = pair.nest_memo.setdefault(a_index, {(): (1, {a_index: 1})})
+    letters = [tuple(int(j == i) for j in range(len(parities))) for i in range(len(parities))]
     pairs = []
-    for (leg1, leg2), coeff in sq_coproduct(pair, w).items():
-        value = apply_radx(pair, series, a_element, sq_monomial_letters(pair, leg1), memo)
-        if value:
-            sign = -1 if pa and table.monomial_parity(leg1) else 1
-            pairs.append((sq_from_element(pair, value), SuperPolynomial(table, {leg2: coeff * sign})))
-    return sum_of_products(table, pairs)
+    for (leg1, leg2), coeff in coproduct_terms(parities, terms).items():
+        n = sum(leg1)
+        if n < len(nums) and nums[n]:
+            nden, nest = _nested(alg, memo, sq_monomial_letters(pair, leg1))
+            # the nest lies in q, whose vectors are the first letters of g and of S(q)
+            legs = {}
+            for i in sorted(nest):
+                sign = _koszul(parities, letters[i], leg2)
+                if sign:
+                    legs[leg2[:i] + (leg2[i] + 1,) + leg2[i + 1 :]] = sign * nest[i]
+            pairs.append((-coeff * nums[n] if pa and table.monomial_parity(leg1) else coeff * nums[n], (nden, legs)))
+    return _combine(pairs, den * series.den)
+
+
+def _poly(table: VariableTable, form: tuple) -> SuperPolynomial:
+    return SuperPolynomial._from_clean(table, _fractions(form))
 
 
 def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
     """The universal representation C_c^a acting on w in S(q): for a in q,
     the sum over the coproduct legs of w of (-1)^{p(a) p(leg1)}
     p_c(ad leg1)(a) leg2, the sign being a crossing the first leg."""
-    return _words(pair, c, PbwElement.from_basis(pair.algebra, a_index), {(): w})
+    return coderivation_C_u(pair, c, PbwElement.from_basis(pair.algebra, a_index), w)
 
 
-def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> SuperPolynomial:
-    """C_c^u(w) for w = chains[()]: each PBW word x_1...x_n of u is applied from
-    its longest suffix found in ``chains``, and each new chain C^{x_j}(...(w))
-    is stored there unless it raises.  C_c raises the degree by at most one."""
+def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> tuple:
+    """C_c^u(w) as a form, for the form w = chains[()]: each PBW word
+    x_1...x_n of u is applied from its longest suffix found in ``chains``,
+    and each new chain C^{x_j}(...(w)) is stored there unless it raises.
+    C_c raises the degree by at most one."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("C_c requires c != 0")
-    table = sq_table(pair)
-    series = p_c(c, chains[()].total_degree() + u.degree())
-    nests = {}
+    series = p_c(c, max((sum(m) for m in chains[()][1]), default=0) + u.degree())
+    den, terms = _form(u.terms)
     pairs = []
-    for mono, coeff in u.terms.items():
+    for mono, coeff in terms.items():
         word = _monomial_to_word(mono)
         k = next(k for k in range(len(word) + 1) if word[k:] in chains)
         acc = chains[word[k:]]
         for j in range(k - 1, -1, -1):
-            if acc.is_zero():
+            if not acc[1]:
                 break
-            acc = chains[word[j:]] = _coderivation(pair, series, word[j], acc, nests)
-        pairs.append((acc, table.constant(coeff)))
-    return sum_of_products(table, pairs)
+            acc = chains[word[j:]] = _coderivation(pair, series, word[j], acc)
+        pairs.append((coeff, acc))
+    return _combine(pairs, den)
 
 
 def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) -> SuperPolynomial:
     """Multiplicative extension u -> C_c^u to the enveloping algebra."""
-    return _words(pair, c, u, {(): w})
+    return _poly(sq_table(pair), _words(pair, c, u, {(): _form(w.terms)}))
 
 
 def tau(pair: SymmetricPair, u: PbwElement) -> SuperPolynomial:
     """tau(u) = C_1^u(1): the inverse of the symmetrization onto U(g)/U(g)h, as
     an element of S(q).  The chain C_1^word(1) of every PBW word met, and of its
-    suffixes (PBW words too), stays in ``pair.tau_memo`` while the pair lives."""
-    return _words(pair, 1, u, pair.tau_memo)
+    suffixes (PBW words too), stays in ``pair.tau_memo`` as a form while the
+    pair lives."""
+    return _poly(sq_table(pair), _words(pair, 1, u, pair.tau_memo))
 
 
 def scale_degrees(pair: SymmetricPair, w: SuperPolynomial, c) -> SuperPolynomial:
@@ -347,14 +372,8 @@ def check_theta_vs_induced(pair: SymmetricPair, chi: Character, max_degree: int)
 
 def beta_of_sq(pair: SymmetricPair, w: SuperPolynomial) -> PbwElement:
     """Symmetrization of an S(q) element into U(g)."""
-    alg = pair.algebra
-    terms = {}
-    for mono, coeff in w.terms.items():
-        full = [0] * alg.dim
-        for pos, e in enumerate(mono):
-            full[pair.q_indices[pos]] = e
-        terms[tuple(full)] = coeff
-    return symmetrize(alg, terms)
+    pad = (0,) * len(pair.h_indices)  # q is the first block of the basis of g
+    return symmetrize(pair.algebra, {mono + pad: coeff for mono, coeff in w.terms.items()})
 
 
 def lie_generators(pair: SymmetricPair) -> list:
@@ -388,10 +407,10 @@ def verify_twisted_invariance(pair: SymmetricPair, element: PbwElement):
     for (qm, hm), c in f.coordinates(element).items():
         if hm != unit and c != 0:
             return False, ("not in beta(S(q))", hm, c)
+    form = _form(element.terms)
     for a in lie_generators(pair):
-        image = twisted_adjoint(pair, a, element)
-        if not image.is_zero():
-            return False, (alg.names[a], str(image))
+        if _twisted_adjoint(pair, a, form)[1]:
+            return False, (alg.names[a], str(twisted_adjoint(pair, a, element)))
     return True, None
 
 
@@ -412,11 +431,11 @@ def invariant_space(pair: SymmetricPair):
     qdim = len(pair.q_indices)
     monos = sorted(exhaustive_monomials(table, qdim), key=lambda m: (sum(m), m))
     f = factorization(pair, qdim + 1)
-    betas = [beta_of_sq(pair, SuperPolynomial(table, {m: Fraction(1)})) for m in monos]
+    betas = [_symmetrized(pair.algebra, sq_monomial_letters(pair, m)) for m in monos]
     rows = {}  # (generator, output coordinate) -> {column: coefficient}
     for a in lie_generators(pair):
         for col, beta in enumerate(betas):
-            for key, c in f.coordinates(twisted_adjoint(pair, a, beta)).items():
+            for key, c in f._coordinates(_twisted_adjoint(pair, a, beta)).items():
                 rows.setdefault((a, key), {})[col] = c
     return [
         SuperPolynomial(table, {monos[i]: c for i, c in vec.items()})

@@ -439,29 +439,35 @@ def twisted_adjoint(pair: SymmetricPair, a_index: int, u: PbwElement) -> PbwElem
     Both products are memoised per algebra (``_letter_product``,
     ``_monomial_product``); the terms accumulate in one ``_combine``.
     """
+    return PbwElement(pair.algebra, _fractions(_twisted_adjoint(pair, a_index, _form(u.terms))))
+
+
+def _twisted_adjoint(pair: SymmetricPair, a_index: int, u: tuple) -> tuple:
+    """``twisted_adjoint`` on the form of an element, as a form."""
     alg = pair.algebra
     ea = tuple(1 if j == a_index else 0 for j in range(alg.dim))
     odd_a = alg.parities[a_index] == ODD
     right_sign = -pair.sigma_sign(a_index)
-    den, terms = _form(u.terms)
+    den, terms = u
     pairs = []
     for mono, coeff in terms.items():
         s = -right_sign if odd_a and monomial_parity(alg, mono) else right_sign
         pairs.append((coeff, _letter_product(alg, a_index, mono)))
         pairs.append((coeff * s, _monomial_product(alg, mono, ea)))
-    return PbwElement(alg, _fractions(_combine(pairs, den)))
+    return _combine(pairs, den)
 
 
 def twisted_adjoint_u(pair: SymmetricPair, u: PbwElement, v: PbwElement) -> PbwElement:
     """The extension of ad' to a representation of U(g): for a monomial
     j(a_1)...j(a_n), the composition ad'(a_1) o ... o ad'(a_n)."""
     den, terms = _form(u.terms)
+    start = _form(v.terms)
     pairs = []
     for mono, coeff in terms.items():
-        acc = v
+        acc = start
         for letter in reversed(_monomial_to_word(mono)):
-            acc = twisted_adjoint(pair, letter, acc)
-        pairs.append((coeff, _form(acc.terms)))
+            acc = _twisted_adjoint(pair, letter, acc)
+        pairs.append((coeff, acc))
     return PbwElement(pair.algebra, _fractions(_combine(pairs, den)))
 
 
@@ -517,10 +523,14 @@ class Factorization:
     def coordinates(self, u: PbwElement) -> dict:
         """{(q monomial, h monomial): Fraction} with u = sum beta(w) hm, in
         (total degree, (q monomial, h monomial)) order."""
-        top = u.degree()
+        return self._coordinates(_form(u.terms))
+
+    def _coordinates(self, u: tuple) -> dict:
+        """``coordinates`` of the element with form u."""
+        den, rest = u
+        top = max((sum(m) for m in rest), default=0)
         if top > self.max_degree:
             raise ValueError(f"element of degree {top} exceeds the prepared bound {self.max_degree}")
-        den, rest = _form(u.terms)
         coords = {}
         # a degree-d product has no degree-d term besides its lead, so every
         # degree-d coordinate is known before any of its products is subtracted

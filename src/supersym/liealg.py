@@ -194,8 +194,10 @@ class SymmetricPair:
 
     ``sq_table`` realizes S(q) as polynomials in the q vectors themselves;
     when q has even vectors it is truncated at even degree 24, and the
-    coderivations refuse to act where that would drop terms.  ``tau_memo``
-    ({PBW word: C_1^word(1)}) is filled by ``coderiv.tau`` and dies with the pair.
+    coderivations refuse to act where that would drop terms.  ``coderiv``
+    fills two memos that die with the pair, both holding forms (den,
+    {key: int}): ``tau_memo`` ({PBW word: C_1^word(1)}, seeded with the unit)
+    and ``nest_memo`` ({a: {q word: S(word)(a)}}, the bracket nests of C_c).
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices):
@@ -210,7 +212,8 @@ class SymmetricPair:
         parities = [algebra.parities[i] for i in q]
         truncation = None if all(p == ODD for p in parities) else 24
         self.sq_table = VariableTable([algebra.names[i] for i in q], parities, truncation)
-        self.tau_memo = {(): self.sq_table.one()}
+        self.tau_memo = {(): (1, {(0,) * len(q): 1})}
+        self.nest_memo = {}
 
     def _check_eigenspaces(self):
         alg = self.algebra

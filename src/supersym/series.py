@@ -161,6 +161,8 @@ class TruncatedSeries1:
             return TruncatedSeries1._reduced(
                 [v * num for v in self.nums], self.den * other.denominator, self.order
             )
+        if not isinstance(other, TruncatedSeries1):
+            return NotImplemented
         n = min(self.order, other.order)
         a, b = self.nums, other.nums
         return TruncatedSeries1._reduced(
@@ -481,6 +483,8 @@ class TruncatedSeries2:
             num = other.numerator
             terms = {k: v * num for k, v in self.nums.items()} if num else {}
             return TruncatedSeries2._reduced(terms, self.den * other.denominator, self.order)
+        if not isinstance(other, TruncatedSeries2):
+            return NotImplemented
         n = min(self.order, other.order)
         # (i, j) is packed as i*w + j, so adding keys multiplies monomials
         w = n + 1

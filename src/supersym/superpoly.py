@@ -180,6 +180,8 @@ class SuperPolynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check_table(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -196,10 +198,12 @@ class SuperPolynomial:
         return SuperPolynomial(self.table, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def _coerce(self, other):
         if isinstance(other, SuperPolynomial):
@@ -242,6 +246,9 @@ class SuperPolynomial:
         )
 
     def __hash__(self):
+        # a constant equals its value, so it hashes like it
+        if not any(map(any, self.terms)):
+            return hash(self.terms.get((0,) * len(self.table), 0))
         return hash((self.table, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------

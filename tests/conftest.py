@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from supersym import coderiv as cd
+from supersym.enveloping import PbwElement, _monomial_to_word
 from supersym.liealg import SymmetricPair, algebra_from_matrices, catalog, defining_matrices
-from supersym.superpoly import EVEN, ODD
+from supersym.series import p_c
+from supersym.superpoly import EVEN, ODD, SuperPolynomial, sum_of_products
 
 
 def apply_matrix(mat, vec: dict) -> dict:
@@ -26,6 +29,57 @@ def apply_matrix(mat, vec: dict) -> dict:
             else:
                 out[i] = acc
     return out
+
+
+def oracle_coderivation(pair, series, a_index, w):
+    """C_c^a on the SuperPolynomial w, one ``apply_radx`` Fraction dict, one
+    degree-1 polynomial and one one-term polynomial per coproduct leg, summed
+    by ``sum_of_products``: the route ``coderiv._coderivation`` took before it
+    kept its chains as integer forms."""
+    table = cd.sq_table(pair)
+    order = table.truncation_order
+    pa = pair.algebra.parities[a_index]
+    if order is not None and (not pair.in_h(a_index) or pa == ODD):
+        if any(table.even_degree(m) >= order for m in w.terms):
+            raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
+    if pair.in_h(a_index):
+        return cd._h_derivation(pair, a_index, w)
+    a_element = {a_index: Fraction(1)}
+    pairs = []
+    for (leg1, leg2), coeff in cd.sq_coproduct(pair, w).items():
+        value = cd.apply_radx(pair, series, a_element, cd.sq_monomial_letters(pair, leg1))
+        if value:
+            sign = -1 if pa and table.monomial_parity(leg1) else 1
+            pairs.append((cd.sq_from_element(pair, value), SuperPolynomial(table, {leg2: coeff * sign})))
+    return sum_of_products(table, pairs)
+
+
+def oracle_words(pair, c, u, chains):
+    """C_c^u(w) for the SuperPolynomial w = chains[()], through
+    ``oracle_coderivation``: each PBW word of u is applied from its longest
+    suffix found in ``chains``, new chains are stored there, and the words
+    are summed by one ``sum_of_products``."""
+    c = Fraction(c)
+    if c == 0:
+        raise ValueError("C_c requires c != 0")
+    table = cd.sq_table(pair)
+    series = p_c(c, chains[()].total_degree() + u.degree())
+    pairs = []
+    for mono, coeff in u.terms.items():
+        word = _monomial_to_word(mono)
+        k = next(k for k in range(len(word) + 1) if word[k:] in chains)
+        acc = chains[word[k:]]
+        for j in range(k - 1, -1, -1):
+            if acc.is_zero():
+                break
+            acc = chains[word[j:]] = oracle_coderivation(pair, series, word[j], acc)
+        pairs.append((acc, table.constant(coeff)))
+    return sum_of_products(table, pairs)
+
+
+def oracle_coderivation_C(pair, c, a_index, w):
+    """C_c^a(w) through ``oracle_words``, with a p_c of its own."""
+    return oracle_words(pair, c, PbwElement.from_basis(pair.algebra, a_index), {(): w})
 
 
 def diagonal_pair(name, keep=None):

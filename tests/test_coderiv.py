@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -14,7 +15,15 @@ from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, exhaustive_monomials
 
-from conftest import ORACLE_PAIRS, diagonal_pair, gl_pair, osp14_pair
+from conftest import (
+    ORACLE_PAIRS,
+    diagonal_pair,
+    gl_pair,
+    oracle_coderivation,
+    oracle_coderivation_C,
+    oracle_words,
+    osp14_pair,
+)
 from test_enveloping import oracle_twisted_adjoint
 from test_linalg import oracle_nullspace
 
@@ -902,14 +911,14 @@ class TestMixedParityPairs:
 # ---------------------------------------------------------------------------
 
 def oracle_coderivation_C_u(pair, c, u, w):
-    """C_c^u(w) letter by letter: every letter is one ``coderivation_C``
+    """C_c^u(w) letter by letter: every letter is one ``oracle_coderivation_C``
     call, which builds its own p_c; nothing is kept between letters."""
     table = cd.sq_table(pair)
     out = table.zero()
     for mono, coeff in u.terms.items():
         acc = w
         for letter in reversed(env._monomial_to_word(mono)):
-            acc = cd.coderivation_C(pair, c, letter, acc)
+            acc = oracle_coderivation_C(pair, c, letter, acc)
             if acc.is_zero():
                 break
         out = out + acc * coeff
@@ -917,18 +926,18 @@ def oracle_coderivation_C_u(pair, c, u, w):
 
 
 def oracle_word_loop(pair, c, u, w):
-    """C_c^u(w) with one SuperPolynomial ``+`` per PBW word, as ``_words``
-    summed before its single ``sum_of_products`` call; no chain is kept."""
+    """C_c^u(w) with one SuperPolynomial ``+`` per PBW word over
+    ``oracle_coderivation``, as ``_words`` summed before its single
+    ``sum_of_products`` call; no chain is kept."""
     table = cd.sq_table(pair)
     p = series.p_c(c, w.total_degree() + u.degree())
-    nests = {}
     out = table.zero()
     for mono, coeff in u.terms.items():
         acc = w
         for letter in reversed(env._monomial_to_word(mono)):
             if acc.is_zero():
                 break
-            acc = cd._coderivation(pair, p, letter, acc, nests)
+            acc = oracle_coderivation(pair, p, letter, acc)
         out = out + acc * coeff
     return out
 
@@ -1037,3 +1046,48 @@ class TestTauOracle:
         got = cd.tau(pair, u)
         assert_same_terms(got, oracle_coderivation_C_u(pair, 1, u, table.one()))
         assert got == w
+
+
+# ---------------------------------------------------------------------------
+# the integer forms of tau and C_c against the SuperPolynomial chain route
+# ---------------------------------------------------------------------------
+
+FORM_PAIRS = dict(ORACLE_PAIRS, **MIXED_PAIRS)
+
+
+def assert_lowest_terms(form, *where):
+    den, terms = form
+    assert den > 0 and math.gcd(den, *terms.values()) == 1, where
+    assert all(type(v) is int and v for v in terms.values()), where
+
+
+class TestFormsAgainstTheChainRoute:
+    @pytest.fixture(params=sorted(FORM_PAIRS))
+    def pair(self, request):
+        return FORM_PAIRS[request.param]()
+
+    def test_tau_and_its_memo_on_every_monomial(self, pair):
+        table = cd.sq_table(pair)
+        chains = {(): table.one()}
+        for mono in sq_monos(pair, 4):
+            u = cd.beta_of_sq(pair, SuperPolynomial(table, {mono: Fraction(1)}))
+            assert_same_terms(cd.tau(pair, u), oracle_words(pair, 1, u, chains), mono)
+        assert list(pair.tau_memo) == list(chains)
+        for word, form in pair.tau_memo.items():
+            assert_lowest_terms(form, word)
+            assert list(env._fractions(form).items()) == list(chains[word].terms.items()), word
+        for a, nests in pair.nest_memo.items():
+            for word, form in nests.items():
+                assert_lowest_terms(form, a, word)
+
+    def test_coderivation_C_and_C_u_on_random_polynomials(self, pair):
+        rng = random.Random(83)
+        ws = list(random_sq_polynomials(pair, rng, 6, max_degree=3))
+        for w in ws:
+            for a in range(pair.algebra.dim):
+                for c in (1, Fraction(2, 3)):
+                    got = cd.coderivation_C(pair, c, a, w)
+                    assert_same_terms(got, oracle_coderivation_C(pair, c, a, w), c, a, w)
+        for u, w in zip(random_pbw_elements(pair, rng, 6, max_degree=3), ws):
+            for c in (1, Fraction(-3, 2)):
+                assert_same_terms(cd.coderivation_C_u(pair, c, u, w), oracle_words(pair, c, u, {(): w}), c, u, w)

@@ -460,3 +460,9 @@ class TestStoredForm:
         scaled = TruncatedSeries2({(0, 1): 6, (1, 0): 18}, 1) * Fraction(1, 8)
         assert (scaled.nums, scaled.den) == ({(0, 1): 3, (1, 0): 9}, 4)
         assert (TruncatedSeries1.zero(3).den, TruncatedSeries2.zero(3).den) == (1, 1)
+
+    def test_products_refuse_other_types_with_type_error(self):
+        for s in (TruncatedSeries1.t(3), TruncatedSeries2.zero(3)):
+            for op in (lambda: s * "x", lambda: s * None, lambda: None * s):
+                with pytest.raises(TypeError):
+                    op()

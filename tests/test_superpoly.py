@@ -242,6 +242,20 @@ class TestQueries:
         p = t.one() + s + s * s
         assert truncate_even_degree(p, 1) == t.one() + s
 
+    def test_operators_refuse_other_types_with_type_error(self):
+        p = mixed_table().variable("t")
+        for op in (lambda: p + "x", lambda: "x" + p, lambda: p - None, lambda: None - p, lambda: p * "x"):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_constants_hash_like_their_value(self):
+        t = mixed_table()
+        for value in (0, 3, Fraction(-5, 7)):
+            c = t.constant(value)
+            assert c == value and hash(c) == hash(value)
+        assert len({t.constant(3), 3, Fraction(3)}) == 1
+        assert t.variable("t") != t.constant(1) and {t.variable("t"), t.one()} != {t.one()}
+
     def test_rendering(self):
         t = odd_table(2)
         p = t.one() + t.variable(0) * t.variable(1) * Fraction(1, 24)

@@ -35,6 +35,7 @@ def commands(src_dir):
         out += [
             (f"{stem}.tau", ["tau", rel]),
             (f"{stem}.tau-5", ["tau", rel, "--order", "5"]),
+            (f"{stem}.tau-8", ["tau", rel, "--order", "8"]),
             (f"{stem}.gorelik", ["gorelik", rel, "--against-solver"]),
             (f"{stem}.jacobian", ["jacobian", rel]),
             (f"{stem}.jacobian-c2_3-7", ["jacobian", rel, "--c", "2/3", "--order", "7"]),
