@@ -21,7 +21,7 @@ C_c, C_c^u and tau run on forms (den, {S(q) monomial: int}), as in
 ``enveloping._combine``, and build one SuperPolynomial per result.  Their
 memos die with the pair: ``pair.nest_memo`` keeps the bracket nests
 S(word)(a) and ``pair.tau_memo`` the chain C_1^word(1) of each PBW word
-tau meets, both as forms.
+tau meets, both as forms, and ``pair.p_c_memo`` the series p_c they use.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the twisted
 adjoint invariance checker, and the invariant-space solver live here too;
@@ -193,11 +193,15 @@ def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> tuple:
     """C_c^u(w) as a form, for the form w = chains[()]: each PBW word
     x_1...x_n of u is applied from its longest suffix found in ``chains``,
     and each new chain C^{x_j}(...(w)) is stored there unless it raises.
-    C_c raises the degree by at most one."""
+    C_c raises the degree by at most one; the series p_c is built once per
+    (c, degree) and kept in ``pair.p_c_memo``."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("C_c requires c != 0")
-    series = p_c(c, max((sum(m) for m in chains[()][1]), default=0) + u.degree())
+    key = c, max((sum(m) for m in chains[()][1]), default=0) + u.degree()
+    series = pair.p_c_memo.get(key)
+    if series is None:
+        series = pair.p_c_memo[key] = p_c(*key)
     den, terms = _form(u.terms)
     pairs = []
     for mono, coeff in terms.items():

@@ -301,6 +301,9 @@ class PbwElement:
         return self.alg is other.alg and self.terms == other.terms
 
     def __hash__(self):
+        # a scalar equals its value, so it hashes like it
+        if not any(map(any, self.terms)):
+            return hash(self.terms.get((0,) * self.alg.dim, 0))
         return hash((id(self.alg), frozenset(self.terms.items())))
 
     def __str__(self):

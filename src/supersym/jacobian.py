@@ -24,7 +24,18 @@ from . import series as series_mod
 from .coderiv import beta_of_sq, sq_table
 from .enveloping import PbwElement, _monomial_to_word
 from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix
-from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, power_sum, sum_of_products, truncate_even_degree
+from .superpoly import (
+    EVEN,
+    ODD,
+    SuperPolynomial,
+    VariableTable,
+    _accumulate,
+    _shape_rows,
+    matrix_product,
+    power_sum,
+    sum_of_products,
+    truncate_even_degree,
+)
 
 
 class _FullSpan:
@@ -108,34 +119,34 @@ class GenericPoint:
 def supertraces_of_powers(mat: SuperMatrix, ks) -> dict:
     """{k: str(M^k)} for the k in ``ks``, in that order, M an even operator:
     str(M^k) = sum_{i,j} (-1)^{p_i} (M^a)_ij (M^b)_ji with a = ceil(k/2),
-    b = floor(k/2), in one ``sum_of_products``; only M^a is ever formed."""
+    b = floor(k/2), in one ``_accumulate``; only M^a is ever formed, and each
+    is shaped once."""
     if mat.op_parity != EVEN:
         raise ValueError("supertraces of powers need an even operator")
     ks = list(ks)
-    powers = [SuperMatrix.identity(mat.table, mat.module_parities), mat]
+    table = mat.table
+    powers = [SuperMatrix.identity(table, mat.module_parities), mat]
     while len(powers) <= (max(ks, default=0) + 1) // 2:
         powers.append(powers[-1] * mat)
+    shaped = [_shape_rows(table, p.entries) for p in powers]
     out = {}
     for k in ks:
-        left, right = powers[(k + 1) // 2].entries, powers[k // 2].entries
-        out[k] = sum_of_products(mat.table, [
-            (-e if p == ODD else e, right[j][i])
+        (left_den, left), (right_den, right) = shaped[(k + 1) // 2], shaped[k // 2]
+        out[k] = _accumulate(table, [
+            ([(m, o, z, d, -c) for m, o, z, d, c in e] if p == ODD else e, right[j][i])
             for i, p in enumerate(mat.module_parities) for j, e in enumerate(left[i])
-        ])
+        ], left_den * right_den)
     return out
 
 
 def _q_square(gp: GenericPoint) -> SuperMatrix:
     """Q = (ad y)^2 on q, so that (ad y)^2m on q is Q^m.  ad y swaps q and h,
-    so Q_ij = sum over k in h of (ad y)_ik (ad y)_kj: one ``sum_of_products``
-    per entry of the q block."""
-    ad = gp.ad_y()
-    pair = gp.pair
-    rows = [
-        [sum_of_products(gp.table, [(ad.entries[i][k], ad.entries[k][j]) for k in pair.h_indices]) for j in pair.q_indices]
-        for i in pair.q_indices
-    ]
-    return SuperMatrix(gp.table, [ad.module_parities[i] for i in pair.q_indices], rows, EVEN, check=False)
+    so Q is the product of the q x h and h x q blocks of ad y, through
+    ``matrix_product``."""
+    ad = gp.ad_y().entries
+    q, h = gp.pair.q_indices, gp.pair.h_indices
+    rows = matrix_product(gp.table, [[ad[i][k] for k in h] for i in q], [[ad[k][j] for j in q] for k in h], len(q))
+    return SuperMatrix(gp.table, [gp.algebra.parities[i] for i in q], rows, EVEN, check=False)
 
 
 def _even_str_powers(gp: GenericPoint) -> list:

@@ -27,7 +27,17 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .superpoly import EVEN, ODD, SuperPolynomial, VariableTable, _power_table, parity_of, power_sum, sum_of_products
+from .superpoly import (
+    EVEN,
+    ODD,
+    SuperPolynomial,
+    VariableTable,
+    _power_table,
+    matrix_product,
+    parity_of,
+    power_sum,
+    sum_of_products,
+)
 
 
 def coefficient_parity(c) -> int:
@@ -195,9 +205,10 @@ class SymmetricPair:
     ``sq_table`` realizes S(q) as polynomials in the q vectors themselves;
     when q has even vectors it is truncated at even degree 24, and the
     coderivations refuse to act where that would drop terms.  ``coderiv``
-    fills two memos that die with the pair, both holding forms (den,
+    fills three memos that die with the pair, two holding forms (den,
     {key: int}): ``tau_memo`` ({PBW word: C_1^word(1)}, seeded with the unit)
-    and ``nest_memo`` ({a: {q word: S(word)(a)}}, the bracket nests of C_c).
+    and ``nest_memo`` ({a: {q word: S(word)(a)}}, the bracket nests of C_c);
+    ``p_c_memo`` holds the series {(c, degree): p_c(c, degree)} they use.
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices):
@@ -214,6 +225,7 @@ class SymmetricPair:
         self.sq_table = VariableTable([algebra.names[i] for i in q], parities, truncation)
         self.tau_memo = {(): (1, {(0,) * len(q): 1})}
         self.nest_memo = {}
+        self.p_c_memo = {}
 
     def _check_eigenspaces(self):
         alg = self.algebra
@@ -272,8 +284,10 @@ class SuperMatrix:
     SuperPolynomials over one shared table.  Entry (i, j) must be zero or
     homogeneous of parity p(e_i) + p(e_j) + p(operator).
 
-    Entry (i, j) of a product is one ``sum_of_products`` over row i and
-    column j: exact integer accumulation over a common denominator.
+    A product goes through ``superpoly.matrix_product``: every entry of
+    both factors is scaled to its factor's common denominator and shaped
+    once, and entry (i, j) accumulates row i against column j as ints.  A
+    polynomial multiplies each entry from the side it is written on.
     """
 
     __slots__ = ("table", "module_parities", "op_parity", "entries")
@@ -327,36 +341,25 @@ class SuperMatrix:
     def __sub__(self, other):
         return self + (other * Fraction(-1))
 
+    def _with_rows(self, rows, op_parity):
+        return SuperMatrix(self.table, self.module_parities, rows, op_parity % 2, check=False)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            rows = [[e * other for e in row] for row in self.entries]
-            return SuperMatrix(self.table, self.module_parities, rows, self.op_parity, check=False)
+            return self._with_rows([[e * other for e in row] for row in self.entries], self.op_parity)
         if isinstance(other, SuperPolynomial):
             rows = [[e * other for e in row] for row in self.entries]
-            return SuperMatrix(
-                self.table,
-                self.module_parities,
-                rows,
-                (self.op_parity + coefficient_parity(other)) % 2,
-                check=False,
-            )
-        n = self.size
-        rows = [
-            [
-                sum_of_products(self.table, [(a, other.entries[k][j]) for k, a in enumerate(row)])
-                for j in range(n)
-            ]
-            for row in self.entries
-        ]
-        return SuperMatrix(
-            self.table,
-            self.module_parities,
-            rows,
-            (self.op_parity + other.op_parity) % 2,
-            check=False,
-        )
+            return self._with_rows(rows, self.op_parity + coefficient_parity(other))
+        rows = matrix_product(self.table, self.entries, other.entries, self.size)
+        return self._with_rows(rows, self.op_parity + other.op_parity)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        if isinstance(other, SuperPolynomial):
+            rows = [[other * e for e in row] for row in self.entries]
+            return self._with_rows(rows, self.op_parity + coefficient_parity(other))
+        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -458,12 +461,10 @@ class SuperMatrix:
         d_inv = d._neumann_inverse()
         b_rows = block(ev, od)
         c_rows = block(od, ev)
-        # Schur complement A - (B D^{-1}) C, one sum_of_products per entry.
+        # Schur complement A - (B D^{-1}) C: B D^{-1} in one matrix_product,
+        # then one sum_of_products per entry.
         n_e, n_o = len(ev), len(od)
-        bd = [
-            [sum_of_products(table, [(b_rows[i][k], d_inv.entries[k][m]) for k in range(n_o)]) for m in range(n_o)]
-            for i in range(n_e)
-        ]
+        bd = matrix_product(table, b_rows, d_inv.entries, n_o)
         one = table.one()
         schur_rows = [
             [
@@ -495,7 +496,11 @@ def ad_matrix(alg: LieSuperAlgebra, element: dict, table: VariableTable) -> Supe
     """Matrix of ad(element) on the basis of the algebra.
 
     The element has SuperPolynomial (or Fraction) coefficients over
-    ``table``; its parity must be homogeneous.
+    ``table``; its parity must be homogeneous.  Entry (i, j) is the e_i
+    component of [element, e_j], sum over k of
+    (-1)^{p(f_k) p(e_j)} c_kj^i f_k for the coefficient f_k of e_k: the
+    ``int_brackets`` times the coefficients scaled to one denominator,
+    accumulated as ints.
     """
     element = {
         i: (table.constant(c) if isinstance(c, (int, Fraction)) else c)
@@ -504,12 +509,29 @@ def ad_matrix(alg: LieSuperAlgebra, element: dict, table: VariableTable) -> Supe
     op_parity = alg.element_parity(element)
     if op_parity is None:
         raise ValueError("ad of a parity-inhomogeneous element")
+    if any(f.table is not table and f.table != table for f in element.values()):
+        raise ValueError("polynomials live over different variable tables")
+    den = math.lcm(*(c.denominator for f in element.values() for c in f.terms.values()))
+    coeffs = [
+        (k, coefficient_parity(f), {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()})
+        for k, f in element.items()
+        if f.terms
+    ]
     n = alg.dim
-    cols = []
-    for k in range(n):
-        image = alg.bracket(element, {k: table.one()})
-        cols.append(image)
-    rows = [[cols[j].get(i, table.zero()) for j in range(n)] for i in range(n)]
+    acc = [[{} for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k, pf, terms in coeffs:
+            sign = -1 if pf & alg.parities[j] else 1
+            for i, c in alg.int_brackets[k][j].items():
+                entry, c = acc[i][j], sign * c
+                for m, v in terms.items():
+                    t = entry.get(m, 0) + c * v
+                    if t:
+                        entry[m] = t
+                    else:
+                        del entry[m]
+    den *= alg.bracket_den
+    rows = [[SuperPolynomial._from_clean(table, {m: Fraction(v, den) for m, v in e.items()}) for e in row] for row in acc]
     return SuperMatrix(table, alg.parities, rows, op_parity)
 
 

@@ -179,6 +179,9 @@ class TruncatedSeries1:
         return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
+        # a constant equals its value, so it hashes like it
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.order, self.den, tuple(self.nums)))
 
     def derivative(self) -> "TruncatedSeries1":
@@ -511,6 +514,9 @@ class TruncatedSeries2:
         return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
+        # a constant equals its value, so it hashes like it
+        if not any(k != (0, 0) for k in self.nums):
+            return hash(Fraction(self.nums.get((0, 0), 0), self.den))
         return hash((self.order, self.den, frozenset(self.nums.items())))
 
     def __str__(self):

@@ -11,17 +11,18 @@ order, odd exponents at most 1.  Reordering a product into canonical form
 accumulates the Koszul sign (one factor of -1 for every crossing of two odd
 letters), which makes equality of polynomials structural.
 
-Every product of two polynomials goes through :func:`sum_of_products`,
-which computes a sum of products ``a_1 b_1 + ... + a_k b_k`` in exact
-integers: the left coefficients are scaled to the lcm of their
-denominators, the right ones to the lcm of theirs, the scaled numerators
-are multiplied and added as plain ints, and one normalised ``Fraction`` is
-built per output monomial.  Each call computes, once per term of each
-factor, the bitmask of its odd letters, the bitmask that gives the Koszul
-sign of a product as a popcount, and its even degree.  The same masks give
-the sign of a single monomial product (``_koszul``), which the left
-derivative and the coproduct of S(q) use; no other module counts crossings
-of odd letters.
+Every product of polynomials runs in two steps.  ``_scaled_terms`` scales
+the coefficients of a factor to the lcm of the denominators of its side
+and attaches to each term the bitmask of its odd letters, the bitmask that
+gives the Koszul sign of a product as a popcount, and its even degree;
+``_accumulate`` multiplies and adds the scaled numerators of shaped factor
+pairs as plain ints and builds one normalised ``Fraction`` per output
+monomial.  :func:`sum_of_products` (``a_1 b_1 + ... + a_k b_k``) shapes
+its factors in each call; :func:`matrix_product` shapes every entry of
+both matrices once (``_shape_rows``), however many products it enters, and
+keeps nothing after the call.  The same masks give the sign of a single monomial product
+(``_koszul``), which the left derivative and the coproduct of S(q) use; no
+other module counts crossings of odd letters.
 
 Every power series in a nilpotent ``SuperPolynomial`` or ``SuperMatrix``
 (``exp``, ``inverse``, the Neumann series of a matrix, ``f(ad y)`` at a
@@ -393,35 +394,40 @@ def coproduct_terms(parities, terms) -> dict:
     return out
 
 
-def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
-    """a_1 b_1 + ... + a_k b_k for the (a, b) polynomial pairs over ``table``.
-
-    Every left coefficient is scaled to the lcm of the left denominators,
-    every right one to the lcm of the right denominators, so the products
-    accumulate as plain ints over the product of the two lcms; one
-    normalised Fraction is built per surviving monomial.
-    """
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    for p in itertools.chain.from_iterable(pairs):
+def _check_tables(table, polys):
+    for p in polys:
         if p.table is not table and p.table != table:
             raise ValueError("polynomials live over different variable tables")
-    if not pairs:
-        return table.zero()
-    left_den = math.lcm(*(c.denominator for a, _ in pairs for c in a.terms.values()))
-    right_den = math.lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
+
+
+def _scaled_terms(parities, p, den) -> list:
+    """The terms of ``p`` as (monomial, odd, koszul, even degree, numerator
+    over ``den``), with the masks of ``_shape``."""
+    return [(m, *_shape(parities, m), c.numerator * (den // c.denominator)) for m, c in p.terms.items()]
+
+
+def _shape_rows(table: VariableTable, rows) -> tuple:
+    """(den, shaped) for a matrix of polynomials over ``table``: ``den`` is the
+    lcm of all its denominators and ``shaped[i][j]`` is ``_scaled_terms`` of
+    entry (i, j).  Shaping a factor once serves every product it enters
+    through ``_accumulate``."""
+    _check_tables(table, itertools.chain.from_iterable(rows))
+    den = math.lcm(*(c.denominator for row in rows for e in row for c in e.terms.values()))
+    parities = table.parities
+    return den, [[_scaled_terms(parities, e, den) for e in row] for row in rows]
+
+
+def _accumulate(table: VariableTable, pairs, den) -> SuperPolynomial:
+    """l_1 r_1 + ... + l_k r_k over ``den`` for (l, r) pairs of shaped terms
+    (``_scaled_terms``): the products accumulate as plain ints, with the Koszul
+    sign of each as a popcount, and one normalised Fraction is built per
+    surviving monomial."""
     order = table.truncation_order
     limit = 0 if order is None else order  # no even letters without an order
-    parities = table.parities
     acc = {}
-    for a, b in pairs:
-        right = [
-            (m, *_shape(parities, m), c.numerator * (right_den // c.denominator))
-            for m, c in b.terms.items()
-        ]
-        for m1, c1 in a.terms.items():
-            odd1, koszul1, even1 = _shape(parities, m1)
+    for left, right in pairs:
+        for m1, odd1, koszul1, even1, c1 in left:
             room = limit - even1
-            c1 = c1.numerator * (left_den // c1.denominator)
             for m2, odd2, _, even2, c2 in right:
                 if odd1 & odd2 or even2 > room:
                     continue
@@ -434,8 +440,38 @@ def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
                     acc[m] = v
                 else:
                     del acc[m]
-    den = left_den * right_den
     return SuperPolynomial._from_clean(table, {m: Fraction(v, den) for m, v in acc.items()})
+
+
+def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
+    """a_1 b_1 + ... + a_k b_k for the (a, b) polynomial pairs over ``table``.
+
+    The left factors are shaped over the lcm of their denominators, the
+    right ones over the lcm of theirs, and ``_accumulate`` sums the products
+    over the product of the two lcms.
+    """
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    _check_tables(table, itertools.chain.from_iterable(pairs))
+    left_den = math.lcm(*(c.denominator for a, _ in pairs for c in a.terms.values()))
+    right_den = math.lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
+    parities = table.parities
+    return _accumulate(table, [
+        (_scaled_terms(parities, a, left_den), _scaled_terms(parities, b, right_den)) for a, b in pairs
+    ], left_den * right_den)
+
+
+def matrix_product(table: VariableTable, a_rows, b_rows, n_cols) -> list:
+    """The rows of A B for A given by ``a_rows`` (m x k) and B by ``b_rows``
+    (k x ``n_cols``; k may be 0), entries polynomials over ``table``.  Every
+    entry of A and of B is shaped once, and entry (i, j) is one
+    ``_accumulate`` over row i of A and column j of B."""
+    left_den, left = _shape_rows(table, a_rows)
+    right_den, right = _shape_rows(table, b_rows)
+    den = left_den * right_den
+    return [
+        [_accumulate(table, [(a, row[j]) for a, row in zip(lrow, right) if a and row[j]], den) for j in range(n_cols)]
+        for lrow in left
+    ]
 
 
 def power_sum(coeffs, power):

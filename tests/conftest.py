@@ -4,7 +4,7 @@ import pytest
 
 from supersym import coderiv as cd
 from supersym.enveloping import PbwElement, _monomial_to_word
-from supersym.liealg import SymmetricPair, algebra_from_matrices, catalog, defining_matrices
+from supersym.liealg import SuperMatrix, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.series import p_c
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, sum_of_products
 
@@ -29,6 +29,33 @@ def apply_matrix(mat, vec: dict) -> dict:
             else:
                 out[i] = acc
     return out
+
+
+def oracle_matrix_product(table, a_rows, b_rows, n_cols):
+    """The rows of A B, one ``sum_of_products`` over row i of A and column j
+    of B per entry, each call shaping its factors afresh: the route
+    ``SuperMatrix.__mul__`` took before ``superpoly.matrix_product``."""
+    return [
+        [sum_of_products(table, [(a, b_rows[k][j]) for k, a in enumerate(row)]) for j in range(n_cols)]
+        for row in a_rows
+    ]
+
+
+def oracle_ad_matrix(alg, element, table):
+    """ad(element) column by column through ``LieSuperAlgebra.bracket`` and
+    SuperPolynomial sums of Fractions: the route ``liealg.ad_matrix`` took
+    before it read the integer structure constants."""
+    element = {
+        i: (table.constant(c) if isinstance(c, (int, Fraction)) else c)
+        for i, c in element.items()
+    }
+    op_parity = alg.element_parity(element)
+    if op_parity is None:
+        raise ValueError("ad of a parity-inhomogeneous element")
+    n = alg.dim
+    cols = [alg.bracket(element, {k: table.one()}) for k in range(n)]
+    rows = [[cols[j].get(i, table.zero()) for j in range(n)] for i in range(n)]
+    return SuperMatrix(table, alg.parities, rows, op_parity)
 
 
 def oracle_coderivation(pair, series, a_index, w):

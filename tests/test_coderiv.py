@@ -1080,6 +1080,21 @@ class TestFormsAgainstTheChainRoute:
             for word, form in nests.items():
                 assert_lowest_terms(form, a, word)
 
+    def test_p_c_is_built_once_per_c_and_degree(self, pair, monkeypatch):
+        built = []
+        real = cd.p_c
+        monkeypatch.setattr(cd, "p_c", lambda c, order: built.append((c, order)) or real(c, order))
+        table = cd.sq_table(pair)
+        w = SuperPolynomial(table, {sq_monos(pair, 1)[-1]: Fraction(1)})
+        for mono in sq_monos(pair, 3):
+            u = cd.beta_of_sq(pair, SuperPolynomial(table, {mono: Fraction(1)}))
+            cd.tau(pair, u)
+            for c in (1, Fraction(2, 3)):
+                cd.coderivation_C_u(pair, c, u, w)
+        assert built == list(pair.p_c_memo) and len(set(built)) == len(built) > 1
+        for (c, order), s in pair.p_c_memo.items():
+            assert s == real(c, order) and s.order == order
+
     def test_coderivation_C_and_C_u_on_random_polynomials(self, pair):
         rng = random.Random(83)
         ws = list(random_sq_polynomials(pair, rng, 6, max_degree=3))

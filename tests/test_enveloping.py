@@ -101,6 +101,15 @@ class TestNormalForm:
 
 
 class TestMultiply:
+    def test_scalars_hash_like_their_value(self):
+        alg, _ = catalog("osp12")
+        for value in (0, 3, Fraction(-5, 7)):
+            c = PbwElement.from_scalar(alg, value)
+            assert c == value and hash(c) == hash(value)
+        assert len({PbwElement.from_scalar(alg, 3), 3, Fraction(3)}) == 1
+        x = PbwElement.from_basis(alg, 0)
+        assert x != PbwElement.one(alg) and len({x, PbwElement.one(alg)}) == 2
+
     def test_unit(self):
         alg, _ = catalog("osp12")
         u = PbwElement.from_word(alg, (1, 0, 2))

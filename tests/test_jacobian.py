@@ -176,6 +176,15 @@ class TestHalfPowerRoute:
             assert s == str_by_full_power(gp, k, every), k
         assert got[gp.max_power() + 1].is_zero()
 
+    def test_q_square_without_h(self):
+        # h = 0: Q is the product of a |q| x 0 and a 0 x |q| block
+        for name in ("abelian(0,2)", "abelian(0,3)"):
+            pair = catalog(name)[1]
+            gp = jac.GenericPoint(pair)
+            q = jac._q_square(gp)
+            assert q.size == len(pair.q_indices) and q.is_zero()
+            assert jac.jacobian_Jc(gp, 2).J == gp.table.one()
+
     def test_odd_operator_refused(self):
         alg, _ = catalog("osp12")
         gp = jac.GenericPoint.full(alg)

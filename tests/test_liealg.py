@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersym import liealg
 from supersym.liealg import (
@@ -15,7 +16,7 @@ from supersym.liealg import (
 )
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, VariableTable, exhaustive_monomials
 
-from conftest import apply_matrix, diagonal_pair
+from conftest import ORACLE_PAIRS, apply_matrix, diagonal_pair, oracle_ad_matrix
 
 
 def matrix_table(order=6):
@@ -290,7 +291,66 @@ class TestSymmetricPair:
         assert witnesses == [("x", Fraction(1))]
 
 
+AD_ALGEBRAS = {
+    "osp12": catalog("osp12")[0],
+    "gl11": catalog("gl11")[0],
+    "heisenberg_super": catalog("heisenberg_super")[0],
+    "solvable2": catalog("solvable2")[0],
+    "diag-gl11": diagonal_pair("gl11").algebra,
+    "osp12-rescaled": ORACLE_PAIRS["osp12-rescaled"]().algebra,
+}
+
+
+@st.composite
+def ad_cases(draw):
+    """(algebra, element, table): a random mixed-parity table and a
+    homogeneous element whose coefficients are polynomials of the parity
+    the element needs, or plain rationals on the even directions."""
+    alg = AD_ALGEBRAS[draw(st.sampled_from(sorted(AD_ALGEBRAS)))]
+    n = draw(st.integers(1, 4))
+    parities = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+    order = draw(st.integers(0, 3)) if EVEN in parities else None
+    table = VariableTable([f"v{i}" for i in range(n)], parities, order)
+    monos = exhaustive_monomials(table, 3)
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+    op_parity = draw(st.sampled_from([EVEN, ODD]))
+    element = {}
+    for k in draw(st.lists(st.integers(0, alg.dim - 1), max_size=4, unique=True)):
+        want = (op_parity + alg.parities[k]) % 2
+        if want == EVEN and draw(st.booleans()):
+            element[k] = draw(coeff)
+            continue
+        choices = [m for m in monos if table.monomial_parity(m) == want]
+        if choices:
+            terms = draw(st.dictionaries(st.sampled_from(choices), coeff, max_size=3))
+            element[k] = SuperPolynomial(table, terms)
+    return alg, element, table
+
+
 class TestAdMatrix:
+    @given(ad_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_against_the_bracket_route(self, case):
+        alg, element, table = case
+        got, want = ad_matrix(alg, element, table), oracle_ad_matrix(alg, element, table)
+        assert got.module_parities == want.module_parities and got.op_parity == want.op_parity
+        for row, want_row in zip(got.entries, want.entries):
+            # same values and key order as the Fraction bracket sums
+            assert [list(e.terms.items()) for e in row] == [list(e.terms.items()) for e in want_row]
+
+    def test_inhomogeneous_element_refused(self):
+        alg, _ = catalog("osp12")
+        t = matrix_table()
+        for element in ({0: t.one(), 2: t.one()}, {2: t.one() + t.variable("u1")}):
+            for route in (ad_matrix, oracle_ad_matrix):
+                with pytest.raises(ValueError):
+                    route(alg, element, t)
+
+    def test_foreign_table_refused(self):
+        alg, _ = catalog("osp12")
+        with pytest.raises(ValueError):
+            ad_matrix(alg, {2: matrix_table(order=2).variable("s")}, matrix_table())
+
     def test_abelian_is_zero(self):
         alg, _ = catalog("abelian(1,2)")
         t = matrix_table()
@@ -317,6 +377,25 @@ class TestAdMatrix:
         for row in m.entries:
             for e in row:
                 assert all(sum(mono) == 1 for mono in e.terms)
+
+
+class TestScalingByPolynomials:
+    def test_left_multiplication_puts_the_polynomial_on_the_left(self):
+        t = VariableTable(["a", "b"], [ODD, ODD])
+        a, b = t.variable(0), t.variable(1)
+        m = SuperMatrix(t, [EVEN, ODD], [[t.zero(), b], [b, t.zero()]], EVEN)
+        left, right = a * m, m * a
+        assert left.entries[0][1] == a * b and right.entries[0][1] == b * a == -(a * b)
+        assert left.op_parity == right.op_parity == ODD
+        assert (3 * m).entries == (m * 3).entries
+
+    def test_scalars_commute_with_a_matrix(self):
+        t = matrix_table()
+        rng = random.Random(11)
+        m = random_even_matrix(t, [EVEN, ODD, ODD], rng, invertible=False)
+        s = t.variable("s")
+        for c in (2, Fraction(-3, 4), s):
+            assert c * m == m * c
 
 
 class TestSupertrace:

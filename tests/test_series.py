@@ -461,6 +461,21 @@ class TestStoredForm:
         assert (scaled.nums, scaled.den) == ({(0, 1): 3, (1, 0): 9}, 4)
         assert (TruncatedSeries1.zero(3).den, TruncatedSeries2.zero(3).den) == (1, 1)
 
+    def test_one_variable_constants_hash_like_their_value(self):
+        for value in (0, 3, Fraction(-5, 7)):
+            c = TruncatedSeries1.constant(value, 4)
+            assert c == value and hash(c) == hash(value)
+        assert len({TruncatedSeries1.constant(3, 4), 3, Fraction(3)}) == 1
+        assert len({TruncatedSeries1.t(4), TruncatedSeries1.constant(1, 4)}) == 2
+
+    def test_two_variable_constants_hash_like_their_value(self):
+        for value in (0, 3, Fraction(-5, 7)):
+            c = TruncatedSeries2({(0, 0): value}, 4)
+            assert c == value and hash(c) == hash(value)
+        assert len({TruncatedSeries2({(0, 0): 3}, 4), 3, Fraction(3)}) == 1
+        u = TruncatedSeries2({(0, 1): 1}, 4)
+        assert u != 1 and len({u, TruncatedSeries2({(0, 0): 1}, 4)}) == 2
+
     def test_products_refuse_other_types_with_type_error(self):
         for s in (TruncatedSeries1.t(3), TruncatedSeries2.zero(3)):
             for op in (lambda: s * "x", lambda: s * None, lambda: None * s):

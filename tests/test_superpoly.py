@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supersym.liealg import SuperMatrix
+
+from conftest import oracle_matrix_product
 from supersym.superpoly import (
     EVEN,
     ODD,
@@ -14,6 +16,7 @@ from supersym.superpoly import (
     VariableTable,
     _koszul,
     exhaustive_monomials,
+    matrix_product,
     power_sum,
     sum_of_products,
     truncate_even_degree,
@@ -392,24 +395,46 @@ class TestProductOracle:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matrix_product_matches_entrywise_accumulation(self, data):
+        # rectangular blocks, the inner dimension possibly empty (an |q| x 0
+        # times 0 x |q| product when h = 0)
         table = data.draw(tables())
-        n = data.draw(st.integers(1, 3))
-        parities = data.draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+        m, k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
 
-        def matrix():
-            rows = [[data.draw(polys(table, 3)) for _ in range(n)] for _ in range(n)]
-            return SuperMatrix(table, parities, rows, check=False)
+        def block(rows, cols):
+            return [[data.draw(polys(table, 3)) for _ in range(cols)] for _ in range(rows)]
 
-        a, b = matrix(), matrix()
-        product = a * b
-        for i in range(n):
+        a, b = block(m, k), block(k, n)
+        product = matrix_product(table, a, b, n)
+        want = oracle_matrix_product(table, a, b, n)
+        assert len(product) == m and all(len(row) == n for row in product)
+        for i in range(m):
             for j in range(n):
                 acc = table.zero()
-                for k in range(n):
-                    acc = acc + SuperPolynomial(
-                        table, oracle_product(a.entries[i][k], b.entries[k][j])
-                    )
-                assert product.entries[i][j].terms == acc.terms
+                for x in range(k):
+                    acc = acc + SuperPolynomial(table, oracle_product(a[i][x], b[x][j]))
+                assert product[i][j].terms == acc.terms
+                # same values and key order as one sum_of_products per entry
+                assert list(product[i][j].terms.items()) == list(want[i][j].terms.items())
+        if m == k == n:
+            parities = data.draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+            x, y = (SuperMatrix(table, parities, rows, check=False) for rows in (a, b))
+            assert [[list(e.terms.items()) for e in row] for row in (x * y).entries] == [
+                [list(e.terms.items()) for e in row] for row in want
+            ]
+
+    def test_matrix_product_of_empty_blocks(self):
+        table = mixed_table()
+        t, x1, x2 = (table.variable(i) for i in range(3))
+        zero_inner = matrix_product(table, [[], []], [], 3)
+        assert [[e.is_zero() for e in row] for row in zero_inner] == [[True] * 3] * 2
+        assert matrix_product(table, [], [[t, x1]], 2) == []
+        assert matrix_product(table, [[x1, t]], [[x2], [x1]], 1)[0][0] == x1 * x2 + t * x1
+
+    def test_matrix_product_refuses_a_foreign_table(self):
+        table = mixed_table()
+        other = mixed_table(order=2)
+        with pytest.raises(ValueError):
+            matrix_product(table, [[table.variable(0)]], [[other.variable(0)]], 1)
 
 
 def inversion_sign(parities, m1, m2):
