@@ -446,47 +446,41 @@ def _nonzero_rational(text):
     return value
 
 
-def _add_common(sub):
-    sub.add_argument("--emit", metavar="PATH", help="write a tab-separated report")
-    sub.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    sub.add_argument("--order", type=_positive_int, default=None, help="truncation / degree bound")
-
-
 @functools.cache
 def _build_parser():
     """The argument parser, built on the first ``main`` call of a process
-    and shared by the later ones (parsing leaves it unchanged)."""
+    and shared by the later ones (parsing leaves it unchanged).  Each
+    command takes only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="supersym",
         description="Exact verification toolkit for Lie superalgebra symmetric pairs",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument("--emit", metavar="PATH", help="write a tab-separated report")
+    order = argparse.ArgumentParser(add_help=False, parents=[emit])
+    order.add_argument("--order", type=_positive_int, default=None, help="truncation / degree bound")
 
-    p = subs.add_parser("check", help="verify an algebra file: Jacobi, pair, unimodularity")
+    p = subs.add_parser("check", help="verify an algebra file: Jacobi, pair, unimodularity", parents=[emit])
     p.add_argument("file")
-    _add_common(p)
 
-    p = subs.add_parser("gorelik", help="construct and verify the Gorelik element")
+    p = subs.add_parser("gorelik", help="construct and verify the Gorelik element", parents=[emit])
     p.add_argument("file")
     p.add_argument("--against-solver", action="store_true", help="also run the invariant-space solver")
-    _add_common(p)
 
-    p = subs.add_parser("jacobian", help="Jacobian of the exponential map")
+    p = subs.add_parser("jacobian", help="Jacobian of the exponential map", parents=[order])
     p.add_argument("file")
     p.add_argument("--c", type=_nonzero_rational, default=None, help="scaling parameter (rational, nonzero)")
     p.add_argument("--full-group", action="store_true", help="Jacobian of the full supergroup")
-    _add_common(p)
 
-    p = subs.add_parser("series", help="verify the functional equations of the universal series")
+    p = subs.add_parser("series", help="verify the functional equations of the universal series", parents=[order])
     p.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p)
 
-    p = subs.add_parser("tau", help="check that tau inverts the symmetrization")
+    p = subs.add_parser("tau", help="check that tau inverts the symmetrization", parents=[order])
     p.add_argument("file")
-    _add_common(p)
 
-    p = subs.add_parser("selftest", help="run the built-in verification suite on the catalog")
-    _add_common(p)
+    p = subs.add_parser("selftest", help="run the built-in verification suite on the catalog", parents=[emit])
+    p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     return parser
 
 

@@ -8,17 +8,16 @@ coderivation pairing the coproduct legs of a monomial with the evaluations
 
 of the generic-point series, a crossing the first leg with the sign
 (-1)^{p(a) p(leg1)}; the action of a in h is the superalgebra derivation
-extending the adjoint action b |-> [a, b].  With p = p_c = t*coth(t/c)
-these assemble into the representation C_c; twisting by a character chi
-of h through the odd series q_c = -tanh(t/(2c)) gives the representations
-Theta_{c,chi} that match left multiplication on the induced module.
+extending the adjoint action b |-> [a, b], which is the same coproduct-leg
+step with the series -t, as [a, b] = -(-1)^{p(a) p(b)} [b, a].  With
+p = p_c = t*coth(t/c) these assemble into the representation C_c; twisting
+by a character chi of h through the odd series q_c = -tanh(t/(2c)) gives
+the representations Theta_{c,chi} that match left multiplication on the
+induced module.  Every Koszul sign of a product in S(q) comes from the
+monomial sign of ``superpoly``.
 
-Every Koszul sign of a product in S(q) comes from the product kernel of
-``superpoly``: the coproduct and C_c through its monomial sign, the
-h-derivation through products and left derivatives.
-
-C_c, C_c^u and tau run on forms (den, {S(q) monomial: int}), as in
-``enveloping._combine``, and build one SuperPolynomial per result.  Their
+C_c, C_c^u and tau run on the integer forms (den, {S(q) monomial: int}) of
+``superpoly`` and build one SuperPolynomial per result.  Their
 memos die with the pair: ``pair.nest_memo`` keeps the bracket nests
 S(word)(a) and ``pair.tau_memo`` the chain C_1^word(1) of each PBW word
 tau meets, both as forms, and ``pair.p_c_memo`` the series p_c they use.
@@ -36,10 +35,7 @@ from fractions import Fraction
 from . import linalg
 from .enveloping import (
     PbwElement,
-    _combine,
     _first_letter_sum,
-    _form,
-    _fractions,
     _monomial_to_word,
     _symmetrized,
     _twisted_adjoint,
@@ -54,7 +50,10 @@ from .superpoly import (
     ODD,
     SuperPolynomial,
     VariableTable,
+    _combine,
+    _form,
     _koszul,
+    _poly,
     coproduct_terms,
     exhaustive_monomials,
     sum_of_products,
@@ -130,25 +129,13 @@ def _nested(alg, memo: dict, word) -> tuple:
     return value
 
 
-def _h_derivation(pair: SymmetricPair, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
-    """For a in h the representation is the superalgebra derivation of S(q)
-    extending b |-> [a, b]; a derivation of a free supercommutative algebra
-    is sum_b D(b) d_b with left derivatives d_b."""
-    alg = pair.algebra
-    pairs = []
-    for pos, b in enumerate(pair.q_indices):
-        image = alg.bracket_basis(a_index, b)
-        if image:
-            pairs.append((sq_from_element(pair, image), w.partial_derivative(pos)))
-    return sum_of_products(sq_table(pair), pairs)
-
-
 def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w: tuple) -> tuple:
     """C_c^a on the form w, with p_c built to at least the total degree of w.
-    For a in q, the leg leg1 (x) leg2 of the coproduct gives the int form
-    S(leg1)(a) of ``pair.nest_memo``, each letter x_i of it multiplied into
-    leg2 with the Koszul sign of x_i leg2, scaled by the int ratio p_n and
-    the sign (-1)^{p(a) p(leg1)}; one ``_combine`` sums the legs."""
+    The leg leg1 (x) leg2 of the coproduct gives the int form S(leg1)(a) of
+    ``pair.nest_memo``, each letter x_i of it multiplied into leg2 with the
+    Koszul sign of x_i leg2, scaled by the int ratio p_n and the sign
+    (-1)^{p(a) p(leg1)}; one ``_combine`` sums the legs.  For a in h the
+    series is -t: a one-letter leg1 = b gives [a, b] leg2, the derivation."""
     table = sq_table(pair)
     order = table.truncation_order
     alg = pair.algebra
@@ -158,9 +145,8 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
     if order is not None and (not pair.in_h(a_index) or pa == ODD):
         if any(table.even_degree(m) >= order for m in terms):
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
-    if pair.in_h(a_index):
-        return _form(_h_derivation(pair, a_index, _poly(table, w)).terms)
-    parities, nums = table.parities, series.nums
+    nums, nums_den = ((0, -1), 1) if pair.in_h(a_index) else (series.nums, series.den)
+    parities = table.parities
     memo = pair.nest_memo.setdefault(a_index, {(): (1, {a_index: 1})})
     letters = [tuple(int(j == i) for j in range(len(parities))) for i in range(len(parities))]
     pairs = []
@@ -175,17 +161,14 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
                 if sign:
                     legs[leg2[:i] + (leg2[i] + 1,) + leg2[i + 1 :]] = sign * nest[i]
             pairs.append((-coeff * nums[n] if pa and table.monomial_parity(leg1) else coeff * nums[n], (nden, legs)))
-    return _combine(pairs, den * series.den)
-
-
-def _poly(table: VariableTable, form: tuple) -> SuperPolynomial:
-    return SuperPolynomial._from_clean(table, _fractions(form))
+    return _combine(pairs, den * nums_den)
 
 
 def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
     """The universal representation C_c^a acting on w in S(q): for a in q,
     the sum over the coproduct legs of w of (-1)^{p(a) p(leg1)}
-    p_c(ad leg1)(a) leg2, the sign being a crossing the first leg."""
+    p_c(ad leg1)(a) leg2, the sign being a crossing the first leg; for a in
+    h, the derivation extending ad a (the same sum with -t for p_c)."""
     return coderivation_C_u(pair, c, PbwElement.from_basis(pair.algebra, a_index), w)
 
 

@@ -4,10 +4,10 @@ A PBW monomial is an exponent tuple over the ordered basis of g (odd
 exponents at most 1); an element is a finite coefficient map from such
 monomials.  Coefficients are rational (ints or Fractions; the constructor
 refuses anything else), so they commute with every letter.  Inside the
-module a linear combination is a form (den, {key: int}), the ints over one
-positive denominator: the memoised products (``_letter_product``,
+module a linear combination is a form (den, {key: int}), the integer form
+that ``superpoly`` defines: the memoised products (``_letter_product``,
 ``_monomial_product``) and symmetrizations (``_symmetrized``) are stored so,
-and every sum of forms goes through one kernel, ``_combine``, with int
+and every sum of forms goes through ``superpoly._combine``, with int
 scalars over one more denominator.  Fractions are built only where an
 element leaves the module (``PbwElement.terms``, coordinates).
 
@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 
 from .liealg import LieSuperAlgebra, SymmetricPair
-from .superpoly import EVEN, ODD, coproduct_terms, exhaustive_monomials
+from .superpoly import EVEN, ODD, _combine, _form, _fractions, _render, coproduct_terms, exhaustive_monomials
 
 
 def _monomial_to_word(mono):
@@ -141,42 +141,6 @@ def _letter_product(alg: LieSuperAlgebra, i, m):
     return out
 
 
-def _combine(pairs, den=1) -> tuple:
-    """(s_1 f_1 + ... + s_k f_k) / den for (s, f) pairs of int scalars s and
-    forms f = (d, {key: nonzero int}), as a form in lowest terms.
-
-    Every form is scaled to the lcm of the d, so the products accumulate as
-    plain ints; a key whose running sum reaches zero leaves the dict, so the
-    keys come in the order of the term-by-term sum.
-    """
-    pairs = [(s, f) for s, f in pairs if s and f[1]]
-    lcm = math.lcm(*(d for _, (d, _) in pairs))
-    acc = {}
-    for s, (d, terms) in pairs:
-        s *= lcm // d
-        for key, v in terms.items():
-            t = acc.get(key, 0) + s * v
-            if t:
-                acc[key] = t
-            else:
-                del acc[key]
-    den *= lcm
-    g = math.gcd(den, *acc.values())
-    if g > 1:
-        return den // g, {key: v // g for key, v in acc.items()}
-    return den, acc
-
-
-def _form(terms) -> tuple:
-    """{key: rational} as a form, over the lcm of the denominators."""
-    den = math.lcm(*(v.denominator for v in terms.values()))
-    return den, {key: v.numerator * (den // v.denominator) for key, v in terms.items()}
-
-
-def _fractions(form) -> dict:
-    return {key: Fraction(v, form[0]) for key, v in form[1].items()}
-
-
 def monomial_parity(alg: LieSuperAlgebra, mono) -> int:
     return sum(e for e, p in zip(mono, alg.parities) if p == ODD) % 2
 
@@ -212,13 +176,15 @@ class PbwElement:
 
     @classmethod
     def from_basis(cls, alg, i, coeff=Fraction(1)):
-        mono = tuple(1 if j == i else 0 for j in range(alg.dim))
-        return cls(alg, {mono: coeff})
+        return cls.from_element(alg, {i: coeff})
 
     @classmethod
     def from_element(cls, alg, element: dict):
         """Canonical injection of g (an index -> coefficient dict)."""
-        return cls(alg, {tuple(1 if j == i else 0 for j in range(alg.dim)): c for i, c in element.items()})
+        unit = (0,) * alg.dim
+        if not all(0 <= i < alg.dim for i in element):
+            raise IndexError(f"basis index out of range for dimension {alg.dim}: {sorted(element)}")
+        return cls(alg, {unit[:i] + (1,) + unit[i + 1 :]: c for i, c in element.items()})
 
     @classmethod
     def from_word(cls, alg, word, coeff=Fraction(1)):
@@ -307,32 +273,7 @@ class PbwElement:
         return hash((id(self.alg), frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        alg = self.alg
-        pieces = []
-        for mono in sorted(self.terms, key=lambda m: (sum(m), m)):
-            c = self.terms[mono]
-            letters = "*".join(
-                alg.names[i] if e == 1 else f"{alg.names[i]}^{e}"
-                for i, e in enumerate(mono)
-                if e
-            )
-            if not letters:
-                pieces.append(str(c))
-            elif c == 1:
-                pieces.append(letters)
-            elif c == -1:
-                pieces.append(f"-{letters}")
-            else:
-                pieces.append(f"{c} {letters}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return _render(self.terms, self.alg.names)
 
     __repr__ = __str__
 

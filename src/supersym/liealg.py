@@ -32,6 +32,9 @@ from .superpoly import (
     ODD,
     SuperPolynomial,
     VariableTable,
+    _combine,
+    _form,
+    _poly,
     _power_table,
     matrix_product,
     parity_of,
@@ -498,9 +501,9 @@ def ad_matrix(alg: LieSuperAlgebra, element: dict, table: VariableTable) -> Supe
     The element has SuperPolynomial (or Fraction) coefficients over
     ``table``; its parity must be homogeneous.  Entry (i, j) is the e_i
     component of [element, e_j], sum over k of
-    (-1)^{p(f_k) p(e_j)} c_kj^i f_k for the coefficient f_k of e_k: the
-    ``int_brackets`` times the coefficients scaled to one denominator,
-    accumulated as ints.
+    (-1)^{p(f_k) p(e_j)} c_kj^i f_k for the coefficient f_k of e_k: one
+    ``superpoly._combine`` of the integer forms of the f_k with the
+    ``int_brackets`` as scalars, in k order.
     """
     element = {
         i: (table.constant(c) if isinstance(c, (int, Fraction)) else c)
@@ -511,27 +514,15 @@ def ad_matrix(alg: LieSuperAlgebra, element: dict, table: VariableTable) -> Supe
         raise ValueError("ad of a parity-inhomogeneous element")
     if any(f.table is not table and f.table != table for f in element.values()):
         raise ValueError("polynomials live over different variable tables")
-    den = math.lcm(*(c.denominator for f in element.values() for c in f.terms.values()))
-    coeffs = [
-        (k, coefficient_parity(f), {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()})
-        for k, f in element.items()
-        if f.terms
-    ]
+    coeffs = [(k, coefficient_parity(f), _form(f.terms)) for k, f in element.items() if f.terms]
     n = alg.dim
-    acc = [[{} for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k, pf, terms in coeffs:
-            sign = -1 if pf & alg.parities[j] else 1
+    pairs = [[[] for _ in range(n)] for _ in range(n)]  # entry (i, j): its (scalar, form) pairs in k order
+    for j, pj in enumerate(alg.parities):
+        for k, pf, f in coeffs:
+            sign = -1 if pf & pj else 1
             for i, c in alg.int_brackets[k][j].items():
-                entry, c = acc[i][j], sign * c
-                for m, v in terms.items():
-                    t = entry.get(m, 0) + c * v
-                    if t:
-                        entry[m] = t
-                    else:
-                        del entry[m]
-    den *= alg.bracket_den
-    rows = [[SuperPolynomial._from_clean(table, {m: Fraction(v, den) for m, v in e.items()}) for e in row] for row in acc]
+                pairs[i][j].append((sign * c, f))
+    rows = [[_poly(table, _combine(p, alg.bracket_den)) if p else table.zero() for p in row] for row in pairs]
     return SuperMatrix(table, alg.parities, rows, op_parity)
 
 

@@ -133,8 +133,10 @@ class TruncatedSeries1:
         return not any(self.nums)
 
     def truncate(self, order) -> "TruncatedSeries1":
-        nums = self.nums[: order + 1]
-        return TruncatedSeries1._reduced(nums + [0] * (order + 1 - len(nums)), self.den, order)
+        """The terms up to t^order; ``order`` may not exceed the series' own."""
+        if order > self.order:
+            raise ValueError(f"cannot truncate a series of order {self.order} at the higher order {order}")
+        return TruncatedSeries1._reduced(self.nums[: order + 1], self.den, order)
 
     def __add__(self, other):
         other = _coerce1(other, self.order)

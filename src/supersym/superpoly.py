@@ -24,6 +24,11 @@ keeps nothing after the call.  The same masks give the sign of a single monomial
 (``_koszul``), which the left derivative and the coproduct of S(q) use; no
 other module counts crossings of odd letters.
 
+This module owns the integer form (den, {key: int}) of a linear combination
+that sums, U(g), C_c, tau and ``ad_matrix`` compute in: ``_form`` makes one,
+``_combine`` sums int multiples of forms, ``_fractions`` and ``_poly`` read
+one back.  ``_render`` prints SuperPolynomials and PBW elements alike.
+
 Every power series in a nilpotent ``SuperPolynomial`` or ``SuperMatrix``
 (``exp``, ``inverse``, the Neumann series of a matrix, ``f(ad y)`` at a
 generic point) is summed by :func:`power_sum`, from its coefficients and a
@@ -85,6 +90,8 @@ class VariableTable:
     def variable(self, name_or_index) -> "SuperPolynomial":
         """The variable itself, as a polynomial."""
         i = name_or_index if isinstance(name_or_index, int) else self.index(name_or_index)
+        if not 0 <= i < len(self.names):
+            raise IndexError(f"variable index {i} out of range for {len(self.names)} variables")
         mono = tuple(1 if j == i else 0 for j in range(len(self.names)))
         return SuperPolynomial(self, {mono: Fraction(1)})
 
@@ -184,14 +191,7 @@ class SuperPolynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_table(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return SuperPolynomial(self.table, terms)
+        return _poly(self.table, _combine([(1, _form(self.terms)), (1, _form(other.terms))]))
 
     __radd__ = __add__
 
@@ -305,37 +305,7 @@ class SuperPolynomial:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        table = self.table
-
-        def mono_key(m):
-            return (sum(m), m)
-
-        pieces = []
-        for mono in sorted(self.terms, key=mono_key):
-            coeff = self.terms[mono]
-            vars_part = "*".join(
-                table.names[i] if e == 1 else f"{table.names[i]}^{e}"
-                for i, e in enumerate(mono)
-                if e
-            )
-            if not vars_part:
-                body = str(coeff)
-            elif coeff == 1:
-                body = vars_part
-            elif coeff == -1:
-                body = f"-{vars_part}"
-            else:
-                body = f"{coeff} {vars_part}"
-            pieces.append(body)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return _render(self.terms, self.table.names)
 
     __repr__ = __str__
 
@@ -440,7 +410,7 @@ def _accumulate(table: VariableTable, pairs, den) -> SuperPolynomial:
                     acc[m] = v
                 else:
                     del acc[m]
-    return SuperPolynomial._from_clean(table, {m: Fraction(v, den) for m, v in acc.items()})
+    return _poly(table, (den, acc))
 
 
 def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
@@ -472,6 +442,70 @@ def matrix_product(table: VariableTable, a_rows, b_rows, n_cols) -> list:
         [_accumulate(table, [(a, row[j]) for a, row in zip(lrow, right) if a and row[j]], den) for j in range(n_cols)]
         for lrow in left
     ]
+
+
+def _combine(pairs, den=1) -> tuple:
+    """(s_1 f_1 + ... + s_k f_k) / den for (s, f) pairs of int scalars s and
+    forms f = (d, {key: nonzero int}), as a form in lowest terms.
+
+    Every form is scaled to the lcm of the d, so the products accumulate as
+    plain ints; a key whose running sum reaches zero leaves the dict, so the
+    keys come in the order of the term-by-term sum.
+    """
+    pairs = [(s, f) for s, f in pairs if s and f[1]]
+    lcm = math.lcm(*(d for _, (d, _) in pairs))
+    acc = {}
+    for s, (d, terms) in pairs:
+        s *= lcm // d
+        for key, v in terms.items():
+            t = acc.get(key, 0) + s * v
+            if t:
+                acc[key] = t
+            else:
+                del acc[key]
+    den *= lcm
+    g = math.gcd(den, *acc.values())
+    if g > 1:
+        return den // g, {key: v // g for key, v in acc.items()}
+    return den, acc
+
+
+def _form(terms) -> tuple:
+    """{key: rational} as a form, over the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in terms.values()))
+    return den, {key: v.numerator * (den // v.denominator) for key, v in terms.items()}
+
+
+def _fractions(form) -> dict:
+    return {key: Fraction(v, form[0]) for key, v in form[1].items()}
+
+
+def _poly(table: VariableTable, form: tuple) -> SuperPolynomial:
+    """The SuperPolynomial of a form whose monomials are within the truncation."""
+    return SuperPolynomial._from_clean(table, _fractions(form))
+
+
+def _render(terms, names) -> str:
+    """{monomial: coefficient} over the letter ``names`` as text, by (degree,
+    monomial): ``0``, or pieces ``c``, ``x``, ``-x``, ``c x*y^2`` joined by + and -."""
+    pieces = []
+    for mono in sorted(terms, key=lambda m: (sum(m), m)):
+        coeff = terms[mono]
+        letters = "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(mono) if e)
+        if not letters:
+            pieces.append(str(coeff))
+        elif coeff == 1:
+            pieces.append(letters)
+        elif coeff == -1:
+            pieces.append(f"-{letters}")
+        else:
+            pieces.append(f"{coeff} {letters}")
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+    return out
 
 
 def power_sum(coeffs, power):

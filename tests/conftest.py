@@ -58,11 +58,41 @@ def oracle_ad_matrix(alg, element, table):
     return SuperMatrix(table, alg.parities, rows, op_parity)
 
 
+def oracle_h_derivation(pair, a_index, w):
+    """C_c^a for a in h, the derivation extending b |-> [a, b], letter by
+    letter: replace the k-th letter of each monomial, with one sign p(a) per
+    odd letter crossed.  It shares no code with ``coderiv._coderivation``."""
+    alg = pair.algebra
+    table = cd.sq_table(pair)
+    pa = alg.parities[a_index]
+    out = table.zero()
+    for mono, coeff in w.terms.items():
+        letters = _monomial_to_word(mono)
+        for k, pos in enumerate(letters):
+            image = alg.bracket({a_index: Fraction(1)}, {pair.q_indices[pos]: Fraction(1)})
+            if not image:
+                continue
+            crossed = sum(1 for j in letters[:k] if table.parities[j] == ODD)
+            sign = -1 if (pa * crossed) % 2 else 1
+            prefix = table.one()
+            for j in letters[:k]:
+                prefix = prefix * table.variable(j)
+            suffix = table.one()
+            for j in letters[k + 1 :]:
+                suffix = suffix * table.variable(j)
+            repl = table.zero()
+            for i, c in image.items():
+                repl = repl + table.variable(pair.q_indices.index(i)) * c
+            out = out + prefix * repl * suffix * (coeff * sign)
+    return out
+
+
 def oracle_coderivation(pair, series, a_index, w):
     """C_c^a on the SuperPolynomial w, one ``apply_radx`` Fraction dict, one
     degree-1 polynomial and one one-term polynomial per coproduct leg, summed
     by ``sum_of_products``: the route ``coderiv._coderivation`` took before it
-    kept its chains as integer forms."""
+    kept its chains as integer forms.  An h letter goes to
+    ``oracle_h_derivation``."""
     table = cd.sq_table(pair)
     order = table.truncation_order
     pa = pair.algebra.parities[a_index]
@@ -70,7 +100,7 @@ def oracle_coderivation(pair, series, a_index, w):
         if any(table.even_degree(m) >= order for m in w.terms):
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
     if pair.in_h(a_index):
-        return cd._h_derivation(pair, a_index, w)
+        return oracle_h_derivation(pair, a_index, w)
     a_element = {a_index: Fraction(1)}
     pairs = []
     for (leg1, leg2), coeff in cd.sq_coproduct(pair, w).items():

@@ -196,6 +196,25 @@ class TestCommands:
         assert run(argv) == 2
         assert "error: argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", ALGEBRAS / "osp12.alg", "--seed", "1"],
+            ["check", ALGEBRAS / "osp12.alg", "--order", "3"],
+            ["gorelik", ALGEBRAS / "osp12.alg", "--seed", "1"],
+            ["gorelik", ALGEBRAS / "osp12.alg", "--order", "3"],
+            ["selftest", "--order", "3"],
+            ["series", "--seed", "1"],
+            ["jacobian", ALGEBRAS / "osp12.alg", "--seed", "1"],
+            ["tau", ALGEBRAS / "gl11.alg", "--seed", "1"],
+        ],
+        ids=["check-seed", "check-order", "gorelik-seed", "gorelik-order", "selftest-order",
+             "series-seed", "jacobian-seed", "tau-seed"],
+    )
+    def test_a_flag_the_command_ignores_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_jacobian_full_group(self, capsys):
         assert run(["jacobian", ALGEBRAS / "solvable2.alg", "--full-group", "--order", "4"]) == 0
         assert "full-group" in capsys.readouterr().out

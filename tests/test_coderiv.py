@@ -11,6 +11,7 @@ from supersym import coderiv as cd
 from supersym import enveloping as env
 from supersym import jacobian as jac
 from supersym import liealg, linalg, series
+from supersym import superpoly as sp
 from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, exhaustive_monomials
@@ -21,6 +22,7 @@ from conftest import (
     gl_pair,
     oracle_coderivation,
     oracle_coderivation_C,
+    oracle_h_derivation,
     oracle_words,
     osp14_pair,
 )
@@ -255,7 +257,7 @@ class TestCoderivationC:
 
         def C_bad(a_index, w):
             if pair.in_h(a_index):
-                return cd._h_derivation(pair, a_index, w)
+                return oracle_h_derivation(pair, a_index, w)
             out = table.zero()
             for (l1, l2), coeff in cd.sq_coproduct(pair, w).items():
                 value = cd.apply_radx(pair, bad, {a_index: Fraction(1)}, cd.sq_monomial_letters(pair, l1))
@@ -720,8 +722,9 @@ class TestLieGenerators:
 
 
 # ---------------------------------------------------------------------------
-# oracles for the S(q) operators: the letter-by-letter coproduct and the
-# prefix/suffix h-derivation, each counting its Koszul signs by hand
+# oracles for the S(q) operators: the letter-by-letter coproduct here and
+# the prefix/suffix h-derivation of conftest, each counting its Koszul signs
+# by hand
 # ---------------------------------------------------------------------------
 
 def _mono_mul(table, mono, pos):
@@ -777,34 +780,6 @@ def oracle_sq_coproduct(pair, w):
     return out
 
 
-def oracle_h_derivation(pair, a_index, w):
-    """The derivation extending b |-> [a, b], letter by letter: replace the
-    k-th letter of each monomial, with one sign p(a) per odd letter crossed."""
-    alg = pair.algebra
-    table = cd.sq_table(pair)
-    pa = alg.parities[a_index]
-    out = table.zero()
-    for mono, coeff in w.terms.items():
-        letters = env._monomial_to_word(mono)
-        for k, pos in enumerate(letters):
-            image = alg.bracket({a_index: Fraction(1)}, {pair.q_indices[pos]: Fraction(1)})
-            if not image:
-                continue
-            crossed = sum(1 for j in letters[:k] if table.parities[j] == ODD)
-            sign = -1 if (pa * crossed) % 2 else 1
-            prefix = table.one()
-            for j in letters[:k]:
-                prefix = prefix * table.variable(j)
-            suffix = table.one()
-            for j in letters[k + 1 :]:
-                suffix = suffix * table.variable(j)
-            repl = table.zero()
-            for i, c in image.items():
-                repl = repl + table.variable(pair.q_indices.index(i)) * c
-            out = out + prefix * repl * suffix * (coeff * sign)
-    return out
-
-
 SQ_ORACLE_PAIRS = dict(ORACLE_PAIRS, **{"diag-osp12": lambda: diagonal_pair("osp12")})
 
 
@@ -845,7 +820,7 @@ class TestSqOracles:
         for mono in sq_monos(sq_pair, 5):
             w = SuperPolynomial(table, {mono: Fraction(1)})
             for a in sq_pair.h_indices:
-                got = cd._h_derivation(sq_pair, a, w)
+                got = cd.coderivation_C(sq_pair, 1, a, w)
                 expected = oracle_h_derivation(sq_pair, a, w)
                 # same values in the same key order
                 assert list(got.terms.items()) == list(expected.terms.items()), (a, mono)
@@ -854,9 +829,9 @@ class TestSqOracles:
         rng = random.Random(11)
         for w in random_sq_polynomials(sq_pair, rng, 25):
             for a in sq_pair.h_indices:
-                got = cd._h_derivation(sq_pair, a, w)
-                # same values; several monomials may reach a key in another order
-                assert got.terms == oracle_h_derivation(sq_pair, a, w).terms, (a, w)
+                got = cd.coderivation_C(sq_pair, 1, a, w)
+                # same values in the same key order
+                assert list(got.terms.items()) == list(oracle_h_derivation(sq_pair, a, w).terms.items()), (a, w)
 
 
 # ---------------------------------------------------------------------------
@@ -1075,7 +1050,7 @@ class TestFormsAgainstTheChainRoute:
         assert list(pair.tau_memo) == list(chains)
         for word, form in pair.tau_memo.items():
             assert_lowest_terms(form, word)
-            assert list(env._fractions(form).items()) == list(chains[word].terms.items()), word
+            assert list(sp._fractions(form).items()) == list(chains[word].terms.items()), word
         for a, nests in pair.nest_memo.items():
             for word, form in nests.items():
                 assert_lowest_terms(form, a, word)

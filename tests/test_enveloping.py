@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from supersym import enveloping as env
 from supersym import linalg
+from supersym import superpoly as sp
 from supersym.enveloping import (
     PbwElement,
     antipode,
@@ -100,6 +101,18 @@ class TestNormalForm:
                     assert alt == base
 
 
+class TestConstructors:
+    def test_from_basis_out_of_range(self):
+        alg, _ = catalog("osp12")
+        with pytest.raises(IndexError):
+            PbwElement.from_basis(alg, 9)
+
+    def test_from_element_out_of_range(self):
+        alg, _ = catalog("osp12")
+        with pytest.raises(IndexError):
+            PbwElement.from_element(alg, {7: 1})
+
+
 class TestMultiply:
     def test_scalars_hash_like_their_value(self):
         alg, _ = catalog("osp12")
@@ -185,9 +198,9 @@ class TestCombine:
     def test_against_the_term_by_term_sum(self, pairs):
         # the rational scalars as ints over their lcm, each dict as a form
         den = math.lcm(*(Fraction(c).denominator for c, _ in pairs))
-        got = env._combine([(int(c * den), env._form(terms)) for c, terms in pairs], den)
+        got = sp._combine([(int(c * den), sp._form(terms)) for c, terms in pairs], den)
         want = term_by_term(pairs)
-        assert list(env._fractions(got).items()) == list(want.items())
+        assert list(sp._fractions(got).items()) == list(want.items())
         d, nums = got
         assert d > 0 and math.gcd(d, *nums.values()) == 1
         assert all(type(v) is int for v in nums.values())
@@ -264,7 +277,7 @@ class TestIntegerFormsOnGl22:
                 want = fraction_monomial_product(alg, m1, m2, memo)
                 den, nums = env._monomial_product(alg, m1, m2)
                 assert math.gcd(den, *nums.values()) == 1
-                assert list(env._fractions((den, nums)).items()) == list(want.items()), (m1, m2)
+                assert list(sp._fractions((den, nums)).items()) == list(want.items()), (m1, m2)
                 count += 1
         assert count == 6017
 
@@ -285,7 +298,7 @@ class TestIntegerFormsOnGl22:
         memo, products = {}, {}
         for word in words:
             want = fraction_symmetrized(alg, word, memo, products)
-            assert list(env._fractions(env._symmetrized(alg, word)).items()) == list(want.items()), word
+            assert list(sp._fractions(env._symmetrized(alg, word)).items()) == list(want.items()), word
             assert list(symmetrize_word(alg, word).terms.items()) == list(want.items()), word
 
 
@@ -299,7 +312,7 @@ class TestLetterProductOracle:
         monos = list(exhaustive_monomials(alg, 3))
         for m1, m2 in itertools.product(monos, repeat=2):
             want = normal_form(alg, env._monomial_to_word(m1) + env._monomial_to_word(m2))
-            assert env._fractions(env._monomial_product(alg, m1, m2)) == want, (name, m1, m2)
+            assert sp._fractions(env._monomial_product(alg, m1, m2)) == want, (name, m1, m2)
 
     @pytest.mark.parametrize("name", PRODUCT_ALGEBRAS)
     def test_suffix_memo_against_the_letter_loop(self, name):
@@ -312,12 +325,12 @@ class TestLetterProductOracle:
             for i in reversed(env._monomial_to_word(m1)):
                 nxt = {}
                 for m, c in acc.items():
-                    for n, cn in env._fractions(env._letter_product(alg, i, m)).items():
+                    for n, cn in sp._fractions(env._letter_product(alg, i, m)).items():
                         nxt[n] = nxt.get(n, 0) + c * cn
                         if not nxt[n]:
                             del nxt[n]
                 acc = nxt
-            assert list(env._fractions(env._monomial_product(alg, m1, m2)).items()) == list(acc.items()), (name, m1, m2)
+            assert list(sp._fractions(env._monomial_product(alg, m1, m2)).items()) == list(acc.items()), (name, m1, m2)
 
     def test_repeated_even_letter(self):
         alg = diagonal_pair("gl11").algebra
@@ -325,7 +338,7 @@ class TestLetterProductOracle:
         for n in range(8):
             power = smono(alg, (d1, n))
             want = normal_form(alg, (d1,) * n + (x21,))
-            assert env._fractions(env._monomial_product(alg, power, smono(alg, (x21, 1)))) == want, n
+            assert sp._fractions(env._monomial_product(alg, power, smono(alg, (x21, 1)))) == want, n
 
     def test_high_power_by_the_binomial_formula(self):
         # e^n x = sum_k C(n, k) (ad e)^k(x) e^(n-k) for even e; word

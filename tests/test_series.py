@@ -49,6 +49,13 @@ class TestDistinguishedSeries:
     def test_p_c_against_coth_division(self):
         assert series.p_c(1, 10) == coth_times_t(10)
 
+    def test_truncate_refuses_a_higher_order(self):
+        # p_c(1, 8) has nonzero t^6 and t^8 terms that p_c(1, 4) cannot know
+        p4 = series.p_c(1, 4)
+        with pytest.raises(ValueError):
+            p4.truncate(8)
+        assert series.p_c(1, 8).truncate(4) == p4 and p4.truncate(4) == p4
+
     def test_q_c_examples(self):
         q1 = series.q_c(1, 3)
         assert q1.coefficients == [0, Fraction(-1, 2), 0, Fraction(1, 24)]

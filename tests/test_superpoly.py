@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supersym.liealg import SuperMatrix
+from supersym.enveloping import PbwElement
+from supersym.liealg import SuperMatrix, catalog
 
 from conftest import oracle_matrix_product
 from supersym.superpoly import (
@@ -15,6 +16,7 @@ from supersym.superpoly import (
     SuperPolynomial,
     VariableTable,
     _koszul,
+    _render,
     exhaustive_monomials,
     matrix_product,
     power_sum,
@@ -90,6 +92,14 @@ class TestTable:
     def test_distinct_names(self):
         with pytest.raises(ValueError):
             VariableTable(["a", "a"], [ODD, ODD])
+
+    def test_variable_index_above_the_table(self):
+        with pytest.raises(IndexError):
+            odd_table(2).variable(5)
+
+    def test_negative_variable_index(self):
+        with pytest.raises(IndexError):
+            odd_table(2).variable(-1)
 
 
 class TestMultiply:
@@ -563,3 +573,32 @@ class TestExhaustiveMonomials:
             ranges = [range(2) if p == ODD else range(d + 1) for p in table.parities]
             want = [m for m in itertools.product(*ranges) if sum(m) <= d]
             assert list(exhaustive_monomials(table, d)) == want, (table.parities, d)
+
+
+class TestRender:
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            ({}, "0"),
+            ({(0, 0, 0, 0, 0): Fraction(-3, 2)}, "-3/2"),
+            ({(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): -1}, "-f + e"),
+            (
+                {
+                    (1, 0, 0, 3, 0): Fraction(-5, 2),
+                    (0, 0, 2, 0, 0): Fraction(2, 3),
+                    (1, 0, 0, 0, 0): 1,
+                    (0, 1, 0, 0, 0): -1,
+                    (0, 0, 0, 0, 0): 2,
+                },
+                "2 - f + e + 2/3 H^2 - 5/2 e*E^3",
+            ),
+        ],
+        ids=["zero", "constant", "unit-coefficients", "powers"],
+    )
+    def test_polynomial_and_pbw_element_print_alike(self, terms, text):
+        # osp(1|2): e, f odd; H, E, F even
+        alg, _ = catalog("osp12")
+        table = VariableTable(alg.names, alg.parities, 4)
+        assert _render(terms, alg.names) == text
+        assert str(SuperPolynomial(table, terms)) == text
+        assert str(PbwElement(alg, terms)) == text
