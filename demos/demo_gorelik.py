@@ -14,8 +14,11 @@ and it contains a one-dimensional space of invariants.  A generator is
 where d = e_1...e_q is the top monomial of the exterior algebra on the
 odd part and J_2 is the Jacobian-type Berezinian built from the generic
 point of the odd part.  This script constructs T for osp(1|2) and checks
-it in three independent ways: twisted invariance, the brute-force
-invariant-space solver, and the quotient-module picture.
+it three ways: twisted invariance, the invariant-space solver, and the
+quotient-module picture.  The check and the solver both decide invariance
+in S(q), through ad'(a) o beta = beta o C_2^a; the quotient works in U(g).
+The tests hold the independent route: twisted adjoints of every basis
+vector taken in U(g) and read in the factorization.
 """
 
 from fractions import Fraction

@@ -448,9 +448,9 @@ def _nonzero_rational(text):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built on the first ``main`` call of a process
-    and shared by the later ones (parsing leaves it unchanged).  Each
-    command takes only the flags it reads."""
+    """The argument parser and its command parsers by name, built on the
+    first ``main`` call of a process and shared by the later ones (parsing
+    leaves them unchanged).  Each command takes only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="supersym",
         description="Exact verification toolkit for Lie superalgebra symmetric pairs",
@@ -481,13 +481,15 @@ def _build_parser():
 
     p = subs.add_parser("selftest", help="run the built-in verification suite on the catalog", parents=[emit])
     p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-    return parser
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # refused with the usage of the command, which lists its flags
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse: 2 for invalid arguments, 0 after --help
         return exc.code
     needs_file = args.command in ("check", "gorelik", "jacobian", "tau")
@@ -512,10 +514,7 @@ def main(argv=None) -> int:
             report = cmd_series(args)
         else:
             report = cmd_selftest(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, ValueError) as exc:
+    except (ParseError, InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

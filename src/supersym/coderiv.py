@@ -23,9 +23,9 @@ S(word)(a) and ``pair.tau_memo`` the chain C_1^word(1) of each PBW word
 tau meets, both as forms, and ``pair.p_c_memo`` the series p_c they use.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the twisted
-adjoint invariance checker, and the invariant-space solver live here too;
-the last two apply the operators of a Lie-generating set only
-(``lie_generators``), and hand U(g) elements to the factorization as forms.
+adjoint invariance checker and the invariant-space solver live here too;
+the last two run the C_c^a step of tau at c = 2 on S(q), as
+ad'(a) o beta = beta o C_2^a, for a Lie-generating set (``lie_generators``).
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .enveloping import (
     PbwElement,
     _first_letter_sum,
     _monomial_to_word,
-    _symmetrized,
-    _twisted_adjoint,
     factorization,
     symmetrize,
     symmetrize_word,
@@ -385,30 +383,32 @@ def verify_twisted_invariance(pair: SymmetricPair, element: PbwElement):
     """Check that an element of beta(S(q)) is killed by the twisted adjoint
     operators ad'(a) of a Lie-generating set (``lie_generators``), which is
     enough since ad' is a representation.  Returns (True, None) or
-    (False, witness), the witness naming a generator."""
+    (False, witness), the witness naming a generator.  Both tests run on
+    w = tau(element): the element is in beta(S(q)) when beta(w) is it, and
+    ad'(a) beta(w) = beta(C_2^a w) vanishes when C_2^a w does, beta being
+    injective.  The witnesses are built in U(g), only on failure."""
     alg = pair.algebra
-    # membership in beta(S(q)): the h coordinates of the factorization vanish
-    bound = max(element.degree() + 1, 1)
-    f = factorization(pair, bound)
-    unit = (0,) * alg.dim
-    for (qm, hm), c in f.coordinates(element).items():
-        if hm != unit and c != 0:
-            return False, ("not in beta(S(q))", hm, c)
-    form = _form(element.terms)
+    w = tau(pair, element)
+    if beta_of_sq(pair, w) != element:
+        coords = factorization(pair, max(element.degree() + 1, 1)).coordinates(element)
+        hm, c = next((hm, c) for (_, hm), c in coords.items() if any(hm))
+        return False, ("not in beta(S(q))", hm, c)
+    series = p_c(2, w.total_degree() + 1)
+    form = _form(w.terms)
     for a in lie_generators(pair):
-        if _twisted_adjoint(pair, a, form)[1]:
+        if _coderivation(pair, series, a, form)[1]:
             return False, (alg.names[a], str(twisted_adjoint(pair, a, element)))
     return True, None
 
 
 def invariant_space(pair: SymmetricPair):
     """Exact basis of the twisted-adjoint invariants inside beta(S(q)), for
-    purely odd q: write ad'(a) beta(m) in the coordinates of the
-    factorization for every S(q) monomial m and every a of a Lie-generating
-    set (``lie_generators``; invariance under it is invariance under g, ad'
-    being a representation), and solve the stacked sparse system.  Output
-    coordinates with an h factor are rows too, so the stability of
-    beta(S(q)) is not assumed.
+    purely odd q: the S(q) elements w with C_2^a w = 0 for every a of a
+    Lie-generating set (``lie_generators``; invariance under it is
+    invariance under g, ad' being a representation).  As
+    ad'(a) beta(w) = beta(C_2^a w) and beta is injective, these are the w
+    whose beta(w) is invariant.  The rows are the S(q) coordinates of
+    C_2^a m for every monomial m, in one sparse system.
 
     Returns a list of S(q) elements w; the invariants are beta(w).
     """
@@ -417,13 +417,13 @@ def invariant_space(pair: SymmetricPair):
     table = sq_table(pair)
     qdim = len(pair.q_indices)
     monos = sorted(exhaustive_monomials(table, qdim), key=lambda m: (sum(m), m))
-    f = factorization(pair, qdim + 1)
-    betas = [_symmetrized(pair.algebra, sq_monomial_letters(pair, m)) for m in monos]
-    rows = {}  # (generator, output coordinate) -> {column: coefficient}
+    series = p_c(2, qdim + 1)
+    rows = {}  # (generator, S(q) monomial) -> {column: coefficient}
     for a in lie_generators(pair):
-        for col, beta in enumerate(betas):
-            for key, c in f._coordinates(_twisted_adjoint(pair, a, beta)).items():
-                rows.setdefault((a, key), {})[col] = c
+        for col, m in enumerate(monos):
+            den, image = _coderivation(pair, series, a, (1, {m: 1}))
+            for key, c in image.items():
+                rows.setdefault((a, key), {})[col] = Fraction(c, den)
     return [
         SuperPolynomial(table, {monos[i]: c for i, c in vec.items()})
         for vec in linalg.nullspace(list(rows.values()), len(monos))

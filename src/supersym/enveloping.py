@@ -435,7 +435,9 @@ class Factorization:
     splitting each m by support into (w, u) and subtracting (c/s) beta(w) u,
     where s = +-1 is the coefficient of m in that product, one degree at a
     time in one ``_combine``.  The products are memoised per monomial, as
-    forms.
+    forms.  The quotient mod U(g)h and the induced module read these
+    coordinates; ``coderiv`` decides invariance in S(q), and reads them only
+    for the witness of an element outside beta(S(q)).
     """
 
     def __init__(self, pair: SymmetricPair, max_degree: int):
@@ -467,11 +469,7 @@ class Factorization:
     def coordinates(self, u: PbwElement) -> dict:
         """{(q monomial, h monomial): Fraction} with u = sum beta(w) hm, in
         (total degree, (q monomial, h monomial)) order."""
-        return self._coordinates(_form(u.terms))
-
-    def _coordinates(self, u: tuple) -> dict:
-        """``coordinates`` of the element with form u."""
-        den, rest = u
+        den, rest = _form(u.terms)
         top = max((sum(m) for m in rest), default=0)
         if top > self.max_degree:
             raise ValueError(f"element of degree {top} exceeds the prepared bound {self.max_degree}")

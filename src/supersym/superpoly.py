@@ -137,15 +137,14 @@ class SuperPolynomial:
 
     def __init__(self, table: VariableTable, terms):
         self.table = table
-        cleaned = {}
         order = table.truncation_order
-        for mono, coeff in terms.items():
-            if coeff == 0:
-                continue
-            if order is not None and table.even_degree(mono) > order:
-                continue
-            cleaned[mono] = coeff
-        self.terms = cleaned
+        # zero terms go, and so do terms past the truncation or with an odd letter squared
+        self.terms = {
+            m: c for m, c in terms.items()
+            if c != 0
+            and (order is None or table.even_degree(m) <= order)
+            and (max(m, default=0) < 2 or all(e < 2 for e, p in zip(m, table.parities) if p == ODD))
+        }
 
     @classmethod
     def _from_clean(cls, table, terms):

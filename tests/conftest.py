@@ -230,6 +230,16 @@ ORACLE_PAIRS = {
 }
 
 
+# pairs with odd h vectors and a q of both parities
+MIXED_PAIRS = {
+    "diag-gl11": lambda: diagonal_pair("gl11"),
+    "diag-osp12": lambda: diagonal_pair("osp12"),
+    # the Borel subalgebra {e, H, E} of osp(1|2): its supertrace character
+    # is nonzero on the diagonal copy of H
+    "diag-borel": lambda: diagonal_pair("osp12", {"e", "H", "E"}),
+}
+
+
 @pytest.fixture(params=sorted(ORACLE_PAIRS))
 def oracle_pair(request):
     """Symmetric pairs on which the library's fast routes are diffed

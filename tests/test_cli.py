@@ -213,7 +213,10 @@ class TestCommands:
     )
     def test_a_flag_the_command_ignores_exits_2(self, argv, capsys):
         assert run(argv) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        # the usage line is the command's, which lists the flags it takes
+        assert err.startswith(f"usage: supersym {argv[0]} ")
 
     def test_jacobian_full_group(self, capsys):
         assert run(["jacobian", ALGEBRAS / "solvable2.alg", "--full-group", "--order", "4"]) == 0

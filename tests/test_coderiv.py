@@ -17,6 +17,7 @@ from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, exhaustive_monomials
 
 from conftest import (
+    MIXED_PAIRS,
     ORACLE_PAIRS,
     diagonal_pair,
     gl_pair,
@@ -347,6 +348,14 @@ class TestTau:
         assert cd.tau(pair, u).is_zero()
 
 
+INTERTWINING_PAIRS = {
+    **ORACLE_PAIRS,
+    **MIXED_PAIRS,
+    "gl12": lambda: gl_pair(1, 2),
+    "osp14": lambda: osp14_pair()[1],
+}
+
+
 class TestBackboneIntertwining:
     def test_beta_intertwines_C2_with_twisted_adjoint(self):
         # beta(C_2^a(w)) = ad'(a)(beta(w)) for every basis a and monomial w
@@ -360,6 +369,21 @@ class TestBackboneIntertwining:
                     lhs = cd.beta_of_sq(pair, cd.coderivation_C(pair, 2, a, w))
                     rhs = env.twisted_adjoint(pair, a, cd.beta_of_sq(pair, w))
                     assert lhs == rhs, (name, alg.names[a], mono)
+
+    @pytest.mark.parametrize("name", sorted(INTERTWINING_PAIRS))
+    def test_tau_of_the_twisted_adjoint_is_C2(self, name):
+        # x = ad'(a) beta(m) lies in beta(S(q)), beta(tau(x)) == x, and
+        # tau(x) is C_2^a m: the identity the invariance solver rests on
+        pair = INTERTWINING_PAIRS[name]()
+        table = cd.sq_table(pair)
+        for mono in sq_monos(pair, 4):
+            w = SuperPolynomial(table, {mono: Fraction(1)})
+            beta = cd.beta_of_sq(pair, w)
+            for a in range(pair.algebra.dim):
+                x = env.twisted_adjoint(pair, a, beta)
+                back = cd.tau(pair, x)
+                assert cd.beta_of_sq(pair, back) == x, (name, a, mono)
+                assert back == cd.coderivation_C(pair, 2, a, w), (name, a, mono)
 
 
 class TestCharacter:
@@ -838,15 +862,6 @@ class TestSqOracles:
 # pairs with odd h vectors and a q of both parities
 # ---------------------------------------------------------------------------
 
-MIXED_PAIRS = {
-    "diag-gl11": lambda: diagonal_pair("gl11"),
-    "diag-osp12": lambda: diagonal_pair("osp12"),
-    # the Borel subalgebra {e, H, E} of osp(1|2): its supertrace character
-    # is nonzero on the diagonal copy of H
-    "diag-borel": lambda: diagonal_pair("osp12", {"e", "H", "E"}),
-}
-
-
 @pytest.fixture(params=sorted(MIXED_PAIRS))
 def mixed_pair(request):
     return MIXED_PAIRS[request.param]()
@@ -873,6 +888,20 @@ class TestMixedParityPairs:
         for mono in sq_monos(pair, 4):
             w = SuperPolynomial(table, {mono: Fraction(1)})
             assert cd.tau(pair, cd.beta_of_sq(pair, w)) == w, mono
+
+    def test_no_twisted_invariants(self, mixed_pair):
+        # the top symbol of ad'(a) u is 2 a gr(u) != 0 for an even a in q, so
+        # refusing mixed q in invariant_space and gorelik loses no invariant:
+        # the stacked C_2^a system of the generators has nullspace 0
+        table = cd.sq_table(mixed_pair)
+        monos = sq_monos(mixed_pair, 4)
+        rows = {}
+        for a in cd.lie_generators(mixed_pair):
+            for col, mono in enumerate(monos):
+                image = cd.coderivation_C(mixed_pair, 2, a, SuperPolynomial(table, {mono: Fraction(1)}))
+                for key, c in image.terms.items():
+                    rows.setdefault((a, key), {})[col] = c
+        assert linalg.nullspace(list(rows.values()), len(monos)) == []
 
     def test_borel_supertrace_character_is_nonzero(self):
         pair = MIXED_PAIRS["diag-borel"]()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from supersym.enveloping import PbwElement
 from supersym.liealg import SuperMatrix, catalog
 
-from conftest import oracle_matrix_product
+from conftest import diagonal_pair, oracle_matrix_product
 from supersym.superpoly import (
     EVEN,
     ODD,
@@ -254,6 +254,14 @@ class TestQueries:
         s = t.variable(0)
         p = t.one() + s + s * s
         assert truncate_even_degree(p, 1) == t.one() + s
+
+    def test_an_odd_letter_squared_drops_like_a_zero_coefficient(self):
+        # diag gl(1|1): S(q) on q_x12, q_x21 (odd) and q_d1, q_d2 (even)
+        t = diagonal_pair("gl11").sq_table
+        assert t.parities == (ODD, ODD, EVEN, EVEN)
+        kept = {(1, 0, 1, 1): Fraction(2), (0, 0, 2, 1): Fraction(-1)}
+        p = SuperPolynomial(t, {(3, 0, 1, 1): Fraction(1), **kept})
+        assert p == SuperPolynomial(t, kept) and list(p.terms) == list(kept)
 
     def test_operators_refuse_other_types_with_type_error(self):
         p = mixed_table().variable("t")

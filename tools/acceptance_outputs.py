@@ -4,9 +4,11 @@ outputs, one set of files per command.
     python3 tools/acceptance_outputs.py SRC_DIR OUT_DIR
 
 SRC_DIR is a checkout (its ``src/`` is put on PYTHONPATH and commands run
-from it, so ``algebras/*.alg`` resolve there).  For every command,
-OUT_DIR receives ``<name>.stdout``, ``<name>.stderr``, ``<name>.exit``
-and, when the command wrote one, ``<name>.tsv`` (its ``--emit`` report).
+from it, so ``algebras/*.alg`` resolve there).  The commands are the
+supersym CLI runs of ``commands`` and the scripts ``demos/*.py``.  For
+every command, OUT_DIR receives ``<name>.stdout``, ``<name>.stderr``,
+``<name>.exit`` and, when a CLI run wrote one, ``<name>.tsv`` (its
+``--emit`` report).
 Two checkouts give byte-identical outputs exactly when
 
     diff -r OUT_A OUT_B
@@ -45,6 +47,27 @@ def commands(src_dir):
     return out
 
 
+def demos(src_dir):
+    """(name, script path relative to SRC_DIR) for every demo, by name."""
+    paths = sorted(glob.glob(os.path.join(src_dir, "demos", "*.py")))
+    return [(f"demo.{os.path.splitext(os.path.basename(p))[0]}", os.path.relpath(p, src_dir)) for p in paths]
+
+
+def record(base, argv, src_dir, env):
+    """Run ``python argv`` in SRC_DIR and write its stdout, stderr and exit
+    code next to ``base``."""
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=src_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, check=False
+    )
+    with open(base + ".stdout", "wb") as fh:
+        fh.write(proc.stdout)
+    with open(base + ".stderr", "wb") as fh:
+        fh.write(proc.stderr)
+    with open(base + ".exit", "w") as fh:
+        fh.write(f"{proc.returncode}\n")
+    print(f"{proc.returncode}  {os.path.basename(base)}", flush=True)
+
+
 def run(src_dir, out_dir):
     src_dir = os.path.abspath(src_dir)
     out_dir = os.path.abspath(out_dir)
@@ -55,21 +78,9 @@ def run(src_dir, out_dir):
         tsv = base + ".tsv"
         if os.path.exists(tsv):
             os.remove(tsv)
-        proc = subprocess.run(
-            [sys.executable, "-m", "supersym.cli", *argv, "--emit", tsv],
-            cwd=src_dir,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            check=False,
-        )
-        with open(base + ".stdout", "wb") as fh:
-            fh.write(proc.stdout)
-        with open(base + ".stderr", "wb") as fh:
-            fh.write(proc.stderr)
-        with open(base + ".exit", "w") as fh:
-            fh.write(f"{proc.returncode}\n")
-        print(f"{proc.returncode}  {name}", flush=True)
+        record(base, ["-m", "supersym.cli", *argv, "--emit", tsv], src_dir, env)
+    for name, script in demos(src_dir):
+        record(os.path.join(out_dir, name), [script], src_dir, env)
 
 
 def main(argv=None):
