@@ -50,8 +50,9 @@ from .superpoly import (
     VariableTable,
     _combine,
     _form,
-    _koszul,
+    _letter_sign,
     _poly,
+    _shape,
     coproduct_terms,
     exhaustive_monomials,
     sum_of_products,
@@ -131,9 +132,10 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
     """C_c^a on the form w, with p_c built to at least the total degree of w.
     The leg leg1 (x) leg2 of the coproduct gives the int form S(leg1)(a) of
     ``pair.nest_memo``, each letter x_i of it multiplied into leg2 with the
-    Koszul sign of x_i leg2, scaled by the int ratio p_n and the sign
-    (-1)^{p(a) p(leg1)}; one ``_combine`` sums the legs.  For a in h the
-    series is -t: a one-letter leg1 = b gives [a, b] leg2, the derivation."""
+    Koszul sign of x_i leg2 (read off the odd mask of leg2, shaped once per
+    leg), scaled by the int ratio p_n and the sign (-1)^{p(a) p(leg1)}; one
+    ``_combine`` sums the legs.  For a in h the series is -t, so only the
+    one-letter legs leg1 = b are walked: [a, b] leg2, the derivation."""
     table = sq_table(pair)
     order = table.truncation_order
     alg = pair.algebra
@@ -143,22 +145,36 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
     if order is not None and (not pair.in_h(a_index) or pa == ODD):
         if any(table.even_degree(m) >= order for m in terms):
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
-    nums, nums_den = ((0, -1), 1) if pair.in_h(a_index) else (series.nums, series.den)
     parities = table.parities
     memo = pair.nest_memo.setdefault(a_index, {(): (1, {a_index: 1})})
-    letters = [tuple(int(j == i) for j in range(len(parities))) for i in range(len(parities))]
+    legs = []  # (leg1 as a word, leg2, odd mask of leg2, coefficient times p_n and the sign)
+    if pair.in_h(a_index):
+        # -t keeps only the legs e_i (x) (m - e_i), which coproduct_terms lists with i ascending
+        nums_den = 1
+        for m, coeff in terms.items():
+            odd_m = _shape(parities, m)[0]
+            for i, e in enumerate(m):
+                if e:
+                    odd = odd_m & ~(1 << i)
+                    sign = _letter_sign(parities, i, odd) * (1 if pa and parities[i] else -1)
+                    legs.append(((i,), m[:i] + (e - 1,) + m[i + 1 :], odd, sign * e * coeff))
+    else:
+        nums, nums_den = series.nums, series.den
+        for (leg1, leg2), coeff in coproduct_terms(parities, terms).items():
+            n = sum(leg1)
+            if n < len(nums) and nums[n]:
+                pn = -nums[n] if pa and table.monomial_parity(leg1) else nums[n]
+                legs.append((sq_monomial_letters(pair, leg1), leg2, _shape(parities, leg2)[0], coeff * pn))
     pairs = []
-    for (leg1, leg2), coeff in coproduct_terms(parities, terms).items():
-        n = sum(leg1)
-        if n < len(nums) and nums[n]:
-            nden, nest = _nested(alg, memo, sq_monomial_letters(pair, leg1))
-            # the nest lies in q, whose vectors are the first letters of g and of S(q)
-            legs = {}
-            for i in sorted(nest):
-                sign = _koszul(parities, letters[i], leg2)
-                if sign:
-                    legs[leg2[:i] + (leg2[i] + 1,) + leg2[i + 1 :]] = sign * nest[i]
-            pairs.append((-coeff * nums[n] if pa and table.monomial_parity(leg1) else coeff * nums[n], (nden, legs)))
+    for word, leg2, odd, coeff in legs:
+        nden, nest = _nested(alg, memo, word)
+        # the nest lies in q, whose vectors are the first letters of g and of S(q)
+        images = {}
+        for i in sorted(nest):
+            sign = _letter_sign(parities, i, odd)
+            if sign:
+                images[leg2[:i] + (leg2[i] + 1,) + leg2[i + 1 :]] = sign * nest[i]
+        pairs.append((coeff, (nden, images)))
     return _combine(pairs, den * nums_den)
 
 

@@ -5,14 +5,13 @@ The generic point of q is y = sum e_i x^i with one dual variable x^i per
 q basis vector, of the same parity.  str(M^k) of an even operator M is
 read off the half powers M^ceil(k/2) and M^floor(k/2); as ad y swaps q and
 h, str_q (ad y)^2m = str Q^m with Q = (ad y)^2 on q.  Truncating at an even
-degree is a quotient by an ideal, so the grouping changes no coefficient;
-full powers survive as test oracles and in the Berezinian route.
+degree is a quotient by an ideal, so the grouping changes no coefficient.
+Powers, the full ones included, come off a ``superpoly.PowerChain``.
 
 The Jacobian J_c is exp(str over q of w_c(ad y)) with
 w_c = log(sinh(t/c)/(t/c)); for purely odd q it is a polynomial, no
-truncation needed.  For a (0,2)-dimensional q the closed degree-2 form is
-provided as an independent route.  beta(J_2 d), with d the top monomial of
-the exterior algebra S(q), is the Gorelik candidate.
+truncation needed.  beta(J_2 d), with d the top monomial of the exterior
+algebra S(q), is the Gorelik candidate.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix
 from .superpoly import (
     EVEN,
     ODD,
+    PowerChain,
     SuperPolynomial,
     VariableTable,
     _accumulate,
-    _shape_rows,
-    matrix_product,
+    _poly,
     power_sum,
     sum_of_products,
     truncate_even_degree,
@@ -68,6 +67,7 @@ class GenericPoint:
             q_idx: self.table.variable(pos) for pos, q_idx in enumerate(pair.q_indices)
         }
         self._ad_y = None
+        self._chain = None
         self._ad_y_powers = {}
         self._lifts = {}
         self._str_powers = None
@@ -86,14 +86,18 @@ class GenericPoint:
             self._ad_y = ad_matrix(self.algebra, self.y, self.table)
         return self._ad_y
 
+    def ad_y_chain(self) -> PowerChain:
+        """The powers of ad y as shaped ints, formed once per point."""
+        if self._chain is None:
+            self._chain = PowerChain(self.table, self.ad_y().entries)
+        return self._chain
+
     def ad_y_power(self, k: int) -> SuperMatrix:
+        """(ad y)^k, read out of ``ad_y_chain`` as Fractions once and kept."""
         mat = self._ad_y_powers.get(k)
         if mat is None:
-            if k == 0:
-                mat = SuperMatrix.identity(self.table, self.algebra.parities)
-            else:
-                mat = self.ad_y_power(k - 1) * self.ad_y()
-            self._ad_y_powers[k] = mat
+            rows = self.ad_y_chain().rows(k)
+            mat = self._ad_y_powers[k] = SuperMatrix(self.table, self.algebra.parities, rows, EVEN, check=False)
         return mat
 
     def lifted(self, order: int) -> "GenericPoint":
@@ -119,57 +123,40 @@ class GenericPoint:
 def supertraces_of_powers(mat: SuperMatrix, ks) -> dict:
     """{k: str(M^k)} for the k in ``ks``, in that order, M an even operator:
     str(M^k) = sum_{i,j} (-1)^{p_i} (M^a)_ij (M^b)_ji with a = ceil(k/2),
-    b = floor(k/2), in one ``_accumulate``; only M^a is ever formed, and each
-    is shaped once."""
+    b = floor(k/2), in one ``_accumulate`` of the half powers, which a
+    ``PowerChain`` of M forms once each as shaped ints."""
     if mat.op_parity != EVEN:
         raise ValueError("supertraces of powers need an even operator")
-    ks = list(ks)
-    table = mat.table
-    powers = [SuperMatrix.identity(table, mat.module_parities), mat]
-    while len(powers) <= (max(ks, default=0) + 1) // 2:
-        powers.append(powers[-1] * mat)
-    shaped = [_shape_rows(table, p.entries) for p in powers]
-    out = {}
+    return _supertraces(PowerChain(mat.table, mat.entries), mat.module_parities, ks)
+
+
+def _supertraces(chain: PowerChain, parities, ks) -> dict:
+    table, out = chain.table, {}
     for k in ks:
-        (left_den, left), (right_den, right) = shaped[(k + 1) // 2], shaped[k // 2]
-        out[k] = _accumulate(table, [
+        (left_den, left), (right_den, right) = chain.power((k + 1) // 2), chain.power(k // 2)
+        out[k] = _poly(table, (left_den * right_den, _accumulate(table, [
             ([(m, o, z, d, -c) for m, o, z, d, c in e] if p == ODD else e, right[j][i])
-            for i, p in enumerate(mat.module_parities) for j, e in enumerate(left[i])
-        ], left_den * right_den)
+            for i, p in enumerate(parities) for j, e in enumerate(left[i])
+        ])))
     return out
 
 
-def _q_square(gp: GenericPoint) -> SuperMatrix:
-    """Q = (ad y)^2 on q, so that (ad y)^2m on q is Q^m.  ad y swaps q and h,
-    so Q is the product of the q x h and h x q blocks of ad y, through
-    ``matrix_product``."""
+def _q_square(gp: GenericPoint) -> PowerChain:
+    """The powers of Q = (ad y)^2 on q, so that (ad y)^2m on q is Q^m.  ad y
+    swaps q and h, so Q is the product of the q x h and h x q blocks of
+    ad y, handed to the chain as ints."""
     ad = gp.ad_y().entries
     q, h = gp.pair.q_indices, gp.pair.h_indices
-    rows = matrix_product(gp.table, [[ad[i][k] for k in h] for i in q], [[ad[k][j] for j in q] for k in h], len(q))
-    return SuperMatrix(gp.table, [gp.algebra.parities[i] for i in q], rows, EVEN, check=False)
+    return PowerChain(gp.table, [[ad[i][k] for k in h] for i in q], [[ad[k][j] for j in q] for k in h])
 
 
 def _even_str_powers(gp: GenericPoint) -> list:
     """[(2m, str Q^m)] for 2 <= 2m <= max_power(), formed once per point."""
     if gp._str_powers is None:
-        halves = supertraces_of_powers(_q_square(gp), range(1, gp.max_power() // 2 + 1))
+        parities = [gp.algebra.parities[i] for i in gp.pair.q_indices]
+        halves = _supertraces(_q_square(gp), parities, range(1, gp.max_power() // 2 + 1))
         gp._str_powers = [(2 * m, s) for m, s in halves.items()]
     return gp._str_powers
-
-
-def str_ad_power(gp: GenericPoint, k: int) -> SuperPolynomial:
-    """Supertrace over the q block of (ad y)^k, as str Q^(k/2); requires k
-    even (odd powers swap the eigenspaces, so their q block is not
-    defined)."""
-    if k % 2:
-        raise ValueError("odd powers of ad y do not stabilize q")
-    return supertraces_of_powers(_q_square(gp), [k // 2])[k // 2]
-
-
-def str_ad_power_full(gp: GenericPoint, k: int) -> SuperPolynomial:
-    """Supertrace over the whole algebra of (ad y)^k (any k), from half
-    powers; meaningful for the h = 0 generic point."""
-    return supertraces_of_powers(gp.ad_y(), [k])[k]
 
 
 class JacobianResult:
@@ -214,41 +201,10 @@ def _w_sum(gp: GenericPoint, w: series_mod.TruncatedSeries1, str_powers) -> Supe
 
 
 def _f_of_ad_y(gp: GenericPoint, f: series_mod.TruncatedSeries1) -> SuperMatrix:
-    """f(ad y) from the memoised powers of ad y, up to the nilpotency bound."""
-    return power_sum(f.coefficients[: gp.max_power() + 1], gp.ad_y_power)
-
-
-def jacobian_J2_q2(gp: GenericPoint) -> SuperPolynomial:
-    """Closed form of J_2 when q is (0,2)-dimensional:
-
-        1 + (1/24) str over q of (-ad e_1 ad e_2 + ad e_2 ad e_1) x^1 x^2.
-    """
-    pair = gp.pair
-    alg = pair.algebra
-    if not (gp.purely_odd and len(pair.q_indices) == 2):
-        raise ValueError("the closed form applies to q of dimension (0,2)")
-    i1, i2 = pair.q_indices
-    a1 = _constant_ad(alg, i1)
-    a2 = _constant_ad(alg, i2)
-    n = alg.dim
-    prod = [
-        [
-            sum(-a1[i][k] * a2[k][j] + a2[i][k] * a1[k][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    s = Fraction(0)
-    for i in pair.q_indices:
-        sign = -1 if alg.parities[i] == ODD else 1
-        s += sign * prod[i][i]
-    x1x2 = gp.table.variable(0) * gp.table.variable(1)
-    return gp.table.one() + x1x2 * (s * Fraction(1, 24))
-
-
-def _constant_ad(alg, idx):
-    ints, den = alg.int_brackets[idx], alg.bracket_den
-    return [[Fraction(ints[k].get(m, 0), den) for k in range(alg.dim)] for m in range(alg.dim)]
+    """f(ad y) from the point's chain of powers of ad y, up to the nilpotency
+    bound."""
+    rows = power_sum(f.coefficients[: gp.max_power() + 1], gp.ad_y_chain())
+    return SuperMatrix(gp.table, gp.algebra.parities, rows, EVEN, check=False)
 
 
 def jacobian_full_group(alg: LieSuperAlgebra, order: int = 6) -> SuperPolynomial:

@@ -34,8 +34,8 @@ from .superpoly import (
     VariableTable,
     _combine,
     _form,
+    PowerChain,
     _poly,
-    _power_table,
     matrix_product,
     parity_of,
     power_sum,
@@ -411,7 +411,7 @@ class SuperMatrix:
         if any(e.evaluate_at_zero() != 0 for row in self.entries for e in row):
             raise ValueError("exp requires entries with zero constant term")
         coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
-        return power_sum(coeffs, _power_table(SuperMatrix.identity(self.table, self.module_parities), self))
+        return self._with_rows(power_sum(coeffs, PowerChain(self.table, self.entries)), EVEN)
 
     def determinant(self) -> SuperPolynomial:
         """Leibniz determinant; valid because all entries here are even."""
@@ -433,8 +433,7 @@ class SuperMatrix:
         rows = [[table.constant(c) for c in row] for row in linalg.invert(self.constant_part())]
         inv0 = SuperMatrix(table, self.module_parities, rows, EVEN, check=False)
         n_part = inv0 * self.augmentation_part()
-        one = SuperMatrix.identity(table, self.module_parities)
-        return power_sum(itertools.cycle((1, -1)), _power_table(one, n_part)) * inv0
+        return self._with_rows(power_sum(itertools.cycle((1, -1)), PowerChain(table, n_part.entries)), EVEN) * inv0
 
     def berezinian(self) -> SuperPolynomial:
         """Ber X = det(A - B D^{-1} C) det(D)^{-1} for even invertible X,

@@ -11,36 +11,34 @@ order, odd exponents at most 1.  Reordering a product into canonical form
 accumulates the Koszul sign (one factor of -1 for every crossing of two odd
 letters), which makes equality of polynomials structural.
 
-Every product of polynomials runs in two steps.  ``_scaled_terms`` scales
-the coefficients of a factor to the lcm of the denominators of its side
-and attaches to each term the bitmask of its odd letters, the bitmask that
-gives the Koszul sign of a product as a popcount, and its even degree;
-``_accumulate`` multiplies and adds the scaled numerators of shaped factor
-pairs as plain ints and builds one normalised ``Fraction`` per output
-monomial.  :func:`sum_of_products` (``a_1 b_1 + ... + a_k b_k``) shapes
-its factors in each call; :func:`matrix_product` shapes every entry of
-both matrices once (``_shape_rows``), however many products it enters, and
-keeps nothing after the call.  The same masks give the sign of a single monomial product
-(``_koszul``), which the left derivative and the coproduct of S(q) use; no
-other module counts crossings of odd letters.
+Every product of polynomials runs in two steps.  A factor is shaped: its
+coefficients are scaled to the lcm of the denominators of its side, and
+each term carries the bitmask of its odd letters, the bitmask that gives
+the Koszul sign of a product as a popcount, and its even degree.
+``_accumulate`` then multiplies and adds the numerators of shaped factor
+pairs as plain ints.  :func:`sum_of_products` (``a_1 b_1 + ... + a_k b_k``)
+shapes its factors in each call; :func:`matrix_product` shapes every entry
+of both matrices once (``_shape_rows``).  The masks also give the sign of
+one monomial product (``_koszul``, ``_letter_sign`` for a single letter),
+which the left derivative, the coproduct of S(q) and C_c use; no other
+module counts crossings of odd letters.
 
 This module owns the integer form (den, {key: int}) of a linear combination
 that sums, U(g), C_c, tau and ``ad_matrix`` compute in: ``_form`` makes one,
 ``_combine`` sums int multiples of forms, ``_fractions`` and ``_poly`` read
 one back.  ``_render`` prints SuperPolynomials and PBW elements alike.
 
-Every power series in a nilpotent ``SuperPolynomial`` or ``SuperMatrix``
-(``exp``, ``inverse``, the Neumann series of a matrix, ``f(ad y)`` at a
-generic point) is summed by :func:`power_sum`, from its coefficients and a
-function k -> x^k, so kept powers (``GenericPoint.ad_y_power``) are reused;
-each entry of the sum is one ``sum_of_products``.
+:class:`PowerChain` is the one place powers are formed: it keeps x^0 ...
+x^k of a polynomial or a square matrix as shaped ints, each step one
+``_accumulate`` per entry.  Every power series in a nilpotent x (``exp``,
+``inverse``, the Neumann series of a matrix, ``f(ad y)``) is one
+:func:`power_sum` on a chain, each entry one ``_combine`` of its ints.
 
 All values are immutable; a table can be shared freely between threads.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -230,10 +228,7 @@ class SuperPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        result = self.table.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return PowerChain(self.table, [[self]]).rows(n)[0][0]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -258,14 +253,14 @@ class SuperPolynomial:
         ``var * rest`` in each monomial, so an odd variable picks up the
         Koszul sign of moving it to the front."""
         table = self.table
+        parities = table.parities
         i = var if isinstance(var, int) else table.index(var)
-        letter = tuple(1 if j == i else 0 for j in range(len(table)))
         terms = {}
         for mono, coeff in self.terms.items():
             e = mono[i]
             if e:
                 rest = mono[:i] + (e - 1,) + mono[i + 1 :]
-                terms[rest] = coeff * e * _koszul(table.parities, letter, rest)
+                terms[rest] = coeff * e * _letter_sign(parities, i, _shape(parities, rest)[0])
         return SuperPolynomial._from_clean(table, terms)
 
     def berezin_integral(self) -> Fraction:
@@ -287,7 +282,7 @@ class SuperPolynomial:
         if self.evaluate_at_zero() != 0:
             raise ValueError("exp is only defined for zero constant term")
         coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
-        return power_sum(coeffs, _power_table(self.table.one(), self))
+        return power_sum(coeffs, PowerChain(self.table, [[self]]))[0][0]
 
     def inverse(self) -> "SuperPolynomial":
         """Inverse of a polynomial whose constant term is invertible.
@@ -299,7 +294,7 @@ class SuperPolynomial:
         if c0 == 0:
             raise ZeroDivisionError("constant term is zero; not invertible")
         e = self * (Fraction(1) / c0) - 1  # augmentation part, nilpotent
-        return power_sum(itertools.cycle((1, -1)), _power_table(self.table.one(), e)) * (Fraction(1) / c0)
+        return power_sum(itertools.cycle((1, -1)), PowerChain(self.table, [[e]]))[0][0] * (Fraction(1) / c0)
 
     # -- rendering ----------------------------------------------------------
 
@@ -332,6 +327,17 @@ def _shape(parities, mono):
         else:
             even += e
     return odd, koszul, even
+
+
+def _letter_sign(parities, i, odd) -> int:
+    """``_koszul`` of the letter x_i times a canonical monomial with odd mask
+    ``odd``: 0 when an odd x_i repeats, else (-1) to the odd letters before
+    position i when x_i is odd."""
+    if parities[i] != ODD:
+        return 1
+    if odd >> i & 1:
+        return 0
+    return -1 if (odd & ((1 << i) - 1)).bit_count() & 1 else 1
 
 
 def _koszul(parities, m1, m2) -> int:
@@ -375,22 +381,37 @@ def _scaled_terms(parities, p, den) -> list:
     return [(m, *_shape(parities, m), c.numerator * (den // c.denominator)) for m, c in p.terms.items()]
 
 
-def _shape_rows(table: VariableTable, rows) -> tuple:
+def _shaped(parities, items, masks) -> list:
+    """The (monomial, int) ``items`` as (monomial, odd, koszul, even degree,
+    int), with the masks of ``_shape`` memoised per monomial in ``masks``."""
+    out = []
+    for m, v in items:
+        s = masks.get(m)
+        if s is None:
+            s = masks[m] = _shape(parities, m)
+        out.append((m, *s, v))
+    return out
+
+
+def _shape_rows(table: VariableTable, rows, masks) -> tuple:
     """(den, shaped) for a matrix of polynomials over ``table``: ``den`` is the
-    lcm of all its denominators and ``shaped[i][j]`` is ``_scaled_terms`` of
-    entry (i, j).  Shaping a factor once serves every product it enters
-    through ``_accumulate``."""
+    lcm of all its denominators and ``shaped[i][j]`` is entry (i, j) as
+    ``_shaped`` terms over ``den``.  Shaping a factor once serves every
+    product it enters through ``_accumulate``."""
     _check_tables(table, itertools.chain.from_iterable(rows))
     den = math.lcm(*(c.denominator for row in rows for e in row for c in e.terms.values()))
     parities = table.parities
-    return den, [[_scaled_terms(parities, e, den) for e in row] for row in rows]
+    return den, [
+        [_shaped(parities, ((m, c.numerator * (den // c.denominator)) for m, c in e.terms.items()), masks) for e in row]
+        for row in rows
+    ]
 
 
-def _accumulate(table: VariableTable, pairs, den) -> SuperPolynomial:
-    """l_1 r_1 + ... + l_k r_k over ``den`` for (l, r) pairs of shaped terms
-    (``_scaled_terms``): the products accumulate as plain ints, with the Koszul
-    sign of each as a popcount, and one normalised Fraction is built per
-    surviving monomial."""
+def _accumulate(table: VariableTable, pairs) -> dict:
+    """l_1 r_1 + ... + l_k r_k for (l, r) pairs of shaped terms, as {monomial:
+    int} over the product of the two sides' denominators: the products
+    accumulate as plain ints, with the Koszul sign of each as a popcount, and
+    a monomial whose running sum reaches 0 leaves the dict."""
     order = table.truncation_order
     limit = 0 if order is None else order  # no even letters without an order
     acc = {}
@@ -409,7 +430,16 @@ def _accumulate(table: VariableTable, pairs, den) -> SuperPolynomial:
                     acc[m] = v
                 else:
                     del acc[m]
-    return _poly(table, (den, acc))
+    return acc
+
+
+def _products(table: VariableTable, left, right, n_cols) -> list:
+    """The entries of A B as ``_accumulate`` dicts, for A and B shaped rows
+    (k may be 0): entry (i, j) sums row i of A against column j of B."""
+    return [
+        [_accumulate(table, [(a, row[j]) for a, row in zip(lrow, right) if a and row[j]]) for j in range(n_cols)]
+        for lrow in left
+    ]
 
 
 def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
@@ -424,23 +454,66 @@ def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
     left_den = math.lcm(*(c.denominator for a, _ in pairs for c in a.terms.values()))
     right_den = math.lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
     parities = table.parities
-    return _accumulate(table, [
+    return _poly(table, (left_den * right_den, _accumulate(table, [
         (_scaled_terms(parities, a, left_den), _scaled_terms(parities, b, right_den)) for a, b in pairs
-    ], left_den * right_den)
+    ])))
 
 
 def matrix_product(table: VariableTable, a_rows, b_rows, n_cols) -> list:
     """The rows of A B for A given by ``a_rows`` (m x k) and B by ``b_rows``
     (k x ``n_cols``; k may be 0), entries polynomials over ``table``.  Every
-    entry of A and of B is shaped once, and entry (i, j) is one
-    ``_accumulate`` over row i of A and column j of B."""
-    left_den, left = _shape_rows(table, a_rows)
-    right_den, right = _shape_rows(table, b_rows)
+    entry of A and of B is shaped once (``_shape_rows``), and entry (i, j) is
+    one ``_accumulate`` over row i of A and column j of B."""
+    masks = {}
+    left_den, left = _shape_rows(table, a_rows, masks)
+    right_den, right = _shape_rows(table, b_rows, masks)
     den = left_den * right_den
-    return [
-        [_accumulate(table, [(a, row[j]) for a, row in zip(lrow, right) if a and row[j]], den) for j in range(n_cols)]
-        for lrow in left
-    ]
+    return [[_poly(table, (den, e)) for e in row] for row in _products(table, left, right, n_cols)]
+
+
+class PowerChain:
+    """The powers x^0, x^1, ... of a square matrix x of polynomials over one
+    table (a polynomial is a 1 x 1 matrix), kept as shaped int rows (den,
+    [[(monomial, odd, koszul, even degree, int)]]).  x is shaped once, or
+    handed over as the int product ``rows`` ``right``; x^(k+1) = x^k x is one
+    ``_accumulate`` per entry, divided through by its gcd and shaped from the
+    ints with the masks of each monomial memoised in the chain.  No Fraction
+    is built until ``rows`` reads a power out; the chain dies with its
+    owner, the call or the ``GenericPoint`` that keeps the powers of ad y.
+    """
+
+    __slots__ = ("table", "powers", "_masks")
+
+    def __init__(self, table: VariableTable, rows, right=None):
+        self.table, self._masks = table, {}
+        den, x = _shape_rows(table, rows, self._masks)
+        unit = ((0,) * len(table), 0, 0, 0, 1)
+        self.powers = [(1, [[[unit] if i == j else [] for j in range(len(x))] for i in range(len(x))])]
+        if right is None:
+            self.powers.append((den, x))
+        else:
+            right_den, right = _shape_rows(table, right, self._masks)
+            self._push(den * right_den, _products(table, x, right, len(x)))
+
+    def _push(self, den, entries):
+        """Append the power with ``_accumulate`` dicts ``entries`` over ``den``."""
+        g = math.gcd(den, *(v for row in entries for e in row for v in e.values()))
+        parities, masks = self.table.parities, self._masks
+        rows = [[_shaped(parities, ((m, v // g) for m, v in e.items()), masks) for e in row] for row in entries]
+        self.powers.append((den // g, rows))
+
+    def power(self, k: int) -> tuple:
+        """(den, shaped rows) of x^k, each power below it formed once."""
+        powers = self.powers
+        while len(powers) <= k:
+            (den, rows), (x_den, x) = powers[-1], powers[1]
+            self._push(den * x_den, _products(self.table, rows, x, len(x)))
+        return powers[k]
+
+    def rows(self, k: int) -> list:
+        """x^k as rows of SuperPolynomials."""
+        den, rows = self.power(k)
+        return [[SuperPolynomial._from_clean(self.table, {m: Fraction(v, den) for m, *_, v in e}) for e in row] for row in rows]
 
 
 def _combine(pairs, den=1) -> tuple:
@@ -507,43 +580,28 @@ def _render(terms, names) -> str:
     return out
 
 
-def power_sum(coeffs, power):
-    """c_0 x^0 + c_1 x^1 + ... for a nilpotent SuperPolynomial or SuperMatrix
-    x, the powers given as ``power(k) = x^k``.
+def power_sum(coeffs, chain: PowerChain) -> list:
+    """c_0 x^0 + c_1 x^1 + ... for the nilpotent x of ``chain``, as rows of
+    SuperPolynomials.
 
-    A power is asked for only when its coefficient is nonzero, in increasing
-    k, and the sum stops at the first one that is zero or when ``coeffs``
-    runs out.  Each entry of the sum is one ``sum_of_products`` of the kept
-    powers with their coefficients as constants.
+    A power is formed only when its coefficient is nonzero, in increasing k,
+    and the sum stops at the first one that is zero or when ``coeffs`` runs
+    out.  Each entry of the sum is one ``_combine`` of the kept powers' ints
+    with the coefficients as int ratios.
     """
-    one = power(0)
-    table = one.table
-    powers, consts = [], []
+    kept = []
     for k, c in enumerate(coeffs):
         if c:
-            p = power(k)
-            if p.is_zero():
+            den, rows = chain.power(k)
+            if not any(map(any, rows)):
                 break
-            powers.append(p)
-            consts.append(table.constant(c))
-    if isinstance(one, SuperPolynomial):
-        return sum_of_products(table, zip(powers, consts))
-    n = one.size
-    rows = [
-        [sum_of_products(table, [(p.entries[i][j], c) for p, c in zip(powers, consts)]) for j in range(n)]
+            c = Fraction(c)
+            kept.append((c.numerator, den * c.denominator, rows))
+    n = len(chain.powers[0][1])
+    return [
+        [_poly(chain.table, _combine([(s, (d, {m: v for m, *_, v in rows[i][j]})) for s, d, rows in kept])) for j in range(n)]
         for i in range(n)
     ]
-    return type(one)(table, one.module_parities, rows, one.op_parity, check=False)
-
-
-def _power_table(one, x):
-    """k -> x^k with x^0 = one, each power formed once from the one below."""
-
-    @functools.cache
-    def power(k):
-        return one if k == 0 else power(k - 1) * x
-
-    return power
 
 
 def truncate_even_degree(p: SuperPolynomial, order: int) -> SuperPolynomial:

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from supersym.enveloping import PbwElement
 from supersym.liealg import SuperMatrix, catalog
 
-from conftest import diagonal_pair, oracle_matrix_product
+from conftest import diagonal_pair, oracle_matrix_product, oracle_power_sum, oracle_supertraces_of_powers
+from supersym.jacobian import supertraces_of_powers
 from supersym.superpoly import (
     EVEN,
     ODD,
+    PowerChain,
     SuperPolynomial,
     VariableTable,
     _koszul,
@@ -510,7 +512,7 @@ class TestKoszulSign:
         assert p.partial_derivative(i).terms == expected.terms
 
 
-def oracle_power_sum(coeffs, x, one):
+def power_sum_by_loop(coeffs, x, one):
     """The term-by-term loop that ``power_sum`` replaced: add c_k x^k while
     the power is nonzero, one ``+`` per term."""
     result = one * 0
@@ -531,23 +533,28 @@ def nilpotent_polys(draw):
     return table, x - x.evaluate_at_zero()
 
 
+def rows_items(rows):
+    """The terms of a matrix of polynomials as lists, key order included."""
+    return [[list(e.terms.items()) for e in row] for row in rows]
+
+
 class TestPowerSum:
     @given(nilpotent_polys(), st.lists(coefficients | st.just(Fraction(0)), max_size=8))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_term_by_term_loop(self, tx, coeffs):
         table, x = tx
-        got = power_sum(coeffs, lambda k: x ** k)
-        assert got == oracle_power_sum(coeffs, x, table.one())
+        got = power_sum(coeffs, PowerChain(table, [[x]]))[0][0]
+        assert got == power_sum_by_loop(coeffs, x, table.one())
 
     @given(nilpotent_polys(), coefficients)
     @settings(max_examples=100, deadline=None)
     def test_exp_and_inverse_match_their_loops(self, tx, c0):
         table, x = tx
         exp_coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
-        assert x.exp() == oracle_power_sum(exp_coeffs, x, table.one())
+        assert x.exp() == power_sum_by_loop(exp_coeffs, x, table.one())
         # (c0 + x)^-1 = c0^-1 sum_k (-x/c0)^k
         inv_c0 = Fraction(1) / c0
-        inverse = oracle_power_sum(itertools.cycle((1, -1)), x * inv_c0, table.one()) * inv_c0
+        inverse = power_sum_by_loop(itertools.cycle((1, -1)), x * inv_c0, table.one()) * inv_c0
         assert (x + c0).inverse() == inverse
         assert (x + c0) * inverse == table.one()
 
@@ -561,12 +568,72 @@ class TestPowerSum:
         x = SuperMatrix(table, [EVEN] * n, rows, check=False)
         one = SuperMatrix.identity(table, [EVEN] * n)
         coeffs = data.draw(st.lists(coefficients | st.just(Fraction(0)), max_size=6))
-        powers = [one]
-        while len(powers) < len(coeffs):
-            powers.append(powers[-1] * x)
-        assert power_sum(coeffs, powers.__getitem__) == oracle_power_sum(coeffs, x, one)
+        got = SuperMatrix(table, [EVEN] * n, power_sum(coeffs, PowerChain(table, rows)), check=False)
+        assert got == power_sum_by_loop(coeffs, x, one)
         exp_coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
-        assert x.exp() == oracle_power_sum(exp_coeffs, x, one)
+        assert x.exp() == power_sum_by_loop(exp_coeffs, x, one)
+
+
+@st.composite
+def chain_matrices(draw):
+    """A square matrix over a random table (purely odd, truncated even or
+    mixed), its module parities, and whether its entries vanish at zero,
+    in which case its powers vanish past the nilpotency bound."""
+    table = draw(tables())
+    n = draw(st.integers(1, 3))
+    nilpotent = draw(st.booleans())
+    rows = [[draw(polys(table, 3)) for _ in range(n)] for _ in range(n)]
+    if nilpotent:
+        rows = [[p - p.evaluate_at_zero() for p in row] for row in rows]
+    parities = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
+    return table, SuperMatrix(table, parities, rows, check=False), nilpotent
+
+
+class TestPowerChain:
+    """The integer power chain against the Fraction routes it replaced
+    (``tests/conftest.py``), for values and key order."""
+
+    @given(chain_matrices(), st.lists(st.integers(0, 9), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_supertraces_match_the_fraction_powers(self, tmn, ks):
+        table, mat, _ = tmn
+        got, want = supertraces_of_powers(mat, ks), oracle_supertraces_of_powers(mat, ks)
+        assert list(got) == list(want)
+        assert [list(s.terms.items()) for s in got.values()] == [list(s.terms.items()) for s in want.values()]
+
+    @given(chain_matrices(), st.lists(coefficients | st.just(Fraction(0)), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_power_sum_matches_the_power_table(self, tmn, coeffs):
+        table, mat, nilpotent = tmn
+        if not nilpotent:
+            coeffs = coeffs[:4]
+        got = power_sum(coeffs, PowerChain(table, mat.entries))
+        assert rows_items(got) == rows_items(oracle_power_sum(coeffs, mat).entries)
+        x = mat.entries[0][0]
+        got = power_sum(coeffs, PowerChain(table, [[x]]))[0][0]
+        assert list(got.terms.items()) == list(oracle_power_sum(coeffs, x).terms.items())
+
+    @given(chain_matrices(), st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_powers_match_the_repeated_products(self, tmn, top):
+        table, mat, nilpotent = tmn
+        chain, power = PowerChain(table, mat.entries), SuperMatrix.identity(table, mat.module_parities)
+        for k in range(top + 1):
+            assert rows_items(chain.rows(k)) == rows_items(power.entries), k
+            power = power * mat
+        if nilpotent and all(p == ODD for p in table.parities):
+            # entries of x^k have degree >= k, so powers past the odd letters vanish
+            assert all(e.is_zero() for row in chain.rows(len(table) + 1) for e in row)
+
+    def test_product_chain_and_empty_blocks(self):
+        table = mixed_table(3)
+        t, x1, x2 = (table.variable(i) for i in range(3))
+        a, b = [[t, x1], [x2, t * x1]], [[x1 * x2, t], [t, x2]]
+        assert rows_items(PowerChain(table, a, b).rows(1)) == rows_items(matrix_product(table, a, b, 2))
+        # a 2 x 0 block times a 0 x 2 block is the 2 x 2 zero matrix
+        zero = PowerChain(table, [[], []], [])
+        assert rows_items(zero.rows(1)) == [[[], []], [[], []]]
+        assert rows_items(zero.rows(0)) == [[[((0, 0, 0), 1)], []], [[], [((0, 0, 0), 1)]]]
 
 
 class TestExhaustiveMonomials:
