@@ -282,6 +282,20 @@ class PbwElement:
 # coalgebra structure
 # ---------------------------------------------------------------------------
 
+def tensor_mul_pbw(alg, left: dict, right: dict) -> dict:
+    """Product in U(g) (x) U(g) of tensors given as {(m1, m2): coeff}."""
+    (dl, left), (dr, right) = _form(left), _form(right)
+    pairs = []
+    for (a1, a2), c1 in left.items():
+        for (b1, b2), c2 in right.items():
+            sign = -1 if (monomial_parity(alg, a2) * monomial_parity(alg, b1)) % 2 else 1
+            d2, second = _monomial_product(alg, a2, b2)
+            d1, first = _monomial_product(alg, a1, b1)
+            for m1, e1 in first.items():
+                pairs.append((c1 * c2 * sign * e1, (d1 * d2, {(m1, m2): e2 for m2, e2 in second.items()})))
+    return _fractions(_combine(pairs, dl * dr))
+
+
 def coproduct(u: PbwElement) -> dict:
     """Hopf coproduct, as {(monomial, monomial): coefficient}.  The letters
     are primitive, and those of a PBW monomial increase, so their product

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
 from fractions import Fraction
 from operator import mul
 
@@ -494,18 +493,15 @@ class TruncatedSeries2:
         n = min(self.order, other.order)
         # (i, j) is packed as i*w + j, so adding keys multiplies monomials
         w = n + 1
-        right = [(i * w + j, c) for (i, j), c in other.nums.items()]
-        degrees = [i + j for i, j in other.nums]
-        # listed by degree (from_t, from_u, from_sum and the divided
-        # differences are), the right factor fits the room left in a prefix
-        by_degree = degrees == sorted(degrees)
+        left = [(i * w + j, i + j, c) for (i, j), c in self.nums.items()]
+        right = [(i * w + j, i + j, c) for (i, j), c in other.nums.items()]
         acc = {}
-        for (i, j), c1 in self.nums.items():
-            room, k1 = n - i - j, i * w + j
-            near = right[: bisect_right(degrees, room)] if by_degree else [t for t, d in zip(right, degrees) if d <= room]
-            for k2, c2 in near:
-                k = k1 + k2
-                acc[k] = acc.get(k, 0) + c1 * c2
+        for k1, d1, c1 in left:
+            room = n - d1
+            for k2, d2, c2 in right:
+                if d2 <= room:
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + c1 * c2
         return TruncatedSeries2._reduced(
             {divmod(k, w): v for k, v in acc.items() if v}, self.den * other.den, n
         )

@@ -375,10 +375,9 @@ def _check_tables(table, polys):
             raise ValueError("polynomials live over different variable tables")
 
 
-def _scaled_terms(parities, p, den) -> list:
-    """The terms of ``p`` as (monomial, odd, koszul, even degree, numerator
-    over ``den``), with the masks of ``_shape``."""
-    return [(m, *_shape(parities, m), c.numerator * (den // c.denominator)) for m, c in p.terms.items()]
+def _scaled_terms(parities, p, den, masks) -> list:
+    """The terms of ``p`` as ``_shaped`` terms, each numerator over ``den``."""
+    return _shaped(parities, ((m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()), masks)
 
 
 def _shaped(parities, items, masks) -> list:
@@ -395,16 +394,13 @@ def _shaped(parities, items, masks) -> list:
 
 def _shape_rows(table: VariableTable, rows, masks) -> tuple:
     """(den, shaped) for a matrix of polynomials over ``table``: ``den`` is the
-    lcm of all its denominators and ``shaped[i][j]`` is entry (i, j) as
-    ``_shaped`` terms over ``den``.  Shaping a factor once serves every
-    product it enters through ``_accumulate``."""
+    lcm of all its denominators and ``shaped[i][j]`` is ``_scaled_terms`` of
+    entry (i, j).  Shaping a factor once serves every product it enters
+    through ``_accumulate``."""
     _check_tables(table, itertools.chain.from_iterable(rows))
     den = math.lcm(*(c.denominator for row in rows for e in row for c in e.terms.values()))
     parities = table.parities
-    return den, [
-        [_shaped(parities, ((m, c.numerator * (den // c.denominator)) for m, c in e.terms.items()), masks) for e in row]
-        for row in rows
-    ]
+    return den, [[_scaled_terms(parities, e, den, masks) for e in row] for row in rows]
 
 
 def _accumulate(table: VariableTable, pairs) -> dict:
@@ -453,9 +449,9 @@ def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
     _check_tables(table, itertools.chain.from_iterable(pairs))
     left_den = math.lcm(*(c.denominator for a, _ in pairs for c in a.terms.values()))
     right_den = math.lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
-    parities = table.parities
+    parities, masks = table.parities, {}
     return _poly(table, (left_den * right_den, _accumulate(table, [
-        (_scaled_terms(parities, a, left_den), _scaled_terms(parities, b, right_den)) for a, b in pairs
+        (_scaled_terms(parities, a, left_den, masks), _scaled_terms(parities, b, right_den, masks)) for a, b in pairs
     ])))
 
 
@@ -474,26 +470,21 @@ def matrix_product(table: VariableTable, a_rows, b_rows, n_cols) -> list:
 class PowerChain:
     """The powers x^0, x^1, ... of a square matrix x of polynomials over one
     table (a polynomial is a 1 x 1 matrix), kept as shaped int rows (den,
-    [[(monomial, odd, koszul, even degree, int)]]).  x is shaped once, or
-    handed over as the int product ``rows`` ``right``; x^(k+1) = x^k x is one
-    ``_accumulate`` per entry, divided through by its gcd and shaped from the
-    ints with the masks of each monomial memoised in the chain.  No Fraction
-    is built until ``rows`` reads a power out; the chain dies with its
-    owner, the call or the ``GenericPoint`` that keeps the powers of ad y.
+    [[(monomial, odd, koszul, even degree, int)]]).  x is shaped once;
+    x^(k+1) = x^k x is one ``_accumulate`` per entry, divided through by its
+    gcd and shaped from the ints with the masks of each monomial memoised in
+    the chain.  No Fraction is built until ``rows`` reads a power out; the
+    chain dies with its owner, the call or the ``GenericPoint`` that keeps
+    the powers of ad y.
     """
 
     __slots__ = ("table", "powers", "_masks")
 
-    def __init__(self, table: VariableTable, rows, right=None):
+    def __init__(self, table: VariableTable, rows):
         self.table, self._masks = table, {}
         den, x = _shape_rows(table, rows, self._masks)
         unit = ((0,) * len(table), 0, 0, 0, 1)
-        self.powers = [(1, [[[unit] if i == j else [] for j in range(len(x))] for i in range(len(x))])]
-        if right is None:
-            self.powers.append((den, x))
-        else:
-            right_den, right = _shape_rows(table, right, self._masks)
-            self._push(den * right_den, _products(table, x, right, len(x)))
+        self.powers = [(1, [[[unit] if i == j else [] for j in range(len(x))] for i in range(len(x))]), (den, x)]
 
     def _push(self, den, entries):
         """Append the power with ``_accumulate`` dicts ``entries`` over ``den``."""

@@ -3,12 +3,10 @@ from fractions import Fraction
 import pytest
 
 from supersym import coderiv as cd
-from supersym.enveloping import PbwElement, _monomial_product, _monomial_to_word, monomial_parity
-from supersym import jacobian as jac
-from supersym.jacobian import supertraces_of_powers
+from supersym.enveloping import PbwElement, _monomial_to_word
 from supersym.liealg import SuperMatrix, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.series import p_c
-from supersym.superpoly import EVEN, ODD, SuperPolynomial, _combine, _form, _fractions, sum_of_products
+from supersym.superpoly import EVEN, ODD, SuperPolynomial, sum_of_products
 
 
 def apply_matrix(mat, vec: dict) -> dict:
@@ -85,62 +83,6 @@ def oracle_supertraces_of_powers(mat, ks):
             for i, p in enumerate(mat.module_parities) for j, e in enumerate(left[i])
         ])
     return out
-
-
-def str_ad_power(gp, k):
-    """Supertrace over the q block of (ad y)^k, as str Q^(k/2) through the
-    chain of Q that ``jacobian_Jc`` reads; requires k even (odd powers swap
-    the eigenspaces, so their q block is not defined)."""
-    if k % 2:
-        raise ValueError("odd powers of ad y do not stabilize q")
-    parities = [gp.algebra.parities[i] for i in gp.pair.q_indices]
-    return jac._supertraces(jac._q_square(gp), parities, [k // 2])[k // 2]
-
-
-def str_ad_power_full(gp, k):
-    """Supertrace over the whole algebra of (ad y)^k (any k), from half
-    powers; meaningful for the h = 0 generic point."""
-    return supertraces_of_powers(gp.ad_y(), [k])[k]
-
-
-def constant_ad(alg, idx):
-    """ad e_idx as a matrix of Fractions, from the integer bracket table."""
-    ints, den = alg.int_brackets[idx], alg.bracket_den
-    return [[Fraction(ints[k].get(m, 0), den) for k in range(alg.dim)] for m in range(alg.dim)]
-
-
-def jacobian_J2_q2(gp):
-    """Closed form of J_2 when q is (0,2)-dimensional, an independent route
-    to ``jacobian_Jc(gp, 2)``:
-
-        1 + (1/24) str over q of (-ad e_1 ad e_2 + ad e_2 ad e_1) x^1 x^2.
-    """
-    pair = gp.pair
-    alg = pair.algebra
-    if not (gp.purely_odd and len(pair.q_indices) == 2):
-        raise ValueError("the closed form applies to q of dimension (0,2)")
-    i1, i2 = pair.q_indices
-    a1, a2 = constant_ad(alg, i1), constant_ad(alg, i2)
-    n = alg.dim
-    prod = [[sum(-a1[i][k] * a2[k][j] + a2[i][k] * a1[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    s = sum((-1 if alg.parities[i] == ODD else 1) * prod[i][i] for i in pair.q_indices)
-    x1x2 = gp.table.variable(0) * gp.table.variable(1)
-    return gp.table.one() + x1x2 * (Fraction(s) * Fraction(1, 24))
-
-
-def tensor_mul_pbw(alg, left: dict, right: dict) -> dict:
-    """Product in U(g) (x) U(g) of tensors given as {(m1, m2): coeff}, each
-    side through the PBW monomial product."""
-    (dl, left), (dr, right) = _form(left), _form(right)
-    pairs = []
-    for (a1, a2), c1 in left.items():
-        for (b1, b2), c2 in right.items():
-            sign = -1 if (monomial_parity(alg, a2) * monomial_parity(alg, b1)) % 2 else 1
-            d2, second = _monomial_product(alg, a2, b2)
-            d1, first = _monomial_product(alg, a1, b1)
-            for m1, e1 in first.items():
-                pairs.append((c1 * c2 * sign * e1, (d1 * d2, {(m1, m2): e2 for m2, e2 in second.items()})))
-    return _fractions(_combine(pairs, dl * dr))
 
 
 def oracle_ad_matrix(alg, element, table):

@@ -21,12 +21,13 @@ from supersym.enveloping import (
     quotient_mod_h,
     symmetrize,
     symmetrize_word,
+    tensor_mul_pbw,
     twisted_adjoint,
 )
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.superpoly import EVEN, ODD, VariableTable, exhaustive_monomials
 
-from conftest import diagonal_pair, gl_pair, tensor_mul_pbw
+from conftest import diagonal_pair, gl_pair
 
 
 def sq_monomials(pair, max_degree):

@@ -629,10 +629,12 @@ class TestPowerChain:
         table = mixed_table(3)
         t, x1, x2 = (table.variable(i) for i in range(3))
         a, b = [[t, x1], [x2, t * x1]], [[x1 * x2, t], [t, x2]]
-        assert rows_items(PowerChain(table, a, b).rows(1)) == rows_items(matrix_product(table, a, b, 2))
+        ab = matrix_product(table, a, b, 2)
+        assert rows_items(PowerChain(table, ab).rows(1)) == rows_items(ab)
+        assert rows_items(PowerChain(table, ab).rows(2)) == rows_items(matrix_product(table, ab, ab, 2))
         # a 2 x 0 block times a 0 x 2 block is the 2 x 2 zero matrix
-        zero = PowerChain(table, [[], []], [])
-        assert rows_items(zero.rows(1)) == [[[], []], [[], []]]
+        zero = PowerChain(table, matrix_product(table, [[], []], [], 2))
+        assert rows_items(zero.rows(1)) == rows_items(zero.rows(2)) == [[[], []], [[], []]]
         assert rows_items(zero.rows(0)) == [[[((0, 0, 0), 1)], []], [[], [((0, 0, 0), 1)]]]
 
 
