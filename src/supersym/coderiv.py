@@ -49,10 +49,10 @@ from .superpoly import (
     SuperPolynomial,
     VariableTable,
     _combine,
+    _coproduct_legs,
     _form,
     _letter_sign,
     _poly,
-    _shape,
     coproduct_terms,
     exhaustive_monomials,
     sum_of_products,
@@ -73,22 +73,10 @@ def sq_from_element(pair, element: dict) -> SuperPolynomial:
     for i, c in element.items():
         if c == 0:
             continue
-        if pair.in_h(i):
+        if not 0 <= i < len(table):
             raise ValueError("element has components outside q")
         terms[unit[:i] + (1,) + unit[i + 1 :]] = Fraction(c)
     return SuperPolynomial(table, terms)
-
-
-def sq_monomial_letters(pair, mono):
-    """Monomial of the S(q) table -> tuple of algebra basis indices (the q
-    vectors are the first ones)."""
-    return _monomial_to_word(mono)
-
-
-def sq_coproduct(pair, w: SuperPolynomial) -> dict:
-    """Coproduct of S(q), as {(monomial, monomial): Fraction}, in the key
-    order of ``superpoly.coproduct_terms``."""
-    return coproduct_terms(sq_table(pair).parities, w.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +118,14 @@ def _nested(alg, memo: dict, word) -> tuple:
 
 def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w: tuple) -> tuple:
     """C_c^a on the form w, with p_c built to at least the total degree of w.
-    The leg leg1 (x) leg2 of the coproduct gives the int form S(leg1)(a) of
-    ``pair.nest_memo``, each letter x_i of it multiplied into leg2 with the
-    Koszul sign of x_i leg2 (read off the odd mask of leg2, shaped once per
-    leg), scaled by the int ratio p_n and the sign (-1)^{p(a) p(leg1)}; one
-    ``_combine`` sums the legs.  For a in h the series is -t, so only the
-    one-letter legs leg1 = b are walked: [a, b] leg2, the derivation."""
+    Each leg leg1 (x) leg2 of ``superpoly._coproduct_legs`` with p_n != 0
+    gives the int form S(leg1)(a) of ``pair.nest_memo``, each letter x_i of
+    it multiplied into leg2 with the Koszul sign of x_i leg2 (read off the
+    odd mask of leg2), scaled by the int ratio p_n and the sign
+    (-1)^{p(a) p(leg1)}; one ``_combine`` sums the legs.  An h letter runs
+    the same step with the numerators (0, -1) over 1 of the series -t, so
+    the walk keeps only the one-letter legs leg1 = b: [a, b] leg2, the
+    derivation."""
     table = sq_table(pair)
     order = table.truncation_order
     alg = pair.algebra
@@ -145,36 +135,21 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
     if order is not None and (not pair.in_h(a_index) or pa == ODD):
         if any(table.even_degree(m) >= order for m in terms):
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
+    nums, nums_den = ((0, -1), 1) if pair.in_h(a_index) else (series.nums, series.den)
     parities = table.parities
     memo = pair.nest_memo.setdefault(a_index, {(): (1, {a_index: 1})})
-    legs = []  # (leg1 as a word, leg2, odd mask of leg2, coefficient times p_n and the sign)
-    if pair.in_h(a_index):
-        # -t keeps only the legs e_i (x) (m - e_i), which coproduct_terms lists with i ascending
-        nums_den = 1
-        for m, coeff in terms.items():
-            odd_m = _shape(parities, m)[0]
-            for i, e in enumerate(m):
-                if e:
-                    odd = odd_m & ~(1 << i)
-                    sign = _letter_sign(parities, i, odd) * (1 if pa and parities[i] else -1)
-                    legs.append(((i,), m[:i] + (e - 1,) + m[i + 1 :], odd, sign * e * coeff))
-    else:
-        nums, nums_den = series.nums, series.den
-        for (leg1, leg2), coeff in coproduct_terms(parities, terms).items():
-            n = sum(leg1)
-            if n < len(nums) and nums[n]:
-                pn = -nums[n] if pa and table.monomial_parity(leg1) else nums[n]
-                legs.append((sq_monomial_letters(pair, leg1), leg2, _shape(parities, leg2)[0], coeff * pn))
     pairs = []
-    for word, leg2, odd, coeff in legs:
-        nden, nest = _nested(alg, memo, word)
-        # the nest lies in q, whose vectors are the first letters of g and of S(q)
-        images = {}
-        for i in sorted(nest):
-            sign = _letter_sign(parities, i, odd)
-            if sign:
-                images[leg2[:i] + (leg2[i] + 1,) + leg2[i + 1 :]] = sign * nest[i]
-        pairs.append((coeff, (nden, images)))
+    for m, coeff in terms.items():
+        for leg1, leg2, odd1, odd2, v in _coproduct_legs(parities, m, nums):
+            pn = nums[sum(leg1)] * (-1 if pa and odd1.bit_count() & 1 else 1)
+            nden, nest = _nested(alg, memo, _monomial_to_word(leg1))
+            # the nest lies in q, whose vectors are the first letters of g and of S(q)
+            images = {}
+            for i in sorted(nest):
+                sign = _letter_sign(parities, i, odd2)
+                if sign:
+                    images[leg2[:i] + (leg2[i] + 1,) + leg2[i + 1 :]] = sign * nest[i]
+            pairs.append((coeff * v * pn, (nden, images)))
     return _combine(pairs, den * nums_den)
 
 
@@ -270,6 +245,9 @@ class Character:
     def __init__(self, pair: SymmetricPair, values: dict):
         self.pair = pair
         alg = pair.algebra
+        outside = [i for i in values if i not in pair.h_indices]
+        if outside:
+            raise ValueError(f"a character takes values on h only, not at index {outside[0]!r}")
         vals = {}
         for i in pair.h_indices:
             v = Fraction(values.get(i, 0))
@@ -325,8 +303,8 @@ def theta_action(pair: SymmetricPair, c, chi: Character, a_index: int, w: SuperP
     series = q_c(c, w.total_degree() + 1)
     pa = alg.parities[a_index]
     a_element = {a_index: Fraction(1)}
-    for (leg1, leg2), coeff in sq_coproduct(pair, w).items():
-        value = apply_radx(pair, series, a_element, sq_monomial_letters(pair, leg2))
+    for (leg1, leg2), coeff in coproduct_terms(table.parities, w.terms).items():
+        value = apply_radx(pair, series, a_element, _monomial_to_word(leg2))
         scalar = chi.of_element(value)
         if scalar:
             sign = -1 if (pa * table.monomial_parity(leg1)) % 2 else 1
@@ -343,7 +321,7 @@ def induced_action(pair: SymmetricPair, chi: Character, a_index: int, w: SuperPo
     f = factorization(pair, max_degree if max_degree is not None else w.total_degree() + 1)
     pairs = []
     for mono, coeff in w.terms.items():
-        u = PbwElement.from_basis(alg, a_index) * symmetrize_word(alg, sq_monomial_letters(pair, mono))
+        u = PbwElement.from_basis(alg, a_index) * symmetrize_word(alg, _monomial_to_word(mono))
         terms = {}
         for (qm, hm), cc in f.coordinates(u).items():
             qm_local = tuple(qm[i] for i in pair.q_indices)

@@ -19,9 +19,10 @@ the Koszul sign of a product as a popcount, and its even degree.
 pairs as plain ints.  :func:`sum_of_products` (``a_1 b_1 + ... + a_k b_k``)
 shapes its factors in each call; :func:`matrix_product` shapes every entry
 of both matrices once (``_shape_rows``).  The masks also give the sign of
-one monomial product (``_koszul``, ``_letter_sign`` for a single letter),
-which the left derivative, the coproduct of S(q) and C_c use; no other
-module counts crossings of odd letters.
+a letter times a monomial (``_letter_sign``), which the left derivative and
+C_c use, and of every coproduct leg: ``_coproduct_legs`` is the one walk of
+the legs of a monomial, for the coproduct of S(q) and U(g) and for each C_c^a
+step.  No other module counts crossings of odd letters.
 
 This module owns the integer form (den, {key: int}) of a linear combination
 that sums, U(g), C_c, tau and ``ad_matrix`` compute in: ``_form`` makes one,
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 EVEN = 0
 ODD = 1
@@ -179,15 +180,11 @@ class SuperPolynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_table(self, other):
-        if self.table is not other.table and self.table != other.table:
-            raise ValueError("polynomials live over different variable tables")
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_table(other)
+        _check_tables(self.table, (other,))
         return _poly(self.table, _combine([(1, _form(self.terms)), (1, _form(other.terms))]))
 
     __radd__ = __add__
@@ -330,9 +327,9 @@ def _shape(parities, mono):
 
 
 def _letter_sign(parities, i, odd) -> int:
-    """``_koszul`` of the letter x_i times a canonical monomial with odd mask
-    ``odd``: 0 when an odd x_i repeats, else (-1) to the odd letters before
-    position i when x_i is odd."""
+    """The sign taking the letter x_i times a canonical monomial with odd mask
+    ``odd`` to canonical order: 0 when an odd x_i repeats, else (-1) to the
+    odd letters before position i when x_i is odd."""
     if parities[i] != ODD:
         return 1
     if odd >> i & 1:
@@ -340,14 +337,25 @@ def _letter_sign(parities, i, odd) -> int:
     return -1 if (odd & ((1 << i) - 1)).bit_count() & 1 else 1
 
 
-def _koszul(parities, m1, m2) -> int:
-    """The sign taking the product ``m1 * m2`` of two canonical monomials to
-    canonical order, or 0 when an odd letter repeats."""
-    odd1, koszul1, _ = _shape(parities, m1)
-    odd2 = _shape(parities, m2)[0]
-    if odd1 & odd2:
-        return 0
-    return -1 if (koszul1 & odd2).bit_count() & 1 else 1
+def _coproduct_legs(parities, mono, nums=None):
+    """The legs of the coproduct of primitive letters on the canonical
+    monomial x^m, as (m - k, k, odd mask of m - k, odd mask of k, C(m, k)
+    times the sign), k <= m in lexicographic order.  The sign reorders
+    x^(m-k) x^k into x^m: each odd letter of k crosses the odd letters of
+    m - k after it, which is the parity of ``koszul(m) & odd(k)`` plus
+    |odd(k)| // 2.  With the numerators ``nums`` of a series, only the legs
+    of degree n = |m - k| with nums[n] != 0 are signed and listed."""
+    odd_m, koszul, _ = _shape(parities, mono)
+    bits = tuple(1 << i if p == ODD else 0 for i, p in enumerate(parities))
+    size = sum(mono)
+    for k in itertools.product(*(range(e + 1) for e in mono)):
+        if nums is not None:
+            n = size - sum(k)
+            if n >= len(nums) or not nums[n]:
+                continue
+        odd = sum(map(mul, k, bits))
+        sign = -1 if ((koszul & odd).bit_count() + (odd.bit_count() >> 1)) & 1 else 1
+        yield tuple(map(sub, mono, k)), k, odd_m ^ odd, odd, sign * math.prod(map(math.comb, mono, k))
 
 
 def coproduct_terms(parities, terms) -> dict:
@@ -356,17 +364,11 @@ def coproduct_terms(parities, terms) -> dict:
 
         Delta(x^m) = sum_{k <= m} prod_i C(m_i, k_i) (Koszul sign) x^(m-k) (x) x^k,
 
-    the sign being the one that reorders x^(m-k) x^k into x^m.  Keys come
-    monomial by monomial, each with its k in lexicographic order.  It is
-    the coproduct of S(q) and of U(g) on PBW monomials, whose letters come
-    in increasing order and so multiply in U(g) (x) U(g) without brackets.
+    with the legs of ``_coproduct_legs``, monomial by monomial.  It is the
+    coproduct of S(q) and of U(g) on PBW monomials, whose letters come in
+    increasing order and so multiply in U(g) (x) U(g) without brackets.
     """
-    out = {}
-    for mono, coeff in terms.items():
-        for k in itertools.product(*(range(e + 1) for e in mono)):
-            rest = tuple(map(sub, mono, k))
-            out[rest, k] = coeff * (math.prod(map(math.comb, mono, k)) * _koszul(parities, rest, k))
-    return out
+    return {(rest, k): coeff * v for mono, coeff in terms.items() for rest, k, *_, v in _coproduct_legs(parities, mono)}
 
 
 def _check_tables(table, polys):

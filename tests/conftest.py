@@ -131,11 +131,65 @@ def oracle_h_derivation(pair, a_index, w):
     return out
 
 
+def _mono_mul(table, mono, pos):
+    """Multiply a canonical monomial by one letter on the right."""
+    if table.parities[pos] == ODD and mono[pos]:
+        return None, 0
+    crossings = sum(
+        1
+        for j in range(pos + 1, len(mono))
+        if mono[j] and table.parities[j] == ODD
+    ) if table.parities[pos] == ODD else 0
+    new = list(mono)
+    new[pos] += 1
+    return tuple(new), (-1 if crossings % 2 else 1)
+
+
+def oracle_sq_coproduct(pair, w):
+    """Coproduct of S(q), letter by letter: each letter of each monomial
+    goes to the first leg (crossing the second) or to the second leg."""
+    table = cd.sq_table(pair)
+    unit = (0,) * len(table)
+    out = {}
+    for mono, coeff in w.terms.items():
+        state = {(unit, unit): Fraction(1)}
+        for pos in _monomial_to_word(mono):
+            lp = table.parities[pos]
+            new = {}
+            for (m1, m2), c in state.items():
+                s = -1 if lp == ODD and table.monomial_parity(m2) == ODD else 1
+                prod, psign = _mono_mul(table, m1, pos)
+                if prod is not None:
+                    key = (prod, m2)
+                    acc = new.get(key, Fraction(0)) + c * s * psign
+                    if acc == 0:
+                        new.pop(key, None)
+                    else:
+                        new[key] = acc
+                prod, psign = _mono_mul(table, m2, pos)
+                if prod is not None:
+                    key = (m1, prod)
+                    acc = new.get(key, Fraction(0)) + c * psign
+                    if acc == 0:
+                        new.pop(key, None)
+                    else:
+                        new[key] = acc
+            state = new
+        for key, c in state.items():
+            acc = out.get(key, Fraction(0)) + c * coeff
+            if acc == 0:
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return out
+
+
 def oracle_coderivation(pair, series, a_index, w):
     """C_c^a on the SuperPolynomial w, one ``apply_radx`` Fraction dict, one
-    degree-1 polynomial and one one-term polynomial per coproduct leg, summed
-    by ``sum_of_products``: the route ``coderiv._coderivation`` took before it
-    kept its chains as integer forms.  An h letter goes to
+    degree-1 polynomial and one one-term polynomial per leg of the
+    letter-by-letter ``oracle_sq_coproduct``, summed by ``sum_of_products``:
+    the route ``coderiv._coderivation`` took before it kept its chains as
+    integer forms and walked the legs of ``superpoly._coproduct_legs``.  An h letter goes to
     ``oracle_h_derivation``."""
     table = cd.sq_table(pair)
     order = table.truncation_order
@@ -147,8 +201,8 @@ def oracle_coderivation(pair, series, a_index, w):
         return oracle_h_derivation(pair, a_index, w)
     a_element = {a_index: Fraction(1)}
     pairs = []
-    for (leg1, leg2), coeff in cd.sq_coproduct(pair, w).items():
-        value = cd.apply_radx(pair, series, a_element, cd.sq_monomial_letters(pair, leg1))
+    for (leg1, leg2), coeff in oracle_sq_coproduct(pair, w).items():
+        value = cd.apply_radx(pair, series, a_element, _monomial_to_word(leg1))
         if value:
             sign = -1 if pa and table.monomial_parity(leg1) else 1
             pairs.append((cd.sq_from_element(pair, value), SuperPolynomial(table, {leg2: coeff * sign})))

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from supersym import cli
+from supersym.superpoly import ODD
+
+from conftest import gl_pair, osp14_pair
 
 ALGEBRAS = pathlib.Path(__file__).resolve().parent.parent / "algebras"
 
@@ -75,10 +78,19 @@ class TestParse:
         assert f.brackets == {(0, 1): {1: cli.Fraction(1)}}
 
     def test_shipped_files_parse_and_check(self):
-        for name in ("osp12.alg", "gl11.alg", "heisenberg.alg", "abelian02.alg", "solvable2.alg"):
+        for name in ("osp12.alg", "gl11.alg", "heisenberg.alg", "abelian02.alg", "solvable2.alg", "gl12.alg", "osp14.alg"):
             f = cli.parse((ALGEBRAS / name).read_text())
             alg, pair, _ = cli.build(f)
             assert alg.check_jacobi()[0], name
+
+    @pytest.mark.parametrize("name", ["gl12", "osp14"])
+    def test_shipped_file_renders_its_builder(self, name):
+        # the file is the render of the test builder, h line included
+        pair = {"gl12": lambda: gl_pair(1, 2), "osp14": lambda: osp14_pair()[1]}[name]()
+        alg = pair.algebra
+        basis = [(nm, "odd" if p == ODD else "even") for nm, p in zip(alg.names, alg.parities)]
+        f = cli.AlgebraFile(name, basis, dict(alg.brackets), [alg.names[i] for i in pair.h_indices])
+        assert (ALGEBRAS / f"{name}.alg").read_text() == cli.render(f)
 
     def test_round_trip(self):
         for name in ("osp12.alg", "gl11.alg", "abelian02.alg", "nonunimodular.alg"):

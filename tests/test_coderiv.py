@@ -14,7 +14,7 @@ from supersym import liealg, linalg, series
 from supersym import superpoly as sp
 from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
-from supersym.superpoly import EVEN, ODD, SuperPolynomial, exhaustive_monomials
+from supersym.superpoly import EVEN, ODD, SuperPolynomial, coproduct_terms, exhaustive_monomials
 
 from conftest import (
     MIXED_PAIRS,
@@ -24,6 +24,7 @@ from conftest import (
     oracle_coderivation,
     oracle_coderivation_C,
     oracle_h_derivation,
+    oracle_sq_coproduct,
     oracle_words,
     osp14_pair,
 )
@@ -159,6 +160,14 @@ class TestApplyRadxOracle:
 
 
 class TestCoderivationC:
+    @pytest.mark.parametrize("index", [-1, 2, 9])
+    def test_sq_from_element_refuses_indices_outside_q(self, index):
+        # gl11: q = x12, x21 (indices 0, 1), so S(q) has two variables
+        alg, pair = catalog("gl11")
+        with pytest.raises(ValueError, match="outside q"):
+            cd.sq_from_element(pair, {index: 1})
+        assert cd.sq_from_element(pair, {1: 2}).terms == {(0, 1): 2}
+
     def test_degree_zero_and_one(self):
         alg, pair = catalog("osp12")
         table = cd.sq_table(pair)
@@ -222,9 +231,9 @@ class TestCoderivationC:
                     rhs = cd.coderivation_C(pair, 1, a, w1) * w2 + w1 * cd.coderivation_C(pair, 1, a, w2)
                     assert lhs == rhs
                     # coderivation property
-                    dl = cd.sq_coproduct(pair, cd.coderivation_C(pair, 1, a, w1))
+                    dl = coproduct_terms(table.parities, cd.coderivation_C(pair, 1, a, w1).terms)
                     dr = {}
-                    for (l1, l2), c in cd.sq_coproduct(pair, w1).items():
+                    for (l1, l2), c in coproduct_terms(table.parities, w1.terms).items():
                         img1 = cd.coderivation_C(pair, 1, a, SuperPolynomial(table, {l1: Fraction(1)}))
                         for k, cc in img1.terms.items():
                             key = (k, l2)
@@ -260,8 +269,8 @@ class TestCoderivationC:
             if pair.in_h(a_index):
                 return oracle_h_derivation(pair, a_index, w)
             out = table.zero()
-            for (l1, l2), coeff in cd.sq_coproduct(pair, w).items():
-                value = cd.apply_radx(pair, bad, {a_index: Fraction(1)}, cd.sq_monomial_letters(pair, l1))
+            for (l1, l2), coeff in coproduct_terms(table.parities, w.terms).items():
+                value = cd.apply_radx(pair, bad, {a_index: Fraction(1)}, env._monomial_to_word(l1))
                 if not value:
                     continue
                 out = out + cd.sq_from_element(pair, value) * SuperPolynomial(table, {l2: Fraction(1)}) * coeff
@@ -406,6 +415,14 @@ class TestCharacter:
         with pytest.raises(ValueError):
             cd.Character(pair, {2: Fraction(1)})
 
+    @pytest.mark.parametrize("index", [0, 9, -1])
+    def test_value_outside_h_rejected(self, index):
+        # gl11: q = x12, x21 (indices 0, 1), h = d1, d2 (indices 2, 3)
+        alg, pair = catalog("gl11")
+        with pytest.raises(ValueError, match=f"index {index}"):
+            cd.Character(pair, {2: 5, index: 3})
+        assert cd.Character(pair, {2: 5, 3: 3}).values == {2: 5, 3: 3}
+
 
 class TestTheta:
     def test_h_action_on_unit(self):
@@ -482,8 +499,8 @@ class TestTheta:
         def theta_bad(a_index, w):
             out = cd.coderivation_C(pair, 1, a_index, w)
             pa = alg.parities[a_index]
-            for (l1, l2), coeff in cd.sq_coproduct(pair, w).items():
-                value = cd.apply_radx(pair, bad, {a_index: Fraction(1)}, cd.sq_monomial_letters(pair, l2))
+            for (l1, l2), coeff in coproduct_terms(table.parities, w.terms).items():
+                value = cd.apply_radx(pair, bad, {a_index: Fraction(1)}, env._monomial_to_word(l2))
                 scalar = chi.of_element(value)
                 if scalar == 0:
                     continue
@@ -746,63 +763,10 @@ class TestLieGenerators:
 
 
 # ---------------------------------------------------------------------------
-# oracles for the S(q) operators: the letter-by-letter coproduct here and
-# the prefix/suffix h-derivation of conftest, each counting its Koszul signs
-# by hand
+# oracles for the S(q) operators: the letter-by-letter coproduct and the
+# prefix/suffix h-derivation of conftest, each counting its Koszul signs by
+# hand
 # ---------------------------------------------------------------------------
-
-def _mono_mul(table, mono, pos):
-    """Multiply a canonical monomial by one letter on the right."""
-    if table.parities[pos] == ODD and mono[pos]:
-        return None, 0
-    crossings = sum(
-        1
-        for j in range(pos + 1, len(mono))
-        if mono[j] and table.parities[j] == ODD
-    ) if table.parities[pos] == ODD else 0
-    new = list(mono)
-    new[pos] += 1
-    return tuple(new), (-1 if crossings % 2 else 1)
-
-
-def oracle_sq_coproduct(pair, w):
-    """Coproduct of S(q), letter by letter: each letter of each monomial
-    goes to the first leg (crossing the second) or to the second leg."""
-    table = cd.sq_table(pair)
-    unit = (0,) * len(table)
-    out = {}
-    for mono, coeff in w.terms.items():
-        state = {(unit, unit): Fraction(1)}
-        for pos in env._monomial_to_word(mono):
-            lp = table.parities[pos]
-            new = {}
-            for (m1, m2), c in state.items():
-                s = -1 if lp == ODD and table.monomial_parity(m2) == ODD else 1
-                prod, psign = _mono_mul(table, m1, pos)
-                if prod is not None:
-                    key = (prod, m2)
-                    acc = new.get(key, Fraction(0)) + c * s * psign
-                    if acc == 0:
-                        new.pop(key, None)
-                    else:
-                        new[key] = acc
-                prod, psign = _mono_mul(table, m2, pos)
-                if prod is not None:
-                    key = (m1, prod)
-                    acc = new.get(key, Fraction(0)) + c * psign
-                    if acc == 0:
-                        new.pop(key, None)
-                    else:
-                        new[key] = acc
-            state = new
-        for key, c in state.items():
-            acc = out.get(key, Fraction(0)) + c * coeff
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
-
 
 SQ_ORACLE_PAIRS = dict(ORACLE_PAIRS, **{"diag-osp12": lambda: diagonal_pair("osp12")})
 
@@ -828,14 +792,14 @@ class TestSqOracles:
         for mono in sq_monos(sq_pair, 5):
             w = SuperPolynomial(table, {mono: Fraction(3, 2)})
             # same values in the same key order
-            assert list(cd.sq_coproduct(sq_pair, w).items()) == list(
+            assert list(coproduct_terms(table.parities, w.terms).items()) == list(
                 oracle_sq_coproduct(sq_pair, w).items()
             ), mono
 
     def test_coproduct_on_random_polynomials(self, sq_pair):
         rng = random.Random(7)
         for w in random_sq_polynomials(sq_pair, rng, 25):
-            assert list(cd.sq_coproduct(sq_pair, w).items()) == list(
+            assert list(coproduct_terms(w.table.parities, w.terms).items()) == list(
                 oracle_sq_coproduct(sq_pair, w).items()
             ), w
 

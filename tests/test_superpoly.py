@@ -17,8 +17,9 @@ from supersym.superpoly import (
     PowerChain,
     SuperPolynomial,
     VariableTable,
-    _koszul,
+    _coproduct_legs,
     _render,
+    _shape,
     exhaustive_monomials,
     matrix_product,
     power_sum,
@@ -469,29 +470,36 @@ def inversion_sign(parities, m1, m2):
 
 
 @st.composite
-def monomial_pairs(draw):
+def monomials(draw):
+    """Parities and a canonical monomial on them."""
     n = draw(st.integers(1, 6))
     parities = draw(st.lists(st.sampled_from([EVEN, ODD]), min_size=n, max_size=n))
-
-    def mono():
-        return tuple(
-            draw(st.integers(0, 1 if p == ODD else 3)) for p in parities
-        )
-
-    return parities, mono(), mono()
+    return parities, tuple(draw(st.integers(0, 1 if p == ODD else 3)) for p in parities)
 
 
 class TestKoszulSign:
-    @given(monomial_pairs())
+    @given(monomials())
     @settings(max_examples=300, deadline=None)
     def test_matches_inversion_parity(self, case):
-        parities, m1, m2 = case
-        assert _koszul(parities, m1, m2) == inversion_sign(parities, m1, m2)
+        # every k <= m once, in lexicographic order, with the odd masks of both legs
+        # and the value C(m, k) times the sign reordering x^(m-k) x^k
+        parities, m = case
+        legs = list(_coproduct_legs(parities, m))
+        assert [k for _, k, *_ in legs] == list(itertools.product(*(range(e + 1) for e in m)))
+        for rest, k, odd_rest, odd, v in legs:
+            assert rest == tuple(e - j for e, j in zip(m, k))
+            assert (odd_rest, odd) == (_shape(parities, rest)[0], _shape(parities, k)[0])
+            # a canonical monomial splits into legs that never repeat an odd letter
+            assert not odd & odd_rest
+            assert v == math.prod(map(math.comb, m, k)) * inversion_sign(parities, rest, k)
 
-    def test_repeated_odd_letter_vanishes(self):
-        parities = (ODD, EVEN, ODD)
-        assert _koszul(parities, (1, 2, 0), (1, 0, 1)) == 0
-        assert _koszul(parities, (0, 0, 1), (1, 0, 0)) == -1
+    @given(monomials(), st.lists(st.integers(-2, 2), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_numerators_pick_the_legs(self, case, nums):
+        # with nums, exactly the unfiltered legs of degree n with nums[n] != 0
+        parities, m = case
+        kept = [leg for leg in _coproduct_legs(parities, m) if sum(leg[0]) < len(nums) and nums[sum(leg[0])]]
+        assert list(_coproduct_legs(parities, m, nums)) == kept
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
