@@ -2,8 +2,8 @@
 
 A small tour of the enveloping-algebra engine on osp(1|2): rewriting
 words into the normal-ordered basis, the symmetrization map and its
-coalgebra property, the twisted adjoint action, and the factorization
-U(g) = beta(S(q)) U(h) with its quotient.
+coalgebra property, the twisted adjoint action, and the quotient mod
+U(g)h, read off tau.
 """
 
 from fractions import Fraction
@@ -47,8 +47,8 @@ print()
 
 u = je * P.from_basis(alg, 2)  # j(e) j(H)
 print("Quotient mod U(g)h:")
-print("  class of j(e)j(H):", env.quotient_mod_h(pair, u))
-print("  class of beta(ef):", env.quotient_mod_h(pair, beta_ef))
+print("  class of j(e)j(H):", coderiv.quotient_mod_h(pair, u))
+print("  class of beta(ef):", coderiv.quotient_mod_h(pair, beta_ef))
 print()
 
 print("tau inverts the symmetrization onto the quotient:")

@@ -16,7 +16,7 @@ odd part and J_2 is the Jacobian-type Berezinian built from the generic
 point of the odd part.  This script constructs T for osp(1|2) and checks
 it three ways: twisted invariance, the invariant-space solver, and the
 quotient-module picture.  The check and the solver both decide invariance
-in S(q), through ad'(a) o beta = beta o C_2^a; the quotient works in U(g).
+in S(q), through ad'(a) o beta = beta o C_2^a; the quotient is read off tau.
 The tests hold the independent route: twisted adjoints of every basis
 vector taken in U(g) and read in the factorization.
 """
@@ -58,7 +58,7 @@ print()
 w1 = jacobian.interior_product(gp, jacobian.jacobian_Jc(gp, 1).J, jacobian.top_monomial(pair))
 u = coderiv.beta_of_sq(pair, w1)
 killed = all(
-    enveloping.quotient_mod_h(pair, enveloping.PbwElement.from_basis(alg, a) * u).is_zero()
+    coderiv.quotient_mod_h(pair, enveloping.PbwElement.from_basis(alg, a) * u).is_zero()
     for a in range(alg.dim)
 )
 print("Class of beta(J_1 e f) in U(g)/U(g)h killed by left multiplication:",

@@ -330,7 +330,7 @@ def cmd_jacobian(file: AlgebraFile, args) -> Report:
         return report
     c = args.c if args.c is not None else Fraction(1)
     gp = jacobian.GenericPoint(pair, order)
-    result = jacobian.jacobian_Jc(gp, c, order)
+    result = jacobian.jacobian_Jc(gp, c)
     for k, s in result.str_powers:
         report.value("jacobian.str-power", f"k={k}", s)
     report.value("jacobian.J", f"{file.name} c={c}", result.J)

@@ -11,7 +11,7 @@ of the generic-point series, a crossing the first leg with the sign
 extending the adjoint action b |-> [a, b], which is the same coproduct-leg
 step with the series -t, as [a, b] = -(-1)^{p(a) p(b)} [b, a].  With
 p = p_c = t*coth(t/c) these assemble into the representation C_c; twisting
-by a character chi of h through the odd series q_c = -tanh(t/(2c)) gives
+by a character chi of h through q_c = -tanh(t/(2c)) on q and 1 on h gives
 the representations Theta_{c,chi} that match left multiplication on the
 induced module.  Every Koszul sign of a product in S(q) comes from the
 monomial sign of ``superpoly``.
@@ -22,10 +22,11 @@ memos die with the pair: ``pair.nest_memo`` keeps the bracket nests
 S(word)(a) and ``pair.tau_memo`` the chain C_1^word(1) of each PBW word
 tau meets, both as forms, and ``pair.p_c_memo`` the series p_c they use.
 
-tau (the inverse of the symmetrization onto U(g)/U(g)h), the twisted
-adjoint invariance checker and the invariant-space solver live here too;
-the last two run the C_c^a step of tau at c = 2 on S(q), as
-ad'(a) o beta = beta o C_2^a, for a Lie-generating set (``lie_generators``).
+tau (the inverse of the symmetrization onto U(g)/U(g)h), the quotient mod
+U(g)h read off it, the twisted adjoint invariance checker and the
+invariant-space solver live here too; the last two run the C_c^a step of
+tau at c = 2 on S(q), as ad'(a) o beta = beta o C_2^a, for a Lie-generating
+set (``lie_generators``).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .superpoly import (
     ODD,
     SuperPolynomial,
     VariableTable,
+    _check_tables,
     _combine,
     _coproduct_legs,
     _form,
@@ -170,6 +172,8 @@ def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> tuple:
     c = Fraction(c)
     if c == 0:
         raise ValueError("C_c requires c != 0")
+    if u.alg is not pair.algebra:
+        raise ValueError("elements of enveloping algebras of different Lie superalgebras")
     key = c, max((sum(m) for m in chains[()][1]), default=0) + u.degree()
     series = pair.p_c_memo.get(key)
     if series is None:
@@ -190,6 +194,7 @@ def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> tuple:
 
 def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) -> SuperPolynomial:
     """Multiplicative extension u -> C_c^u to the enveloping algebra."""
+    _check_tables(sq_table(pair), (w,))
     return _poly(sq_table(pair), _words(pair, c, u, {(): _form(w.terms)}))
 
 
@@ -201,10 +206,23 @@ def tau(pair: SymmetricPair, u: PbwElement) -> SuperPolynomial:
     return _poly(sq_table(pair), _words(pair, 1, u, pair.tau_memo))
 
 
+def quotient_coordinates(pair: SymmetricPair, u: PbwElement) -> dict:
+    """The class of u in U(g)/U(g)h as PBW coordinates in beta(S(q)): tau(u),
+    each monomial padded with zeros on h, in (degree, monomial) order."""
+    pad, terms = (0,) * len(pair.h_indices), tau(pair, u).terms
+    return {m + pad: terms[m] for m in sorted(terms, key=lambda m: (sum(m), m))}
+
+
+def quotient_mod_h(pair: SymmetricPair, u: PbwElement) -> PbwElement:
+    """The representative beta(tau(u)) of u mod U(g)h, in coordinate order."""
+    return symmetrize(pair.algebra, quotient_coordinates(pair, u))
+
+
 def scale_degrees(pair: SymmetricPair, w: SuperPolynomial, c) -> SuperPolynomial:
     """The Hopf automorphism I_c of S(q): multiplication by c^n in degree n."""
     c = Fraction(c)
     table = sq_table(pair)
+    _check_tables(table, (w,))
     return SuperPolynomial(table, {m: co * c ** sum(m) for m, co in w.terms.items()})
 
 
@@ -290,18 +308,17 @@ class Character:
 
 def theta_action(pair: SymmetricPair, c, chi: Character, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
     """Theta^a_{c,chi} on S(q) tensor the one-dimensional chi-module (the
-    module coordinate is absorbed into the coefficients)."""
+    module coordinate is absorbed into the coefficients): C_c^a w plus the
+    legs chi(f(ad leg2)(a)) leg1, f = q_c for a in q; for a in h, f = 1
+    keeps only the leg (w, 1), which gives chi(a) w."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("Theta_c requires c != 0")
-    alg = pair.algebra
     table = sq_table(pair)
     one = table.one()
     pairs = [(coderivation_C(pair, c, a_index, w), one)]
-    if pair.in_h(a_index):
-        return sum_of_products(table, pairs + [(w, table.constant(chi.values.get(a_index, 0)))])
-    series = q_c(c, w.total_degree() + 1)
-    pa = alg.parities[a_index]
+    series = TruncatedSeries1.constant(1, 0) if pair.in_h(a_index) else q_c(c, w.total_degree() + 1)
+    pa = pair.algebra.parities[a_index]
     a_element = {a_index: Fraction(1)}
     for (leg1, leg2), coeff in coproduct_terms(table.parities, w.terms).items():
         value = apply_radx(pair, series, a_element, _monomial_to_word(leg2))
@@ -312,13 +329,13 @@ def theta_action(pair: SymmetricPair, c, chi: Character, a_index: int, w: SuperP
     return sum_of_products(table, pairs)
 
 
-def induced_action(pair: SymmetricPair, chi: Character, a_index: int, w: SuperPolynomial, max_degree=None) -> SuperPolynomial:
+def induced_action(pair: SymmetricPair, chi: Character, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
     """Left multiplication by j(a) on the induced module U(g) (x)_h V_chi,
     computed concretely: multiply in U(g), refactor as beta(S(q)) U(h), and
     push the h factors through chi."""
     alg = pair.algebra
     table = sq_table(pair)
-    f = factorization(pair, max_degree if max_degree is not None else w.total_degree() + 1)
+    f = factorization(pair, w.total_degree() + 1)
     pairs = []
     for mono, coeff in w.terms.items():
         u = PbwElement.from_basis(alg, a_index) * symmetrize_word(alg, _monomial_to_word(mono))
@@ -351,6 +368,7 @@ def check_theta_vs_induced(pair: SymmetricPair, chi: Character, max_degree: int)
 
 def beta_of_sq(pair: SymmetricPair, w: SuperPolynomial) -> PbwElement:
     """Symmetrization of an S(q) element into U(g)."""
+    _check_tables(sq_table(pair), (w,))
     pad = (0,) * len(pair.h_indices)  # q is the first block of the basis of g
     return symmetrize(pair.algebra, {mono + pad: coeff for mono, coeff in w.terms.items()})
 

@@ -31,6 +31,7 @@ the cost is polynomial in the degree.
 The factorization U(g) = beta(S(q)) U(h) needs no change-of-basis matrix:
 the top-degree part of beta(w) u is the single PBW monomial +-(w u), so
 coordinates are read off by peeling top-degree terms (``Factorization``).
+The quotient mod U(g)h is read off tau instead, in ``coderiv``.
 """
 
 from __future__ import annotations
@@ -421,7 +422,7 @@ def gamma(pair: SymmetricPair, u: PbwElement) -> PbwElement:
 
 
 # ---------------------------------------------------------------------------
-# the factorization U(g) = beta(S(q)) U(h) and the quotient mod U(g) h
+# the factorization U(g) = beta(S(q)) U(h)
 # ---------------------------------------------------------------------------
 
 class Factorization:
@@ -435,9 +436,9 @@ class Factorization:
     splitting each m by support into (w, u) and subtracting (c/s) beta(w) u,
     where s = +-1 is the coefficient of m in that product, one degree at a
     time in one ``_combine``.  The products are memoised per monomial, as
-    forms.  The quotient mod U(g)h and the induced module read these
-    coordinates; ``coderiv`` decides invariance in S(q), and reads them only
-    for the witness of an element outside beta(S(q)).
+    forms.  The induced module (``coderiv.induced_action``) reads these
+    coordinates, and ``coderiv.verify_twisted_invariance`` its witness of
+    an element outside beta(S(q)); the quotient mod U(g)h is read off tau.
     """
 
     def __init__(self, pair: SymmetricPair, max_degree: int):
@@ -490,18 +491,3 @@ class Factorization:
 def factorization(pair: SymmetricPair, max_degree: int) -> Factorization:
     return Factorization(pair, max_degree)
 
-
-def quotient_coordinates(pair: SymmetricPair, u: PbwElement, max_degree=None) -> dict:
-    """The class of u in U(g)/U(g)h, as S(q)-monomial coordinates of its
-    beta(S(q)) representative: terms with a nontrivial h factor drop."""
-    if max_degree is None:
-        max_degree = max(u.degree(), 1)
-    f = factorization(pair, max_degree)
-    unit = (0,) * pair.algebra.dim
-    return {qm: c for (qm, hm), c in f.coordinates(u).items() if hm == unit}
-
-
-def quotient_mod_h(pair: SymmetricPair, u: PbwElement, max_degree=None) -> PbwElement:
-    """Representative of the class of u in U(g)/U(g)h inside beta(S(q))."""
-    coords = quotient_coordinates(pair, u, max_degree)
-    return symmetrize(pair.algebra, coords)

@@ -188,24 +188,17 @@ class JacobianResult:
         return f"JacobianResult(J={self.J}, c={self.c}, order={self.order})"
 
 
-def jacobian_Jc(gp: GenericPoint, c, order=None) -> JacobianResult:
+def jacobian_Jc(gp: GenericPoint, c) -> JacobianResult:
     """J_c = exp(str over q of w_c(ad y)), assembled degree by degree from
-    the supertraces (2m, str Q^m) of Q = (ad y)^2 on q.
-
-    The summation always runs to the full nilpotency bound of ad y (odd
-    letters let high powers contribute low even degrees); a smaller
-    ``order`` only truncates the reported result.
-    """
+    the supertraces (2m, str Q^m) of Q = (ad y)^2 on q, summed to the full
+    nilpotency bound of ad y (odd letters let high powers contribute low
+    even degrees) and truncated at the point's order."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("J_c requires c != 0")
     str_powers = _even_str_powers(gp)
     J = _w_sum(gp, series_mod.w_c(c, max(gp.max_power(), 2)), str_powers).exp()
-    if order is None:
-        order = gp.order
-    elif not gp.purely_odd and order < gp.order:
-        J = truncate_even_degree(J, order)
-    return JacobianResult(J, c, order, str_powers)
+    return JacobianResult(J, c, gp.order, str_powers)
 
 
 def _w_sum(gp: GenericPoint, w: series_mod.TruncatedSeries1, str_powers) -> SuperPolynomial:
@@ -343,15 +336,11 @@ def series_of_ad_y(gp: GenericPoint, f: series_mod.TruncatedSeries1, element: di
 
 
 def twisted_vector_field(gp: GenericPoint, c, a_index: int) -> dict:
-    """alpha_c^a: [a, y] for a in h, p_c(ad y)(a) for a in q."""
-    pair = gp.pair
-    alg = gp.algebra
-    if pair.in_h(a_index):
-        a_elem = {a_index: gp.table.one()}
-        y_elem = dict(gp.y)
-        return alg.bracket(a_elem, y_elem)
-    p = series_mod.p_c(c, gp.max_power() + 1)
-    return series_of_ad_y(gp, p, {a_index: Fraction(1)})
+    """alpha_c^a = f(ad y)(a): f = p_c for a in q, and f = -t for a in h,
+    as alpha_c^a = [a, y] = -[y, a] there."""
+    order = gp.max_power() + 1
+    f = -series_mod.TruncatedSeries1.t(order) if gp.pair.in_h(a_index) else series_mod.p_c(c, order)
+    return series_of_ad_y(gp, f, {a_index: Fraction(1)})
 
 
 def str_q_of_ad_field(gp: GenericPoint, field: dict) -> SuperPolynomial:
@@ -393,8 +382,8 @@ def key_identity_check(gp: GenericPoint, c, a_index: int, order=None) -> SuperPo
         zeta_{alpha_c^a}(str_q w_c(ad y)) + div(zeta_{alpha_c^a})
             - str_q(ad theta_c^a)  =  0,
 
-    each term computed by its own direct route.  theta_c^a is a for a in h
-    and q_c(ad y)(a) for a in q.  For purely odd q everything is exact; in
+    each term computed by its own direct route, theta_c^a = f(ad y)(a) for
+    f = q_c on q and f = 1 on h.  For purely odd q everything is exact; in
     the presence of even variables the computation runs one order above the
     requested truncation (differentiation at the truncation boundary) and
     the residual is cut back down.
@@ -405,17 +394,12 @@ def key_identity_check(gp: GenericPoint, c, a_index: int, order=None) -> SuperPo
     if order is None:
         order = gp.order
     work = gp if gp.purely_odd else gp.lifted(order + 1)
-    pair = work.pair
     field = twisted_vector_field(work, c, a_index)
     w_str = str_w_of_ad_y(work, c)
     t1 = apply_vector_field(work, field, w_str)
     t2 = divergence(work, field)
-    if pair.in_h(a_index):
-        theta = {a_index: work.table.one()}
-    else:
-        q_series = series_mod.q_c(c, work.max_power() + 1)
-        theta = series_of_ad_y(work, q_series, {a_index: Fraction(1)})
-    t3 = str_q_of_ad_field(work, theta)
+    f = series_mod.TruncatedSeries1.constant(1, 0) if work.pair.in_h(a_index) else series_mod.q_c(c, work.max_power() + 1)
+    t3 = str_q_of_ad_field(work, series_of_ad_y(work, f, {a_index: Fraction(1)}))
     residual = t1 + t2 - t3
     if not gp.purely_odd:
         residual = truncate_even_degree(residual, order)

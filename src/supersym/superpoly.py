@@ -21,8 +21,10 @@ shapes its factors in each call; :func:`matrix_product` shapes every entry
 of both matrices once (``_shape_rows``).  The masks also give the sign of
 a letter times a monomial (``_letter_sign``), which the left derivative and
 C_c use, and of every coproduct leg: ``_coproduct_legs`` is the one walk of
-the legs of a monomial, for the coproduct of S(q) and U(g) and for each C_c^a
-step.  No other module counts crossings of odd letters.
+the legs of a monomial, for the coproduct of S(q) and U(g) and for each
+C_c^a step.  No other module counts crossings of odd letters in canonical
+monomials; ``enveloping._first_letter_sum``, ``_letter_product``,
+``normal_form`` and ``antipode`` count their own on U(g) words.
 
 This module owns the integer form (den, {key: int}) of a linear combination
 that sums, U(g), C_c, tau and ``ad_matrix`` compute in: ``_form`` makes one,

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from supersym import coderiv as cd
-from supersym.enveloping import PbwElement, _monomial_to_word
+from supersym.enveloping import Factorization, PbwElement, _monomial_to_word, symmetrize
 from supersym.liealg import SuperMatrix, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.series import p_c
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, sum_of_products
@@ -235,6 +235,48 @@ def oracle_words(pair, c, u, chains):
 def oracle_coderivation_C(pair, c, a_index, w):
     """C_c^a(w) through ``oracle_words``, with a p_c of its own."""
     return oracle_words(pair, c, PbwElement.from_basis(pair.algebra, a_index), {(): w})
+
+
+def oracle_quotient_coordinates(pair, u):
+    """The class of u in U(g)/U(g)h by peeling: the coordinates of
+    ``Factorization(pair, d).coordinates(u)`` with no h factor, keyed by
+    their q part, in the peeling's (degree, monomial) order.  The route
+    ``quotient_coordinates`` took before it read tau."""
+    unit = (0,) * pair.algebra.dim
+    coords = Factorization(pair, max(u.degree(), 1)).coordinates(u)
+    return {qm: c for (qm, hm), c in coords.items() if hm == unit}
+
+
+def oracle_quotient_mod_h(pair, u):
+    """beta of ``oracle_quotient_coordinates``: the route of
+    ``quotient_mod_h`` before it read tau."""
+    return symmetrize(pair.algebra, oracle_quotient_coordinates(pair, u))
+
+
+def oracle_h_twisted_vector_field(gp, a_index):
+    """alpha_c^a for a in h as the bracket [a, y] of the algebra, its
+    components sorted by index: the h branch ``jacobian.twisted_vector_field``
+    kept before it ran the series -t.  The bracket lists its components in
+    the order of its own loop; the series route lists them by index."""
+    field = gp.algebra.bracket({a_index: gp.table.one()}, dict(gp.y))
+    return dict(sorted(field.items()))
+
+
+def oracle_h_theta(gp, a_index):
+    """theta_c^a = a for a in h, as the field {a: 1}: the h branch of
+    ``jacobian.key_identity_check`` before it ran the series 1."""
+    return {a_index: gp.table.one()}
+
+
+def oracle_h_theta_action(pair, c, chi, a_index, w):
+    """Theta^a_{c,chi} for a in h as C_c^a w + chi(a) w, one
+    ``sum_of_products``: the h branch ``coderiv.theta_action`` kept before
+    it ran the chi-twisted leg sum with the series 1."""
+    table = cd.sq_table(pair)
+    return sum_of_products(table, [
+        (cd.coderivation_C(pair, c, a_index, w), table.one()),
+        (w, table.constant(chi.values.get(a_index, 0))),
+    ])
 
 
 def diagonal_pair(name, keep=None):

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` for the full listing,
 or ``supersym selftest`` for the CLI equivalent.
 """
 
+import os
 import pathlib
 import random
 import subprocess
@@ -23,7 +24,8 @@ from supersym.liealg import SuperMatrix, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, VariableTable, exhaustive_monomials
 
 CATALOG = ["abelian(1,2)", "osp12", "gl11", "heisenberg_super", "solvable2"]
-ALGEBRAS = pathlib.Path(__file__).resolve().parent.parent / "algebras"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ALGEBRAS = ROOT / "algebras"
 
 
 def _report(number, label, elapsed):
@@ -266,7 +268,7 @@ def test_criterion_7_gorelik_dual_route():
         u = cd.beta_of_sq(pair, w1)
         for a in range(alg.dim):
             moved = PbwElement.from_basis(alg, a) * u
-            assert env.quotient_mod_h(pair, moved).is_zero(), (name, alg.names[a])
+            assert cd.quotient_mod_h(pair, moved).is_zero(), (name, alg.names[a])
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"Gorelik dual route took {elapsed:.2f}s, budget 5s"
     _report(7, "Gorelik element: closed form, invariance, solver, quotient class", elapsed)
@@ -319,3 +321,16 @@ def test_criterion_9_cli(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     _report(9, "CLI selftest, non-unimodular refusal, byte-stable emission",
             time.perf_counter() - start)
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.stem)
+def test_demo_runs_cleanly(demo):
+    # each demo is a script against the public modules: exit 0, nothing on stderr
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, cwd=str(ROOT), env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout

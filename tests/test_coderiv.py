@@ -14,7 +14,7 @@ from supersym import liealg, linalg, series
 from supersym import superpoly as sp
 from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
-from supersym.superpoly import EVEN, ODD, SuperPolynomial, coproduct_terms, exhaustive_monomials
+from supersym.superpoly import EVEN, ODD, SuperPolynomial, VariableTable, coproduct_terms, exhaustive_monomials
 
 from conftest import (
     MIXED_PAIRS,
@@ -24,6 +24,9 @@ from conftest import (
     oracle_coderivation,
     oracle_coderivation_C,
     oracle_h_derivation,
+    oracle_h_theta_action,
+    oracle_quotient_coordinates,
+    oracle_quotient_mod_h,
     oracle_sq_coproduct,
     oracle_words,
     osp14_pair,
@@ -1074,3 +1077,103 @@ class TestFormsAgainstTheChainRoute:
         for u, w in zip(random_pbw_elements(pair, rng, 6, max_degree=3), ws):
             for c in (1, Fraction(-3, 2)):
                 assert_same_terms(cd.coderivation_C_u(pair, c, u, w), oracle_words(pair, c, u, {(): w}), c, u, w)
+
+
+# ---------------------------------------------------------------------------
+# one route per map: the quotient mod U(g)h read off tau, the h letters of
+# Theta through the series 1, and inputs from another algebra or table
+# ---------------------------------------------------------------------------
+
+class TestQuotientAgainstThePeeling:
+    """``quotient_coordinates`` and ``quotient_mod_h`` read off tau, against
+    the peeling of a Factorization they replaced, values and key order."""
+
+    @pytest.mark.parametrize("name", sorted(FORM_PAIRS))
+    def test_random_elements_up_to_degree_4(self, name):
+        pair = FORM_PAIRS[name]()
+        unit = (0,) * pair.algebra.dim
+        dropped = False
+        for u in random_pbw_elements(pair, random.Random(97), 15, max_degree=4):
+            got = cd.quotient_coordinates(pair, u)
+            assert list(got.items()) == list(oracle_quotient_coordinates(pair, u).items()), u
+            assert_same_terms(cd.quotient_mod_h(pair, u), oracle_quotient_mod_h(pair, u), u)
+            peeled = env.Factorization(pair, max(u.degree(), 1)).coordinates(u)
+            dropped |= any(hm != unit for _, hm in peeled)
+        assert dropped
+
+
+class TestThetaHLetters:
+    @pytest.mark.parametrize("character", ["trivial", "supertrace_on_quotient"])
+    def test_against_C_plus_chi(self, mixed_pair, character):
+        # the series 1 keeps the leg (w, 1) alone: Theta^a w = C_c^a w + chi(a) w
+        chi = getattr(cd.Character, character)(mixed_pair)
+        for w in random_sq_polynomials(mixed_pair, random.Random(101), 6, max_degree=3):
+            for a in mixed_pair.h_indices:
+                for c in (1, Fraction(2, 3)):
+                    want = oracle_h_theta_action(mixed_pair, c, chi, a, w)
+                    assert_same_terms(cd.theta_action(mixed_pair, c, chi, a, w), want, c, a, w)
+
+
+def _foreign_algebra_element(pair):
+    """j(e) j(f) of gl(1|1), whose basis indices fit osp(1|2)."""
+    return PbwElement.from_word(catalog("gl11")[0], (0, 1))
+
+
+def _equal_copy_element(pair):
+    """The Gorelik element of an equal but distinct copy of the pair."""
+    return jac.gorelik_candidate(jac.GenericPoint(catalog("osp12")[1]))
+
+
+def _x_table_variable(pair):
+    """x1 of the generic point, a polynomial over its own table."""
+    return jac.GenericPoint(pair).table.variable(0)
+
+
+def _three_variable_polynomial(pair):
+    return VariableTable(["u", "v", "w"], [ODD, ODD, ODD]).variable(2)
+
+
+DIFFERENT_ALGEBRAS = "different Lie superalgebras"
+DIFFERENT_TABLES = "different variable tables"
+FOREIGN_INPUTS = {
+    "tau": (lambda pair: cd.tau(pair, _foreign_algebra_element(pair)), DIFFERENT_ALGEBRAS),
+    "quotient_coordinates": (
+        lambda pair: cd.quotient_coordinates(pair, _foreign_algebra_element(pair)), DIFFERENT_ALGEBRAS
+    ),
+    "quotient_mod_h": (lambda pair: cd.quotient_mod_h(pair, _foreign_algebra_element(pair)), DIFFERENT_ALGEBRAS),
+    "coderivation_C_u-equal-copy": (
+        lambda pair: cd.coderivation_C_u(pair, 1, _equal_copy_element(pair), cd.sq_table(pair).one()),
+        DIFFERENT_ALGEBRAS,
+    ),
+    "verify_twisted_invariance-equal-copy": (
+        lambda pair: cd.verify_twisted_invariance(pair, _equal_copy_element(pair)), DIFFERENT_ALGEBRAS
+    ),
+    "coderivation_C-x-table": (lambda pair: cd.coderivation_C(pair, 2, 0, _x_table_variable(pair)), DIFFERENT_TABLES),
+    "coderivation_C-three-variables": (
+        lambda pair: cd.coderivation_C(pair, 2, 0, _three_variable_polynomial(pair)), DIFFERENT_TABLES
+    ),
+    "coderivation_C_u-x-table": (
+        lambda pair: cd.coderivation_C_u(pair, 1, PbwElement.one(pair.algebra), _x_table_variable(pair)),
+        DIFFERENT_TABLES,
+    ),
+    "theta_action-x-table": (
+        lambda pair: cd.theta_action(pair, 1, cd.Character.trivial(pair), 2, _x_table_variable(pair)),
+        DIFFERENT_TABLES,
+    ),
+    "beta_of_sq-x-table": (lambda pair: cd.beta_of_sq(pair, _x_table_variable(pair)), DIFFERENT_TABLES),
+    "beta_of_sq-three-variables": (lambda pair: cd.beta_of_sq(pair, _three_variable_polynomial(pair)), DIFFERENT_TABLES),
+    "scale_degrees-x-table": (lambda pair: cd.scale_degrees(pair, _x_table_variable(pair), 2), DIFFERENT_TABLES),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FOREIGN_INPUTS))
+def test_input_from_another_algebra_or_table_is_refused(entry):
+    # each used to answer for the wrong algebra or table, or to end in an
+    # IndexError; the pair's own inputs still pass
+    alg, pair = catalog("osp12")
+    call, message = FOREIGN_INPUTS[entry]
+    with pytest.raises(ValueError, match=message):
+        call(pair)
+    table = cd.sq_table(pair)
+    assert cd.tau(pair, PbwElement.from_word(alg, (0, 1))) == table.variable(0) * table.variable(1)
+    assert cd.scale_degrees(pair, table.variable(0), 2) == table.variable(0) * 2

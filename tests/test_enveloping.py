@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from supersym import enveloping as env
 from supersym import linalg
 from supersym import superpoly as sp
+from supersym.coderiv import quotient_coordinates, quotient_mod_h
 from supersym.enveloping import (
     PbwElement,
     antipode,
@@ -17,8 +18,6 @@ from supersym.enveloping import (
     factorization,
     gamma,
     normal_form,
-    quotient_coordinates,
-    quotient_mod_h,
     symmetrize,
     symmetrize_word,
     tensor_mul_pbw,

@@ -14,7 +14,16 @@ from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.liealg import SuperMatrix
 from supersym.superpoly import ODD, PowerChain, SuperPolynomial, power_sum
 
-from conftest import ORACLE_PAIRS, apply_matrix, diagonal_pair, gl_pair, osp14_pair as _osp14
+from conftest import (
+    MIXED_PAIRS,
+    ORACLE_PAIRS,
+    apply_matrix,
+    diagonal_pair,
+    gl_pair,
+    oracle_h_theta,
+    oracle_h_twisted_vector_field,
+    osp14_pair as _osp14,
+)
 
 
 def smono(alg, *pairs):
@@ -393,6 +402,35 @@ class TestKeyIdentity:
                 assert jac.key_identity_check(gp, c, a, order=5).is_zero()
 
 
+class TestHLettersThroughSeries:
+    """For a in h, alpha_c^a = (-t)(ad y)(a) and theta_c^a = 1(ad y)(a)
+    against the bracket [a, y] and the field {a: 1} they replaced: values,
+    key order and the term order of every component."""
+
+    @pytest.mark.parametrize("name", sorted(dict(ORACLE_PAIRS, **MIXED_PAIRS)))
+    def test_against_the_bracket_and_the_unit_field(self, name):
+        pair = dict(ORACLE_PAIRS, **MIXED_PAIRS)[name]()
+        gp = jac.GenericPoint(pair, 4)
+        one = series.TruncatedSeries1.constant(1, 0)
+        for a in pair.h_indices:
+            for c in (Fraction(1), Fraction(2, 3)):
+                got, want = jac.twisted_vector_field(gp, c, a), oracle_h_twisted_vector_field(gp, a)
+                assert list(got) == list(want), (a, c)
+                assert all(list(got[i].terms.items()) == list(want[i].terms.items()) for i in want), (a, c)
+            got, want = jac.series_of_ad_y(gp, one, {a: Fraction(1)}), oracle_h_theta(gp, a)
+            assert list(got) == list(want) and got[a].terms == want[a].terms, a
+
+    def test_key_identity_with_odd_h_and_a_nonzero_supertrace(self):
+        # on the diagonal Borel pair h has odd vectors and str_q(ad h_H) != 0,
+        # so theta_c^a = a enters the identity for every h letter
+        pair = MIXED_PAIRS["diag-borel"]()
+        gp = jac.GenericPoint(pair, 3)
+        assert any(pair.q_supertraces().values())
+        for c in (Fraction(1), Fraction(2)):
+            for a in pair.h_indices:
+                assert jac.key_identity_check(gp, c, a, order=3).is_zero(), (c, pair.algebra.names[a])
+
+
 class TestInteriorProduct:
     def test_unit_acts_trivially(self):
         alg, pair = catalog("osp12")
@@ -504,7 +542,7 @@ class TestQuotientTransport:
             u = cd.beta_of_sq(pair, w1)
             for a in range(alg.dim):
                 moved = PbwElement.from_basis(alg, a) * u
-                assert env.quotient_mod_h(pair, moved).is_zero(), (name, alg.names[a])
+                assert cd.quotient_mod_h(pair, moved).is_zero(), (name, alg.names[a])
 
     def test_solver_generator_proportional_to_candidate(self):
         for name in ("osp12", "gl11", "heisenberg_super"):
