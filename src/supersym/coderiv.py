@@ -208,13 +208,17 @@ def tau(pair: SymmetricPair, u: PbwElement) -> SuperPolynomial:
 
 def quotient_coordinates(pair: SymmetricPair, u: PbwElement) -> dict:
     """The class of u in U(g)/U(g)h as PBW coordinates in beta(S(q)): tau(u),
-    each monomial padded with zeros on h, in (degree, monomial) order."""
+    each monomial padded with zeros on h, in (degree, monomial) order.
+
+    On a pair whose q has even vectors, S(q) is truncated at even degree 24,
+    so an element whose tau image passes it is refused with ValueError."""
     pad, terms = (0,) * len(pair.h_indices), tau(pair, u).terms
     return {m + pad: terms[m] for m in sorted(terms, key=lambda m: (sum(m), m))}
 
 
 def quotient_mod_h(pair: SymmetricPair, u: PbwElement) -> PbwElement:
-    """The representative beta(tau(u)) of u mod U(g)h, in coordinate order."""
+    """The representative beta(tau(u)) of u mod U(g)h, in coordinate order;
+    refused past even degree 24 of S(q), as ``quotient_coordinates`` is."""
     return symmetrize(pair.algebra, quotient_coordinates(pair, u))
 
 
@@ -335,6 +339,7 @@ def induced_action(pair: SymmetricPair, chi: Character, a_index: int, w: SuperPo
     push the h factors through chi."""
     alg = pair.algebra
     table = sq_table(pair)
+    _check_tables(table, (w,))
     f = factorization(pair, w.total_degree() + 1)
     pairs = []
     for mono, coeff in w.terms.items():

@@ -13,7 +13,12 @@ throughout the toolkit:
 The two-variable series support the divided differences
 ``(f(t+u) - f(t))/u`` needed to state the functional equations that
 characterize these series; the ``check_*`` functions return the exact
-residuals so that a caller can assert they vanish identically.
+residuals so that a caller can assert they vanish identically.  Exchanging
+t and u (``swap``) is a ring automorphism, so each t-side product of a
+mirrored pair, such as ``from_t(d) * divided_difference_t(d)``, is read off
+as the ``swap`` of its u-side twin: one product per pair.
+``log_of_one_plus`` runs the recurrence of (1 + f) L' = f' on ints, in
+O(n^2) products, and leaves ``compose`` to ``exp_of`` and ``inverse_of``.
 
 A series is stored as integer numerators over one positive denominator,
 divided through by their common factor so that the stored form is unique:
@@ -245,6 +250,8 @@ def _coerce1(x, order):
 
 def _from_ratios(ratios, order) -> TruncatedSeries1:
     """sum num/den t^k over the {k: (num, den)} of ints (den nonzero, k <= order)."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     den = math.lcm(*[d for _, d in ratios.values()])
     nums = [0] * (order + 1)
     for k, (num, d) in ratios.items():
@@ -290,8 +297,25 @@ def exp_of(f: TruncatedSeries1) -> TruncatedSeries1:
 
 
 def log_of_one_plus(f: TruncatedSeries1) -> TruncatedSeries1:
-    """log(1 + f) for f with zero constant term."""
-    return compose(log1p_series(f.order), f)
+    """log(1 + f) for f with zero constant term, from (1 + f) L' = f'.
+
+    With f = F/D and L' = sum G_m t^m / D^(m+1), the recurrence
+    G_m = (m+1) F_{m+1} D^m - sum_{i=1..m} F_i D^(i-1) G_{m-i} runs on ints,
+    and L_k = G_{k-1} / (k D^k) goes over lcm(1..n) D^n: O(n^2) products
+    where ``compose`` with log(1 + t) takes O(n^3).
+    """
+    if f.nums[0]:
+        raise ValueError("composition requires zero constant term in the inner series")
+    n, F, D = f.order, f.nums, f.den
+    powers = [D**k for k in range(n + 1)]
+    scaled = [F[i] * powers[i - 1] for i in range(1, n + 1)]
+    G = []
+    for m in range(n):
+        G.append((m + 1) * F[m + 1] * powers[m] - sum(map(mul, scaled[:m], reversed(G))))
+    lcm = math.lcm(*range(1, n + 1))
+    return TruncatedSeries1._reduced(
+        [0] + [G[k - 1] * (lcm // k) * powers[n - k] for k in range(1, n + 1)], lcm * powers[n], n
+    )
 
 
 def inverse_of(f: TruncatedSeries1) -> TruncatedSeries1:
@@ -394,6 +418,8 @@ class TruncatedSeries2:
     __slots__ = ("nums", "den", "order")
 
     def __init__(self, coefficients, order):
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         cleaned = {}
         for (i, j), c in coefficients.items():
             if type(c) is not Fraction:
@@ -408,6 +434,8 @@ class TruncatedSeries2:
     def _reduced(cls, nums, den, order):
         """The series over den > 0 with the nonzero numerators ``nums``, all
         keys within the order, divided through by their common factor."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         common = math.gcd(den, *nums.values())
         if common > 1:
             nums = {k: v // common for k, v in nums.items()}
@@ -422,23 +450,20 @@ class TruncatedSeries2:
 
     @classmethod
     def from_t(cls, f: TruncatedSeries1, order):
-        """f(t) viewed in two variables."""
-        return cls._reduced({(k, 0): v for k, v in enumerate(f.nums[: order + 1]) if v}, f.den, order)
+        """f(t) viewed in two variables; ``order`` may not exceed f's own."""
+        return cls.from_u(f, order).swap()
 
     @classmethod
     def from_u(cls, f: TruncatedSeries1, order):
-        """f(u) viewed in two variables."""
-        return cls._reduced({(0, k): v for k, v in enumerate(f.nums[: order + 1]) if v}, f.den, order)
+        """f(u) viewed in two variables; ``order`` may not exceed f's own."""
+        f = f.truncate(order)
+        return cls._reduced({(0, k): v for k, v in enumerate(f.nums) if v}, f.den, order)
 
     @classmethod
     def from_sum(cls, f: TruncatedSeries1, order):
-        """f(t + u), expanded binomially."""
-        terms = {
-            (k, n - k): v * math.comb(n, k)
-            for n, v in enumerate(f.nums[: order + 1])
-            if v
-            for k in range(n + 1)
-        }
+        """f(t + u), expanded binomially; ``order`` may not exceed f's own."""
+        f = f.truncate(order)
+        terms = {(k, n - k): v * math.comb(n, k) for n, v in enumerate(f.nums) if v for k in range(n + 1)}
         return cls._reduced(terms, f.den, order)
 
     @property
@@ -585,20 +610,20 @@ def check_symmetric_equations(p: TruncatedSeries1, d: TruncatedSeries1, order):
         raise ValueError("d must be an odd series")
     if p.order < order + 1 or d.order < order + 1:
         raise ValueError(f"residuals to total order {order} need both series to order {order + 1}")
-    p_t = TruncatedSeries2.from_t(p, order)
     p_u = TruncatedSeries2.from_u(p, order)
     p_sum = TruncatedSeries2.from_sum(p, order)
     d_t = TruncatedSeries2.from_t(d, order)
     d_u = TruncatedSeries2.from_u(d, order)
     d_sum = TruncatedSeries2.from_sum(d, order)
     dd_u_d = divided_difference(d, order)
-    dd_t_d = divided_difference_t(d, order)
     dd_u_p = divided_difference(p, order)
-    dd_t_p = divided_difference_t(p, order)
 
-    r1 = d_u * dd_u_d + d_t * dd_t_d + d_sum
-    r2 = p_u * dd_u_p + p_t * dd_t_p + d_sum
-    r3 = p_u * dd_u_d + d_t * dd_t_p + p_sum
+    # swap is a ring automorphism taking each u-side product to its t-side twin
+    a = d_u * dd_u_d
+    b = p_u * dd_u_p
+    r1 = a + a.swap() + d_sum
+    r2 = b + b.swap() + d_sum
+    r3 = p_u * dd_u_d + d_t * dd_u_p.swap() + p_sum
     return r1, r2, r3
 
 
@@ -625,7 +650,8 @@ def check_coinduced_equations(h: TruncatedSeries1, q: TruncatedSeries1, c, order
     q_u = TruncatedSeries2.from_u(q, order)
 
     r7 = -h_sum + h_t + h_u - h_t * h_u
-    r8 = divided_difference(q, order) * p_u + divided_difference_t(q, order) * p_t - q_t * q_u + h_sum
+    x = divided_difference(q, order) * p_u
+    r8 = x + x.swap() - q_t * q_u + h_sum
     r9 = q_t + divided_difference_t(h, order) * p_t - q_t * h_u
     return r7, r8, r9
 

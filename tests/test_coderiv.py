@@ -1101,6 +1101,19 @@ class TestQuotientAgainstThePeeling:
             dropped |= any(hm != unit for _, hm in peeled)
         assert dropped
 
+    def test_refused_past_the_truncation_of_s_q(self):
+        # q of the diagonal gl(1|1) pair has even vectors, so S(q) stops at
+        # even degree 24; the peeling would answer for q_d1^25 too
+        pair = diagonal_pair("gl11")
+        alg = pair.algebra
+        letter = alg.names.index("q_d1")
+        top = PbwElement.from_word(alg, (letter,) * 24)
+        assert list(cd.quotient_coordinates(pair, top).items()) == list(oracle_quotient_coordinates(pair, top).items())
+        past = PbwElement.from_word(alg, (letter,) * 25)
+        for quotient in (cd.quotient_coordinates, cd.quotient_mod_h):
+            with pytest.raises(ValueError, match="truncated at even degree 24"):
+                quotient(pair, past)
+
 
 class TestThetaHLetters:
     @pytest.mark.parametrize("character", ["trivial", "supertrace_on_quotient"])
@@ -1158,6 +1171,13 @@ FOREIGN_INPUTS = {
     ),
     "theta_action-x-table": (
         lambda pair: cd.theta_action(pair, 1, cd.Character.trivial(pair), 2, _x_table_variable(pair)),
+        DIFFERENT_TABLES,
+    ),
+    "induced_action-three-variables": (
+        # the even third variable used to be read as the letter H of h, giving 0
+        lambda pair: cd.induced_action(
+            pair, cd.Character.trivial(pair), 0, VariableTable(["u", "v", "w"], [ODD, ODD, EVEN], 4).variable(2)
+        ),
         DIFFERENT_TABLES,
     ),
     "beta_of_sq-x-table": (lambda pair: cd.beta_of_sq(pair, _x_table_variable(pair)), DIFFERENT_TABLES),

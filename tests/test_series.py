@@ -488,3 +488,150 @@ class TestStoredForm:
             for op in (lambda: s * "x", lambda: s * None, lambda: None * s):
                 with pytest.raises(TypeError):
                     op()
+
+
+# -- oracles: the functional equations with both products of each mirrored
+# -- pair, and log(1 + f) by Horner composition
+
+
+def oracle_symmetric_residuals(p, d, order):
+    p_t, p_u = TruncatedSeries2.from_t(p, order), TruncatedSeries2.from_u(p, order)
+    d_t, d_u = TruncatedSeries2.from_t(d, order), TruncatedSeries2.from_u(d, order)
+    p_sum, d_sum = TruncatedSeries2.from_sum(p, order), TruncatedSeries2.from_sum(d, order)
+    dd_u_d, dd_t_d = series.divided_difference(d, order), series.divided_difference_t(d, order)
+    dd_u_p, dd_t_p = series.divided_difference(p, order), series.divided_difference_t(p, order)
+    return (
+        d_u * dd_u_d + d_t * dd_t_d + d_sum,
+        p_u * dd_u_p + p_t * dd_t_p + d_sum,
+        p_u * dd_u_d + d_t * dd_t_p + p_sum,
+    )
+
+
+def oracle_coinduced_residuals(h, q, c, order):
+    p = series.p_c(c, order + 1)
+    p_t, p_u = TruncatedSeries2.from_t(p, order), TruncatedSeries2.from_u(p, order)
+    h_t, h_u = TruncatedSeries2.from_t(h, order), TruncatedSeries2.from_u(h, order)
+    q_t, q_u = TruncatedSeries2.from_t(q, order), TruncatedSeries2.from_u(q, order)
+    h_sum = TruncatedSeries2.from_sum(h, order)
+    return (
+        -h_sum + h_t + h_u - h_t * h_u,
+        series.divided_difference(q, order) * p_u + series.divided_difference_t(q, order) * p_t - q_t * q_u + h_sum,
+        q_t + series.divided_difference_t(h, order) * p_t - q_t * h_u,
+    )
+
+
+def oracle_log_of_one_plus(f):
+    return series.compose(series.log1p_series(f.order), f)
+
+
+def assert_same_series(got, expected):
+    """Same order, values and stored form."""
+    assert got.order == expected.order
+    assert got.coefficients == expected.coefficients
+    assert (got.nums, got.den) == (expected.nums, expected.den)
+
+
+def parity_series(parity, order, base=None):
+    """A random series of the given order with at most four terms, all of
+    that parity, added to ``base`` when one is given."""
+    keys = st.integers(0, order).filter(lambda k: k % 2 == parity)
+    drawn = st.dictionaries(keys, coefficients, max_size=4).map(
+        lambda c: TruncatedSeries1([c.get(k, 0) for k in range(order + 1)], order)
+    )
+    return drawn if base is None else drawn.map(lambda s: s + base)
+
+
+constants = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-5, 7)])
+
+
+@st.composite
+def even_odd_pairs(draw):
+    """(even, odd, order): random series, or perturbed p_c and q_c, to the
+    order + 1 the residuals need."""
+    order = draw(st.integers(0, 30))
+    c = draw(constants)
+    perturbed = draw(st.booleans())
+    even = draw(parity_series(0, order + 1, series.p_c(c, order + 1) if perturbed else None))
+    odd = draw(parity_series(1, order + 1, series.q_c(c, order + 1) if perturbed else None))
+    return even, odd, order, c
+
+
+class TestMirroredProducts:
+    @given(even_odd_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric_residuals_against_both_products(self, case):
+        p, d, order, _ = case
+        for got, expected in zip(series.check_symmetric_equations(p, d, order), oracle_symmetric_residuals(p, d, order)):
+            assert_same_series(got, expected)
+
+    @given(even_odd_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_coinduced_residuals_against_both_products(self, case):
+        h, q, order, c = case
+        for got, expected in zip(
+            series.check_coinduced_equations(h, q, c, order), oracle_coinduced_residuals(h, q, c, order)
+        ):
+            assert_same_series(got, expected)
+
+    def test_perturbed_solutions_at_order_30(self):
+        # the inputs of `series --order 30 --perturb`; the second residual of
+        # each set is nonzero, the others vanish for every p with d = -t and
+        # every q with h = 1
+        n = 30
+        d = TruncatedSeries1([0, -1], n + 1)
+        one = TruncatedSeries1.constant(1, n + 1)
+        nonzero = []
+        for c in (Fraction(1), Fraction(2), Fraction(1, 3)):
+            p = series.p_c(c, n + 1) + TruncatedSeries1.monomial(1, 2, n + 1)
+            q = series.q_c(c, n + 1) + TruncatedSeries1.monomial(1, 3, n + 1)
+            pairs = list(zip(series.check_symmetric_equations(p, d, n), oracle_symmetric_residuals(p, d, n)))
+            pairs += zip(series.check_coinduced_equations(one, q, c, n), oracle_coinduced_residuals(one, q, c, n))
+            for got, expected in pairs:
+                assert_same_series(got, expected)
+                nonzero.append(not got.is_zero())
+        assert nonzero == [False, True, False] * 6
+
+
+class TestLogRecurrence:
+    @given(series1(31), st.integers(0, 31))
+    @settings(max_examples=60, deadline=None)
+    def test_against_composition_with_log1p(self, f, order):
+        f = (f - f.coeff(0)).truncate(order)
+        assert_same_series(series.log_of_one_plus(f), oracle_log_of_one_plus(f))
+
+    def test_distinguished_series_at_every_order(self):
+        for n in range(32):
+            for f in (
+                series.one_minus_exp_neg_t_over_t(n) - 1,
+                series.sinh_over_t(n) - 1,
+                series.w_c(Fraction(2, 3), n),
+                series.w_c(-3, n),
+            ):
+                assert_same_series(series.log_of_one_plus(f), oracle_log_of_one_plus(f))
+
+    def test_nonzero_constant_rejected(self):
+        with pytest.raises(ValueError, match="zero constant term"):
+            series.log_of_one_plus(series.sinh_over_t(6))
+
+
+class TestOrderContracts:
+    def test_negative_orders_are_refused(self):
+        for call in (
+            lambda: TruncatedSeries2({}, -1),
+            lambda: TruncatedSeries2._reduced({}, 1, -1),
+            lambda: TruncatedSeries2.from_t(series.p_c(1, 4), -2),
+            lambda: series.divided_difference(TruncatedSeries1([5], 0)),
+            lambda: series.check_symmetric_equations(series.p_c(1, 1), TruncatedSeries1([0, -1], 1), -1),
+            lambda: series.p_c(1, -1),
+            lambda: series.q_c(1, -1),
+            lambda: series.w_c(1, -1),
+        ):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                call()
+
+    def test_two_variable_views_refuse_a_higher_order(self):
+        f = TruncatedSeries1([1, 2], 1)
+        for view in (TruncatedSeries2.from_t, TruncatedSeries2.from_u, TruncatedSeries2.from_sum):
+            with pytest.raises(ValueError, match="higher order"):
+                view(f, 5)
+            assert view(f, 1).order == 1 and view(f, 0) == TruncatedSeries2({(0, 0): 1}, 0)
