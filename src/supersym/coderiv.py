@@ -17,10 +17,11 @@ induced module.  Every Koszul sign of a product in S(q) comes from the
 monomial sign of ``superpoly``.
 
 C_c, C_c^u and tau run on the integer forms (den, {S(q) monomial: int}) of
-``superpoly`` and build one SuperPolynomial per result.  Their
-memos die with the pair: ``pair.nest_memo`` keeps the bracket nests
-S(word)(a) and ``pair.tau_memo`` the chain C_1^word(1) of each PBW word
-tau meets, both as forms, and ``pair.p_c_memo`` the series p_c they use.
+``superpoly`` and build one SuperPolynomial per result.  Their memos die
+with the pair and are keyed by monomial: ``pair.nest_memo`` keeps the
+bracket nests S(m)(a) of S(q) monomials m and ``pair.tau_memo`` the chain
+C_1^m(1) of each PBW monomial m tau meets, both as forms, and
+``pair.p_c_memo`` the series p_c they use.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the quotient mod
 U(g)h read off it, the twisted adjoint invariance checker and the
@@ -36,8 +37,9 @@ from fractions import Fraction
 from . import linalg
 from .enveloping import (
     PbwElement,
-    _first_letter_sum,
     _monomial_to_word,
+    _support_sum,
+    _word_to_monomial,
     factorization,
     symmetrize,
     symmetrize_word,
@@ -89,31 +91,30 @@ def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, l
     """Evaluate the universal vector field p(ad y)(a) on the monomial with
     the given q letters: p_n times the Koszul-signed sum over all orderings
     of the iterated brackets.  Returns an algebra element {index: Fraction}
-    in index order.
+    in index order; a letter outside q raises IndexError.
 
-    Grouping the orderings by their outermost letter gives
-    S(w)(a) = sum_k eps_k [w_k, S(w without position k)(a)], with equal
-    (letter, sub-word) terms merged (``enveloping._first_letter_sum``); each
-    sub-word is evaluated once, so the cost is the number of distinct
-    sub-words rather than n!.  The nests are integer forms (``_nested``);
-    p_n multiplies the result once.
+    The letters become an S(q) monomial m and the Koszul sign of sorting
+    them (``enveloping._word_to_monomial``).  Grouping the orderings by their
+    outermost letter gives S(m)(a) = sum_i count_i [x_i, S(m - e_i)(a)]
+    (``enveloping._support_sum``), so the cost is the number of
+    sub-monomials rather than n!.  The nests are integer forms (``_nested``).
     """
-    letters = tuple(letters)
-    pn = series.coeff(len(letters))
-    if pn == 0:
+    sign, mono = _word_to_monomial(pair.algebra.parities, letters, len(pair.q_indices))
+    pn = series.coeff(sum(mono))
+    if pn == 0 or not sign:
         return {}
-    den, out = _nested(pair.algebra, {(): _form({i: c for i, c in a_element.items() if c})}, letters)
-    return {i: Fraction(out[i] * pn.numerator, den * pn.denominator) for i in sorted(out)}
+    den, out = _nested(pair.algebra, {(0,) * len(mono): _form({i: c for i, c in a_element.items() if c})}, mono)
+    return {i: Fraction(sign * out[i] * pn.numerator, den * pn.denominator) for i in sorted(out)}
 
 
-def _nested(alg, memo: dict, word) -> tuple:
-    """S(word)(a) as a form over the integer bracket table, kept in ``memo``
-    ({word: form}, seeded with () -> a)."""
-    value = memo.get(word)
+def _nested(alg, memo: dict, mono) -> tuple:
+    """S(mono)(a) as a form over the integer bracket table, kept in ``memo``
+    ({S(q) monomial: form}, seeded with the zero monomial -> a)."""
+    value = memo.get(mono)
     if value is None:
         brackets, bden = alg.int_brackets, alg.bracket_den
-        value = memo[word] = _first_letter_sum(
-            alg.parities, word, lambda rest: _nested(alg, memo, rest), lambda k, i: (bden, brackets[k][i])
+        value = memo[mono] = _support_sum(
+            alg.parities, mono, lambda rest: _nested(alg, memo, rest), lambda k, i: (bden, brackets[k][i])
         )
     return value
 
@@ -139,12 +140,12 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
     nums, nums_den = ((0, -1), 1) if pair.in_h(a_index) else (series.nums, series.den)
     parities = table.parities
-    memo = pair.nest_memo.setdefault(a_index, {(): (1, {a_index: 1})})
+    memo = pair.nest_memo.setdefault(a_index, {(0,) * len(parities): (1, {a_index: 1})})
     pairs = []
     for m, coeff in terms.items():
         for leg1, leg2, odd1, odd2, v in _coproduct_legs(parities, m, nums):
             pn = nums[sum(leg1)] * (-1 if pa and odd1.bit_count() & 1 else 1)
-            nden, nest = _nested(alg, memo, _monomial_to_word(leg1))
+            nden, nest = _nested(alg, memo, leg1)
             # the nest lies in q, whose vectors are the first letters of g and of S(q)
             images = {}
             for i in sorted(nest):
@@ -164,9 +165,8 @@ def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> 
 
 
 def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> tuple:
-    """C_c^u(w) as a form, for the form w = chains[()]: each PBW word
-    x_1...x_n of u is applied from its longest suffix found in ``chains``,
-    and each new chain C^{x_j}(...(w)) is stored there unless it raises.
+    """C_c^u(w) as a form, for the form w that ``chains`` holds under the
+    zero PBW monomial: the chain of each PBW monomial of u is ``_chain``.
     C_c raises the degree by at most one; the series p_c is built once per
     (c, degree) and kept in ``pair.p_c_memo``."""
     c = Fraction(c)
@@ -174,35 +174,37 @@ def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> tuple:
         raise ValueError("C_c requires c != 0")
     if u.alg is not pair.algebra:
         raise ValueError("elements of enveloping algebras of different Lie superalgebras")
-    key = c, max((sum(m) for m in chains[()][1]), default=0) + u.degree()
+    key = c, max((sum(m) for m in chains[(0,) * u.alg.dim][1]), default=0) + u.degree()
     series = pair.p_c_memo.get(key)
     if series is None:
         series = pair.p_c_memo[key] = p_c(*key)
     den, terms = _form(u.terms)
-    pairs = []
-    for mono, coeff in terms.items():
-        word = _monomial_to_word(mono)
-        k = next(k for k in range(len(word) + 1) if word[k:] in chains)
-        acc = chains[word[k:]]
-        for j in range(k - 1, -1, -1):
-            if not acc[1]:
-                break
-            acc = chains[word[j:]] = _coderivation(pair, series, word[j], acc)
-        pairs.append((coeff, acc))
-    return _combine(pairs, den)
+    return _combine([(coeff, _chain(pair, series, chains, mono)) for mono, coeff in terms.items()], den)
+
+
+def _chain(pair: SymmetricPair, series: TruncatedSeries1, chains: dict, mono) -> tuple:
+    """The chain C^m(w) = C^{x_i}(C^{m - e_i}(w)) of the PBW monomial m with
+    first letter x_i, as ``_monomial_product`` recurses.  Each chain is stored
+    in ``chains`` under its monomial unless it raises, zero ones too."""
+    acc = chains.get(mono)
+    if acc is None:
+        i = next(k for k, e in enumerate(mono) if e)
+        acc = _chain(pair, series, chains, mono[:i] + (mono[i] - 1,) + mono[i + 1 :])
+        acc = chains[mono] = _coderivation(pair, series, i, acc) if acc[1] else acc
+    return acc
 
 
 def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) -> SuperPolynomial:
     """Multiplicative extension u -> C_c^u to the enveloping algebra."""
     _check_tables(sq_table(pair), (w,))
-    return _poly(sq_table(pair), _words(pair, c, u, {(): _form(w.terms)}))
+    return _poly(sq_table(pair), _words(pair, c, u, {(0,) * pair.algebra.dim: _form(w.terms)}))
 
 
 def tau(pair: SymmetricPair, u: PbwElement) -> SuperPolynomial:
     """tau(u) = C_1^u(1): the inverse of the symmetrization onto U(g)/U(g)h, as
-    an element of S(q).  The chain C_1^word(1) of every PBW word met, and of its
-    suffixes (PBW words too), stays in ``pair.tau_memo`` as a form while the
-    pair lives."""
+    an element of S(q).  The chain C_1^m(1) of every PBW monomial m met, and
+    of the monomials its recursion passes, stays in ``pair.tau_memo`` as a
+    form while the pair lives."""
     return _poly(sq_table(pair), _words(pair, 1, u, pair.tau_memo))
 
 

@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 
 from .liealg import LieSuperAlgebra, SymmetricPair
-from .superpoly import EVEN, ODD, _combine, _form, _fractions, _render, coproduct_terms, exhaustive_monomials
+from .superpoly import EVEN, ODD, _combine, _form, _fractions, _letter_sign, _render, coproduct_terms, exhaustive_monomials
 
 
 def _monomial_to_word(mono):
@@ -51,11 +51,18 @@ def _monomial_to_word(mono):
     return tuple(word)
 
 
-def _word_to_monomial(word, dim):
-    mono = [0] * dim
-    for i in word:
+def _word_to_monomial(parities, word, dim) -> tuple:
+    """(sign, monomial) of a word of letters in range(dim): its letters
+    sorted, each inserted from the last with the sign of ``_letter_sign``, so
+    0 when an odd letter repeats.  A letter out of range raises IndexError."""
+    mono, odd, sign = [0] * dim, 0, 1
+    for i in reversed(tuple(word)):
+        if not 0 <= i < dim:
+            raise IndexError(f"basis index out of range for dimension {dim}: {i}")
         mono[i] += 1
-    return tuple(mono)
+        sign *= _letter_sign(parities, i, odd)
+        odd |= (parities[i] == ODD) << i
+    return sign, tuple(mono)
 
 
 def normal_form(alg: LieSuperAlgebra, word, coeff=Fraction(1), choose=None):
@@ -76,7 +83,7 @@ def normal_form(alg: LieSuperAlgebra, word, coeff=Fraction(1), choose=None):
             if a > b or (a == b and parities[a] == ODD):
                 sites.append(k)
         if not sites:
-            mono = _word_to_monomial(w, alg.dim)
+            mono = _word_to_monomial(parities, w, alg.dim)[1]
             acc = result.get(mono, Fraction(0)) + c
             if acc == 0:
                 result.pop(mono, None)
@@ -191,6 +198,7 @@ class PbwElement:
     def from_word(cls, alg, word, coeff=Fraction(1)):
         """coeff times the product of the letters of ``word``, inserted one
         at a time from the last (``_letter_product``)."""
+        _word_to_monomial(alg.parities, word, alg.dim)  # refuses a letter out of range
         den, terms = _form(cls.from_scalar(alg, coeff).terms)
         for i in reversed(word):
             den, terms = _combine([(c, _letter_product(alg, i, m)) for m, c in terms.items()], den)
@@ -324,43 +332,39 @@ def antipode(u: PbwElement) -> PbwElement:
 def symmetrize_word(alg: LieSuperAlgebra, word) -> PbwElement:
     """Symmetrization of a product of basis letters: the Koszul-signed
     average over all orderings, landing in U(g), with terms in (degree,
-    monomial) order.
-
-    Grouping the orderings by their first letter gives
-    beta(w) = (1/n) sum_k eps_k w_k beta(w without position k), with equal
-    (letter, sub-word) terms merged (``_first_letter_sum``); every sub-word's
-    value is memoised per algebra, so the cost is the number of distinct
-    sub-words rather than n!.
-    """
-    return PbwElement(alg, _fractions(_symmetrized(alg, tuple(word))))
+    monomial) order: the Koszul sign of sorting the word, 0 when an odd
+    letter repeats, times beta of its PBW monomial (``_symmetrized``)."""
+    sign, mono = _word_to_monomial(alg.parities, word, alg.dim)
+    den, terms = _symmetrized(alg, mono) if sign else (1, {})
+    return PbwElement(alg, _fractions((den, {m: sign * c for m, c in terms.items()})))
 
 
-def _symmetrized(alg: LieSuperAlgebra, word) -> tuple:
-    """beta(word) as a form, memoised per algebra."""
-    result = alg._symmetrize_cache.get(word)
+def _symmetrized(alg: LieSuperAlgebra, mono) -> tuple:
+    """beta(x^m) = (1/|m|) sum_i count_i x_i beta(x^(m - e_i)) as a form
+    (``_support_sum``), memoised per algebra under the PBW monomial m: the
+    cost is the number of sub-monomials of m rather than |m|!."""
+    result = alg._symmetrize_cache.get(mono)
     if result is None:
         value, product = functools.partial(_symmetrized, alg), functools.partial(_letter_product, alg)
-        den, acc = _first_letter_sum(alg.parities, word, value, product, len(word)) if word else (1, {(0,) * alg.dim: 1})
-        result = alg._symmetrize_cache[word] = (den, {m: acc[m] for m in sorted(acc, key=lambda m: (sum(m), m))})
+        den, acc = _support_sum(alg.parities, mono, value, product, sum(mono)) if any(mono) else (1, {mono: 1})
+        result = alg._symmetrize_cache[mono] = (den, {m: acc[m] for m in sorted(acc, key=lambda m: (sum(m), m))})
     return result
 
 
-def _first_letter_sum(parities, word, value, product, den=1) -> tuple:
-    """(1/den) sum_k eps_k product(w_k, value(w without position k)), for
-    ``value`` giving forms and ``product(letter, key)`` a form per key of
-    them.  eps_k = -1 exactly when w_k is odd and an odd number of odd
-    letters precede it (the Koszul sign of moving w_k to the front); equal
-    (letter, sub-word) terms are merged first, zero sums dropped."""
-    merged, odd_before = {}, 0
-    for k, letter in enumerate(word):
-        odd = parities[letter] == ODD
-        key = (letter, word[:k] + word[k + 1 :])
-        merged[key] = merged.get(key, 0) + (-1 if odd and odd_before % 2 else 1)
-        odd_before += odd
-    subs = [(letter, count, value(rest)) for (letter, rest), count in merged.items() if count]
+def _support_sum(parities, mono, value, product, den=1) -> tuple:
+    """(1/den) sum_i count_i product(i, value(m - e_i)) over the letters i of
+    m, for ``value`` giving forms and ``product(i, key)`` a form per key: the
+    orderings of the word of m grouped by their first letter.  count_i is m_i
+    times the sign of x_i times its odd predecessors in m (``_letter_sign``),
+    and 0 for an odd letter that repeats: the orderings cancel in pairs."""
+    subs, odd = [], 0
+    for i, e in enumerate(mono):
+        if e:
+            subs.append((i, e * _letter_sign(parities, i, odd | (e > 1) << i), value(mono[:i] + (e - 1,) + mono[i + 1 :])))
+            odd |= (parities[i] == ODD) << i
     lcm = math.lcm(*(d for _, _, (d, _) in subs))
     return _combine([
-        (count * c * (lcm // d), product(letter, key)) for letter, count, (d, terms) in subs for key, c in terms.items()
+        (count * c * (lcm // d), product(i, key)) for i, count, (d, terms) in subs for key, c in terms.items()
     ], den * lcm)
 
 
@@ -368,7 +372,7 @@ def symmetrize(alg: LieSuperAlgebra, s_terms: dict) -> PbwElement:
     """Symmetrization of a symmetric-algebra element {monomial: coeff}."""
     den, terms = _form(s_terms)
     return PbwElement(alg, _fractions(_combine(
-        [(c, _symmetrized(alg, _monomial_to_word(m))) for m, c in terms.items()], den
+        [(c, _symmetrized(alg, m)) for m, c in terms.items()], den
     )))
 
 
@@ -461,7 +465,7 @@ class Factorization:
             alg = self.pair.algebra
             qm = tuple(0 if h else e for e, h in zip(mono, self._in_h))
             hm = tuple(e if h else 0 for e, h in zip(mono, self._in_h))
-            den, beta = _symmetrized(alg, _monomial_to_word(qm))
+            den, beta = _symmetrized(alg, qm)
             den, rest = _combine([(c, _monomial_product(alg, m, hm)) for m, c in beta.items()], den)
             step = ((qm, hm), 1 if rest.pop(mono) > 0 else -1, (den, rest))
             self._steps[mono] = step

@@ -209,8 +209,8 @@ class SymmetricPair:
     when q has even vectors it is truncated at even degree 24, and the
     coderivations refuse to act where that would drop terms.  ``coderiv``
     fills three memos that die with the pair, two holding forms (den,
-    {key: int}): ``tau_memo`` ({PBW word: C_1^word(1)}, seeded with the unit)
-    and ``nest_memo`` ({a: {q word: S(word)(a)}}, the bracket nests of C_c);
+    {key: int}): ``tau_memo`` ({PBW monomial m: C_1^m(1)}, seeded with 1) and
+    ``nest_memo`` ({a: {S(q) monomial m: S(m)(a)}}, the nests of C_c);
     ``p_c_memo`` holds the series {(c, degree): p_c(c, degree)} they use.
     """
 
@@ -226,7 +226,7 @@ class SymmetricPair:
         parities = [algebra.parities[i] for i in q]
         truncation = None if all(p == ODD for p in parities) else 24
         self.sq_table = VariableTable([algebra.names[i] for i in q], parities, truncation)
-        self.tau_memo = {(): (1, {(0,) * len(q): 1})}
+        self.tau_memo = {(0,) * algebra.dim: (1, {(0,) * len(q): 1})}
         self.nest_memo = {}
         self.p_c_memo = {}
 

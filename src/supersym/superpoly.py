@@ -19,12 +19,13 @@ the Koszul sign of a product as a popcount, and its even degree.
 pairs as plain ints.  :func:`sum_of_products` (``a_1 b_1 + ... + a_k b_k``)
 shapes its factors in each call; :func:`matrix_product` shapes every entry
 of both matrices once (``_shape_rows``).  The masks also give the sign of
-a letter times a monomial (``_letter_sign``), which the left derivative and
-C_c use, and of every coproduct leg: ``_coproduct_legs`` is the one walk of
-the legs of a monomial, for the coproduct of S(q) and U(g) and for each
-C_c^a step.  No other module counts crossings of odd letters in canonical
-monomials; ``enveloping._first_letter_sum``, ``_letter_product``,
-``normal_form`` and ``antipode`` count their own on U(g) words.
+a letter times a monomial (``_letter_sign``), which the left derivative,
+C_c, the symmetrization and word sorting of ``enveloping`` use, and of every
+coproduct leg: ``_coproduct_legs`` is the one walk of the legs of a
+monomial, for the coproduct of S(q) and U(g) and for each C_c^a step.  No
+other module counts crossings of odd letters in canonical monomials;
+``enveloping._letter_product``, ``normal_form`` and ``antipode`` count
+their own on U(g) words.
 
 This module owns the integer form (den, {key: int}) of a linear combination
 that sums, U(g), C_c, tau and ``ad_matrix`` compute in: ``_form`` makes one,
@@ -45,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add
 
 EVEN = 0
 ODD = 1
@@ -345,19 +346,27 @@ def _coproduct_legs(parities, mono, nums=None):
     times the sign), k <= m in lexicographic order.  The sign reorders
     x^(m-k) x^k into x^m: each odd letter of k crosses the odd letters of
     m - k after it, which is the parity of ``koszul(m) & odd(k)`` plus
-    |odd(k)| // 2.  With the numerators ``nums`` of a series, only the legs
-    of degree n = |m - k| with nums[n] != 0 are signed and listed."""
+    |odd(k)| // 2.  The legs grow one letter of m at a time; with the
+    numerators ``nums`` of a series only those of degree n = |m - k| with
+    nums[n] != 0 are built, a partial leg kept while such an n is in reach
+    (reach[t] counts the allowed |k| below t)."""
     odd_m, koszul, _ = _shape(parities, mono)
-    bits = tuple(1 << i if p == ODD else 0 for i, p in enumerate(parities))
-    size = sum(mono)
-    for k in itertools.product(*(range(e + 1) for e in mono)):
-        if nums is not None:
-            n = size - sum(k)
-            if n >= len(nums) or not nums[n]:
-                continue
-        odd = sum(map(mul, k, bits))
+    reach, room, done = [0], sum(mono), 0
+    for n in range(room, -1, -1):
+        reach.append(reach[-1] + (nums is None or n < len(nums) and nums[n] != 0))
+    legs = [((), (), 0, 1, 0)] * (reach[-1] > 0)  # (k, m - k, odd mask of k, C(m, k), |k|) so far
+    for i, e in enumerate(mono):
+        if e:
+            room, gap, done, bit = room - e, (0,) * (i - done), i + 1, (1 << i) * (parities[i] == ODD)
+            steps = [(v, gap + (v,), gap + (e - v,), bit * v, math.comb(e, v)) for v in range(e + 1)]
+            legs = [
+                (k + kv, r + rv, o + ov, c * cv, s + v) for k, r, o, c, s in legs for v, kv, rv, ov, cv in steps
+                if reach[s + v + room + 1] > reach[s + v]
+            ]
+    tail = (0,) * (len(mono) - done)
+    for k, rest, odd, c, _ in legs:
         sign = -1 if ((koszul & odd).bit_count() + (odd.bit_count() >> 1)) & 1 else 1
-        yield tuple(map(sub, mono, k)), k, odd_m ^ odd, odd, sign * math.prod(map(math.comb, mono, k))
+        yield rest + tail, k + tail, odd_m ^ odd, odd, sign * c
 
 
 def coproduct_terms(parities, terms) -> dict:

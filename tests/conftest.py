@@ -1,12 +1,15 @@
+import functools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from supersym import coderiv as cd
-from supersym.enveloping import Factorization, PbwElement, _monomial_to_word, symmetrize
+from supersym.enveloping import Factorization, PbwElement, _letter_product, _monomial_to_word, symmetrize
 from supersym.liealg import SuperMatrix, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.series import p_c
-from supersym.superpoly import EVEN, ODD, SuperPolynomial, sum_of_products
+from supersym.superpoly import EVEN, ODD, SuperPolynomial, _combine, _form, sum_of_products
 
 
 def apply_matrix(mat, vec: dict) -> dict:
@@ -184,8 +187,67 @@ def oracle_sq_coproduct(pair, w):
     return out
 
 
+def oracle_first_letter_sum(parities, word, value, product, den=1):
+    """(1/den) sum_k eps_k product(w_k, value(w without position k)), for
+    ``value`` giving forms and ``product(letter, key)`` a form per key of
+    them.  eps_k = -1 exactly when w_k is odd and an odd number of odd
+    letters precede it (the Koszul sign of moving w_k to the front); equal
+    (letter, sub-word) terms are merged first, zero sums dropped.  The word
+    recursion ``enveloping._support_sum`` replaced, for words in any order."""
+    merged, odd_before = {}, 0
+    for k, letter in enumerate(word):
+        odd = parities[letter] == ODD
+        key = (letter, word[:k] + word[k + 1 :])
+        merged[key] = merged.get(key, 0) + (-1 if odd and odd_before % 2 else 1)
+        odd_before += odd
+    subs = [(letter, count, value(rest)) for (letter, rest), count in merged.items() if count]
+    lcm = math.lcm(*(d for _, _, (d, _) in subs))
+    return _combine([
+        (count * c * (lcm // d), product(letter, key)) for letter, count, (d, terms) in subs for key, c in terms.items()
+    ], den * lcm)
+
+
+def oracle_symmetrized(alg, word, memo):
+    """beta(word) as a form by the word recursion, kept in ``memo`` ({word:
+    form}): the route ``enveloping._symmetrized`` took before it was keyed
+    by PBW monomial."""
+    word = tuple(word)
+    result = memo.get(word)
+    if result is None:
+        value = functools.partial(oracle_symmetrized, alg, memo=memo)
+        product = functools.partial(_letter_product, alg)
+        den, acc = oracle_first_letter_sum(alg.parities, word, value, product, len(word)) if word else (1, {(0,) * alg.dim: 1})
+        result = memo[word] = (den, {m: acc[m] for m in sorted(acc, key=lambda m: (sum(m), m))})
+    return result
+
+
+def oracle_nested(alg, memo, word):
+    """S(word)(a) as a form over the integer bracket table by the word
+    recursion, kept in ``memo`` ({word: form}, seeded with () -> a): the
+    route ``coderiv._nested`` took before it was keyed by S(q) monomial."""
+    value = memo.get(word)
+    if value is None:
+        brackets, bden = alg.int_brackets, alg.bracket_den
+        value = memo[word] = oracle_first_letter_sum(
+            alg.parities, word, lambda rest: oracle_nested(alg, memo, rest), lambda k, i: (bden, brackets[k][i])
+        )
+    return value
+
+
+def oracle_apply_radx(pair, series, a_element, letters):
+    """p(ad y)(a) on the q letters through ``oracle_nested``, the word kept as
+    given: the route of ``coderiv.apply_radx`` before it sorted its letters
+    into an S(q) monomial.  It refuses no letter."""
+    letters = tuple(letters)
+    pn = series.coeff(len(letters))
+    if pn == 0:
+        return {}
+    den, out = oracle_nested(pair.algebra, {(): _form({i: c for i, c in a_element.items() if c})}, letters)
+    return {i: Fraction(out[i] * pn.numerator, den * pn.denominator) for i in sorted(out)}
+
+
 def oracle_coderivation(pair, series, a_index, w):
-    """C_c^a on the SuperPolynomial w, one ``apply_radx`` Fraction dict, one
+    """C_c^a on the SuperPolynomial w, one ``oracle_apply_radx`` Fraction dict, one
     degree-1 polynomial and one one-term polynomial per leg of the
     letter-by-letter ``oracle_sq_coproduct``, summed by ``sum_of_products``:
     the route ``coderiv._coderivation`` took before it kept its chains as
@@ -202,7 +264,7 @@ def oracle_coderivation(pair, series, a_index, w):
     a_element = {a_index: Fraction(1)}
     pairs = []
     for (leg1, leg2), coeff in oracle_sq_coproduct(pair, w).items():
-        value = cd.apply_radx(pair, series, a_element, _monomial_to_word(leg1))
+        value = oracle_apply_radx(pair, series, a_element, _monomial_to_word(leg1))
         if value:
             sign = -1 if pa and table.monomial_parity(leg1) else 1
             pairs.append((cd.sq_from_element(pair, value), SuperPolynomial(table, {leg2: coeff * sign})))
@@ -378,6 +440,43 @@ MIXED_PAIRS = {
     # is nonzero on the diagonal copy of H
     "diag-borel": lambda: diagonal_pair("osp12", {"e", "H", "E"}),
 }
+
+
+# every pair above: the integer-form tests and the word-route tests run on them
+FORM_PAIRS = dict(ORACLE_PAIRS, **MIXED_PAIRS)
+
+
+@pytest.fixture(scope="session")
+def warm_pairs():
+    """Pairs of ``FORM_PAIRS`` kept across the examples of a session,
+    by name, so that their memos are warm."""
+    return {}
+
+
+def draw_word_route_pair(data, warm_pairs):
+    """A pair of ``FORM_PAIRS`` for a Hypothesis test: built afresh, so
+    with empty memos, or the one in ``warm_pairs``, its memos warm."""
+    name = data.draw(st.sampled_from(sorted(FORM_PAIRS)), label="pair")
+    if data.draw(st.booleans(), label="fresh"):
+        return FORM_PAIRS[name]()
+    if name not in warm_pairs:
+        warm_pairs[name] = FORM_PAIRS[name]()
+    return warm_pairs[name]
+
+
+def draw_word(data, letters, parities):
+    """A word of ``letters``: up to three distinct odd ones and up to three
+    even ones, sorted, in drawn order, or in drawn order with one odd letter
+    repeated (the three kinds the word route took)."""
+    odd = [i for i in letters if parities[i] == ODD]
+    even = [i for i in letters if parities[i] != ODD]
+    word = data.draw(st.lists(st.sampled_from(odd), unique=True, max_size=3), label="odd") if odd else []
+    word += data.draw(st.lists(st.sampled_from(even), max_size=3), label="even") if even else []
+    kind = data.draw(st.sampled_from(["sorted", "unsorted", "repeated odd"]), label="kind")
+    if kind == "repeated odd" and odd:
+        word.append(data.draw(st.sampled_from(odd), label="repeated"))
+        word.append(word[-1])
+    return tuple(sorted(word)) if kind == "sorted" else tuple(data.draw(st.permutations(word), label="order"))
 
 
 @pytest.fixture(params=sorted(ORACLE_PAIRS))

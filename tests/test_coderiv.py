@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersym import coderiv as cd
 from supersym import enveloping as env
@@ -17,14 +18,19 @@ from supersym.liealg import LieSuperAlgebra, SymmetricPair, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, VariableTable, coproduct_terms, exhaustive_monomials
 
 from conftest import (
+    FORM_PAIRS,
     MIXED_PAIRS,
     ORACLE_PAIRS,
     diagonal_pair,
+    draw_word,
+    draw_word_route_pair,
     gl_pair,
+    oracle_apply_radx,
     oracle_coderivation,
     oracle_coderivation_C,
     oracle_h_derivation,
     oracle_h_theta_action,
+    oracle_nested,
     oracle_quotient_coordinates,
     oracle_quotient_mod_h,
     oracle_sq_coproduct,
@@ -59,6 +65,17 @@ class TestApplyRadx:
         p = series.TruncatedSeries1([0, Fraction(5)], 4)
         out = cd.apply_radx(pair, p, {2: Fraction(1)}, (0,))  # 5 [e, H]
         assert out == {0: Fraction(-5)}
+
+    def test_letters_outside_q(self):
+        # these used to return {} (p_c is even, so p_1 = 0, and the nest of
+        # (0, 2) vanishes); a letter of q still evaluates
+        alg, pair = catalog("gl11")
+        q = len(pair.q_indices)
+        for letters in [(-1,), (q,), (alg.dim,), (0, q), (-1, 0, 1)]:
+            with pytest.raises(IndexError, match="out of range"):
+                cd.apply_radx(pair, series.p_c(1, 4), {0: 1}, letters)
+        assert cd.apply_radx(pair, series.p_c(1, 4), {0: 1}, (q - 1,)) == {}
+        assert cd.apply_radx(pair, series.p_c(1, 4), {0: 1}, ()) == {0: Fraction(1)}
 
     def test_two_letters_against_matrix_route(self):
         # same evaluation through the generic-point matrix: the coefficient
@@ -950,7 +967,7 @@ def assert_same_terms(got, expected, *where):
 class TestTauOracle:
     def test_beta_of_every_monomial_on_a_fresh_and_a_warm_pair(self, sq_pair):
         table = cd.sq_table(sq_pair)
-        assert list(sq_pair.tau_memo) == [()]
+        assert list(sq_pair.tau_memo) == [(0,) * sq_pair.algebra.dim]
         elements = [cd.beta_of_sq(sq_pair, SuperPolynomial(table, {m: Fraction(1)})) for m in sq_monos(sq_pair, 5)]
         expected = [oracle_coderivation_C_u(sq_pair, 1, u, table.one()) for u in elements]
         for sweep in ("fresh", "warm"):
@@ -978,7 +995,7 @@ class TestTauOracle:
             for c in (1, Fraction(2, 3)):
                 got = cd.coderivation_C_u(sq_pair, c, u, w)
                 assert_same_terms(got, oracle_coderivation_C_u(sq_pair, c, u, w), c, u, w)
-        assert list(sq_pair.tau_memo) == [()]
+        assert list(sq_pair.tau_memo) == [(0,) * sq_pair.algebra.dim]
 
     def test_truncation_is_refused_twice_and_stores_nothing(self):
         # the input of TestTheta.test_truncation_is_refused_for_odd_h: tau
@@ -987,12 +1004,14 @@ class TestTauOracle:
         # word of w = q1 q2^24 itself: its first letter meets q2^24
         pair = diagonal_pair("gl11")
         alg = pair.algebra
-        u = PbwElement(alg, {smono(alg, (alg.index("q_x21"), 1), (alg.index("q_d1"), 24)): Fraction(1)})
-        word = env._monomial_to_word(next(iter(u.terms)))
+        # the monomial of the whole word, and of the word past its failing first letter
+        x21, d1 = alg.index("q_x21"), alg.index("q_d1")
+        whole, rest = smono(alg, (x21, 1), (d1, 24)), smono(alg, (d1, 24))
+        u = PbwElement(alg, {whole: Fraction(1)})
         for _ in range(2):
             with pytest.raises(ValueError, match="truncated at even degree 24"):
                 cd.tau(pair, u)
-            assert word not in pair.tau_memo and word[1:] in pair.tau_memo
+            assert whole not in pair.tau_memo and rest in pair.tau_memo
         with pytest.raises(ValueError, match="truncated at even degree 24"):
             oracle_coderivation_C_u(pair, 1, u, cd.sq_table(pair).one())
 
@@ -1019,11 +1038,59 @@ class TestTauOracle:
         assert got == w
 
 
+def draw_pbw_element(data, pair, max_degree=3):
+    """A sum of up to three PBW monomials of degree <= max_degree over g."""
+    alg = pair.algebra
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 3), label="terms")):
+        word = data.draw(st.lists(st.integers(0, alg.dim - 1), max_size=max_degree), label="monomial")
+        mono = tuple(min(word.count(i), 1 if p == ODD else max_degree) for i, p in enumerate(alg.parities))
+        terms[mono] = Fraction(data.draw(st.sampled_from([-3, -1, 1, 2])), data.draw(st.sampled_from([1, 2, 5])))
+    return PbwElement(alg, terms)
+
+
+class TestMonomialKeysAgainstTheWordRoute:
+    """``apply_radx``, ``tau`` and ``coderivation_C_u``, whose memos are
+    keyed by monomial, against the word route (``oracle_apply_radx``,
+    ``oracle_words``), values and key order, on fresh and warm pairs."""
+
+    SERIES = [
+        series.TruncatedSeries1([Fraction(k + 2, k + 1) for k in range(8)]),
+        series.p_c(Fraction(2, 3), 8),  # zero in odd degrees
+    ]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_apply_radx_on_words_in_any_order(self, warm_pairs, data):
+        pair = draw_word_route_pair(data, warm_pairs)
+        alg = pair.algebra
+        letters = draw_word(data, pair.q_indices, alg.parities)
+        a_element = data.draw(st.dictionaries(
+            st.integers(0, alg.dim - 1), st.sampled_from([Fraction(-3), Fraction(1), Fraction(2, 5)]), min_size=1, max_size=3
+        ), label="a")
+        for p in self.SERIES:
+            got = cd.apply_radx(pair, p, a_element, letters)
+            assert list(got.items()) == list(oracle_apply_radx(pair, p, a_element, letters).items()), letters
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_tau_and_coderivation_C_u(self, warm_pairs, data):
+        pair = draw_word_route_pair(data, warm_pairs)
+        table = cd.sq_table(pair)
+        u = draw_pbw_element(data, pair)
+        assert_same_terms(cd.tau(pair, u), oracle_words(pair, 1, u, {(): table.one()}), u)
+        monos = sq_monos(pair, 2)
+        w = SuperPolynomial(table, {
+            data.draw(st.sampled_from(monos), label="w monomial"): Fraction(data.draw(st.integers(1, 4)), 3)
+            for _ in range(data.draw(st.integers(1, 3), label="w terms"))
+        })
+        c = data.draw(st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(-3, 2)]), label="c")
+        assert_same_terms(cd.coderivation_C_u(pair, c, u, w), oracle_words(pair, c, u, {(): w}), c, u, w)
+
+
 # ---------------------------------------------------------------------------
 # the integer forms of tau and C_c against the SuperPolynomial chain route
 # ---------------------------------------------------------------------------
-
-FORM_PAIRS = dict(ORACLE_PAIRS, **MIXED_PAIRS)
 
 
 def assert_lowest_terms(form, *where):
@@ -1043,13 +1110,24 @@ class TestFormsAgainstTheChainRoute:
         for mono in sq_monos(pair, 4):
             u = cd.beta_of_sq(pair, SuperPolynomial(table, {mono: Fraction(1)}))
             assert_same_terms(cd.tau(pair, u), oracle_words(pair, 1, u, chains), mono)
-        assert list(pair.tau_memo) == list(chains)
-        for word, form in pair.tau_memo.items():
+        # the memo holds every chain of the word route, in its order, plus the
+        # zero chains of the words that extend a zero chain of the word route
+        words = [env._monomial_to_word(m) for m in pair.tau_memo]
+        assert [w for w in words if w in chains] == list(chains)
+        for word, form in zip(words, pair.tau_memo.values()):
             assert_lowest_terms(form, word)
-            assert list(sp._fractions(form).items()) == list(chains[word].terms.items()), word
+            k = next(k for k in range(len(word) + 1) if word[k:] in chains)
+            want = chains[word[k:]]
+            assert k == 0 or want.is_zero(), word
+            assert list(sp._fractions(form).items()) == list(want.terms.items()), word
+        alg = pair.algebra
         for a, nests in pair.nest_memo.items():
-            for word, form in nests.items():
+            oracle_memo = {(): (1, {a: 1})}
+            for mono, form in nests.items():
+                word = env._monomial_to_word(mono)
                 assert_lowest_terms(form, a, word)
+                want = oracle_nested(alg, oracle_memo, word)
+                assert (form[0], list(form[1].items())) == (want[0], list(want[1].items())), (a, word)
 
     def test_p_c_is_built_once_per_c_and_degree(self, pair, monkeypatch):
         built = []

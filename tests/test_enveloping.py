@@ -26,7 +26,7 @@ from supersym.enveloping import (
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.superpoly import EVEN, ODD, VariableTable, exhaustive_monomials
 
-from conftest import diagonal_pair, gl_pair
+from conftest import diagonal_pair, draw_word, draw_word_route_pair, gl_pair, oracle_symmetrized
 
 
 def sq_monomials(pair, max_degree):
@@ -110,6 +110,15 @@ class TestConstructors:
         alg, _ = catalog("osp12")
         with pytest.raises(IndexError):
             PbwElement.from_element(alg, {7: 1})
+
+    @pytest.mark.parametrize("build", [PbwElement.from_word, symmetrize_word])
+    def test_word_letters_out_of_range(self, build):
+        # (-1,) used to read as the last basis letter, d2 on gl(1|1)
+        alg, _ = catalog("gl11")
+        for word in [(-1,), (alg.dim,), (0, -1), (alg.dim, 0)]:
+            with pytest.raises(IndexError, match="out of range"):
+                build(alg, word)
+        assert build(alg, (alg.dim - 1,)) == PbwElement.from_basis(alg, alg.dim - 1)
 
 
 class TestMultiply:
@@ -297,8 +306,16 @@ class TestIntegerFormsOnGl22:
         memo, products = {}, {}
         for word in words:
             want = fraction_symmetrized(alg, word, memo, products)
-            assert list(sp._fractions(env._symmetrized(alg, word)).items()) == list(want.items()), word
+            mono = tuple(word.count(i) for i in range(alg.dim))
+            assert list(sp._fractions(env._symmetrized(alg, mono)).items()) == list(want.items()), word
             assert list(symmetrize_word(alg, word).terms.items()) == list(want.items()), word
+        # every memo entry, each sub-monomial of the words, is the value of its
+        # word and in lowest terms
+        assert len(alg._symmetrize_cache) == len(memo)
+        for mono, (den, nums) in alg._symmetrize_cache.items():
+            word = env._monomial_to_word(mono)
+            assert den > 0 and math.gcd(den, *nums.values()) == 1, word
+            assert list(sp._fractions((den, nums)).items()) == list(memo[word].items()), word
 
 
 class TestLetterProductOracle:
@@ -484,6 +501,29 @@ class TestSymmetrizeOracle:
     def test_power_of_one_letter(self):
         alg = LieSuperAlgebra(["a", "z"], [EVEN, EVEN], {})
         assert symmetrize_word(alg, (0,) * 12) == PbwElement(alg, {(12, 0): Fraction(1)})
+
+
+class TestSymmetrizeAgainstTheWordRoute:
+    """``_symmetrized``, ``symmetrize`` and ``symmetrize_word``, keyed by
+    PBW monomial, against the word recursion they replaced, values and key
+    order; a monomial that repeats an odd letter symmetrizes to 0 on both."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_symmetrized_and_symmetrize_word(self, warm_pairs, data):
+        pair = draw_word_route_pair(data, warm_pairs)
+        alg = pair.algebra
+        word = draw_word(data, range(alg.dim), alg.parities)
+        memo = {}
+        want = oracle_symmetrized(alg, word, memo)
+        assert list(symmetrize_word(alg, word).terms.items()) == list(sp._fractions(want).items()), word
+        mono = tuple(word.count(i) for i in range(alg.dim))
+        den, nums = env._symmetrized(alg, mono)
+        want = oracle_symmetrized(alg, tuple(sorted(word)), memo)
+        assert (den, list(nums.items())) == (want[0], list(want[1].items())), word
+        assert list(symmetrize(alg, {mono: Fraction(2, 3)}).terms.items()) == [
+            (m, Fraction(2, 3) * c) for m, c in sp._fractions(want).items()
+        ], word
 
 
 def pair_loop_antipode(u):
