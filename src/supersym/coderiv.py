@@ -18,10 +18,10 @@ monomial sign of ``superpoly``.
 
 C_c, C_c^u and tau run on the integer forms (den, {S(q) monomial: int}) of
 ``superpoly`` and build one SuperPolynomial per result.  Their memos die
-with the pair and are keyed by monomial: ``pair.nest_memo`` keeps the
-bracket nests S(m)(a) of S(q) monomials m and ``pair.tau_memo`` the chain
-C_1^m(1) of each PBW monomial m tau meets, both as forms, and
-``pair.p_c_memo`` the series p_c they use.
+with the pair: ``pair.nest_memo`` keeps the bracket nests S(K)(a) by degree
+(``_nest_levels``), read by C_c, Theta and ``jacobian.series_of_ad_y``;
+``pair.tau_memo`` the chain C_1^m(1) of each PBW monomial m tau meets, as a
+form, and ``pair.p_c_memo`` the series p_c they use.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the quotient mod
 U(g)h read off it, the twisted adjoint invariance checker and the
@@ -32,14 +32,15 @@ set (``lie_generators``).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import gt, sub
 
 from . import linalg
 from .enveloping import (
     PbwElement,
     _monomial_to_word,
     _support_sum,
-    _word_to_monomial,
     factorization,
     symmetrize,
     symmetrize_word,
@@ -53,10 +54,11 @@ from .superpoly import (
     VariableTable,
     _check_tables,
     _combine,
-    _coproduct_legs,
     _form,
+    _leg_sign,
     _letter_sign,
     _poly,
+    _shape,
     coproduct_terms,
     exhaustive_monomials,
     sum_of_products,
@@ -87,52 +89,43 @@ def sq_from_element(pair, element: dict) -> SuperPolynomial:
 # the generic-point evaluations
 # ---------------------------------------------------------------------------
 
-def apply_radx(pair: SymmetricPair, series: TruncatedSeries1, a_element: dict, letters) -> dict:
-    """Evaluate the universal vector field p(ad y)(a) on the monomial with
-    the given q letters: p_n times the Koszul-signed sum over all orderings
-    of the iterated brackets.  Returns an algebra element {index: Fraction}
-    in index order; a letter outside q raises IndexError.
-
-    The letters become an S(q) monomial m and the Koszul sign of sorting
-    them (``enveloping._word_to_monomial``).  Grouping the orderings by their
-    outermost letter gives S(m)(a) = sum_i count_i [x_i, S(m - e_i)(a)]
-    (``enveloping._support_sum``), so the cost is the number of
-    sub-monomials rather than n!.  The nests are integer forms (``_nested``).
-    """
-    sign, mono = _word_to_monomial(pair.algebra.parities, letters, len(pair.q_indices))
-    pn = series.coeff(sum(mono))
-    if pn == 0 or not sign:
-        return {}
-    den, out = _nested(pair.algebra, {(0,) * len(mono): _form({i: c for i, c in a_element.items() if c})}, mono)
-    return {i: Fraction(sign * out[i] * pn.numerator, den * pn.denominator) for i in sorted(out)}
-
-
-def _nested(alg, memo: dict, mono) -> tuple:
-    """S(mono)(a) as a form over the integer bracket table, kept in ``memo``
-    ({S(q) monomial: form}, seeded with the zero monomial -> a)."""
-    value = memo.get(mono)
-    if value is None:
-        brackets, bden = alg.int_brackets, alg.bracket_den
-        value = memo[mono] = _support_sum(
-            alg.parities, mono, lambda rest: _nested(alg, memo, rest), lambda k, i: (bden, brackets[k][i])
-        )
-    return value
+def _nest_levels(span, a_index: int, degree: int) -> list:
+    """The bracket nests S(K)(a) (the Koszul-signed sum of [x_s1, [x_s2, ...
+    [x_sn, a]]] over the orderings s of the letters of K) by degree: level n
+    is {K: (odd mask of K, form)} over the S(q) monomials K of degree n with
+    a nonzero nest, exact, kept in ``span.nest_memo[a]`` and built up to
+    ``degree``.  A nonzero nest of K has one at some K - e_i, so level n
+    pulls each K + e_i over level n - 1 that repeats no odd letter through
+    ``enveloping._support_sum``, a key missing below being a zero nest."""
+    alg = span.algebra
+    parities = alg.parities[: len(span.q_indices)]  # q is the first block of g
+    levels = span.nest_memo.setdefault(a_index, [{(0,) * len(parities): (0, (1, {a_index: 1}))}])
+    brackets, bden = alg.int_brackets, alg.bracket_den
+    while len(levels) <= degree:
+        below, level = levels[-1], {}
+        for mono, (odd, _) in below.items():
+            for i, p in enumerate(parities):
+                bit, up = (p == ODD) << i, mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                if not odd & bit and up not in level:
+                    level[up] = odd | bit, _support_sum(
+                        parities, up, lambda rest: below.get(rest, (0, (1, {})))[1], lambda k, j: (bden, brackets[k][j])
+                    )
+        levels.append({mono: entry for mono, entry in level.items() if entry[1][1]})
+    return levels
 
 
 def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w: tuple) -> tuple:
     """C_c^a on the form w, with p_c built to at least the total degree of w.
-    Each leg leg1 (x) leg2 of ``superpoly._coproduct_legs`` with p_n != 0
-    gives the int form S(leg1)(a) of ``pair.nest_memo``, each letter x_i of
-    it multiplied into leg2 with the Koszul sign of x_i leg2 (read off the
-    odd mask of leg2), scaled by the int ratio p_n and the sign
-    (-1)^{p(a) p(leg1)}; one ``_combine`` sums the legs.  An h letter runs
-    the same step with the numerators (0, -1) over 1 of the series -t, so
-    the walk keeps only the one-letter legs leg1 = b: [a, b] leg2, the
-    derivation."""
+    The legs K (x) m - K of a monomial m with a nonzero nest are the K <= m
+    of the nest levels (``_nest_levels``) with p_|K| != 0, taken in the order
+    of m - K.  Each letter x_i of the int form S(K)(a) is multiplied into
+    m - K with the sign of ``_letter_sign``, scaled by C(m, K), the leg sign
+    (``superpoly._leg_sign``), the int ratio p_n and (-1)^{p(a) p(K)}; one
+    ``_combine`` sums the legs.  An h letter runs the same step with the
+    series -t, numerators (0, -1) over 1: the derivation extending ad a."""
     table = sq_table(pair)
     order = table.truncation_order
-    alg = pair.algebra
-    pa = alg.parities[a_index]
+    pa = pair.algebra.parities[a_index]
     den, terms = w
     # C_c^a raises the even degree by at most one, and not at all for even a in h
     if order is not None and (not pair.in_h(a_index) or pa == ODD):
@@ -140,19 +133,23 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
     nums, nums_den = ((0, -1), 1) if pair.in_h(a_index) else (series.nums, series.den)
     parities = table.parities
-    memo = pair.nest_memo.setdefault(a_index, {(0,) * len(parities): (1, {a_index: 1})})
+    mixed = order is not None  # even letters: the odd masks alone do not decide K <= m
+    walk = [n for n in range(min(len(nums) - 1, max(map(sum, terms), default=0)) + 1) if nums[n]]
+    levels = _nest_levels(pair, a_index, max(walk, default=0))
     pairs = []
     for m, coeff in terms.items():
-        for leg1, leg2, odd1, odd2, v in _coproduct_legs(parities, m, nums):
-            pn = nums[sum(leg1)] * (-1 if pa and odd1.bit_count() & 1 else 1)
-            nden, nest = _nested(alg, memo, leg1)
+        odd_m, koszul, _ = _shape(parities, m)
+        legs = sorted([  # by leg2 alone: no two legs of m share it
+            (tuple(map(sub, m, leg1)), odd_m ^ odd1, nums[n] * (-1) ** (pa & odd1.bit_count()), nest)
+            for n in walk if n <= sum(m)
+            for leg1, (odd1, nest) in levels[n].items() if not odd1 & ~odd_m and not (mixed and any(map(gt, leg1, m)))
+        ])
+        for leg2, odd2, pn, (nden, nest) in legs:
             # the nest lies in q, whose vectors are the first letters of g and of S(q)
-            images = {}
-            for i in sorted(nest):
-                sign = _letter_sign(parities, i, odd2)
-                if sign:
-                    images[leg2[:i] + (leg2[i] + 1,) + leg2[i + 1 :]] = sign * nest[i]
-            pairs.append((coeff * v * pn, (nden, images)))
+            images = {leg2[:i] + (leg2[i] + 1,) + leg2[i + 1 :]: sign * nest[i]
+                      for i in sorted(nest) if (sign := _letter_sign(parities, i, odd2))}
+            c = math.prod(map(math.comb, m, leg2)) if mixed else 1
+            pairs.append((coeff * _leg_sign(koszul, odd2) * c * pn, (nden, images)))
     return _combine(pairs, den * nums_den)
 
 
@@ -315,23 +312,22 @@ class Character:
 def theta_action(pair: SymmetricPair, c, chi: Character, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
     """Theta^a_{c,chi} on S(q) tensor the one-dimensional chi-module (the
     module coordinate is absorbed into the coefficients): C_c^a w plus the
-    legs chi(f(ad leg2)(a)) leg1, f = q_c for a in q; for a in h, f = 1
-    keeps only the leg (w, 1), which gives chi(a) w."""
+    legs f_n chi(S(leg2)(a)) leg1, n = |leg2|, with the nests S(leg2)(a) read
+    off the levels of ``_nest_levels`` by monomial, f = q_c for a in q; for a
+    in h, f = 1 keeps only the leg (w, 1), which gives chi(a) w."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("Theta_c requires c != 0")
     table = sq_table(pair)
-    one = table.one()
+    one, pa = table.one(), pair.algebra.parities[a_index]
     pairs = [(coderivation_C(pair, c, a_index, w), one)]
     series = TruncatedSeries1.constant(1, 0) if pair.in_h(a_index) else q_c(c, w.total_degree() + 1)
-    pa = pair.algebra.parities[a_index]
-    a_element = {a_index: Fraction(1)}
+    levels = _nest_levels(pair, a_index, w.total_degree())
     for (leg1, leg2), coeff in coproduct_terms(table.parities, w.terms).items():
-        value = apply_radx(pair, series, a_element, _monomial_to_word(leg2))
-        scalar = chi.of_element(value)
+        fn, (_, (den, nest)) = series.coeff(sum(leg2)), levels[sum(leg2)].get(leg2, (0, (1, {})))
+        scalar = fn * chi.of_element({i: Fraction(v, den) for i, v in nest.items()})
         if scalar:
-            sign = -1 if (pa * table.monomial_parity(leg1)) % 2 else 1
-            pairs.append((SuperPolynomial(table, {leg1: coeff * scalar * sign}), one))
+            pairs.append((SuperPolynomial(table, {leg1: coeff * scalar * (-1) ** (pa & table.monomial_parity(leg1))}), one))
     return sum_of_products(table, pairs)
 
 

@@ -6,8 +6,8 @@ q basis vector, of the same parity.  str(M^k) of an even operator M is
 read off the half powers M^ceil(k/2) and M^floor(k/2); as ad y swaps q and
 h, str_q (ad y)^2m = str Q^m with Q = (ad y)^2 on q.  Truncating at an even
 degree is a quotient by an ideal, so the grouping changes no coefficient.
-Every power is formed on a ``superpoly.PowerChain``; full powers survive as
-test oracles and in the Berezinian route.
+Every power is formed on a ``superpoly.PowerChain``, and full powers stay as
+oracles and in the Berezinian route; fields f(ad y)(a) read the nests of C_c.
 
 The Jacobian J_c is exp(str over q of w_c(ad y)) with
 w_c = log(sinh(t/c)/(t/c)); for purely odd q it is a polynomial, no
@@ -18,11 +18,12 @@ the exterior algebra S(q), is the Gorelik candidate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
 from . import series as series_mod
-from .coderiv import beta_of_sq, sq_table
+from .coderiv import _nest_levels, beta_of_sq, sq_table
 from .enveloping import PbwElement, _monomial_to_word
 from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix
 from .superpoly import (
@@ -42,13 +43,14 @@ from .superpoly import (
 
 class _FullSpan:
     """Stand-in for the pair when h = 0: the generic point of the whole
-    algebra.  Duck-types the parts of SymmetricPair the machinery uses;
-    the symmetric-pair eigenspace axioms do not apply here."""
+    algebra.  Duck-types the parts of SymmetricPair the machinery uses, its
+    ``nest_memo`` too; the symmetric-pair eigenspace axioms do not apply."""
 
     def __init__(self, alg: LieSuperAlgebra):
         self.algebra = alg
         self.q_indices = list(range(alg.dim))
         self.h_indices = []
+        self.nest_memo = {}
 
     def in_h(self, i):
         return False
@@ -322,16 +324,28 @@ def divergence(gp: GenericPoint, field: dict) -> SuperPolynomial:
 
 
 def series_of_ad_y(gp: GenericPoint, f: series_mod.TruncatedSeries1, element: dict) -> dict:
-    """The vector field f(ad y)(a) = sum_k f_k (ad y)^k a for a constant
-    element a: the columns of the memoised powers at a, one
-    ``sum_of_products`` per component."""
-    table, pairs = gp.table, {}
-    for k, fk in enumerate(f.coefficients[: gp.max_power() + 1]):
-        for j, c in element.items() if fk else ():
-            for i, row in enumerate(gp.ad_y_power(k).entries):
-                if c and not row[j].is_zero():
-                    pairs.setdefault(i, []).append((row[j], table.constant(fk * c)))
-    out = {i: sum_of_products(table, ps) for i, ps in pairs.items()}
+    """The vector field f(ad y)(a) = sum_n f_n (ad y)^n a for a constant
+    element a, read off the nest levels of ``coderiv._nest_levels``: with k
+    the number of odd letters of K, the coefficient of x^K in (ad y)^|K| e_j
+    is (-1)^{k(k-1)/2 + p(e_j) k} S(K)(e_j) / prod_i K_i!.  Terms past the
+    point's order are dropped; components come as the columns of the powers
+    list them, by n, then j, then index."""
+    order, out = gp.table.truncation_order, {}
+    for n, fn in enumerate(f.coefficients[: gp.max_power() + 1]):
+        for j, c in element.items() if fn else ():
+            step = {}
+            for mono, (odd, (den, nest)) in _nest_levels(gp.pair, j, n)[n].items() if c else ():
+                k = odd.bit_count()
+                if order is None or n - k <= order:
+                    sign = (-1) ** (k * (k - 1) // 2 + gp.algebra.parities[j] * k)
+                    scale = sign * fn * c / (den * math.prod(map(math.factorial, mono)))
+                    for i, v in nest.items():
+                        step.setdefault(i, []).append((mono, v * scale))
+            for i in sorted(step):
+                acc = out.setdefault(i, {})
+                for mono, v in step[i]:
+                    acc[mono] = acc.get(mono, 0) + v
+    out = {i: SuperPolynomial(gp.table, terms) for i, terms in out.items()}
     return {i: v for i, v in out.items() if not v.is_zero()}
 
 

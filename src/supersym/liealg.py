@@ -208,10 +208,10 @@ class SymmetricPair:
     ``sq_table`` realizes S(q) as polynomials in the q vectors themselves;
     when q has even vectors it is truncated at even degree 24, and the
     coderivations refuse to act where that would drop terms.  ``coderiv``
-    fills three memos that die with the pair, two holding forms (den,
-    {key: int}): ``tau_memo`` ({PBW monomial m: C_1^m(1)}, seeded with 1) and
-    ``nest_memo`` ({a: {S(q) monomial m: S(m)(a)}}, the nests of C_c);
-    ``p_c_memo`` holds the series {(c, degree): p_c(c, degree)} they use.
+    fills three memos that die with the pair: ``tau_memo`` ({PBW monomial
+    m: C_1^m(1)} as forms, seeded with 1), ``nest_memo`` ({a: the degree
+    levels of the nests S(K)(a)} of ``coderiv._nest_levels``, read by C_c,
+    Theta and the fields f(ad y)(a)) and ``p_c_memo`` ({(c, degree): p_c}).
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices):

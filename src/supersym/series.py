@@ -18,7 +18,7 @@ t and u (``swap``) is a ring automorphism, so each t-side product of a
 mirrored pair, such as ``from_t(d) * divided_difference_t(d)``, is read off
 as the ``swap`` of its u-side twin: one product per pair.
 ``log_of_one_plus`` runs the recurrence of (1 + f) L' = f' on ints, in
-O(n^2) products, and leaves ``compose`` to ``exp_of`` and ``inverse_of``.
+O(n^2) products.
 
 A series is stored as integer numerators over one positive denominator,
 divided through by their common factor so that the stored form is unique:
@@ -259,50 +259,13 @@ def _from_ratios(ratios, order) -> TruncatedSeries1:
     return TruncatedSeries1._reduced(nums, den, order)
 
 
-def compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
-    """f(g(t)); requires g(0) = 0 so the substitution is finite.
-
-    Horner's rule on numerators: after each step the value so far is
-    r / (f.den * d), so multiplying by g multiplies d by g.den and the next
-    coefficient of f enters as f.nums[k] * d.
-    """
-    if g.nums[0]:
-        raise ValueError("composition requires zero constant term in the inner series")
-    n = min(f.order, g.order)
-    gn = g.nums[: n + 1]
-    r, d = [f.nums[n]] + [0] * n, 1
-    for k in range(n - 1, -1, -1):
-        r = [sum(map(mul, r[: j + 1], gn[j::-1])) for j in range(n + 1)]
-        d *= g.den
-        r[0] += f.nums[k] * d
-        common = math.gcd(d, *r)
-        if common > 1:
-            r = [v // common for v in r]
-            d //= common
-    return TruncatedSeries1._reduced(r, f.den * d, n)
-
-
-def exp_series(order) -> TruncatedSeries1:
-    return TruncatedSeries1([Fraction(1, math.factorial(k)) for k in range(order + 1)], order)
-
-
-def log1p_series(order) -> TruncatedSeries1:
-    return TruncatedSeries1(
-        [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)], order
-    )
-
-
-def exp_of(f: TruncatedSeries1) -> TruncatedSeries1:
-    return compose(exp_series(f.order), f)
-
-
 def log_of_one_plus(f: TruncatedSeries1) -> TruncatedSeries1:
     """log(1 + f) for f with zero constant term, from (1 + f) L' = f'.
 
     With f = F/D and L' = sum G_m t^m / D^(m+1), the recurrence
     G_m = (m+1) F_{m+1} D^m - sum_{i=1..m} F_i D^(i-1) G_{m-i} runs on ints,
     and L_k = G_{k-1} / (k D^k) goes over lcm(1..n) D^n: O(n^2) products
-    where ``compose`` with log(1 + t) takes O(n^3).
+    where composing with log(1 + t) by Horner's rule takes O(n^3).
     """
     if f.nums[0]:
         raise ValueError("composition requires zero constant term in the inner series")
@@ -318,18 +281,6 @@ def log_of_one_plus(f: TruncatedSeries1) -> TruncatedSeries1:
     )
 
 
-def inverse_of(f: TruncatedSeries1) -> TruncatedSeries1:
-    """1/f for f with invertible constant term."""
-    c0 = f.coeff(0)
-    if c0 == 0:
-        raise ZeroDivisionError("series with zero constant term has no inverse")
-    e = f * (Fraction(1) / c0) - 1
-    geom = TruncatedSeries1(
-        [Fraction((-1) ** k) for k in range(f.order + 1)], f.order
-    )
-    return compose(geom, e) * (Fraction(1) / c0)
-
-
 def sinh_over_t(order) -> TruncatedSeries1:
     return TruncatedSeries1(
         [Fraction(1, math.factorial(k + 1)) if k % 2 == 0 else Fraction(0) for k in range(order + 1)],
@@ -340,13 +291,6 @@ def sinh_over_t(order) -> TruncatedSeries1:
 def one_minus_exp_neg_t_over_t(order) -> TruncatedSeries1:
     """(1 - e^{-t})/t, coefficients (-1)^k/(k+1)!."""
     return TruncatedSeries1([Fraction((-1) ** k, math.factorial(k + 1)) for k in range(order + 1)], order)
-
-
-def cosh_series(order) -> TruncatedSeries1:
-    return TruncatedSeries1(
-        [Fraction(1, math.factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(order + 1)],
-        order,
-    )
 
 
 def p_c(c, order) -> TruncatedSeries1:

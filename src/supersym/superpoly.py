@@ -21,8 +21,9 @@ shapes its factors in each call; :func:`matrix_product` shapes every entry
 of both matrices once (``_shape_rows``).  The masks also give the sign of
 a letter times a monomial (``_letter_sign``), which the left derivative,
 C_c, the symmetrization and word sorting of ``enveloping`` use, and of every
-coproduct leg: ``_coproduct_legs`` is the one walk of the legs of a
-monomial, for the coproduct of S(q) and U(g) and for each C_c^a step.  No
+coproduct leg (``_leg_sign``): ``_coproduct_legs`` walks the legs of a
+monomial for the coproduct of S(q) and U(g), and each C_c^a step signs the
+legs it reads off the nest levels of ``coderiv``.  No
 other module counts crossings of odd letters in canonical monomials;
 ``enveloping._letter_product``, ``normal_form`` and ``antipode`` count
 their own on U(g) words.
@@ -46,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul, sub
 
 EVEN = 0
 ODD = 1
@@ -340,33 +341,22 @@ def _letter_sign(parities, i, odd) -> int:
     return -1 if (odd & ((1 << i) - 1)).bit_count() & 1 else 1
 
 
-def _coproduct_legs(parities, mono, nums=None):
+def _leg_sign(koszul, odd) -> int:
+    """The sign reordering x^(m-k) x^k into x^m, for the ``koszul`` mask of m
+    and the odd mask of k: the parity of ``koszul & odd`` plus |odd| // 2."""
+    return -1 if ((koszul & odd).bit_count() + (odd.bit_count() >> 1)) & 1 else 1
+
+
+def _coproduct_legs(parities, mono):
     """The legs of the coproduct of primitive letters on the canonical
     monomial x^m, as (m - k, k, odd mask of m - k, odd mask of k, C(m, k)
-    times the sign), k <= m in lexicographic order.  The sign reorders
-    x^(m-k) x^k into x^m: each odd letter of k crosses the odd letters of
-    m - k after it, which is the parity of ``koszul(m) & odd(k)`` plus
-    |odd(k)| // 2.  The legs grow one letter of m at a time; with the
-    numerators ``nums`` of a series only those of degree n = |m - k| with
-    nums[n] != 0 are built, a partial leg kept while such an n is in reach
-    (reach[t] counts the allowed |k| below t)."""
+    times the sign of ``_leg_sign``), k <= m in lexicographic order."""
     odd_m, koszul, _ = _shape(parities, mono)
-    reach, room, done = [0], sum(mono), 0
-    for n in range(room, -1, -1):
-        reach.append(reach[-1] + (nums is None or n < len(nums) and nums[n] != 0))
-    legs = [((), (), 0, 1, 0)] * (reach[-1] > 0)  # (k, m - k, odd mask of k, C(m, k), |k|) so far
-    for i, e in enumerate(mono):
-        if e:
-            room, gap, done, bit = room - e, (0,) * (i - done), i + 1, (1 << i) * (parities[i] == ODD)
-            steps = [(v, gap + (v,), gap + (e - v,), bit * v, math.comb(e, v)) for v in range(e + 1)]
-            legs = [
-                (k + kv, r + rv, o + ov, c * cv, s + v) for k, r, o, c, s in legs for v, kv, rv, ov, cv in steps
-                if reach[s + v + room + 1] > reach[s + v]
-            ]
-    tail = (0,) * (len(mono) - done)
-    for k, rest, odd, c, _ in legs:
-        sign = -1 if ((koszul & odd).bit_count() + (odd.bit_count() >> 1)) & 1 else 1
-        yield rest + tail, k + tail, odd_m ^ odd, odd, sign * c
+    bits = tuple(1 << i if p == ODD else 0 for i, p in enumerate(parities))
+    for k in itertools.product(*(range(e + 1) for e in mono)):
+        odd = sum(map(mul, k, bits))
+        c = math.prod(map(math.comb, mono, k))
+        yield tuple(map(sub, mono, k)), k, odd_m ^ odd, odd, _leg_sign(koszul, odd) * c
 
 
 def coproduct_terms(parities, terms) -> dict:

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import strategies as st
 
 from supersym import coderiv as cd
-from supersym.enveloping import Factorization, PbwElement, _letter_product, _monomial_to_word, symmetrize
+from supersym.enveloping import (
+    Factorization,
+    PbwElement,
+    _letter_product,
+    _monomial_to_word,
+    _support_sum,
+    _word_to_monomial,
+    symmetrize,
+)
 from supersym.liealg import SuperMatrix, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
-from supersym.series import p_c
-from supersym.superpoly import EVEN, ODD, SuperPolynomial, _combine, _form, sum_of_products
+from supersym.series import TruncatedSeries1, p_c, q_c
+from supersym.superpoly import EVEN, ODD, SuperPolynomial, _combine, _form, coproduct_terms, sum_of_products
 
 
 def apply_matrix(mat, vec: dict) -> dict:
@@ -42,6 +50,21 @@ def oracle_matrix_product(table, a_rows, b_rows, n_cols):
         [sum_of_products(table, [(a, b_rows[k][j]) for k, a in enumerate(row)]) for j in range(n_cols)]
         for row in a_rows
     ]
+
+
+def oracle_series_of_ad_y(gp, f, element):
+    """f(ad y)(a) = sum_k f_k (ad y)^k a for a constant element a from the
+    columns of the memoised powers ``gp.ad_y_power(k)``, one
+    ``sum_of_products`` per component: the route ``jacobian.series_of_ad_y``
+    took before it read the nest levels."""
+    table, pairs = gp.table, {}
+    for k, fk in enumerate(f.coefficients[: gp.max_power() + 1]):
+        for j, c in element.items() if fk else ():
+            for i, row in enumerate(gp.ad_y_power(k).entries):
+                if c and not row[j].is_zero():
+                    pairs.setdefault(i, []).append((row[j], table.constant(fk * c)))
+    out = {i: sum_of_products(table, ps) for i, ps in pairs.items()}
+    return {i: v for i, v in out.items() if not v.is_zero()}
 
 
 def oracle_power_sum(coeffs, x):
@@ -234,11 +257,48 @@ def oracle_nested(alg, memo, word):
     return value
 
 
+def oracle_monomial_nested(alg, memo, mono):
+    """S(mono)(a) as a form over the integer bracket table, one first-letter
+    sum (``enveloping._support_sum``) per sub-monomial, kept in ``memo``
+    ({S(q) monomial: form}, seeded with the zero monomial -> a): the route
+    ``coderiv._nested`` took before the nests were built by degree level."""
+    value = memo.get(mono)
+    if value is None:
+        brackets, bden = alg.int_brackets, alg.bracket_den
+        value = memo[mono] = _support_sum(
+            alg.parities, mono, lambda rest: oracle_monomial_nested(alg, memo, rest), lambda k, i: (bden, brackets[k][i])
+        )
+    return value
+
+
+def apply_radx(pair, series, a_element, letters):
+    """The universal vector field p(ad y)(a) on the monomial with the given
+    q letters: p_n times the Koszul-signed sum over all orderings of the
+    iterated brackets, as an algebra element {index: Fraction} in index
+    order; a letter outside q raises IndexError, and a series of order below
+    the number of letters raises ValueError (its p_n would read as 0).  The
+    letters become an S(q) monomial and the Koszul sign of sorting them
+    (``enveloping._word_to_monomial``), and the nest is
+    ``oracle_monomial_nested``: the route of ``coderiv.apply_radx``, which
+    ``theta_action`` read before the nest levels."""
+    sign, mono = _word_to_monomial(pair.algebra.parities, letters, len(pair.q_indices))
+    if sum(mono) > series.order:
+        raise ValueError(f"a series of order {series.order} has no coefficient in degree {sum(mono)}")
+    pn = series.coeff(sum(mono))
+    if pn == 0 or not sign:
+        return {}
+    den, out = oracle_monomial_nested(pair.algebra, {(0,) * len(mono): _form({i: c for i, c in a_element.items() if c})}, mono)
+    return {i: Fraction(sign * out[i] * pn.numerator, den * pn.denominator) for i in sorted(out)}
+
+
 def oracle_apply_radx(pair, series, a_element, letters):
     """p(ad y)(a) on the q letters through ``oracle_nested``, the word kept as
     given: the route of ``coderiv.apply_radx`` before it sorted its letters
-    into an S(q) monomial.  It refuses no letter."""
+    into an S(q) monomial.  It refuses no letter, but refuses with
+    ValueError a series whose order is below the number of letters."""
     letters = tuple(letters)
+    if len(letters) > series.order:
+        raise ValueError(f"a series of order {series.order} has no coefficient in degree {len(letters)}")
     pn = series.coeff(len(letters))
     if pn == 0:
         return {}
@@ -297,6 +357,26 @@ def oracle_words(pair, c, u, chains):
 def oracle_coderivation_C(pair, c, a_index, w):
     """C_c^a(w) through ``oracle_words``, with a p_c of its own."""
     return oracle_words(pair, c, PbwElement.from_basis(pair.algebra, a_index), {(): w})
+
+
+def oracle_theta_action(pair, c, chi, a_index, w):
+    """Theta^a_{c,chi} on the SuperPolynomial w: ``oracle_coderivation_C``
+    plus the legs chi(f(ad leg2)(a)) leg1, each through ``apply_radx`` on
+    the word of leg2, f = q_c for a in q and 1 for a in h, both built to the
+    degree of w: the route ``coderiv.theta_action`` took before it read the
+    nest levels by monomial."""
+    c = Fraction(c)
+    table = cd.sq_table(pair)
+    degree = w.total_degree()
+    series = TruncatedSeries1.constant(1, degree) if pair.in_h(a_index) else q_c(c, degree + 1)
+    pa = pair.algebra.parities[a_index]
+    pairs = [(oracle_coderivation_C(pair, c, a_index, w), table.one())]
+    for (leg1, leg2), coeff in coproduct_terms(table.parities, w.terms).items():
+        scalar = chi.of_element(apply_radx(pair, series, {a_index: Fraction(1)}, _monomial_to_word(leg2)))
+        if scalar:
+            sign = -1 if pa and table.monomial_parity(leg1) else 1
+            pairs.append((SuperPolynomial(table, {leg1: coeff * scalar * sign}), table.one()))
+    return sum_of_products(table, pairs)
 
 
 def oracle_quotient_coordinates(pair, u):

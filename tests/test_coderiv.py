@@ -21,6 +21,7 @@ from conftest import (
     FORM_PAIRS,
     MIXED_PAIRS,
     ORACLE_PAIRS,
+    apply_radx,
     diagonal_pair,
     draw_word,
     draw_word_route_pair,
@@ -34,6 +35,7 @@ from conftest import (
     oracle_quotient_coordinates,
     oracle_quotient_mod_h,
     oracle_sq_coproduct,
+    oracle_theta_action,
     oracle_words,
     osp14_pair,
 )
@@ -57,13 +59,13 @@ class TestApplyRadx:
     def test_empty_word(self):
         alg, pair = catalog("osp12")
         p = series.p_c(2, 4)
-        out = cd.apply_radx(pair, p, {0: Fraction(1)}, ())
+        out = apply_radx(pair, p, {0: Fraction(1)}, ())
         assert out == {0: Fraction(2)}
 
     def test_single_letter(self):
         alg, pair = catalog("osp12")
         p = series.TruncatedSeries1([0, Fraction(5)], 4)
-        out = cd.apply_radx(pair, p, {2: Fraction(1)}, (0,))  # 5 [e, H]
+        out = apply_radx(pair, p, {2: Fraction(1)}, (0,))  # 5 [e, H]
         assert out == {0: Fraction(-5)}
 
     def test_letters_outside_q(self):
@@ -73,9 +75,19 @@ class TestApplyRadx:
         q = len(pair.q_indices)
         for letters in [(-1,), (q,), (alg.dim,), (0, q), (-1, 0, 1)]:
             with pytest.raises(IndexError, match="out of range"):
-                cd.apply_radx(pair, series.p_c(1, 4), {0: 1}, letters)
-        assert cd.apply_radx(pair, series.p_c(1, 4), {0: 1}, (q - 1,)) == {}
-        assert cd.apply_radx(pair, series.p_c(1, 4), {0: 1}, ()) == {0: Fraction(1)}
+                apply_radx(pair, series.p_c(1, 4), {0: 1}, letters)
+        assert apply_radx(pair, series.p_c(1, 4), {0: 1}, (q - 1,)) == {}
+        assert apply_radx(pair, series.p_c(1, 4), {0: 1}, ()) == {0: Fraction(1)}
+
+    def test_a_series_shorter_than_the_word_is_refused(self):
+        # p_c(1, 1) stops before degree 2: its coefficient there read as 0 and
+        # the nest [e, [f, H]] + [f, [e, H]] vanished from the answer
+        alg, pair = catalog("osp12")
+        e, f, H = (alg.names.index(x) for x in ("e", "f", "H"))
+        assert apply_radx(pair, series.p_c(1, 4), {H: 1}, (e, f)) == {H: Fraction(2, 3)}
+        for route in (apply_radx, oracle_apply_radx):
+            with pytest.raises(ValueError, match="order 1 has no coefficient in degree 2"):
+                route(pair, series.p_c(1, 1), {H: 1}, (e, f))
 
     def test_two_letters_against_matrix_route(self):
         # same evaluation through the generic-point matrix: the coefficient
@@ -90,7 +102,7 @@ class TestApplyRadx:
             # matrix picture this is 2! times the x1 x2 coefficient with
             # the pairing sign fixed by the unit evaluation; instead of
             # re-deriving that sign, check the permutation sum directly
-            direct = cd.apply_radx(pair, p, {a: Fraction(1)}, (0, 1))
+            direct = apply_radx(pair, p, {a: Fraction(1)}, (0, 1))
             b1 = alg.bracket({0: Fraction(1)}, alg.bracket({1: Fraction(1)}, {a: Fraction(1)}))
             b2 = alg.bracket({1: Fraction(1)}, alg.bracket({0: Fraction(1)}, {a: Fraction(1)}))
             expected = {}
@@ -144,7 +156,7 @@ class TestApplyRadxOracle:
 
     def assert_matches(self, pair, a_element, letters):
         for p in self.SERIES:
-            got = cd.apply_radx(pair, p, a_element, letters)
+            got = apply_radx(pair, p, a_element, letters)
             assert list(got.items()) == list(permutation_radx(pair, p, a_element, letters).items()), (
                 a_element,
                 letters,
@@ -290,7 +302,7 @@ class TestCoderivationC:
                 return oracle_h_derivation(pair, a_index, w)
             out = table.zero()
             for (l1, l2), coeff in coproduct_terms(table.parities, w.terms).items():
-                value = cd.apply_radx(pair, bad, {a_index: Fraction(1)}, env._monomial_to_word(l1))
+                value = apply_radx(pair, bad, {a_index: Fraction(1)}, env._monomial_to_word(l1))
                 if not value:
                     continue
                 out = out + cd.sq_from_element(pair, value) * SuperPolynomial(table, {l2: Fraction(1)}) * coeff
@@ -520,7 +532,7 @@ class TestTheta:
             out = cd.coderivation_C(pair, 1, a_index, w)
             pa = alg.parities[a_index]
             for (l1, l2), coeff in coproduct_terms(table.parities, w.terms).items():
-                value = cd.apply_radx(pair, bad, {a_index: Fraction(1)}, env._monomial_to_word(l2))
+                value = apply_radx(pair, bad, {a_index: Fraction(1)}, env._monomial_to_word(l2))
                 scalar = chi.of_element(value)
                 if scalar == 0:
                     continue
@@ -1054,8 +1066,10 @@ class TestMonomialKeysAgainstTheWordRoute:
     keyed by monomial, against the word route (``oracle_apply_radx``,
     ``oracle_words``), values and key order, on fresh and warm pairs."""
 
+    # ``draw_word`` gives up to 8 letters, and ``apply_radx`` refuses a word
+    # longer than the order of its series
     SERIES = [
-        series.TruncatedSeries1([Fraction(k + 2, k + 1) for k in range(8)]),
+        series.TruncatedSeries1([Fraction(k + 2, k + 1) for k in range(9)]),
         series.p_c(Fraction(2, 3), 8),  # zero in odd degrees
     ]
 
@@ -1069,7 +1083,7 @@ class TestMonomialKeysAgainstTheWordRoute:
             st.integers(0, alg.dim - 1), st.sampled_from([Fraction(-3), Fraction(1), Fraction(2, 5)]), min_size=1, max_size=3
         ), label="a")
         for p in self.SERIES:
-            got = cd.apply_radx(pair, p, a_element, letters)
+            got = apply_radx(pair, p, a_element, letters)
             assert list(got.items()) == list(oracle_apply_radx(pair, p, a_element, letters).items()), letters
 
     @given(st.data())
@@ -1120,14 +1134,22 @@ class TestFormsAgainstTheChainRoute:
             want = chains[word[k:]]
             assert k == 0 or want.is_zero(), word
             assert list(sp._fractions(form).items()) == list(want.terms.items()), word
+        # level n of the nests holds exactly the monomials of degree n whose
+        # nest is nonzero, each with its odd mask, against the word route
         alg = pair.algebra
-        for a, nests in pair.nest_memo.items():
+        assert pair.nest_memo
+        for a, levels in pair.nest_memo.items():
             oracle_memo = {(): (1, {a: 1})}
-            for mono, form in nests.items():
-                word = env._monomial_to_word(mono)
-                assert_lowest_terms(form, a, word)
-                want = oracle_nested(alg, oracle_memo, word)
-                assert (form[0], list(form[1].items())) == (want[0], list(want[1].items())), (a, word)
+            for mono in exhaustive_monomials(table, len(levels) - 1):
+                want = oracle_nested(alg, oracle_memo, env._monomial_to_word(mono))
+                assert (mono in levels[sum(mono)]) == bool(want[1]), (a, mono)
+            for n, level in enumerate(levels):
+                for mono, (odd, form) in level.items():
+                    word = env._monomial_to_word(mono)
+                    assert len(word) == n and odd == sp._shape(table.parities, mono)[0], (a, word)
+                    assert_lowest_terms(form, a, word)
+                    want = oracle_nested(alg, oracle_memo, word)
+                    assert (form[0], list(form[1].items())) == (want[0], list(want[1].items())), (a, word)
 
     def test_p_c_is_built_once_per_c_and_degree(self, pair, monkeypatch):
         built = []
@@ -1155,6 +1177,49 @@ class TestFormsAgainstTheChainRoute:
         for u, w in zip(random_pbw_elements(pair, rng, 6, max_degree=3), ws):
             for c in (1, Fraction(-3, 2)):
                 assert_same_terms(cd.coderivation_C_u(pair, c, u, w), oracle_words(pair, c, u, {(): w}), c, u, w)
+
+
+class TestNestLevels:
+    """C_c^a and Theta read the nest levels by monomial: against the leg
+    routes that evaluate ``apply_radx`` on the word of each coproduct leg
+    (``oracle_coderivation_C``, ``oracle_theta_action``), values and key
+    order."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_coderivation_and_theta_against_the_leg_routes(self, warm_pairs, data):
+        pair = draw_word_route_pair(data, warm_pairs)
+        alg, table = pair.algebra, cd.sq_table(pair)
+        monos = sq_monos(pair, 4)
+        w = SuperPolynomial(table, {
+            data.draw(st.sampled_from(monos), label="w monomial"): Fraction(data.draw(st.sampled_from([-3, 1, 2])), 3)
+            for _ in range(data.draw(st.integers(1, 4), label="w terms"))
+        })
+        a = data.draw(st.integers(0, alg.dim - 1), label="a")
+        c = data.draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(-3, 2)]), label="c")
+        chi = getattr(cd.Character, data.draw(st.sampled_from(["trivial", "supertrace_on_quotient"]), label="chi"))(pair)
+        assert_same_terms(cd.coderivation_C(pair, c, a, w), oracle_coderivation_C(pair, c, a, w), c, a, w)
+        assert_same_terms(cd.theta_action(pair, c, chi, a, w), oracle_theta_action(pair, c, chi, a, w), c, a, w)
+
+    def test_an_h_letter_reads_one_level(self):
+        # z scales 40 q letters of both parities: its step reads level 1 only,
+        # where the 2^40 legs of the top monomial were once walked
+        names = [f"x{i}" for i in range(40)] + ["z"]
+        alg = LieSuperAlgebra(names, [ODD, EVEN] * 20 + [EVEN], {(i, 40): {i: -1} for i in range(40)})
+        pair = SymmetricPair(alg, [40])
+        top = SuperPolynomial(cd.sq_table(pair), {(1,) * 40: Fraction(1)})
+        assert cd.coderivation_C(pair, 2, 40, top) == top * 40
+        assert [len(level) for level in pair.nest_memo[40]] == [1, 40]
+
+    def test_every_generator_on_the_top_monomial_of_gl22(self):
+        # 2^8 legs, every one of them a term of some level of the odd generators
+        pair = gl_pair(2, 2)
+        table = cd.sq_table(pair)
+        top = SuperPolynomial(table, {(1,) * len(table): Fraction(1)})
+        w = top + SuperPolynomial(table, {m: Fraction(k + 1, 2) for k, m in enumerate(sq_monos(pair, 2)[::5])})
+        for a in range(pair.algebra.dim):
+            for v in (top, w):
+                assert_same_terms(cd.coderivation_C(pair, 2, a, v), oracle_coderivation_C(pair, 2, a, v), a, v)
 
 
 # ---------------------------------------------------------------------------

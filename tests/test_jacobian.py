@@ -22,6 +22,7 @@ from conftest import (
     gl_pair,
     oracle_h_theta,
     oracle_h_twisted_vector_field,
+    oracle_series_of_ad_y,
     osp14_pair as _osp14,
 )
 
@@ -381,8 +382,9 @@ class TestKeyIdentity:
 
     def test_one_raised_point_per_generic_point(self, monkeypatch):
         # with even q vectors the check runs on the point one order up; it is
-        # built once, so the 8 checks form ad y^2..^6 and Q^2 once: 6 steps
-        # on 2 chains, where a fresh point per check forms them again
+        # built once, so the 8 checks form Q^2 once: 1 step on 1 chain, where
+        # a fresh point per check forms it again (the fields read the nest
+        # levels of the pair, not powers of ad y)
         steps = []
         push = PowerChain._push
         monkeypatch.setattr(PowerChain, "_push", lambda chain, *args: steps.append(chain) or push(chain, *args))
@@ -390,7 +392,7 @@ class TestKeyIdentity:
         gp = jac.GenericPoint(pair, 3)
         for a in range(pair.algebra.dim):
             assert jac.key_identity_check(gp, 1, a).is_zero()
-        assert len(steps) == 6 and len(set(map(id, steps))) == 2
+        assert len(steps) == 1
         assert gp.lifted(4) is gp.lifted(4)
 
     def test_even_q_pair(self):
@@ -727,3 +729,73 @@ class TestPowerSumOfAdY:
         for a in range(gp.algebra.dim):
             got, want = jac.series_of_ad_y(gp, f, {a: 1}), series_of_ad_y_by_loop(gp, f, {a: 1})
             assert list(got.items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# the nest levels of coderiv against the columns of the powers of ad y
+# ---------------------------------------------------------------------------
+
+# generic points and the top degree to check; None checks to max_power()
+NEST_POINTS = {
+    name: (lambda make=make: jac.GenericPoint(make(), 6), 6) for name, make in dict(ORACLE_PAIRS, **MIXED_PAIRS).items()
+}
+NEST_POINTS["gl22"] = (lambda: jac.GenericPoint(gl_pair(2, 2)), 4)
+for _name in ("osp12", "gl11", "heisenberg_super", "solvable2"):
+    NEST_POINTS[f"full-{_name}"] = (lambda name=_name: jac.GenericPoint.full(catalog(name)[0], 4), None)
+
+_NEST_POINTS = {}
+
+
+def _nest_point(name):
+    """One point of ``NEST_POINTS`` per name, kept across examples."""
+    if name not in _NEST_POINTS:
+        _NEST_POINTS[name] = NEST_POINTS[name][0]()
+    return _NEST_POINTS[name]
+
+
+def nest_column(gp, a, n):
+    """The column of (ad y)^n at e_a read off the nest levels by the identity
+    [x^K] (ad y)^|K| e_a = (-1)^{k(k-1)/2 + p(a) k} S(K)(a) / K_ev!, k the
+    number of odd letters of K and K_ev! the product of the factorials of its
+    even exponents, with the terms past the point's order dropped."""
+    table, pa = gp.table, gp.algebra.parities[a]
+    out = {}
+    for mono, (_, (den, nest)) in cd._nest_levels(gp.pair, a, n)[n].items():
+        if not SuperPolynomial(table, {mono: 1}).is_zero():
+            k = sum(e for e, p in zip(mono, table.parities) if p == ODD)
+            ev = math.prod(math.factorial(e) for e, p in zip(mono, table.parities) if p != ODD)
+            sign = -1 if (k * (k - 1) // 2 + pa * k) % 2 else 1
+            for i, v in nest.items():
+                out.setdefault(i, {})[mono] = Fraction(sign * v, den * ev)
+    return out
+
+
+class TestNestLevelsAgainstThePowers:
+    """Every coefficient of every column of (ad y)^n, zero ones included,
+    against the nest levels through the identity of ``nest_column``, and
+    ``series_of_ad_y`` on random elements and series against the columns of
+    the powers it replaced (components in order, values)."""
+
+    @pytest.mark.parametrize("name", sorted(NEST_POINTS))
+    def test_identity_on_every_column(self, name):
+        make, top = NEST_POINTS[name]
+        gp = make()
+        for n in range(gp.max_power() + 1 if top is None else top + 1):
+            power = gp.ad_y_power(n).entries
+            for a in range(gp.algebra.dim):
+                column = {i: row[a].terms for i, row in enumerate(power) if not row[a].is_zero()}
+                assert column == nest_column(gp, a, n), (n, gp.algebra.names[a])
+
+    @pytest.mark.parametrize("name", sorted(NEST_POINTS))
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_series_of_ad_y_against_the_powers(self, name, data):
+        gp = _nest_point(name)
+        alg = gp.algebra
+        element = data.draw(st.dictionaries(
+            st.integers(0, alg.dim - 1), st.sampled_from([Fraction(-3), Fraction(1), Fraction(2, 5)]), min_size=1, max_size=3
+        ), label="element")
+        coeffs = data.draw(st.lists(st.fractions(max_denominator=7, min_value=-5, max_value=5), min_size=1, max_size=10), label="f")
+        f = series.TruncatedSeries1(coeffs, len(coeffs) - 1)
+        got, want = jac.series_of_ad_y(gp, f, element), oracle_series_of_ad_y(gp, f, element)
+        assert list(got.items()) == list(want.items())

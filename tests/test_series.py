@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,17 +9,76 @@ from supersym import series
 from supersym.series import TruncatedSeries1, TruncatedSeries2
 
 
+# Series helpers that only the tests call: composition by Horner's rule on
+# numerators, and the series built on it.
+
+def compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
+    """f(g(t)); requires g(0) = 0 so the substitution is finite.
+
+    Horner's rule on numerators: after each step the value so far is
+    r / (f.den * d), so multiplying by g multiplies d by g.den and the next
+    coefficient of f enters as f.nums[k] * d.
+    """
+    if g.nums[0]:
+        raise ValueError("composition requires zero constant term in the inner series")
+    n = min(f.order, g.order)
+    gn = g.nums[: n + 1]
+    r, d = [f.nums[n]] + [0] * n, 1
+    for k in range(n - 1, -1, -1):
+        r = [sum(map(mul, r[: j + 1], gn[j::-1])) for j in range(n + 1)]
+        d *= g.den
+        r[0] += f.nums[k] * d
+        common = math.gcd(d, *r)
+        if common > 1:
+            r = [v // common for v in r]
+            d //= common
+    return TruncatedSeries1._reduced(r, f.den * d, n)
+
+
+def exp_series(order) -> TruncatedSeries1:
+    return TruncatedSeries1([Fraction(1, math.factorial(k)) for k in range(order + 1)], order)
+
+
+def log1p_series(order) -> TruncatedSeries1:
+    return TruncatedSeries1(
+        [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)], order
+    )
+
+
+def exp_of(f: TruncatedSeries1) -> TruncatedSeries1:
+    return compose(exp_series(f.order), f)
+
+
+def inverse_of(f: TruncatedSeries1) -> TruncatedSeries1:
+    """1/f for f with invertible constant term."""
+    c0 = f.coeff(0)
+    if c0 == 0:
+        raise ZeroDivisionError("series with zero constant term has no inverse")
+    e = f * (Fraction(1) / c0) - 1
+    geom = TruncatedSeries1(
+        [Fraction((-1) ** k) for k in range(f.order + 1)], f.order
+    )
+    return compose(geom, e) * (Fraction(1) / c0)
+
+
+def cosh_series(order) -> TruncatedSeries1:
+    return TruncatedSeries1(
+        [Fraction(1, math.factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(order + 1)],
+        order,
+    )
+
+
 def tanh_series(order):
     sh = TruncatedSeries1(
         [Fraction(1, math.factorial(k)) if k % 2 else Fraction(0) for k in range(order + 1)],
         order,
     )
-    return sh * series.inverse_of(series.cosh_series(order))
+    return sh * inverse_of(cosh_series(order))
 
 
 def coth_times_t(order):
     # t*coth(t) = t*cosh/sinh = cosh / (sinh/t)
-    return series.cosh_series(order) * series.inverse_of(series.sinh_over_t(order))
+    return cosh_series(order) * inverse_of(series.sinh_over_t(order))
 
 
 class TestBernoulli:
@@ -94,23 +154,23 @@ class TestDistinguishedSeries:
 class TestCompose:
     def test_exp_log_inverse_pair(self):
         n = 10
-        e = series.exp_series(n)
-        lg = series.log1p_series(n)
-        assert series.compose(e, lg) == TruncatedSeries1(
+        e = exp_series(n)
+        lg = log1p_series(n)
+        assert compose(e, lg) == TruncatedSeries1(
             [1, 1] + [0] * (n - 1), n
         )
 
     def test_identity(self):
         f = series.p_c(1, 8)
-        assert series.compose(f, TruncatedSeries1.t(8)) == f
+        assert compose(f, TruncatedSeries1.t(8)) == f
 
     def test_exp_of_w_is_sinh_over_t(self):
         n = 10
-        assert series.exp_of(series.w_c(1, n)) == series.sinh_over_t(n)
+        assert exp_of(series.w_c(1, n)) == series.sinh_over_t(n)
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError):
-            series.compose(series.exp_series(4), TruncatedSeries1.constant(1, 4))
+            compose(exp_series(4), TruncatedSeries1.constant(1, 4))
 
 
 class TestDividedDifference:
@@ -444,15 +504,15 @@ class TestStoredForm:
     @settings(max_examples=40, deadline=None)
     def test_compose(self, f, tail):
         g = TruncatedSeries1([0] + tail, 8)
-        got = series.compose(f, g)
+        got = compose(f, g)
         assert got.coefficients == oracle_compose(f, g)
         assert_reduced(got)
 
     def test_compose_of_the_distinguished_series(self):
         n = 30
         w = series.w_c(Fraction(2, 3), n)
-        for f, g in [(series.log1p_series(n), series.sinh_over_t(n) - 1), (series.exp_series(n), w)]:
-            assert series.compose(f, g).coefficients == oracle_compose(f, g)
+        for f, g in [(log1p_series(n), series.sinh_over_t(n) - 1), (exp_series(n), w)]:
+            assert compose(f, g).coefficients == oracle_compose(f, g)
 
     @given(series1(30), series2(30))
     @settings(max_examples=40, deadline=None)
@@ -521,7 +581,7 @@ def oracle_coinduced_residuals(h, q, c, order):
 
 
 def oracle_log_of_one_plus(f):
-    return series.compose(series.log1p_series(f.order), f)
+    return compose(log1p_series(f.order), f)
 
 
 def assert_same_series(got, expected):

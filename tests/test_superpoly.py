@@ -493,24 +493,6 @@ class TestKoszulSign:
             assert not odd & odd_rest
             assert v == math.prod(map(math.comb, m, k)) * inversion_sign(parities, rest, k)
 
-    @given(monomials(), st.lists(st.integers(-2, 2), max_size=8))
-    @settings(max_examples=300, deadline=None)
-    def test_numerators_pick_the_legs(self, case, nums):
-        # with nums, exactly the unfiltered legs of degree n with nums[n] != 0
-        parities, m = case
-        kept = [leg for leg in _coproduct_legs(parities, m) if sum(leg[0]) < len(nums) and nums[sum(leg[0])]]
-        assert list(_coproduct_legs(parities, m, nums)) == kept
-
-    def test_a_one_letter_series_builds_only_its_legs(self):
-        # the h series -t keeps the legs with |m - k| = 1: one per letter of m,
-        # k in lexicographic order; 40 odd letters have 2^40 legs in all
-        parities, m = (ODD, EVEN) * 20, (1,) * 40
-        legs = list(_coproduct_legs(parities, m, (0, -1)))
-        assert [k for _, k, *_ in legs] == [m[:i] + (0,) + m[i + 1 :] for i in range(40)]
-        assert [rest for rest, *_ in legs] == [(0,) * i + (1,) + (0,) * (39 - i) for i in range(40)]
-        assert list(_coproduct_legs(parities, (0,) * 40, (0, -1))) == []
-        assert list(_coproduct_legs(parities, (0, 3), (0, -1))) == [((0, 1), (0, 2), 0, 0, 3)]
-
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_left_derivative_matches_crossing_count(self, data):
