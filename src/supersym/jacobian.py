@@ -3,17 +3,19 @@ exponential map, divergence identities, and the Gorelik candidate.
 
 The generic point of q is y = sum e_i x^i with one dual variable x^i per
 q basis vector, of the same parity.  str(M^k) of an even operator M is
-read off the half powers M^ceil(k/2) and M^floor(k/2); as ad y swaps q and
-h, str_q (ad y)^2m = str Q^m with Q = (ad y)^2 on q.  Truncating at an even
+read off the half powers M^ceil(k/2) and M^floor(k/2)
+(``liealg.supertraces_of_powers``); as ad y swaps q and h,
+str_q (ad y)^2m = str Q^m with Q = (ad y)^2 on q.  Truncating at an even
 degree is a quotient by an ideal, so the grouping changes no coefficient.
-Every power is formed on a ``superpoly.PowerChain``, and full powers stay as
-oracles and in the Berezinian route; fields f(ad y)(a) read the nests of C_c.
+Every power is formed on a ``superpoly.PowerChain``.  Full powers of ad y
+are formed only for the matrix f(ad y) of the Berezinian route, whose
+determinants read the same half-power traces; fields f(ad y)(a) read the
+nests of C_c.
 
 The Jacobian J_c is exp(str over q of w_c(ad y)) with
 w_c = log(sinh(t/c)/(t/c)); for purely odd q it is a polynomial, no
-truncation needed.  For a (0,2)-dimensional q the closed degree-2 form is
-provided as an independent route.  beta(J_2 d), with d the top monomial of
-the exterior algebra S(q), is the Gorelik candidate.
+truncation needed.  beta(J_2 d), with d the top monomial of the exterior
+algebra S(q), is the Gorelik candidate.
 """
 
 from __future__ import annotations
@@ -25,15 +27,13 @@ from fractions import Fraction
 from . import series as series_mod
 from .coderiv import _nest_levels, beta_of_sq, sq_table
 from .enveloping import PbwElement, _monomial_to_word
-from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix
+from .liealg import LieSuperAlgebra, SuperMatrix, SymmetricPair, ad_matrix, supertraces_of_powers
 from .superpoly import (
     EVEN,
     ODD,
     PowerChain,
     SuperPolynomial,
     VariableTable,
-    _accumulate,
-    _poly,
     matrix_product,
     power_sum,
     sum_of_products,
@@ -125,23 +125,6 @@ class GenericPoint:
         return self.order + n_odd
 
 
-def supertraces_of_powers(mat: SuperMatrix, ks) -> dict:
-    """{k: str(M^k)} for the k in ``ks``, in that order, M an even operator:
-    str(M^k) = sum_{i,j} (-1)^{p_i} (M^a)_ij (M^b)_ji with a = ceil(k/2),
-    b = floor(k/2), in one ``_accumulate`` of the half powers, which a
-    ``PowerChain`` of M forms once each as shaped ints."""
-    if mat.op_parity != EVEN:
-        raise ValueError("supertraces of powers need an even operator")
-    table, chain, out = mat.table, PowerChain(mat.table, mat.entries), {}
-    for k in ks:
-        (left_den, left), (right_den, right) = chain.power((k + 1) // 2), chain.power(k // 2)
-        out[k] = _poly(table, (left_den * right_den, _accumulate(table, [
-            ([(m, o, z, d, -c) for m, o, z, d, c in e] if p == ODD else e, right[j][i])
-            for i, p in enumerate(mat.module_parities) for j, e in enumerate(left[i])
-        ])))
-    return out
-
-
 def _q_square(gp: GenericPoint) -> SuperMatrix:
     """Q = (ad y)^2 on q, so that (ad y)^2m on q is Q^m.  ad y swaps q and h,
     so Q is the product of the q x h and h x q blocks of ad y, through
@@ -158,21 +141,6 @@ def _even_str_powers(gp: GenericPoint) -> list:
         halves = supertraces_of_powers(_q_square(gp), range(1, gp.max_power() // 2 + 1))
         gp._str_powers = [(2 * m, s) for m, s in halves.items()]
     return gp._str_powers
-
-
-def str_ad_power(gp: GenericPoint, k: int) -> SuperPolynomial:
-    """Supertrace over the q block of (ad y)^k, as str Q^(k/2); requires k
-    even (odd powers swap the eigenspaces, so their q block is not
-    defined)."""
-    if k % 2:
-        raise ValueError("odd powers of ad y do not stabilize q")
-    return supertraces_of_powers(_q_square(gp), [k // 2])[k // 2]
-
-
-def str_ad_power_full(gp: GenericPoint, k: int) -> SuperPolynomial:
-    """Supertrace over the whole algebra of (ad y)^k (any k), from half
-    powers; meaningful for the h = 0 generic point."""
-    return supertraces_of_powers(gp.ad_y(), [k])[k]
 
 
 class JacobianResult:
@@ -214,39 +182,6 @@ def _f_of_ad_y(gp: GenericPoint, f: series_mod.TruncatedSeries1) -> SuperMatrix:
     bound."""
     rows = power_sum(f.coefficients[: gp.max_power() + 1], gp.ad_y_chain())
     return SuperMatrix(gp.table, gp.algebra.parities, rows, EVEN, check=False)
-
-
-def jacobian_J2_q2(gp: GenericPoint) -> SuperPolynomial:
-    """Closed form of J_2 when q is (0,2)-dimensional:
-
-        1 + (1/24) str over q of (-ad e_1 ad e_2 + ad e_2 ad e_1) x^1 x^2.
-    """
-    pair = gp.pair
-    alg = pair.algebra
-    if not (gp.purely_odd and len(pair.q_indices) == 2):
-        raise ValueError("the closed form applies to q of dimension (0,2)")
-    i1, i2 = pair.q_indices
-    a1 = _constant_ad(alg, i1)
-    a2 = _constant_ad(alg, i2)
-    n = alg.dim
-    prod = [
-        [
-            sum(-a1[i][k] * a2[k][j] + a2[i][k] * a1[k][j] for k in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    s = Fraction(0)
-    for i in pair.q_indices:
-        sign = -1 if alg.parities[i] == ODD else 1
-        s += sign * prod[i][i]
-    x1x2 = gp.table.variable(0) * gp.table.variable(1)
-    return gp.table.one() + x1x2 * (s * Fraction(1, 24))
-
-
-def _constant_ad(alg, idx):
-    ints, den = alg.int_brackets[idx], alg.bracket_den
-    return [[Fraction(ints[k].get(m, 0), den) for k in range(alg.dim)] for m in range(alg.dim)]
 
 
 def jacobian_full_group(alg: LieSuperAlgebra, order: int = 6) -> SuperPolynomial:

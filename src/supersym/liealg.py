@@ -20,11 +20,9 @@ sign bookkeeping lives in the supertrace and in how matrices are built.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
 
 from . import linalg
 from .superpoly import (
@@ -32,6 +30,7 @@ from .superpoly import (
     ODD,
     SuperPolynomial,
     VariableTable,
+    _accumulate,
     _combine,
     _form,
     PowerChain,
@@ -291,6 +290,8 @@ class SuperMatrix:
     both factors is scaled to its factor's common denominator and shaped
     once, and entry (i, j) accumulates row i against column j as ints.  A
     polynomial multiplies each entry from the side it is written on.
+    Determinants and inverses, of even operators on a module of one parity,
+    come from the characteristic coefficients (``_characteristic``).
     """
 
     __slots__ = ("table", "module_parities", "op_parity", "entries")
@@ -335,6 +336,8 @@ class SuperMatrix:
     def __add__(self, other):
         if self.op_parity != other.op_parity:
             raise ValueError("cannot add operators of different parity")
+        if self.module_parities != other.module_parities:
+            raise ValueError("cannot add operators on different modules")
         n = self.size
         rows = [
             [self.entries[i][j] + other.entries[i][j] for j in range(n)] for i in range(n)
@@ -379,14 +382,6 @@ class SuperMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def constant_part(self):
-        """The matrix of constant terms, as Fractions."""
-        return [[e.evaluate_at_zero() for e in row] for row in self.entries]
-
-    def augmentation_part(self) -> "SuperMatrix":
-        rows = [[e - e.evaluate_at_zero() for e in row] for row in self.entries]
-        return SuperMatrix(self.table, self.module_parities, rows, self.op_parity, check=False)
-
     def supertrace(self) -> SuperPolynomial:
         """str X = sum_i (-1)^{p_i (p_i + p_X)} X_ii."""
         table = self.table
@@ -413,27 +408,37 @@ class SuperMatrix:
         coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
         return self._with_rows(power_sum(coeffs, PowerChain(self.table, self.entries)), EVEN)
 
-    def determinant(self) -> SuperPolynomial:
-        """Leibniz determinant; valid because all entries here are even."""
-        n = self.size
-        table = self.table
-        if n == 0:
-            return table.one()
-        pairs = []
-        for perm in itertools.permutations(range(n)):
-            factors = [self.entries[i][perm[i]] for i in range(n)]
-            if not any(e.is_zero() for e in factors):
-                pairs.append((functools.reduce(mul, factors[:-1], table.constant(_perm_sign(perm))), factors[-1]))
-        return sum_of_products(table, pairs)
+    def _characteristic(self) -> list:
+        """[e_0, ..., e_n], the coefficients of det(t - X) = sum_k (-1)^k e_k
+        t^(n-k), for an even X on a module of one parity p.  Its entries are
+        even, so they commute and Newton's identities
+        k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) tr(X^i) hold over Q, with
+        tr = (-1)^p str read off the half powers by ``supertraces_of_powers``."""
+        if self.op_parity != EVEN or len(set(self.module_parities)) > 1:
+            raise ValueError("the determinant needs an even operator on a module of one parity")
+        n, table = self.size, self.table
+        sign = -1 if ODD in self.module_parities else 1
+        traces = supertraces_of_powers(self, range(1, n + 1))
+        signed = {i: s * (sign if i % 2 else -sign) for i, s in traces.items()}
+        e = [table.one()]
+        for k in range(1, n + 1):
+            e.append(sum_of_products(table, [(e[k - i], signed[i]) for i in range(1, k + 1)]) * Fraction(1, k))
+        return e
 
-    def _neumann_inverse(self) -> "SuperMatrix":
-        """Exact inverse: invert the constant part over Q, then sum the
-        Neumann series of the augmentation remainder."""
-        table = self.table
-        rows = [[table.constant(c) for c in row] for row in linalg.invert(self.constant_part())]
-        inv0 = SuperMatrix(table, self.module_parities, rows, EVEN, check=False)
-        n_part = inv0 * self.augmentation_part()
-        return self._with_rows(power_sum(itertools.cycle((1, -1)), PowerChain(table, n_part.entries)), EVEN) * inv0
+    def determinant(self) -> SuperPolynomial:
+        """det X = e_n of ``_characteristic``."""
+        return self._characteristic()[-1]
+
+    def _inverse(self, e) -> "SuperMatrix":
+        """X^-1 = (-1)^(n+1) e_n^-1 sum_{k<n} (-1)^k e_k X^(n-1-k) by
+        Cayley-Hamilton, from the characteristic coefficients ``e`` of X and
+        its full powers on one ``PowerChain``; e_n must be invertible."""
+        n, table = self.size, self.table
+        chain, scale = PowerChain(table, self.entries), e[n].inverse()
+        terms = [(e[k] * scale * (-1) ** (n + 1 + k), chain.rows(n - 1 - k)) for k in range(n)]
+        return self._with_rows([
+            [sum_of_products(table, [(c, power[i][j]) for c, power in terms]) for j in range(n)] for i in range(n)
+        ], EVEN)
 
     def berezinian(self) -> SuperPolynomial:
         """Ber X = det(A - B D^{-1} C) det(D)^{-1} for even invertible X,
@@ -450,9 +455,9 @@ class SuperMatrix:
         if not ev and not od:
             return table.one()
         if od:
-            d_rows = block(od, od)
-            d = SuperMatrix(table, [ODD] * len(od), d_rows, EVEN, check=False)
-            det_d = d.determinant()
+            d = SuperMatrix(table, [ODD] * len(od), block(od, od), EVEN, check=False)
+            e_d = d._characteristic()
+            det_d = e_d[-1]
             if det_d.evaluate_at_zero() == 0:
                 raise ValueError("odd-odd block is not invertible at zero")
         if not ev:
@@ -460,7 +465,7 @@ class SuperMatrix:
         a = SuperMatrix(table, [EVEN] * len(ev), block(ev, ev), EVEN, check=False)
         if not od:
             return a.determinant()
-        d_inv = d._neumann_inverse()
+        d_inv = d._inverse(e_d)
         b_rows = block(ev, od)
         c_rows = block(od, ev)
         # Schur complement A - (B D^{-1}) C: B D^{-1} in one matrix_product,
@@ -485,13 +490,22 @@ class SuperMatrix:
         return f"SuperMatrix({body})"
 
 
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def supertraces_of_powers(mat: SuperMatrix, ks) -> dict:
+    """{k: str(M^k)} for the k in ``ks``, in that order, M an even operator:
+    str(M^k) = sum_{i,j} (-1)^{p_i} (M^a)_ij (M^b)_ji with a = ceil(k/2),
+    b = floor(k/2), in one ``_accumulate`` of the half powers, which a
+    ``PowerChain`` of M forms once each as shaped ints.  J_c, the
+    full-group Jacobian and the determinant read their traces here."""
+    if mat.op_parity != EVEN:
+        raise ValueError("supertraces of powers need an even operator")
+    table, chain, out = mat.table, PowerChain(mat.table, mat.entries), {}
+    for k in ks:
+        (left_den, left), (right_den, right) = chain.power((k + 1) // 2), chain.power(k // 2)
+        out[k] = _poly(table, (left_den * right_den, _accumulate(table, [
+            ([(m, o, z, d, -c) for m, o, z, d, c in e] if p == ODD else e, right[j][i])
+            for i, p in enumerate(mat.module_parities) for j, e in enumerate(left[i])
+        ])))
+    return out
 
 
 def ad_matrix(alg: LieSuperAlgebra, element: dict, table: VariableTable) -> SuperMatrix:

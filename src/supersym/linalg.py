@@ -1,11 +1,11 @@
-"""Exact rational linear algebra: RREF, solving, null spaces, inverses.
+"""Exact rational linear algebra: RREF, solving, null spaces.
 
 One elimination kernel, ``rref``, works on sparse rows: {column: rational}
 dicts, in which zero entries may be left out.  Pivots are always the first
 nonzero entry in column order, so the reduced form (and therefore every
 null space basis) is the unique RREF of the row space, whatever the order
-of the rows.  ``solve`` and ``invert`` take dense lists of lists and go
-through the same kernel.
+of the rows.  ``solve`` takes a dense list of lists and goes through the
+same kernel.
 """
 
 from __future__ import annotations
@@ -81,12 +81,3 @@ def solve(rows, rhs):
     if len(pivots) < ncols:
         raise ValueError("underdetermined linear system")
     return [row.get(ncols, Fraction(0)) for row in m]
-
-
-def invert(rows):
-    """Inverse of a dense square matrix; raises ValueError when singular."""
-    n = len(rows)
-    m, pivots = rref([{**dict(enumerate(r)), n + i: 1} for i, r in enumerate(rows)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in m]

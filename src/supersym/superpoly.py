@@ -36,8 +36,8 @@ one back.  ``_render`` prints SuperPolynomials and PBW elements alike.
 :class:`PowerChain` is the one place powers are formed: it keeps x^0 ...
 x^k of a polynomial or a square matrix as shaped ints, each step one
 ``_accumulate`` per entry.  Every power series in a nilpotent x (``exp``,
-``inverse``, the Neumann series of a matrix, ``f(ad y)``) is one
-:func:`power_sum` on a chain, each entry one ``_combine`` of its ints.
+``inverse``, ``f(ad y)``) is one :func:`power_sum` on a chain, each entry
+one ``_combine`` of its ints.
 
 All values are immutable; a table can be shared freely between threads.
 """

@@ -1,11 +1,15 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import strategies as st
 
 from supersym import coderiv as cd
+from supersym import jacobian as jac
+from supersym import linalg
 from supersym.enveloping import (
     Factorization,
     PbwElement,
@@ -15,7 +19,14 @@ from supersym.enveloping import (
     _word_to_monomial,
     symmetrize,
 )
-from supersym.liealg import SuperMatrix, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
+from supersym.liealg import (
+    SuperMatrix,
+    SymmetricPair,
+    algebra_from_matrices,
+    catalog,
+    defining_matrices,
+    supertraces_of_powers,
+)
 from supersym.series import TruncatedSeries1, p_c, q_c
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, _combine, _form, coproduct_terms, sum_of_products
 
@@ -109,6 +120,82 @@ def oracle_supertraces_of_powers(mat, ks):
             for i, p in enumerate(mat.module_parities) for j, e in enumerate(left[i])
         ])
     return out
+
+
+def _perm_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def oracle_determinant(mat):
+    """The Leibniz sum over the n! permutations, valid when the entries are
+    even: the route ``SuperMatrix.determinant`` took before Newton's
+    identities."""
+    n, table = mat.size, mat.table
+    if n == 0:
+        return table.one()
+    pairs = []
+    for perm in itertools.permutations(range(n)):
+        factors = [mat.entries[i][perm[i]] for i in range(n)]
+        if not any(e.is_zero() for e in factors):
+            pairs.append((functools.reduce(mul, factors[:-1], table.constant(_perm_sign(perm))), factors[-1]))
+    return sum_of_products(table, pairs)
+
+
+def oracle_invert(rows):
+    """Inverse of a dense square rational matrix by one RREF of [A | 1];
+    raises ValueError when singular.  It was ``linalg.invert``, which
+    inverted the constant part of the odd block of a Berezinian before the
+    Cayley-Hamilton inverse."""
+    n = len(rows)
+    m, pivots = linalg.rref([{**dict(enumerate(r)), n + i: 1} for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in m]
+
+
+def str_ad_power(gp, k):
+    """Supertrace over the q block of (ad y)^k, as str Q^(k/2); requires k
+    even (odd powers swap the eigenspaces, so their q block is not
+    defined)."""
+    if k % 2:
+        raise ValueError("odd powers of ad y do not stabilize q")
+    return supertraces_of_powers(jac._q_square(gp), [k // 2])[k // 2]
+
+
+def str_ad_power_full(gp, k):
+    """Supertrace over the whole algebra of (ad y)^k (any k), from half
+    powers; meaningful for the h = 0 generic point."""
+    return supertraces_of_powers(gp.ad_y(), [k])[k]
+
+
+def constant_ad(alg, idx):
+    """The matrix of ad e_idx as Fractions."""
+    ints, den = alg.int_brackets[idx], alg.bracket_den
+    return [[Fraction(ints[k].get(m, 0), den) for k in range(alg.dim)] for m in range(alg.dim)]
+
+
+def jacobian_J2_q2(gp):
+    """Closed form of J_2 when q is (0,2)-dimensional:
+
+        1 + (1/24) str over q of (-ad e_1 ad e_2 + ad e_2 ad e_1) x^1 x^2.
+    """
+    pair = gp.pair
+    alg = pair.algebra
+    if not (gp.purely_odd and len(pair.q_indices) == 2):
+        raise ValueError("the closed form applies to q of dimension (0,2)")
+    a1, a2 = (constant_ad(alg, i) for i in pair.q_indices)
+    n = alg.dim
+    s = sum(
+        (-1 if alg.parities[i] == ODD else 1) * sum(-a1[i][k] * a2[k][i] + a2[i][k] * a1[k][i] for k in range(n))
+        for i in pair.q_indices
+    )
+    x1x2 = gp.table.variable(0) * gp.table.variable(1)
+    return gp.table.one() + x1x2 * (Fraction(s) * Fraction(1, 24))
 
 
 def oracle_ad_matrix(alg, element, table):

@@ -23,6 +23,8 @@ from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import SuperMatrix, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, VariableTable, exhaustive_monomials
 
+from conftest import constant_ad
+
 CATALOG = ["abelian(1,2)", "osp12", "gl11", "heisenberg_super", "solvable2"]
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ALGEBRAS = ROOT / "algebras"
@@ -236,8 +238,8 @@ def test_criterion_7_gorelik_dual_route():
 
         # (a) closed form for two odd generators, coefficient for coefficient
         i1, i2 = pair.q_indices
-        a1 = jac._constant_ad(alg, i1)
-        a2 = jac._constant_ad(alg, i2)
+        a1 = constant_ad(alg, i1)
+        a2 = constant_ad(alg, i2)
         n = alg.dim
         prod = [
             [sum(a1[i][k] * a2[k][j] - a2[i][k] * a1[k][j] for k in range(n)) for j in range(n)]

@@ -18,12 +18,16 @@ from conftest import (
     MIXED_PAIRS,
     ORACLE_PAIRS,
     apply_matrix,
+    constant_ad,
     diagonal_pair,
     gl_pair,
+    jacobian_J2_q2,
     oracle_h_theta,
     oracle_h_twisted_vector_field,
     oracle_series_of_ad_y,
     osp14_pair as _osp14,
+    str_ad_power,
+    str_ad_power_full,
 )
 
 
@@ -74,31 +78,31 @@ class TestStrAdPower:
     def test_abelian_vanishes(self):
         alg, pair = catalog("abelian(1,2)")
         gp = jac.GenericPoint(pair)
-        assert jac.str_ad_power(gp, 2).is_zero()
+        assert str_ad_power(gp, 2).is_zero()
 
     def test_rank_difference_at_zero(self):
         alg, pair = catalog("osp12")
         gp = jac.GenericPoint(pair)
-        assert jac.str_ad_power(gp, 0) == gp.table.constant(-2)
+        assert str_ad_power(gp, 0) == gp.table.constant(-2)
 
     def test_odd_power_rejected(self):
         alg, pair = catalog("osp12")
         gp = jac.GenericPoint(pair)
         with pytest.raises(ValueError):
-            jac.str_ad_power(gp, 1)
+            str_ad_power(gp, 1)
 
     def test_osp12_degree_two(self):
         alg, pair = catalog("osp12")
         gp = jac.GenericPoint(pair)
         x1x2 = gp.table.variable(0) * gp.table.variable(1)
-        assert jac.str_ad_power(gp, 2) == x1x2 * (-6)
+        assert str_ad_power(gp, 2) == x1x2 * (-6)
 
     def test_matrix_route_against_nested_bracket_oracle(self):
         for name in ("osp12", "gl11", "heisenberg_super"):
             alg, pair = catalog(name)
             gp = jac.GenericPoint(pair)
             for k in (2, 4):
-                got = jac.str_ad_power(gp, k)
+                got = str_ad_power(gp, k)
                 want = str_ad_power_by_nested_brackets(gp, k, pair.q_indices)
                 assert got == want, (name, k)
 
@@ -106,7 +110,7 @@ class TestStrAdPower:
         alg, _ = catalog("solvable2")
         gp = jac.GenericPoint.full(alg, 4)
         for k in (1, 2, 3):
-            got = jac.str_ad_power_full(gp, k)
+            got = str_ad_power_full(gp, k)
             want = str_ad_power_by_nested_brackets(gp, k, range(alg.dim))
             assert got == want
 
@@ -133,6 +137,9 @@ def _route_cases():
 
 ROUTE_CASES = _route_cases()
 ROUTE_IDS = [f"{label}-{order}" for label, _, order in ROUTE_CASES]
+# purely odd q of dimension 4, 4 and 8: the Berezinian is one determinant
+BEREZINIAN_CASES = ROUTE_CASES + [("gl12", gl_pair(1, 2), 6), ("osp14", _osp14()[1], 6), ("gl22", gl_pair(2, 2), 6)]
+BEREZINIAN_IDS = [f"{label}-{order}" for label, _, order in BEREZINIAN_CASES]
 
 
 class TestHalfPowerRoute:
@@ -144,7 +151,7 @@ class TestHalfPowerRoute:
     def test_q_block_against_full_powers(self, label, pair, order):
         gp = jac.GenericPoint(pair, order)
         for k in range(0, gp.max_power() + 1, 2):
-            assert jac.str_ad_power(gp, k) == str_by_full_power(gp, k, pair.q_indices), (label, k)
+            assert str_ad_power(gp, k) == str_by_full_power(gp, k, pair.q_indices), (label, k)
         str_powers = jac.jacobian_Jc(gp, 1).str_powers
         assert [k for k, _ in str_powers] == list(range(2, gp.max_power() + 1, 2))
         for k, s in str_powers:
@@ -164,9 +171,9 @@ class TestHalfPowerRoute:
         gp = jac.GenericPoint.full(pair.algebra, order)
         every = range(pair.algebra.dim)
         for k in range(gp.max_power() + 1):
-            assert jac.str_ad_power_full(gp, k) == str_by_full_power(gp, k, every), (label, k)
+            assert str_ad_power_full(gp, k) == str_by_full_power(gp, k, every), (label, k)
 
-    @pytest.mark.parametrize("label, pair, order", ROUTE_CASES, ids=ROUTE_IDS)
+    @pytest.mark.parametrize("label, pair, order", BEREZINIAN_CASES, ids=BEREZINIAN_IDS)
     def test_jacobian_against_berezinian(self, label, pair, order):
         gp = jac.GenericPoint(pair, order)
         for c in (Fraction(1), Fraction(2), Fraction(2, 3)):
@@ -213,7 +220,7 @@ class TestJacobianJc:
         alg, pair = catalog("osp12")
         gp = jac.GenericPoint(pair)
         result = jac.jacobian_Jc(gp, 2)
-        s2 = jac.str_ad_power(gp, 2)
+        s2 = str_ad_power(gp, 2)
         assert result.J == gp.table.one() + s2 * Fraction(1, 24)
 
     def test_degree_four_pattern(self):
@@ -221,8 +228,8 @@ class TestJacobianJc:
         # 4-dimensional odd q so the degree-4 terms are nonzero
         alg, pair = _osp14()
         gp = jac.GenericPoint(pair)
-        s2 = jac.str_ad_power(gp, 2)
-        s4 = jac.str_ad_power(gp, 4)
+        s2 = str_ad_power(gp, 2)
+        s4 = str_ad_power(gp, 4)
         J1 = jac.jacobian_Jc(gp, 1).J
         deg4 = (
             s4 * Fraction(-1, 180)
@@ -270,13 +277,13 @@ class TestJ2ClosedForm:
         for name in ("osp12", "gl11", "heisenberg_super", "abelian(0,2)"):
             alg, pair = catalog(name)
             gp = jac.GenericPoint(pair)
-            assert jac.jacobian_J2_q2(gp) == jac.jacobian_Jc(gp, 2).J, name
+            assert jacobian_J2_q2(gp) == jac.jacobian_Jc(gp, 2).J, name
 
     def test_dimension_guard(self):
         alg, pair = _osp14()
         gp = jac.GenericPoint(pair)
         with pytest.raises(ValueError):
-            jac.jacobian_J2_q2(gp)
+            jacobian_J2_q2(gp)
 
     def test_berezinian_route_agrees(self):
         for name in ("osp12", "gl11"):
@@ -321,7 +328,7 @@ class TestFullGroupJacobian:
         alg, _ = catalog("solvable2")
         gp = jac.GenericPoint.full(alg, 3)
         J = jac.jacobian_full_group(alg, 3)
-        s1 = jac.str_ad_power_full(gp, 1)
+        s1 = str_ad_power_full(gp, 1)
         deg1 = SuperPolynomial(gp.table, {m: c for m, c in J.terms.items() if sum(m) == 1})
         assert deg1 == s1 * Fraction(-1, 2)
 
@@ -471,8 +478,8 @@ class TestGorelikCandidate:
             alg, pair = catalog(name)
             gp = jac.GenericPoint(pair)
             i1, i2 = pair.q_indices
-            a1 = jac._constant_ad(alg, i1)
-            a2 = jac._constant_ad(alg, i2)
+            a1 = constant_ad(alg, i1)
+            a2 = constant_ad(alg, i2)
             n = alg.dim
             prod = [
                 [

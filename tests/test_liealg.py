@@ -16,7 +16,7 @@ from supersym.liealg import (
 )
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, VariableTable, exhaustive_monomials
 
-from conftest import ORACLE_PAIRS, apply_matrix, diagonal_pair, oracle_ad_matrix
+from conftest import ORACLE_PAIRS, apply_matrix, diagonal_pair, oracle_ad_matrix, oracle_determinant
 
 
 def matrix_table(order=6):
@@ -519,6 +519,69 @@ class TestBerezinian:
         m = SuperMatrix.zero(t, [ODD])
         with pytest.raises(ValueError):
             m.berezinian()
+
+
+class TestDeterminant:
+    """Newton's identities and Cayley-Hamilton against the Leibniz sum, on
+    blocks of one module parity, the only ones the Berezinian passes."""
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_against_leibniz(self, parity):
+        rng = random.Random(11 + parity)
+        t = matrix_table(order=4)
+        for n in range(5):
+            for kind in ("unipotent", "random", "nilpotent"):
+                for _ in range(3):
+                    if kind == "nilpotent":
+                        m = random_nilpotent_even_matrix(t, [parity] * n, rng)
+                    else:
+                        m = random_even_matrix(t, [parity] * n, rng, invertible=kind == "unipotent")
+                    assert m.determinant() == oracle_determinant(m), (n, kind)
+
+    def test_singular_at_zero(self):
+        t = matrix_table(order=4)
+        s, u1, u2 = (t.variable(i) for i in range(3))
+        m = SuperMatrix(t, [ODD, ODD], [[s, u1 * u2], [t.one() + s, s * s]], EVEN)
+        assert m.determinant() == s ** 3 - u1 * u2 - s * u1 * u2
+        assert m.determinant() == oracle_determinant(m)
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_cayley_hamilton_inverse(self, parity):
+        rng = random.Random(21 + parity)
+        t = matrix_table(order=4)
+        for n in range(1, 5):
+            one = SuperMatrix.identity(t, [parity] * n)
+            done = 0
+            while done < 4:
+                d = random_even_matrix(t, [parity] * n, rng, invertible=done % 2 == 0)
+                e = d._characteristic()
+                if e[n].evaluate_at_zero() == 0:
+                    continue
+                inv = d._inverse(e)
+                assert d * inv == one and inv * d == one, n
+                done += 1
+
+    def test_odd_entries_refused(self):
+        t = matrix_table()
+        one, u1, u2 = t.one(), t.variable("u1"), t.variable("u2")
+        mixed = SuperMatrix(t, [EVEN, ODD], [[one, u1], [u2, one]], EVEN)
+        odd = SuperMatrix(t, [EVEN, EVEN], [[u1, t.zero()], [t.zero(), u2]], ODD)
+        for m in (mixed, odd):
+            with pytest.raises(ValueError, match="one parity"):
+                m.determinant()
+
+
+class TestSums:
+    def test_mismatched_modules_refused(self):
+        t = matrix_table()
+        two, three = SuperMatrix.identity(t, [EVEN] * 2), SuperMatrix.identity(t, [EVEN] * 3)
+        even, odd = SuperMatrix.identity(t, [EVEN]), SuperMatrix.identity(t, [ODD])
+        for a, b in ((two, three), (three, two), (even, odd), (odd, even)):
+            with pytest.raises(ValueError, match="different modules"):
+                a + b
+            with pytest.raises(ValueError, match="different modules"):
+                a - b
+        assert (two + two) - two == two
 
 
 class TestApplyMatrix:
