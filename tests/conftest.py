@@ -218,7 +218,12 @@ def oracle_ad_matrix(alg, element, table):
 def oracle_h_derivation(pair, a_index, w):
     """C_c^a for a in h, the derivation extending b |-> [a, b], letter by
     letter: replace the k-th letter of each monomial, with one sign p(a) per
-    odd letter crossed.  It shares no code with ``coderiv._coderivation``."""
+    odd letter crossed.  An even letter x of exponent n is replaced once,
+    scaled by n (x^n |-> n x^(n-1) [a, x]): its n copies give the same term,
+    and adding them one by one would drop a key whose running sum passes
+    through zero and add it again at the end, an order the one leg per
+    letter of the coproduct does not make.  It shares no code with
+    ``coderiv._coderivation``."""
     alg = pair.algebra
     table = cd.sq_table(pair)
     pa = alg.parities[a_index]
@@ -226,6 +231,8 @@ def oracle_h_derivation(pair, a_index, w):
     for mono, coeff in w.terms.items():
         letters = _monomial_to_word(mono)
         for k, pos in enumerate(letters):
+            if k and letters[k - 1] == pos:
+                continue
             image = alg.bracket({a_index: Fraction(1)}, {pair.q_indices[pos]: Fraction(1)})
             if not image:
                 continue
@@ -240,7 +247,7 @@ def oracle_h_derivation(pair, a_index, w):
             repl = table.zero()
             for i, c in image.items():
                 repl = repl + table.variable(pair.q_indices.index(i)) * c
-            out = out + prefix * repl * suffix * (coeff * sign)
+            out = out + prefix * repl * suffix * (coeff * sign * mono[pos])
     return out
 
 

@@ -853,6 +853,18 @@ class TestSqOracles:
                 # same values in the same key order
                 assert list(got.terms.items()) == list(oracle_h_derivation(sq_pair, a, w).terms.items()), (a, w)
 
+    def test_h_derivation_on_a_square_whose_key_passes_through_zero(self):
+        # h_x12 sends q_x12 q_x21 q_d2 to -q_x12 q_d2^2 - q_x12 q_d1 q_d2, and each of
+        # the two q_d2 of q_d1 q_d2^2 to +q_x12 q_d1 q_d2: replaced one copy
+        # at a time, the running sum of q_x12 q_d1 q_d2 would reach zero
+        pair = FORM_PAIRS["diag-gl11"]()
+        table = cd.sq_table(pair)
+        w = SuperPolynomial(table, {(1, 1, 0, 1): Fraction(1, 3), (0, 0, 0, 0): Fraction(-1), (0, 0, 1, 2): Fraction(1, 3)})
+        a = pair.algebra.names.index("h_x12")
+        got = cd.coderivation_C(pair, 1, a, w)
+        assert list(got.terms.items()) == [((1, 0, 1, 1), Fraction(1, 3)), ((1, 0, 0, 2), Fraction(-2, 3))]
+        assert_same_terms(got, oracle_h_derivation(pair, a, w), w)
+
 
 # ---------------------------------------------------------------------------
 # pairs with odd h vectors and a q of both parities
