@@ -17,7 +17,8 @@ induced module.  Every Koszul sign of a product in S(q) comes from the
 monomial sign of ``superpoly``.
 
 C_c, C_c^u and tau run on the integer forms (den, {S(q) monomial: int}) of
-``superpoly`` and build one SuperPolynomial per result.  Their memos die
+``superpoly``: they read the stored form of their arguments and wrap the
+form of each result, with no Fraction between beta and tau.  Their memos die
 with the pair: ``pair.nest_memo`` keeps the bracket nests S(K)(a) by degree
 (``_nest_levels``), read by C_c, Theta and ``jacobian.series_of_ad_y``;
 ``pair.tau_memo`` the chain C_1^m(1) of each PBW monomial m tau meets, as a
@@ -41,6 +42,7 @@ from .enveloping import (
     PbwElement,
     _monomial_to_word,
     _support_sum,
+    _symmetrize,
     factorization,
     symmetrize,
     symmetrize_word,
@@ -54,7 +56,6 @@ from .superpoly import (
     VariableTable,
     _check_tables,
     _combine,
-    _form,
     _leg_sign,
     _letter_sign,
     _poly,
@@ -175,7 +176,7 @@ def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> tuple:
     series = pair.p_c_memo.get(key)
     if series is None:
         series = pair.p_c_memo[key] = p_c(*key)
-    den, terms = _form(u.terms)
+    den, terms = u.form
     return _combine([(coeff, _chain(pair, series, chains, mono)) for mono, coeff in terms.items()], den)
 
 
@@ -194,7 +195,7 @@ def _chain(pair: SymmetricPair, series: TruncatedSeries1, chains: dict, mono) ->
 def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) -> SuperPolynomial:
     """Multiplicative extension u -> C_c^u to the enveloping algebra."""
     _check_tables(sq_table(pair), (w,))
-    return _poly(sq_table(pair), _words(pair, c, u, {(0,) * pair.algebra.dim: _form(w.terms)}))
+    return _poly(sq_table(pair), _words(pair, c, u, {(0,) * pair.algebra.dim: w.form}))
 
 
 def tau(pair: SymmetricPair, u: PbwElement) -> SuperPolynomial:
@@ -373,7 +374,8 @@ def beta_of_sq(pair: SymmetricPair, w: SuperPolynomial) -> PbwElement:
     """Symmetrization of an S(q) element into U(g)."""
     _check_tables(sq_table(pair), (w,))
     pad = (0,) * len(pair.h_indices)  # q is the first block of the basis of g
-    return symmetrize(pair.algebra, {mono + pad: coeff for mono, coeff in w.terms.items()})
+    den, terms = w.form
+    return _symmetrize(pair.algebra, (den, {mono + pad: v for mono, v in terms.items()}))
 
 
 def lie_generators(pair: SymmetricPair) -> list:
@@ -409,9 +411,8 @@ def verify_twisted_invariance(pair: SymmetricPair, element: PbwElement):
         hm, c = next((hm, c) for (_, hm), c in coords.items() if any(hm))
         return False, ("not in beta(S(q))", hm, c)
     series = p_c(2, w.total_degree() + 1)
-    form = _form(w.terms)
     for a in lie_generators(pair):
-        if _coderivation(pair, series, a, form)[1]:
+        if _coderivation(pair, series, a, w.form)[1]:
             return False, (alg.names[a], str(twisted_adjoint(pair, a, element)))
     return True, None
 

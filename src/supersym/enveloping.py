@@ -3,13 +3,14 @@
 A PBW monomial is an exponent tuple over the ordered basis of g (odd
 exponents at most 1); an element is a finite coefficient map from such
 monomials.  Coefficients are rational (ints or Fractions; the constructor
-refuses anything else), so they commute with every letter.  Inside the
-module a linear combination is a form (den, {key: int}), the integer form
-that ``superpoly`` defines: the memoised products (``_letter_product``,
-``_monomial_product``) and symmetrizations (``_symmetrized``) are stored so,
-and every sum of forms goes through ``superpoly._combine``, with int
-scalars over one more denominator.  Fractions are built only where an
-element leaves the module (``PbwElement.terms``, coordinates).
+refuses anything else), so they commute with every letter.  A linear
+combination is a form (den, {key: int}), the integer form that ``superpoly``
+defines: an element stores its form in lowest terms (``PbwElement.form``),
+the memoised products (``_letter_product``, ``_monomial_product``) and
+symmetrizations (``_symmetrized``) are stored so, and every sum of forms
+goes through ``superpoly._combine``, with int scalars over one more
+denominator.  Fractions are built only when ``PbwElement.terms`` is read
+and for coordinates.
 
 Normal ordering rewrites a word by repeatedly fixing the leftmost
 violation: an adjacent repeated odd letter collapses through
@@ -41,7 +42,21 @@ import math
 from fractions import Fraction
 
 from .liealg import LieSuperAlgebra, SymmetricPair
-from .superpoly import EVEN, ODD, _combine, _form, _fractions, _letter_sign, _render, coproduct_terms, exhaustive_monomials
+from .superpoly import (
+    EVEN,
+    ODD,
+    _combine,
+    _form,
+    _Formed,
+    _fractions,
+    _letter_sign,
+    _lowest,
+    _odd_count,
+    _render,
+    _scale,
+    coproduct_terms,
+    exhaustive_monomials,
+)
 
 
 def _monomial_to_word(mono):
@@ -150,13 +165,18 @@ def _letter_product(alg: LieSuperAlgebra, i, m):
 
 
 def monomial_parity(alg: LieSuperAlgebra, mono) -> int:
-    return sum(e for e, p in zip(mono, alg.parities) if p == ODD) % 2
+    return _odd_count(alg.parities, mono) & 1
 
 
-class PbwElement:
-    """Element of U(g) in the normal-ordered PBW basis."""
+class PbwElement(_Formed):
+    """Element of U(g) in the normal-ordered PBW basis.
 
-    __slots__ = ("alg", "terms")
+    The stored state is the form (den, {PBW monomial: int}) in lowest terms;
+    ``terms``, {monomial: Fraction}, is a read-only view built on first read.
+    Building an element from such a dict converts it once.
+    """
+
+    __slots__ = ("alg",)
 
     def __init__(self, alg: LieSuperAlgebra, terms=None):
         self.alg = alg
@@ -166,7 +186,7 @@ class PbwElement:
                 raise TypeError(f"PbwElement coefficients are rational, not {type(c).__name__}")
             if c:
                 cleaned[m] = c
-        self.terms = cleaned
+        self.form, self._terms = _form(cleaned), None
 
     # -- constructors -------------------------------------------------------
 
@@ -199,29 +219,21 @@ class PbwElement:
         """coeff times the product of the letters of ``word``, inserted one
         at a time from the last (``_letter_product``)."""
         _word_to_monomial(alg.parities, word, alg.dim)  # refuses a letter out of range
-        den, terms = _form(cls.from_scalar(alg, coeff).terms)
+        den, terms = cls.from_scalar(alg, coeff).form
         for i in reversed(word):
             den, terms = _combine([(c, _letter_product(alg, i, m)) for m, c in terms.items()], den)
-        return cls(alg, _fractions((den, terms)))
+        return _pbw(alg, (den, terms))
 
     # -- structure -----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
-        return max((sum(m) for m in self.terms), default=0)
+        return max(map(sum, self.form[1]), default=0)
 
     def parity(self):
-        seen = {monomial_parity(self.alg, m) for m in self.terms}
-        if not seen:
-            return EVEN
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Fraction(0))
+        seen = {monomial_parity(self.alg, m) for m in self.form[1]}
+        if len(seen) > 1:
+            return None
+        return seen.pop() if seen else EVEN
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -232,12 +244,12 @@ class PbwElement:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return PbwElement(self.alg, _fractions(_combine([(1, _form(self.terms)), (1, _form(other.terms))])))
+        return _pbw(self.alg, _combine([(1, self.form), (1, other.form)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PbwElement(self.alg, {m: -c for m, c in self.terms.items()})
+        return _pbw(self.alg, _scale(self.form, -1))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -250,7 +262,9 @@ class PbwElement:
         raise TypeError(f"cannot combine PbwElement with {type(other).__name__}")
 
     def scale(self, c):
-        return PbwElement(self.alg, {m: co * c for m, co in self.terms.items()})
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"PbwElement coefficients are rational, not {type(c).__name__}")
+        return _pbw(self.alg, _scale(self.form, c))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -258,10 +272,10 @@ class PbwElement:
         other = self._coerce(other)
         self._check(other)
         alg = self.alg
-        (d1, left), (d2, right) = _form(self.terms), _form(other.terms)
-        return PbwElement(alg, _fractions(_combine([
+        (d1, left), (d2, right) = self.form, other.form
+        return _pbw(alg, _combine([
             (c1 * c2, _monomial_product(alg, m1, m2)) for m1, c1 in left.items() for m2, c2 in right.items()
-        ], d1 * d2)))
+        ], d1 * d2))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -273,18 +287,23 @@ class PbwElement:
             other = PbwElement.from_scalar(self.alg, Fraction(other))
         if not isinstance(other, PbwElement):
             return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
+        return self.alg is other.alg and self.form == other.form
 
     def __hash__(self):
-        # a scalar equals its value, so it hashes like it
-        if not any(map(any, self.terms)):
-            return hash(self.terms.get((0,) * self.alg.dim, 0))
-        return hash((id(self.alg), frozenset(self.terms.items())))
+        return self._hash(id(self.alg))
 
     def __str__(self):
         return _render(self.terms, self.alg.names)
 
     __repr__ = __str__
+
+
+def _pbw(alg: LieSuperAlgebra, form: tuple) -> PbwElement:
+    """The PbwElement of a form (den > 0, {PBW monomial: nonzero int}), in
+    lowest terms."""
+    u = object.__new__(PbwElement)
+    u.alg, u.form, u._terms = alg, _lowest(form), None
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +316,7 @@ def tensor_mul_pbw(alg, left: dict, right: dict) -> dict:
     pairs = []
     for (a1, a2), c1 in left.items():
         for (b1, b2), c2 in right.items():
-            sign = -1 if (monomial_parity(alg, a2) * monomial_parity(alg, b1)) % 2 else 1
+            sign = -1 if monomial_parity(alg, a2) & monomial_parity(alg, b1) else 1
             d2, second = _monomial_product(alg, a2, b2)
             d1, first = _monomial_product(alg, a1, b1)
             for m1, e1 in first.items():
@@ -319,14 +338,14 @@ def antipode(u: PbwElement) -> PbwElement:
     (-1)^{k(k-1)/2} of reversing its k odd letters.
     """
     alg = u.alg
-    den, terms = _form(u.terms)
+    den, terms = u.form
     pairs = []
     for mono, coeff in terms.items():
         word = _monomial_to_word(mono)
-        k = sum(e for e, p in zip(mono, alg.parities) if p == ODD)
+        k = _odd_count(alg.parities, mono)
         sign = -1 if (k * (k - 1) // 2 + len(word)) % 2 else 1
-        pairs.append((coeff * sign, _form(PbwElement.from_word(alg, word[::-1]).terms)))
-    return PbwElement(alg, _fractions(_combine(pairs, den)))
+        pairs.append((coeff * sign, PbwElement.from_word(alg, word[::-1]).form))
+    return _pbw(alg, _combine(pairs, den))
 
 
 def symmetrize_word(alg: LieSuperAlgebra, word) -> PbwElement:
@@ -336,7 +355,7 @@ def symmetrize_word(alg: LieSuperAlgebra, word) -> PbwElement:
     letter repeats, times beta of its PBW monomial (``_symmetrized``)."""
     sign, mono = _word_to_monomial(alg.parities, word, alg.dim)
     den, terms = _symmetrized(alg, mono) if sign else (1, {})
-    return PbwElement(alg, _fractions((den, {m: sign * c for m, c in terms.items()})))
+    return _pbw(alg, (den, {m: sign * c for m, c in terms.items()}))
 
 
 def _symmetrized(alg: LieSuperAlgebra, mono) -> tuple:
@@ -370,10 +389,13 @@ def _support_sum(parities, mono, value, product, den=1) -> tuple:
 
 def symmetrize(alg: LieSuperAlgebra, s_terms: dict) -> PbwElement:
     """Symmetrization of a symmetric-algebra element {monomial: coeff}."""
-    den, terms = _form(s_terms)
-    return PbwElement(alg, _fractions(_combine(
-        [(c, _symmetrized(alg, m)) for m, c in terms.items()], den
-    )))
+    return _symmetrize(alg, _form(s_terms))
+
+
+def _symmetrize(alg: LieSuperAlgebra, form: tuple) -> PbwElement:
+    """``symmetrize`` of the form (den, {PBW monomial: int})."""
+    den, terms = form
+    return _pbw(alg, _combine([(c, _symmetrized(alg, m)) for m, c in terms.items()], den))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +410,7 @@ def twisted_adjoint(pair: SymmetricPair, a_index: int, u: PbwElement) -> PbwElem
     Both products are memoised per algebra (``_letter_product``,
     ``_monomial_product``); the terms accumulate in one ``_combine``.
     """
-    return PbwElement(pair.algebra, _fractions(_twisted_adjoint(pair, a_index, _form(u.terms))))
+    return _pbw(pair.algebra, _twisted_adjoint(pair, a_index, u.form))
 
 
 def _twisted_adjoint(pair: SymmetricPair, a_index: int, u: tuple) -> tuple:
@@ -409,15 +431,14 @@ def _twisted_adjoint(pair: SymmetricPair, a_index: int, u: tuple) -> tuple:
 def twisted_adjoint_u(pair: SymmetricPair, u: PbwElement, v: PbwElement) -> PbwElement:
     """The extension of ad' to a representation of U(g): for a monomial
     j(a_1)...j(a_n), the composition ad'(a_1) o ... o ad'(a_n)."""
-    den, terms = _form(u.terms)
-    start = _form(v.terms)
+    den, terms = u.form
     pairs = []
     for mono, coeff in terms.items():
-        acc = start
+        acc = v.form
         for letter in reversed(_monomial_to_word(mono)):
             acc = _twisted_adjoint(pair, letter, acc)
         pairs.append((coeff, acc))
-    return PbwElement(pair.algebra, _fractions(_combine(pairs, den)))
+    return _pbw(pair.algebra, _combine(pairs, den))
 
 
 def gamma(pair: SymmetricPair, u: PbwElement) -> PbwElement:
@@ -474,7 +495,7 @@ class Factorization:
     def coordinates(self, u: PbwElement) -> dict:
         """{(q monomial, h monomial): Fraction} with u = sum beta(w) hm, in
         (total degree, (q monomial, h monomial)) order."""
-        den, rest = _form(u.terms)
+        den, rest = u.form
         top = max((sum(m) for m in rest), default=0)
         if top > self.max_degree:
             raise ValueError(f"element of degree {top} exceeds the prepared bound {self.max_degree}")

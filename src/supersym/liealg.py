@@ -32,7 +32,6 @@ from .superpoly import (
     VariableTable,
     _accumulate,
     _combine,
-    _form,
     PowerChain,
     _poly,
     matrix_product,
@@ -371,7 +370,8 @@ class SuperMatrix:
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         return (
-            self.module_parities == other.module_parities
+            self.op_parity == other.op_parity
+            and self.module_parities == other.module_parities
             and all(
                 self.entries[i][j] == other.entries[i][j]
                 for i in range(self.size)
@@ -527,7 +527,7 @@ def ad_matrix(alg: LieSuperAlgebra, element: dict, table: VariableTable) -> Supe
         raise ValueError("ad of a parity-inhomogeneous element")
     if any(f.table is not table and f.table != table for f in element.values()):
         raise ValueError("polynomials live over different variable tables")
-    coeffs = [(k, coefficient_parity(f), _form(f.terms)) for k, f in element.items() if f.terms]
+    coeffs = [(k, coefficient_parity(f), f.form) for k, f in element.items() if f.form[1]]
     n = alg.dim
     pairs = [[[] for _ in range(n)] for _ in range(n)]  # entry (i, j): its (scalar, form) pairs in k order
     for j, pj in enumerate(alg.parities):

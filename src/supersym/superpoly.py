@@ -29,9 +29,13 @@ other module counts crossings of odd letters in canonical monomials;
 their own on U(g) words.
 
 This module owns the integer form (den, {key: int}) of a linear combination
-that sums, U(g), C_c, tau and ``ad_matrix`` compute in: ``_form`` makes one,
-``_combine`` sums int multiples of forms, ``_fractions`` and ``_poly`` read
-one back.  ``_render`` prints SuperPolynomials and PBW elements alike.
+that sums, U(g), C_c, tau and ``ad_matrix`` compute in, and it is the
+stored state of a SuperPolynomial and of a ``PbwElement`` (``_Formed``):
+den > 0, the gcd of den and the ints 1, no zero int, so equal values have
+equal forms.  ``_form`` makes one from Fractions, ``_combine`` sums int
+multiples of forms, ``_lowest`` divides one through by its gcd and ``_poly``
+wraps one.  Fractions are built only when ``terms`` is read (``_fractions``).
+``_render`` prints SuperPolynomials and PBW elements alike.
 
 :class:`PowerChain` is the one place powers are formed: it keeps x^0 ...
 x^k of a polynomial or a square matrix as shaped ints, each step one
@@ -48,6 +52,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add, mul, sub
+from types import MappingProxyType
 
 EVEN = 0
 ODD = 1
@@ -114,7 +119,7 @@ class VariableTable:
         return sum(e for e, p in zip(mono, self.parities) if p == EVEN)
 
     def monomial_parity(self, mono) -> int:
-        return sum(e for e, p in zip(mono, self.parities) if p == ODD) % 2
+        return _odd_count(self.parities, mono) & 1
 
     def __eq__(self, other):
         if not isinstance(other, VariableTable):
@@ -133,54 +138,71 @@ class VariableTable:
         return f"VariableTable({vs}; order={self.truncation_order})"
 
 
-class SuperPolynomial:
-    """Element of the supercommutative algebra over a shared VariableTable."""
+class _Formed:
+    """A linear combination stored as its integer form ``form = (den, {key:
+    int})``: den > 0, the gcd of den and every int 1, no zero int, so equal
+    values have equal forms.  ``terms`` is a read-only {key: Fraction} view
+    of it, built on first read and kept."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("form", "_terms")
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = MappingProxyType(_fractions(self.form))
+        return self._terms
+
+    def is_zero(self) -> bool:
+        return not self.form[1]
+
+    def coefficient(self, key) -> Fraction:
+        den, nums = self.form
+        return Fraction(nums.get(tuple(key), 0), den)
+
+    def _hash(self, space):
+        # a scalar equals its value, so it hashes like it
+        den, nums = self.form
+        if not any(map(any, nums)):
+            return hash(Fraction(sum(nums.values()), den))
+        return hash((space, den, frozenset(nums.items())))
+
+
+class SuperPolynomial(_Formed):
+    """Element of the supercommutative algebra over a shared VariableTable.
+
+    The stored state is the form (den, {monomial: int}) in lowest terms;
+    ``terms``, {monomial: Fraction}, is a read-only view built on first read.
+    Building a polynomial from such a dict converts it once.
+    """
+
+    __slots__ = ("table",)
 
     def __init__(self, table: VariableTable, terms):
         self.table = table
         order = table.truncation_order
         # zero terms go, and so do terms past the truncation or with an odd letter squared
-        self.terms = {
+        self.form, self._terms = _form({
             m: c for m, c in terms.items()
             if c != 0
             and (order is None or table.even_degree(m) <= order)
             and (max(m, default=0) < 2 or all(e < 2 for e, p in zip(m, table.parities) if p == ODD))
-        }
-
-    @classmethod
-    def _from_clean(cls, table, terms):
-        """Wrap ``terms`` whose coefficients are nonzero and whose even
-        degrees are within the truncation order, without re-checking."""
-        p = object.__new__(cls)
-        p.table = table
-        p.terms = terms
-        return p
+        }), None
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def evaluate_at_zero(self) -> Fraction:
         """The constant term."""
-        return self.terms.get((0,) * len(self.table), Fraction(0))
+        return self.coefficient((0,) * len(self.table))
 
     def parity(self):
         """EVEN, ODD, or None when the terms mix parities (0 counts as even)."""
-        if not self.terms:
-            return EVEN
-        seen = {self.table.monomial_parity(m) for m in self.terms}
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        seen = {self.table.monomial_parity(m) for m in self.form[1]}
+        if len(seen) > 1:
+            return None
+        return seen.pop() if seen else EVEN
 
     def total_degree(self):
-        return max((sum(m) for m in self.terms), default=0)
-
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return max(map(sum, self.form[1]), default=0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -189,12 +211,12 @@ class SuperPolynomial:
         if other is NotImplemented:
             return NotImplemented
         _check_tables(self.table, (other,))
-        return _poly(self.table, _combine([(1, _form(self.terms)), (1, _form(other.terms))]))
+        return _poly(self.table, _combine([(1, self.form), (1, other.form)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPolynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return _poly(self.table, _scale(self.form, -1))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -213,10 +235,7 @@ class SuperPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return self.table.zero()
-            return SuperPolynomial._from_clean(self.table, {m: co * c for m, co in self.terms.items()})
+            return _poly(self.table, _scale(self.form, other))
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         return sum_of_products(self.table, ((self, other),))
@@ -236,16 +255,10 @@ class SuperPolynomial:
             other = self.table.constant(other)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return (
-            (self.table is other.table or self.table == other.table)
-            and self.terms == other.terms
-        )
+        return (self.table is other.table or self.table == other.table) and self.form == other.form
 
     def __hash__(self):
-        # a constant equals its value, so it hashes like it
-        if not any(map(any, self.terms)):
-            return hash(self.terms.get((0,) * len(self.table), 0))
-        return hash((self.table, frozenset(self.terms.items())))
+        return self._hash(self.table)
 
     # -- calculus ----------------------------------------------------------
 
@@ -256,13 +269,14 @@ class SuperPolynomial:
         table = self.table
         parities = table.parities
         i = var if isinstance(var, int) else table.index(var)
-        terms = {}
-        for mono, coeff in self.terms.items():
+        den, terms = self.form
+        out = {}
+        for mono, v in terms.items():
             e = mono[i]
             if e:
                 rest = mono[:i] + (e - 1,) + mono[i + 1 :]
-                terms[rest] = coeff * e * _letter_sign(parities, i, _shape(parities, rest)[0])
-        return SuperPolynomial._from_clean(table, terms)
+                out[rest] = v * e * _letter_sign(parities, i, _shape(parities, rest)[0])
+        return _poly(table, (den, out))
 
     def berezin_integral(self) -> Fraction:
         """Iterated odd derivative, highest variable first, evaluated at 0.
@@ -330,6 +344,13 @@ def _shape(parities, mono):
     return odd, koszul, even
 
 
+def _odd_count(parities, mono) -> int:
+    """The number of odd letters of a monomial, so its parity is the low bit:
+    the popcount of the odd mask of ``_shape`` for a canonical monomial, read
+    in one pass as the parities are 0 and 1."""
+    return sum(map(mul, mono, parities))
+
+
 def _letter_sign(parities, i, odd) -> int:
     """The sign taking the letter x_i times a canonical monomial with odd mask
     ``odd`` to canonical order: 0 when an odd x_i repeats, else (-1) to the
@@ -379,8 +400,11 @@ def _check_tables(table, polys):
 
 
 def _scaled_terms(parities, p, den, masks) -> list:
-    """The terms of ``p`` as ``_shaped`` terms, each numerator over ``den``."""
-    return _shaped(parities, ((m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()), masks)
+    """The terms of ``p`` as ``_shaped`` terms, each numerator over ``den``,
+    a multiple of the denominator of ``p``."""
+    d, terms = p.form
+    s = den // d
+    return _shaped(parities, ((m, v * s) for m, v in terms.items()), masks)
 
 
 def _shaped(parities, items, masks) -> list:
@@ -401,7 +425,7 @@ def _shape_rows(table: VariableTable, rows, masks) -> tuple:
     entry (i, j).  Shaping a factor once serves every product it enters
     through ``_accumulate``."""
     _check_tables(table, itertools.chain.from_iterable(rows))
-    den = math.lcm(*(c.denominator for row in rows for e in row for c in e.terms.values()))
+    den = math.lcm(*(e.form[0] for row in rows for e in row))
     parities = table.parities
     return den, [[_scaled_terms(parities, e, den, masks) for e in row] for row in rows]
 
@@ -448,10 +472,10 @@ def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
     right ones over the lcm of theirs, and ``_accumulate`` sums the products
     over the product of the two lcms.
     """
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    pairs = [(a, b) for a, b in pairs if a.form[1] and b.form[1]]
     _check_tables(table, itertools.chain.from_iterable(pairs))
-    left_den = math.lcm(*(c.denominator for a, _ in pairs for c in a.terms.values()))
-    right_den = math.lcm(*(c.denominator for _, b in pairs for c in b.terms.values()))
+    left_den = math.lcm(*(a.form[0] for a, _ in pairs))
+    right_den = math.lcm(*(b.form[0] for _, b in pairs))
     parities, masks = table.parities, {}
     return _poly(table, (left_den * right_den, _accumulate(table, [
         (_scaled_terms(parities, a, left_den, masks), _scaled_terms(parities, b, right_den, masks)) for a, b in pairs
@@ -507,7 +531,7 @@ class PowerChain:
     def rows(self, k: int) -> list:
         """x^k as rows of SuperPolynomials."""
         den, rows = self.power(k)
-        return [[SuperPolynomial._from_clean(self.table, {m: Fraction(v, den) for m, *_, v in e}) for e in row] for row in rows]
+        return [[_poly(self.table, (den, {m: v for m, *_, v in e})) for e in row] for row in rows]
 
 
 def _combine(pairs, den=1) -> tuple:
@@ -519,7 +543,7 @@ def _combine(pairs, den=1) -> tuple:
     keys come in the order of the term-by-term sum.
     """
     pairs = [(s, f) for s, f in pairs if s and f[1]]
-    lcm = math.lcm(*(d for _, (d, _) in pairs))
+    lcm = math.lcm(*[d for _, (d, _) in pairs])
     acc = {}
     for s, (d, terms) in pairs:
         s *= lcm // d
@@ -529,15 +553,27 @@ def _combine(pairs, den=1) -> tuple:
                 acc[key] = t
             else:
                 del acc[key]
-    den *= lcm
-    g = math.gcd(den, *acc.values())
-    if g > 1:
-        return den // g, {key: v // g for key, v in acc.items()}
-    return den, acc
+    return _lowest((den * lcm, acc))
+
+
+def _lowest(form) -> tuple:
+    """A form (den > 0, {key: nonzero int}) divided through by the gcd of
+    den and its ints: the canonical form, (1, {}) for zero."""
+    den, terms = form
+    g = math.gcd(den, *terms.values())
+    return (den // g, {key: v // g for key, v in terms.items()}) if g > 1 else form
+
+
+def _scale(form, c) -> tuple:
+    """The canonical form c f of a canonical form f and a rational c."""
+    c = Fraction(c)
+    den, terms = form
+    return _lowest((den * c.denominator, {key: v * c.numerator for key, v in terms.items()} if c else {}))
 
 
 def _form(terms) -> tuple:
-    """{key: rational} as a form, over the lcm of the denominators."""
+    """{key: nonzero rational} as a canonical form, over the lcm of the
+    denominators."""
     den = math.lcm(*(v.denominator for v in terms.values()))
     return den, {key: v.numerator * (den // v.denominator) for key, v in terms.items()}
 
@@ -547,8 +583,11 @@ def _fractions(form) -> dict:
 
 
 def _poly(table: VariableTable, form: tuple) -> SuperPolynomial:
-    """The SuperPolynomial of a form whose monomials are within the truncation."""
-    return SuperPolynomial._from_clean(table, _fractions(form))
+    """The SuperPolynomial of a form (den > 0, {monomial: nonzero int}) whose
+    monomials are canonical and within the truncation, in lowest terms."""
+    p = object.__new__(SuperPolynomial)
+    p.table, p.form, p._terms = table, _lowest(form), None
+    return p
 
 
 def _render(terms, names) -> str:
@@ -600,10 +639,8 @@ def power_sum(coeffs, chain: PowerChain) -> list:
 
 def truncate_even_degree(p: SuperPolynomial, order: int) -> SuperPolynomial:
     """Drop the terms whose even-variable degree exceeds ``order``."""
-    table = p.table
-    return SuperPolynomial(
-        table, {m: c for m, c in p.terms.items() if table.even_degree(m) <= order}
-    )
+    table, (den, terms) = p.table, p.form
+    return _poly(table, (den, {m: v for m, v in terms.items() if table.even_degree(m) <= order}))
 
 
 def exhaustive_monomials(table, max_degree: int):

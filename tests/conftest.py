@@ -31,6 +31,20 @@ from supersym.series import TruncatedSeries1, p_c, q_c
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, _combine, _form, coproduct_terms, sum_of_products
 
 
+def assert_canonical(x):
+    """A PbwElement or SuperPolynomial stores its form in lowest terms, with
+    no zero entry, and equals and hashes like the element rebuilt from its
+    read-only ``terms`` view."""
+    den, nums = x.form
+    assert den > 0 and math.gcd(den, *nums.values()) == 1 and all(nums.values()), x.form
+    space = x.alg if isinstance(x, PbwElement) else x.table
+    rebuilt = type(x)(space, dict(x.terms))
+    assert rebuilt.form == x.form and list(rebuilt.form[1]) == list(nums)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+    with pytest.raises(TypeError):
+        x.terms[next(iter(nums), None)] = Fraction(1)
+
+
 def apply_matrix(mat, vec: dict) -> dict:
     """Matrix times column vector (right-coefficient convention), one entry
     at a time: the route ``jacobian.series_of_ad_y`` took before it read

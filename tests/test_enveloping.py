@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from supersym import enveloping as env
 from supersym import superpoly as sp
-from supersym.coderiv import quotient_coordinates, quotient_mod_h
+from supersym.coderiv import quotient_coordinates, quotient_mod_h, tau
 from supersym.enveloping import (
     PbwElement,
     antipode,
@@ -25,7 +25,15 @@ from supersym.enveloping import (
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
 from supersym.superpoly import EVEN, ODD, VariableTable, exhaustive_monomials
 
-from conftest import diagonal_pair, draw_word, draw_word_route_pair, gl_pair, oracle_invert, oracle_symmetrized
+from conftest import (
+    assert_canonical,
+    diagonal_pair,
+    draw_word,
+    draw_word_route_pair,
+    gl_pair,
+    oracle_invert,
+    oracle_symmetrized,
+)
 
 
 def sq_monomials(pair, max_degree):
@@ -123,11 +131,18 @@ class TestConstructors:
 class TestMultiply:
     def test_scalars_hash_like_their_value(self):
         alg, _ = catalog("osp12")
-        for value in (0, 3, Fraction(-5, 7)):
-            c = PbwElement.from_scalar(alg, value)
-            assert c == value and hash(c) == hash(value)
-        assert len({PbwElement.from_scalar(alg, 3), 3, Fraction(3)}) == 1
         x = PbwElement.from_basis(alg, 0)
+        for value in (0, 3, Fraction(-5, 7)):
+            # built as a scalar, as a difference, a scaling and an empty word
+            for c in (
+                PbwElement.from_scalar(alg, value),
+                x - x + value,
+                PbwElement.from_scalar(alg, 6 * value).scale(Fraction(1, 6)),
+                PbwElement.from_word(alg, (), value),
+            ):
+                assert c == value and hash(c) == hash(value)
+                assert c.form == (Fraction(value).denominator, {(0,) * 5: Fraction(value).numerator} if value else {})
+        assert len({PbwElement.from_scalar(alg, 3), 3, Fraction(3)}) == 1
         assert x != PbwElement.one(alg) and len({x, PbwElement.one(alg)}) == 2
 
     def test_unit(self):
@@ -194,6 +209,49 @@ _combine_pairs = st.lists(
     st.tuples(_scalars, st.dictionaries(st.sampled_from("abcd"), _values | st.integers(-3, 3).filter(bool))),
     max_size=6,
 )
+
+
+_SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def catalog_elements(draw, max_degree=2):
+    """A catalog pair with h the even part, and two elements of U(g) of
+    degree <= max_degree on it."""
+    alg, pair = catalog(draw(st.sampled_from(["osp12", "gl11"])))
+    monos = exhaustive_monomials(alg, max_degree)
+    terms = st.dictionaries(st.sampled_from(monos), _SMALL, max_size=4)
+    return pair, PbwElement(alg, draw(terms)), PbwElement(alg, draw(terms))
+
+
+class TestCanonicalForms:
+    """Every result stores its form in lowest terms, so ``==`` and ``hash``
+    compare forms only and agree with the element rebuilt from ``terms``."""
+
+    @given(catalog_elements(), _SMALL)
+    @settings(max_examples=60, deadline=None)
+    def test_ring_operations(self, puv, c):
+        _, u, v = puv
+        for x in (u + v, u - v, -u, v - v, u * v, u.scale(c), u * c, c * u):
+            assert_canonical(x)
+
+    @given(catalog_elements(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_maps(self, puv, data):
+        pair, u, _ = puv
+        alg = pair.algebra
+        word = data.draw(st.lists(st.integers(0, alg.dim - 1), max_size=4).map(tuple))
+        mono = tuple(word.count(i) for i in range(alg.dim))
+        c = data.draw(_SMALL)
+        for x in (
+            symmetrize(alg, {mono: c, (0,) * alg.dim: Fraction(1, 2)}),
+            symmetrize_word(alg, word),
+            PbwElement.from_word(alg, word, c),
+            twisted_adjoint(pair, data.draw(st.integers(0, alg.dim - 1)), u),
+            tau(pair, u),
+            antipode(u),
+        ):
+            assert_canonical(x)
 
 
 class TestCombine:

@@ -583,6 +583,12 @@ class TestSums:
                 a - b
         assert (two + two) - two == two
 
+    def test_equality_compares_operator_parity(self):
+        t = matrix_table()
+        odd, even = SuperMatrix.zero(t, [EVEN], ODD), SuperMatrix.zero(t, [EVEN], EVEN)
+        assert odd != even and even != odd
+        assert odd == SuperMatrix.zero(t, [EVEN], ODD) and even == SuperMatrix.zero(t, [EVEN])
+
 
 class TestApplyMatrix:
     def test_matches_bracket(self):

@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 from supersym.enveloping import PbwElement
 from supersym.liealg import SuperMatrix, catalog
 
-from conftest import diagonal_pair, oracle_matrix_product, oracle_power_sum, oracle_supertraces_of_powers
+from conftest import (
+    assert_canonical,
+    diagonal_pair,
+    oracle_matrix_product,
+    oracle_power_sum,
+    oracle_supertraces_of_powers,
+)
 from supersym.jacobian import supertraces_of_powers
 from supersym.superpoly import (
     EVEN,
@@ -274,9 +280,17 @@ class TestQueries:
 
     def test_constants_hash_like_their_value(self):
         t = mixed_table()
+        x1, s = t.variable("x1"), t.variable("t")
         for value in (0, 3, Fraction(-5, 7)):
-            c = t.constant(value)
-            assert c == value and hash(c) == hash(value)
+            # built as a constant, through an odd square, a scaling and a product kernel
+            for c in (
+                t.constant(value),
+                x1 * x1 + value,
+                (t.constant(value) * 6) * Fraction(1, 6),
+                sum_of_products(t, [(t.constant(Fraction(1, 3)), t.constant(3 * value)), (s, x1), (-x1, s)]),
+            ):
+                assert c == value and hash(c) == hash(value)
+                assert c.form == (Fraction(value).denominator, {(0, 0, 0): Fraction(value).numerator} if value else {})
         assert len({t.constant(3), 3, Fraction(3)}) == 1
         assert t.variable("t") != t.constant(1) and {t.variable("t"), t.one()} != {t.one()}
 
@@ -531,6 +545,41 @@ def nilpotent_polys(draw):
     table = draw(tables())
     x = draw(polys(table))
     return table, x - x.evaluate_at_zero()
+
+
+class TestCanonicalForms:
+    """Every result stores its form in lowest terms, so ``==`` and ``hash``
+    compare forms only and agree with the polynomial rebuilt from ``terms``."""
+
+    @given(poly_pairs(), coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations(self, ab, c):
+        a, b = ab
+        for x in (a + b, a - b, -a, b - b, a * b, a * c, c * a, a * 0, a.partial_derivative(0)):
+            assert_canonical(x)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kernels(self, data):
+        table = data.draw(tables())
+        n = data.draw(st.integers(1, 3))
+        rows = [[data.draw(polys(table, 3)) for _ in range(n)] for _ in range(n)]
+        assert_canonical(sum_of_products(table, [(rows[i][0], rows[0][i]) for i in range(n)]))
+        nilpotent = [[p - p.evaluate_at_zero() for p in row] for row in rows]
+        coeffs = data.draw(st.lists(coefficients | st.just(Fraction(0)), max_size=6))
+        for out in (
+            matrix_product(table, rows, rows, n),
+            PowerChain(table, rows).rows(data.draw(st.integers(0, 3))),
+            power_sum(coeffs, PowerChain(table, nilpotent)),
+        ):
+            for e in itertools.chain.from_iterable(out):
+                assert_canonical(e)
+
+    def test_a_product_with_a_common_factor_is_reduced(self):
+        t = mixed_table()
+        s = t.variable("t")
+        got = sum_of_products(t, [(s * Fraction(1, 6), t.constant(6)), (t.constant(Fraction(1, 10)), s * 10)])
+        assert got.form == (1, {(1, 0, 0): 2}) and got == 2 * s
 
 
 def rows_items(rows):
