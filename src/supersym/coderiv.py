@@ -22,13 +22,14 @@ form of each result, with no Fraction between beta and tau.  Their memos die
 with the pair: ``pair.nest_memo`` keeps the bracket nests S(K)(a) by degree
 (``_nest_levels``), read by C_c, Theta and ``jacobian.series_of_ad_y``;
 ``pair.tau_memo`` the chain C_1^m(1) of each PBW monomial m tau meets, as a
-form, and ``pair.p_c_memo`` the series p_c they use.
+form, ``pair.p_c_memo`` the series p_c they use and ``pair.generators_memo``
+the Lie-generating set.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the quotient mod
 U(g)h read off it, the twisted adjoint invariance checker and the
 invariant-space solver live here too; the last two run the C_c^a step of
 tau at c = 2 on S(q), as ad'(a) o beta = beta o C_2^a, for a Lie-generating
-set (``lie_generators``).
+set (``lie_generators``, ``moving_generator``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .enveloping import (
     _support_sum,
     _symmetrize,
     factorization,
-    symmetrize,
     symmetrize_word,
     twisted_adjoint,
 )
@@ -56,6 +56,7 @@ from .superpoly import (
     VariableTable,
     _check_tables,
     _combine,
+    _fractions,
     _leg_sign,
     _letter_sign,
     _poly,
@@ -165,19 +166,25 @@ def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> 
 def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> tuple:
     """C_c^u(w) as a form, for the form w that ``chains`` holds under the
     zero PBW monomial: the chain of each PBW monomial of u is ``_chain``.
-    C_c raises the degree by at most one; the series p_c is built once per
-    (c, degree) and kept in ``pair.p_c_memo``."""
+    C_c raises the degree by at most one, so p_c is read to the degree of
+    w plus that of u (``_p_c``)."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("C_c requires c != 0")
     if u.alg is not pair.algebra:
         raise ValueError("elements of enveloping algebras of different Lie superalgebras")
-    key = c, max((sum(m) for m in chains[(0,) * u.alg.dim][1]), default=0) + u.degree()
+    series = _p_c(pair, c, max((sum(m) for m in chains[(0,) * u.alg.dim][1]), default=0) + u.degree())
+    den, terms = u.form
+    return _combine([(coeff, _chain(pair, series, chains, mono)) for mono, coeff in terms.items()], den)
+
+
+def _p_c(pair: SymmetricPair, c, degree: int) -> TruncatedSeries1:
+    """p_c to ``degree``, built once per (c, degree) and kept in ``pair.p_c_memo``."""
+    key = Fraction(c), degree
     series = pair.p_c_memo.get(key)
     if series is None:
         series = pair.p_c_memo[key] = p_c(*key)
-    den, terms = u.form
-    return _combine([(coeff, _chain(pair, series, chains, mono)) for mono, coeff in terms.items()], den)
+    return series
 
 
 def _chain(pair: SymmetricPair, series: TruncatedSeries1, chains: dict, mono) -> tuple:
@@ -206,20 +213,24 @@ def tau(pair: SymmetricPair, u: PbwElement) -> SuperPolynomial:
     return _poly(sq_table(pair), _words(pair, 1, u, pair.tau_memo))
 
 
-def quotient_coordinates(pair: SymmetricPair, u: PbwElement) -> dict:
-    """The class of u in U(g)/U(g)h as PBW coordinates in beta(S(q)): tau(u),
-    each monomial padded with zeros on h, in (degree, monomial) order.
+def _quotient_form(pair: SymmetricPair, u: PbwElement) -> tuple:
+    """The form of tau(u), each monomial padded with zeros on h, in (degree, monomial) order."""
+    pad, (den, terms) = (0,) * len(pair.h_indices), tau(pair, u).form
+    return den, {m + pad: terms[m] for m in sorted(terms, key=lambda m: (sum(m), m))}
 
-    On a pair whose q has even vectors, S(q) is truncated at even degree 24,
-    so an element whose tau image passes it is refused with ValueError."""
-    pad, terms = (0,) * len(pair.h_indices), tau(pair, u).terms
-    return {m + pad: terms[m] for m in sorted(terms, key=lambda m: (sum(m), m))}
+
+def quotient_coordinates(pair: SymmetricPair, u: PbwElement) -> dict:
+    """The class of u in U(g)/U(g)h as PBW coordinates in beta(S(q)), read
+    off ``_quotient_form``.  On a pair whose q has even vectors, S(q) is
+    truncated at even degree 24, so an element whose tau image passes it is
+    refused with ValueError."""
+    return _fractions(_quotient_form(pair, u))
 
 
 def quotient_mod_h(pair: SymmetricPair, u: PbwElement) -> PbwElement:
-    """The representative beta(tau(u)) of u mod U(g)h, in coordinate order;
-    refused past even degree 24 of S(q), as ``quotient_coordinates`` is."""
-    return symmetrize(pair.algebra, quotient_coordinates(pair, u))
+    """The representative beta(tau(u)) of u mod U(g)h, symmetrized from
+    ``_quotient_form``; refused where ``quotient_coordinates`` is."""
+    return _symmetrize(pair.algebra, _quotient_form(pair, u))
 
 
 def scale_degrees(pair: SymmetricPair, w: SuperPolynomial, c) -> SuperPolynomial:
@@ -351,21 +362,6 @@ def induced_action(pair: SymmetricPair, chi: Character, a_index: int, w: SuperPo
     return sum_of_products(table, pairs)
 
 
-def check_theta_vs_induced(pair: SymmetricPair, chi: Character, max_degree: int):
-    """Left multiplication on the induced module against Theta_{1,chi}, on
-    all basis vectors and monomials of degree <= max_degree."""
-    alg = pair.algebra
-    table = sq_table(pair)
-    for a in range(alg.dim):
-        for mono in exhaustive_monomials(table, max_degree):
-            w = SuperPolynomial(table, {mono: Fraction(1)})
-            lhs = induced_action(pair, chi, a, w)
-            rhs = theta_action(pair, Fraction(1), chi, a, w)
-            if lhs != rhs:
-                return False, (alg.names[a], mono, str(lhs - rhs))
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # twisted-adjoint invariants
 # ---------------------------------------------------------------------------
@@ -380,7 +376,8 @@ def beta_of_sq(pair: SymmetricPair, w: SuperPolynomial) -> PbwElement:
 
 def lie_generators(pair: SymmetricPair) -> list:
     """A Lie-generating set of g, as basis indices: q, then the h vectors at
-    the non-pivot columns of the RREF of the [q_i, q_j] (all in h).
+    the non-pivot columns of the RREF of the [q_i, q_j] (all in h), found
+    once per pair and kept in ``pair.generators_memo``.
 
     Those h vectors span a complement of [q, q] in h, and q + [q, q] is an
     ideal of g, so the subalgebra they generate with q is all of g.  The
@@ -389,32 +386,38 @@ def lie_generators(pair: SymmetricPair) -> list:
     ``SymmetricPair._check_eigenspaces`` makes sigma an automorphism), so an
     element is ad'-invariant as soon as every generator kills it.
     """
-    alg = pair.algebra
-    q = pair.q_indices
-    rows = [alg.bracket_basis(i, j) for k, i in enumerate(q) for j in q[k:]]
-    _, pivots = linalg.rref(rows)
-    return q + [a for a in pair.h_indices if a not in pivots]
+    if pair.generators_memo is None:
+        q = pair.q_indices
+        _, pivots = linalg.rref([pair.algebra.bracket_basis(i, j) for k, i in enumerate(q) for j in q[k:]])
+        pair.generators_memo = tuple(q + [a for a in pair.h_indices if a not in pivots])
+    return list(pair.generators_memo)
+
+
+def moving_generator(pair: SymmetricPair, w: SuperPolynomial):
+    """The first a of ``lie_generators`` with C_2^a w != 0, or None: beta(w)
+    is ad'-invariant exactly when None comes back, as
+    ad'(a) beta(w) = beta(C_2^a w) and beta is injective."""
+    _check_tables(sq_table(pair), (w,))
+    series = _p_c(pair, 2, w.total_degree() + 1)
+    return next((a for a in lie_generators(pair) if _coderivation(pair, series, a, w.form)[1]), None)
 
 
 def verify_twisted_invariance(pair: SymmetricPair, element: PbwElement):
-    """Check that an element of beta(S(q)) is killed by the twisted adjoint
-    operators ad'(a) of a Lie-generating set (``lie_generators``), which is
-    enough since ad' is a representation.  Returns (True, None) or
-    (False, witness), the witness naming a generator.  Both tests run on
-    w = tau(element): the element is in beta(S(q)) when beta(w) is it, and
-    ad'(a) beta(w) = beta(C_2^a w) vanishes when C_2^a w does, beta being
-    injective.  The witnesses are built in U(g), only on failure."""
+    """Check that an element of U(g) lies in beta(S(q)) and is killed by
+    ad'(a) for every a of a Lie-generating set.  Returns (True, None) or
+    (False, witness), the witness naming a generator, built in U(g) only on
+    failure.  Both tests run on w = tau(element): the element is in
+    beta(S(q)) when beta(w) is it, and ``moving_generator`` decides on w.
+    ``gorelik`` decides on J_2 d, in S(q) by construction, with no round
+    trip; ``selftest`` and the tests keep this one as its second route."""
     alg = pair.algebra
     w = tau(pair, element)
     if beta_of_sq(pair, w) != element:
         coords = factorization(pair, max(element.degree() + 1, 1)).coordinates(element)
         hm, c = next((hm, c) for (_, hm), c in coords.items() if any(hm))
         return False, ("not in beta(S(q))", hm, c)
-    series = p_c(2, w.total_degree() + 1)
-    for a in lie_generators(pair):
-        if _coderivation(pair, series, a, w.form)[1]:
-            return False, (alg.names[a], str(twisted_adjoint(pair, a, element)))
-    return True, None
+    a = moving_generator(pair, w)
+    return (True, None) if a is None else (False, (alg.names[a], str(twisted_adjoint(pair, a, element))))
 
 
 def invariant_space(pair: SymmetricPair):
@@ -433,7 +436,7 @@ def invariant_space(pair: SymmetricPair):
     table = sq_table(pair)
     qdim = len(pair.q_indices)
     monos = sorted(exhaustive_monomials(table, qdim), key=lambda m: (sum(m), m))
-    series = p_c(2, qdim + 1)
+    series = _p_c(pair, 2, qdim + 1)
     rows = {}  # (generator, S(q) monomial) -> {column: coefficient}
     for a in lie_generators(pair):
         for col, m in enumerate(monos):

@@ -15,7 +15,7 @@ nests of C_c.
 The Jacobian J_c is exp(str over q of w_c(ad y)) with
 w_c = log(sinh(t/c)/(t/c)); for purely odd q it is a polynomial, no
 truncation needed.  beta(J_2 d), with d the top monomial of the exterior
-algebra S(q), is the Gorelik candidate.
+algebra S(q), is the Gorelik candidate, and J_2 d its S(q) preimage.
 """
 
 from __future__ import annotations
@@ -382,19 +382,23 @@ def top_monomial(pair: SymmetricPair) -> SuperPolynomial:
     return SuperPolynomial(table, {(1,) * len(table): Fraction(1)})
 
 
+def gorelik_preimage(gp: GenericPoint) -> SuperPolynomial:
+    """J_2 d in S(q), for purely odd q: the preimage under beta of the
+    Gorelik candidate, on which ``gorelik`` decides and compares."""
+    if not gp.purely_odd:
+        raise ValueError("the Gorelik construction requires purely odd q")
+    return interior_product(gp, jacobian_Jc(gp, Fraction(2)).J, top_monomial(gp.pair))
+
+
 def gorelik_candidate(gp: GenericPoint) -> PbwElement:
     """beta(J_2 d) for purely odd q; warns when the pair fails the
     unimodularity condition (the result is then not invariant)."""
-    pair = gp.pair
-    if not gp.purely_odd:
-        raise ValueError("the Gorelik construction requires purely odd q")
-    ok, witnesses = pair.check_unimodularity()
+    w = gorelik_preimage(gp)
+    ok, witnesses = gp.pair.check_unimodularity()
     if not ok:
         warnings.warn(
             f"pair is not unimodular (str_q(ad a) != 0 at {witnesses}); "
             "the construction does not yield an invariant",
             stacklevel=2,
         )
-    j2 = jacobian_Jc(gp, Fraction(2)).J
-    w = interior_product(gp, j2, top_monomial(pair))
-    return beta_of_sq(pair, w)
+    return beta_of_sq(gp.pair, w)

@@ -206,10 +206,11 @@ class SymmetricPair:
     ``sq_table`` realizes S(q) as polynomials in the q vectors themselves;
     when q has even vectors it is truncated at even degree 24, and the
     coderivations refuse to act where that would drop terms.  ``coderiv``
-    fills three memos that die with the pair: ``tau_memo`` ({PBW monomial
+    fills four memos that die with the pair: ``tau_memo`` ({PBW monomial
     m: C_1^m(1)} as forms, seeded with 1), ``nest_memo`` ({a: the degree
     levels of the nests S(K)(a)} of ``coderiv._nest_levels``, read by C_c,
-    Theta and the fields f(ad y)(a)) and ``p_c_memo`` ({(c, degree): p_c}).
+    Theta and the fields f(ad y)(a)), ``p_c_memo`` ({(c, degree): p_c}) and
+    ``generators_memo`` (the indices of ``coderiv.lie_generators``).
     """
 
     def __init__(self, algebra: LieSuperAlgebra, h_indices):
@@ -227,6 +228,7 @@ class SymmetricPair:
         self.tau_memo = {(0,) * algebra.dim: (1, {(0,) * len(q): 1})}
         self.nest_memo = {}
         self.p_c_memo = {}
+        self.generators_memo = None
 
     def _check_eigenspaces(self):
         alg = self.algebra
@@ -535,7 +537,8 @@ def ad_matrix(alg: LieSuperAlgebra, element: dict, table: VariableTable) -> Supe
             sign = -1 if pf & pj else 1
             for i, c in alg.int_brackets[k][j].items():
                 pairs[i][j].append((sign * c, f))
-    rows = [[_poly(table, _combine(p, alg.bracket_den)) if p else table.zero() for p in row] for row in pairs]
+    zero = table.zero()
+    rows = [[_poly(table, _combine(p, alg.bracket_den)) if p else zero for p in row] for row in pairs]
     return SuperMatrix(table, alg.parities, rows, op_parity)
 
 

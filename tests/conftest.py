@@ -28,7 +28,16 @@ from supersym.liealg import (
     supertraces_of_powers,
 )
 from supersym.series import TruncatedSeries1, p_c, q_c
-from supersym.superpoly import EVEN, ODD, SuperPolynomial, _combine, _form, coproduct_terms, sum_of_products
+from supersym.superpoly import (
+    EVEN,
+    ODD,
+    SuperPolynomial,
+    _combine,
+    _form,
+    coproduct_terms,
+    exhaustive_monomials,
+    sum_of_products,
+)
 
 
 def assert_canonical(x):
@@ -485,6 +494,22 @@ def oracle_theta_action(pair, c, chi, a_index, w):
             sign = -1 if pa and table.monomial_parity(leg1) else 1
             pairs.append((SuperPolynomial(table, {leg1: coeff * scalar * sign}), table.one()))
     return sum_of_products(table, pairs)
+
+
+def check_theta_vs_induced(pair, chi, max_degree):
+    """Left multiplication on the induced module (``coderiv.induced_action``)
+    against Theta_{1,chi}, on all basis vectors and monomials of degree
+    <= max_degree.  Returns (True, None) or (False, witness)."""
+    alg = pair.algebra
+    table = cd.sq_table(pair)
+    for a in range(alg.dim):
+        for mono in exhaustive_monomials(table, max_degree):
+            w = SuperPolynomial(table, {mono: Fraction(1)})
+            lhs = cd.induced_action(pair, chi, a, w)
+            rhs = cd.theta_action(pair, Fraction(1), chi, a, w)
+            if lhs != rhs:
+                return False, (alg.names[a], mono, str(lhs - rhs))
+    return True, None
 
 
 def oracle_quotient_coordinates(pair, u):

@@ -23,7 +23,7 @@ from supersym.enveloping import PbwElement, symmetrize
 from supersym.liealg import SuperMatrix, catalog
 from supersym.superpoly import EVEN, ODD, SuperPolynomial, VariableTable, exhaustive_monomials
 
-from conftest import constant_ad
+from conftest import check_theta_vs_induced, constant_ad
 
 CATALOG = ["abelian(1,2)", "osp12", "gl11", "heisenberg_super", "solvable2"]
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -223,7 +223,7 @@ def test_criterion_6_coderivation_representation():
             ok, witness = cd.check_representation(pair, c, 3)
             assert ok, (name, c, witness)
         for chi in (cd.Character.trivial(pair), cd.Character.supertrace_on_quotient(pair)):
-            ok, witness = cd.check_theta_vs_induced(pair, chi, 2)
+            ok, witness = check_theta_vs_induced(pair, chi, 2)
             assert ok, (name, witness)
     _report(6, "coderivation commutation and induced-module match", time.perf_counter() - start)
 

@@ -1,9 +1,11 @@
+import collections
 import pathlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from supersym import cli
+from supersym import cli, coderiv, jacobian, liealg, linalg
 from supersym.superpoly import ODD
 
 from conftest import gl_pair, osp14_pair
@@ -317,6 +319,58 @@ class TestCommands:
 
 NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=4)
 COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+class TestGorelikDecidesInSq:
+    """``gorelik`` decides and compares on w = J_2 d: no tau round trip, one
+    unimodularity check, one elimination for the generating set."""
+
+    @staticmethod
+    def records(path):
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        return {check: (status, witness) for check, _, status, witness in rows}
+
+    @pytest.mark.parametrize("name", ["osp12", "gl12", "osp14"])
+    def test_calls_in_one_run(self, name, monkeypatch):
+        calls = collections.Counter()
+
+        def count(owner, attr):
+            real = getattr(owner, attr)
+            monkeypatch.setattr(owner, attr, lambda *a, **k: calls.update([attr]) or real(*a, **k))
+
+        count(coderiv, "tau")
+        count(liealg.SymmetricPair, "check_unimodularity")
+        count(linalg, "rref")
+        count(linalg, "nullspace")
+        built, pairs = [], []
+        real_p_c, real_build = coderiv.p_c, cli.build
+        monkeypatch.setattr(coderiv, "p_c", lambda c, order: built.append((c, order)) or real_p_c(c, order))
+        monkeypatch.setattr(cli, "build", lambda file: (lambda out: pairs.append(out[1]) or out)(real_build(file)))
+        assert run(["gorelik", ALGEBRAS / f"{name}.alg", "--against-solver"]) == 0
+        assert (calls["tau"], calls["check_unimodularity"], calls["nullspace"]) == (0, 1, 1)
+        assert calls["rref"] == 1 + calls["nullspace"]  # the generating set, then the solver
+        # the check and the solver share p_2 to degree |q| + 1, built once
+        assert built == list(pairs[0].p_c_memo) == [(Fraction(2), len(pairs[0].q_indices) + 1)]
+
+    def test_zero_candidate_fails_both_checks(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(jacobian, "gorelik_preimage", lambda gp: coderiv.sq_table(gp.pair).zero())
+        out = tmp_path / "r.tsv"
+        assert run(["gorelik", ALGEBRAS / "osp12.alg", "--against-solver", "--emit", out]) == 1
+        records = self.records(out)
+        assert records["gorelik.element"] == ("VALUE", "0")
+        assert records["gorelik.invariance"] == ("FAIL", "candidate is zero")
+        assert records["gorelik.solver-dimension"] == ("PASS", "dim = 1")
+        assert records["gorelik.solver-proportional"] == ("FAIL", "candidate is zero")
+
+    def test_witness_names_the_moving_generator(self, monkeypatch, tmp_path):
+        # J_2 d + 1: 1 moves under the first vector of q, e
+        real = jacobian.gorelik_preimage
+        monkeypatch.setattr(jacobian, "gorelik_preimage", lambda gp: real(gp) + coderiv.sq_table(gp.pair).one())
+        out = tmp_path / "r.tsv"
+        assert run(["gorelik", ALGEBRAS / "osp12.alg", "--against-solver", "--emit", out]) == 1
+        records = self.records(out)
+        assert records["gorelik.invariance"][0] == "FAIL" and records["gorelik.invariance"][1].startswith("('e', ")
+        assert records["gorelik.solver-proportional"] == ("FAIL", "not proportional")
 
 
 @st.composite

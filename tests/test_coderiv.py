@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import pathlib
 import random
 import weakref
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supersym import cli
 from supersym import coderiv as cd
 from supersym import enveloping as env
 from supersym import jacobian as jac
@@ -22,6 +24,7 @@ from conftest import (
     MIXED_PAIRS,
     ORACLE_PAIRS,
     apply_radx,
+    check_theta_vs_induced,
     diagonal_pair,
     draw_word,
     draw_word_route_pair,
@@ -486,7 +489,7 @@ class TestTheta:
         for name in ("abelian(1,2)", "osp12", "gl11"):
             alg, pair = catalog(name)
             for chi in (cd.Character.trivial(pair), cd.Character.supertrace_on_quotient(pair)):
-                ok, witness = cd.check_theta_vs_induced(pair, chi, 2)
+                ok, witness = check_theta_vs_induced(pair, chi, 2)
                 assert ok, (name, witness)
 
     def test_induced_action_builds_one_factorization(self, monkeypatch):
@@ -508,7 +511,7 @@ class TestTheta:
         alg = LieSuperAlgebra(["y", "x"], [0, 0], {(0, 1): {0: Fraction(-1)}})
         pair = SymmetricPair(alg, [1])
         chi = cd.Character.supertrace_on_quotient(pair)
-        ok, witness = cd.check_theta_vs_induced(pair, chi, 3)
+        ok, witness = check_theta_vs_induced(pair, chi, 3)
         assert ok, witness
 
     def test_perturbed_odd_series_fails(self):
@@ -520,7 +523,7 @@ class TestTheta:
         )
         pair = SymmetricPair(alg, [2])
         chi = cd.Character(pair, {2: Fraction(1)})
-        ok, witness = cd.check_theta_vs_induced(pair, chi, 2)
+        ok, witness = check_theta_vs_induced(pair, chi, 2)
         assert ok, witness
         table = cd.sq_table(pair)
         good = series.q_c(1, 6)
@@ -788,10 +791,117 @@ class TestLieGenerators:
         gens = cd.lie_generators(pair)
         assert len(gens) == count and gens[: len(pair.q_indices)] == pair.q_indices
 
+    def test_found_once_per_pair(self, monkeypatch):
+        pair, other = gl_pair(1, 2), gl_pair(1, 2)  # built by elimination too
+        calls = []
+        real = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or real(rows))
+        first = cd.lie_generators(pair)
+        first.append(-1)  # the caller's own list: the pair's set is not touched
+        assert cd.lie_generators(pair) == first[:-1] and len(calls) == 1
+        assert cd.lie_generators(other) == first[:-1] and len(calls) == 2
+
     @pytest.mark.parametrize("name", sorted(GENERATOR_PAIRS))
     def test_generates_the_algebra(self, name):
         pair = GENERATOR_PAIRS[name]()
         assert lie_closure_dimension(pair.algebra, cd.lie_generators(pair)) == pair.algebra.dim
+
+
+# ---------------------------------------------------------------------------
+# the Gorelik decision in S(q): ``moving_generator`` on J_2 d against the
+# U(g) round trip of ``verify_twisted_invariance`` and the all-basis oracle
+# ---------------------------------------------------------------------------
+
+ALGEBRAS = pathlib.Path(__file__).resolve().parent.parent / "algebras"
+
+
+def odd_q_file_pairs():
+    """{file stem: pair} for the shipped ``algebras/*.alg`` files whose q is
+    purely odd; a file that does not build (``nonjacobi.alg``) is left out."""
+    out = {}
+    for path in sorted(ALGEBRAS.glob("*.alg")):
+        try:
+            _, pair, _ = cli.build(cli.parse(path.read_text()))
+        except ValueError:
+            continue
+        if pair.q_purely_odd():
+            out[path.stem] = pair
+    return out
+
+
+# every pair with purely odd q that the tests build
+SQ_DECISION_PAIRS = {
+    **{name: (lambda name=name: catalog(name)[1]) for name in (
+        "abelian(0,1)", "abelian(0,2)", "abelian(0,3)", "abelian(1,2)", "osp12", "gl11", "heisenberg_super",
+        "solvable2",
+    )},
+    "osp12-rescaled": ORACLE_PAIRS["osp12-rescaled"],
+    "gl12": lambda: gl_pair(1, 2),
+    "gl22": lambda: gl_pair(2, 2),
+    "osp14": lambda: osp14_pair()[1],
+    "non-unimodular": non_unimodular_pair,
+    **{f"file-{stem}": (lambda stem=stem: odd_q_file_pairs()[stem]) for stem in odd_q_file_pairs()},
+}
+
+
+def public_moving_generator(pair, w):
+    """The first a of ``lie_generators`` with C_2^a w != 0, by the public
+    ``coderivation_C`` on SuperPolynomials."""
+    return next((a for a in cd.lie_generators(pair) if not cd.coderivation_C(pair, 2, a, w).is_zero()), None)
+
+
+class TestGorelikDecisionInSq:
+    """``gorelik`` decides on w = J_2 d with ``moving_generator``; on w and
+    on w with one coefficient raised by one (the constant term among them),
+    that step agrees with the round trip through beta and tau, in the flag
+    and the witness, and with the all-basis oracle in U(g)."""
+
+    def test_every_odd_q_file_is_covered(self):
+        assert sorted(odd_q_file_pairs()) == [
+            "abelian02", "gl11", "gl12", "heisenberg", "nonunimodular", "osp12", "osp14", "solvable2",
+        ]
+
+    @pytest.mark.parametrize("name", sorted(SQ_DECISION_PAIRS))
+    def test_preimage_decides_as_the_round_trip_and_the_oracle(self, name):
+        pair = SQ_DECISION_PAIRS[name]()
+        alg, table = pair.algebra, cd.sq_table(pair)
+        generators = cd.lie_generators(pair)
+        w = jac.gorelik_preimage(jac.GenericPoint(pair))
+        assert w.coefficient((1,) * len(table)) == 1  # J_2 d holds the term d
+        one = (0,) * len(table)
+        perturbed = [w + SuperPolynomial(table, {m: Fraction(1)}) for m in [one] + sorted(set(w.terms) - {one})]
+        verdicts = []
+        for v in [w] + perturbed:
+            element = cd.beta_of_sq(pair, v)
+            a = cd.moving_generator(pair, v)
+            assert a == public_moving_generator(pair, v), v
+            want = (True, None) if a is None else (False, (alg.names[a], str(env.twisted_adjoint(pair, a, element))))
+            assert cd.verify_twisted_invariance(pair, element) == want, v
+            if v is w or name != "gl22":  # the oracle takes about 1 s on gl(2|2)'s invariant
+                ok, witness = oracle_verify_twisted_invariance(pair, element)
+                assert ok == (a is None), v
+                if not ok:
+                    b = alg.names.index(witness[0])
+                    assert b <= a and (b not in generators or witness == want[1]), v
+            verdicts.append(a is None)
+        assert verdicts[0] == pair.check_unimodularity()[0]
+        # 1 moves under every a in q: C_2^a 1 = 2a
+        assert verdicts[1] == (not pair.q_indices)
+
+    def test_gorelik_candidate_is_beta_of_the_preimage(self):
+        for name in ("osp12", "gl11", "heisenberg_super"):
+            gp = jac.GenericPoint(catalog(name)[1])
+            assert jac.gorelik_candidate(gp) == cd.beta_of_sq(gp.pair, jac.gorelik_preimage(gp))
+
+    def test_non_unimodular_candidate_still_warns(self):
+        gp = jac.GenericPoint(non_unimodular_pair())
+        with pytest.warns(UserWarning, match="not unimodular"):
+            element = jac.gorelik_candidate(gp)
+        assert element == cd.beta_of_sq(gp.pair, jac.gorelik_preimage(gp))
+
+    def test_mixed_q_is_refused(self):
+        with pytest.raises(ValueError, match="purely odd"):
+            jac.gorelik_preimage(jac.GenericPoint(diagonal_pair("gl11")))
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +994,7 @@ class TestMixedParityPairs:
     @pytest.mark.parametrize("character", ["trivial", "supertrace_on_quotient"])
     def test_theta_matches_induced_module(self, mixed_pair, character):
         chi = getattr(cd.Character, character)(mixed_pair)
-        ok, witness = cd.check_theta_vs_induced(mixed_pair, chi, 2)
+        ok, witness = check_theta_vs_induced(mixed_pair, chi, 2)
         assert ok, witness
 
     # on the Borel pair tau(beta(w)) == w held before the sign fixes too
@@ -1255,6 +1365,22 @@ class TestQuotientAgainstThePeeling:
             peeled = env.Factorization(pair, max(u.degree(), 1)).coordinates(u)
             dropped |= any(hm != unit for _, hm in peeled)
         assert dropped
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_mod_h_from_the_form_of_tau(self, warm_pairs, data):
+        # beta takes the form of tau(u) with no Fraction dict in between;
+        # on an even letter of q, its 24th power is kept and its 25th refused
+        pair = draw_word_route_pair(data, warm_pairs)
+        u = draw_pbw_element(data, pair, max_degree=4)
+        assert_same_terms(cd.quotient_mod_h(pair, u), oracle_quotient_mod_h(pair, u), u)
+        even = [i for i in pair.q_indices if pair.algebra.parities[i] != ODD]
+        if even:
+            letter = data.draw(st.sampled_from(even), label="even letter")
+            power = PbwElement.from_word(pair.algebra, (letter,) * 24)
+            assert_same_terms(cd.quotient_mod_h(pair, power), oracle_quotient_mod_h(pair, power), letter)
+            with pytest.raises(ValueError, match="truncated at even degree 24"):
+                cd.quotient_mod_h(pair, PbwElement.from_word(pair.algebra, (letter,) * 25))
 
     def test_refused_past_the_truncation_of_s_q(self):
         # q of the diagonal gl(1|1) pair has even vectors, so S(q) stops at
