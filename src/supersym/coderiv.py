@@ -122,9 +122,10 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
     of the nest levels (``_nest_levels``) with p_|K| != 0, taken in the order
     of m - K.  Each letter x_i of the int form S(K)(a) is multiplied into
     m - K with the sign of ``_letter_sign``, scaled by C(m, K), the leg sign
-    (``superpoly._leg_sign``), the int ratio p_n and (-1)^{p(a) p(K)}; one
-    ``_combine`` sums the legs.  An h letter runs the same step with the
-    series -t, numerators (0, -1) over 1: the derivation extending ad a."""
+    (``superpoly._leg_sign``), the int p_n of the form of p_c and
+    (-1)^{p(a) p(K)}; one ``_combine`` sums the legs.  An h letter runs the
+    same step with the series -t, the form (1, {(1,): -1}): the derivation
+    extending ad a."""
     table = sq_table(pair)
     order = table.truncation_order
     pa = pair.algebra.parities[a_index]
@@ -133,17 +134,18 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
     if order is not None and (not pair.in_h(a_index) or pa == ODD):
         if any(table.even_degree(m) >= order for m in terms):
             raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
-    nums, nums_den = ((0, -1), 1) if pair.in_h(a_index) else (series.nums, series.den)
+    nums_den, nums = (1, {(1,): -1}) if pair.in_h(a_index) else series.form
     parities = table.parities
     mixed = order is not None  # even letters: the odd masks alone do not decide K <= m
-    walk = [n for n in range(min(len(nums) - 1, max(map(sum, terms), default=0)) + 1) if nums[n]]
-    levels = _nest_levels(pair, a_index, max(walk, default=0))
+    top = max(map(sum, terms), default=0)
+    walk = [(n, v) for (n,), v in nums.items() if n <= top]
+    levels = _nest_levels(pair, a_index, max((n for n, _ in walk), default=0))
     pairs = []
     for m, coeff in terms.items():
         odd_m, koszul, _ = _shape(parities, m)
         legs = sorted([  # by leg2 alone: no two legs of m share it
-            (tuple(map(sub, m, leg1)), odd_m ^ odd1, nums[n] * (-1) ** (pa & odd1.bit_count()), nest)
-            for n in walk if n <= sum(m)
+            (tuple(map(sub, m, leg1)), odd_m ^ odd1, pn * (-1) ** (pa & odd1.bit_count()), nest)
+            for n, pn in walk if n <= sum(m)
             for leg1, (odd1, nest) in levels[n].items() if not odd1 & ~odd_m and not (mixed and any(map(gt, leg1, m)))
         ])
         for leg2, odd2, pn, (nden, nest) in legs:

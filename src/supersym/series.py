@@ -20,14 +20,12 @@ as the ``swap`` of its u-side twin: one product per pair.
 ``log_of_one_plus`` runs the recurrence of (1 + f) L' = f' on ints, in
 O(n^2) products.
 
-A series is stored as integer numerators over one positive denominator,
-divided through by their common factor so that the stored form is unique:
-a one-variable series as the dense list ``nums`` (``c_k = nums[k] / den``),
-a two-variable one as the dict ``nums`` of its nonzero numerators keyed by
-``(i, j)``.  Sums, scalar multiples, products, substitution and divided
-differences run on plain ints; a ``Fraction`` is built only when a
-coefficient is read (``coeff``, ``coefficients``, printing).  Equality and
-hashing compare the stored ints.
+A series is stored as the integer form of ``superpoly`` in lowest terms,
+``form = (den, {exponents: int})`` with the zero terms left out, keyed by
+``(k,)`` in one variable and ``(i, j)`` in two; both classes share one base
+for sums, scalar multiples, products, equality and hashing.  Substitution
+and divided differences run on the ints too; a ``Fraction`` is built only
+when a coefficient is read (``coeff``, ``coefficients``, printing).
 """
 
 from __future__ import annotations
@@ -36,6 +34,8 @@ import math
 import threading
 from fractions import Fraction
 from operator import mul
+
+from .superpoly import _form, _Formed, _lowest, _scale
 
 _bernoulli_cache = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
@@ -66,50 +66,128 @@ def bernoulli(n: int) -> Fraction:
         return _bernoulli_cache[n]
 
 
-def _numerators(coefficients):
-    """The coefficients as ints over their common denominator: (ints, lcm)."""
-    den = math.lcm(*(c.denominator for c in coefficients))
-    return [c.numerator * (den // c.denominator) for c in coefficients], den
+class _Series(_Formed):
+    """A truncated series stored as its integer form ``form = (den, {exponent
+    tuple: int})`` in lowest terms (``superpoly._Formed``), plus ``order``:
+    the keys are the exponents of the nonzero terms, of total degree at most
+    the order.  Sums, scalar multiples and products of two series of one
+    class run here; a scalar is the constant series at the other side's
+    order."""
 
+    __slots__ = ("order",)
 
-class TruncatedSeries1:
-    """Series sum c_k t^k, 0 <= k <= order, with c_k = nums[k] / den."""
-
-    __slots__ = ("nums", "den", "order", "_fractions")
-
-    def __init__(self, coefficients, order=None):
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
-        if order is None:
-            order = len(coeffs) - 1
+    def __init__(self, terms, order):
+        """The series of the {key: rational} ``terms``, those past the order left out."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        coeffs = coeffs[: order + 1]
-        coeffs += [_ZERO] * (order + 1 - len(coeffs))
-        self.nums, self.den = _numerators(coeffs)
-        self.order = order
-        self._fractions = coeffs
+        self.form = _form({
+            k: f for k, c in terms.items() if sum(k) <= order and (f := c if type(c) is Fraction else Fraction(c))
+        })
+        self.order, self._terms = order, None
 
     @classmethod
-    def _reduced(cls, nums, den, order):
-        """The series nums[k] / den, 0 <= k <= order, for a list of order + 1
-        ints and den > 0, divided through by their common factor."""
+    def _of(cls, form, order):
+        """The series of a form whose keys are within ``order``, reduced."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        common = math.gcd(den, *nums)
-        if common > 1:
-            nums = [v // common for v in nums]
-            den //= common
         s = object.__new__(cls)
-        s.nums, s.den, s.order, s._fractions = nums, den, order, None
+        s.form, s.order, s._terms = _lowest(form), order, None
         return s
 
     @classmethod
     def zero(cls, order):
-        return cls([], order)
+        return cls._of((1, {}), order)
 
     @classmethod
     def constant(cls, c, order):
-        return cls([Fraction(c)], order)
+        c = Fraction(c)
+        return cls._of((c.denominator, {cls._ONE: c.numerator} if c else {}), order)
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.constant(other, self.order)
+        return NotImplemented
+
+    def _plus(self, other, sign):
+        """self + sign * other, to the smaller order."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        (da, a), (db, b) = self.form, other.form
+        den = math.lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        acc = {k: v * sa for k, v in a.items()}
+        for k, v in b.items():
+            t = acc.get(k, 0) + v * sb
+            if t:
+                acc[k] = t
+            else:
+                del acc[k]
+        n = min(self.order, other.order)
+        if self.order != other.order:
+            acc = {k: v for k, v in acc.items() if sum(k) <= n}
+        return self._of((den, acc), n)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._plus(other, 1)
+
+    def __neg__(self):
+        return self._of(_scale(self.form, -1), self.order)
+
+    def _times(self, other, pack, unpack):
+        """self * other for a scalar or a series of the same class.  With w
+        one more than the smaller order, ``pack(nums, w)`` lists the terms of
+        a form as (int key, degree, int), the int keys such that adding two
+        of them multiplies their monomials, and ``unpack(int key, w)`` gives
+        a key back."""
+        if isinstance(other, (int, Fraction)):
+            return self._of(_scale(self.form, other), self.order)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = min(self.order, other.order)
+        w = n + 1
+        (da, a), (db, b) = self.form, other.form
+        acc = {}
+        right = pack(b, w)
+        for k1, d1, c1 in pack(a, w):
+            room = n - d1
+            for k2, d2, c2 in right:
+                if d2 <= room:
+                    k = k1 + k2
+                    acc[k] = acc.get(k, 0) + c1 * c2
+        return self._of((da * db, {unpack(k, w): v for k, v in acc.items() if v}), n)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.order == other.order and self.form == other.form
+
+    def __hash__(self):
+        return self._hash(self.order)
+
+
+class TruncatedSeries1(_Series):
+    """Series sum c_k t^k, 0 <= k <= order, keyed by (k,)."""
+
+    __slots__ = ()
+    _ONE = (0,)  # the key of the constant term
+
+    def __init__(self, coefficients, order=None):
+        coefficients = list(coefficients)
+        super().__init__(
+            {(k,): c for k, c in enumerate(coefficients)}, len(coefficients) - 1 if order is None else order
+        )
 
     @classmethod
     def t(cls, order):
@@ -117,146 +195,74 @@ class TruncatedSeries1:
 
     @classmethod
     def monomial(cls, c, k, order):
-        coeffs = [Fraction(0)] * (order + 1)
-        if k <= order:
-            coeffs[k] = Fraction(c)
-        return cls(coeffs, order)
+        if k < 0:
+            raise ValueError("a monomial t^k needs k >= 0")
+        return cls([0] * k + [c], order)
 
     @property
     def coefficients(self) -> list:
-        """The coefficients as a new list of Fractions, constant term first;
-        the Fractions are built once per series."""
-        if self._fractions is None:
-            den = self.den
-            self._fractions = [Fraction(v, den) if v else _ZERO for v in self.nums]
-        return list(self._fractions)
+        """The coefficients as a new list of Fractions, constant term first."""
+        terms = self.terms
+        return [terms.get((k,), _ZERO) for k in range(self.order + 1)]
 
     def coeff(self, k) -> Fraction:
-        return (self._fractions or self.coefficients)[k] if 0 <= k <= self.order else _ZERO
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
+        return self.terms.get((k,), _ZERO)
 
     def truncate(self, order) -> "TruncatedSeries1":
         """The terms up to t^order; ``order`` may not exceed the series' own."""
         if order > self.order:
             raise ValueError(f"cannot truncate a series of order {self.order} at the higher order {order}")
-        return TruncatedSeries1._reduced(self.nums[: order + 1], self.den, order)
-
-    def __add__(self, other):
-        other = _coerce1(other, self.order)
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return TruncatedSeries1._reduced(
-            [x * sa + y * sb for x, y in zip(self.nums, other.nums)], den, min(self.order, other.order)
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries1._reduced([-v for v in self.nums], self.den, self.order)
-
-    def __sub__(self, other):
-        return self + (-_coerce1(other, self.order))
-
-    def __rsub__(self, other):
-        return _coerce1(other, self.order) - self
+        den, nums = self.form
+        return TruncatedSeries1._of((den, {k: v for k, v in nums.items() if k[0] <= order}), order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            return TruncatedSeries1._reduced(
-                [v * num for v in self.nums], self.den * other.denominator, self.order
-            )
-        if not isinstance(other, TruncatedSeries1):
-            return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self.nums, other.nums
-        return TruncatedSeries1._reduced(
-            [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(n + 1)], self.den * other.den, n
-        )
+        # t^k packs as k
+        return self._times(other, lambda nums, w: [(k, k, v) for (k,), v in nums.items()], lambda k, w: (k,))
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries1.constant(other, self.order)
-        if not isinstance(other, TruncatedSeries1):
-            return NotImplemented
-        return self.order == other.order and self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        # a constant equals its value, so it hashes like it
-        if not any(self.nums[1:]):
-            return hash(Fraction(self.nums[0], self.den))
-        return hash((self.order, self.den, tuple(self.nums)))
-
     def derivative(self) -> "TruncatedSeries1":
+        """f' to order - 1; a series of order 0 says nothing about f'."""
         if self.order == 0:
-            return TruncatedSeries1.zero(0)
-        return TruncatedSeries1._reduced(
-            [k * v for k, v in enumerate(self.nums[1:], 1)], self.den, self.order - 1
-        )
+            raise ValueError("cannot differentiate a series of order 0")
+        den, nums = self.form
+        return TruncatedSeries1._of((den, {(k - 1,): k * v for (k,), v in nums.items() if k}), self.order - 1)
 
     def divide_by_t(self) -> "TruncatedSeries1":
         """t-shift f/t for f with zero constant term."""
-        if self.nums[0]:
+        den, nums = self.form
+        if (0,) in nums:
             raise ValueError("cannot divide by t: nonzero constant term")
-        return TruncatedSeries1._reduced(self.nums[1:], self.den, self.order - 1)
+        return TruncatedSeries1._of((den, {(k - 1,): v for (k,), v in nums.items()}), self.order - 1)
 
     def scale_variable(self, c) -> "TruncatedSeries1":
         """f(c*t)."""
         c = Fraction(c)
         p, q, n = c.numerator, c.denominator, self.order
-        return TruncatedSeries1._reduced(
-            [v * p**k * q ** (n - k) for k, v in enumerate(self.nums)], self.den * q**n, n
-        )
+        den, nums = self.form
+        return TruncatedSeries1._of((den * q**n, {(k,): v * p**k * q ** (n - k) for (k,), v in nums.items()}), n)
 
     def parity(self):
         """0 if even, 1 if odd, None if mixed (0 counts as both)."""
-        seen = {k % 2 for k, v in enumerate(self.nums) if v}
-        if not seen:
-            return 0
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        seen = {k % 2 for (k,) in self.form[1]}
+        if len(seen) > 1:
+            return None
+        return seen.pop() if seen else 0
 
     def __str__(self):
-        pieces = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            mono = "" if k == 0 else (" t" if k == 1 else f" t^{k}")
-            pieces.append(f"{c}{mono}")
-        if not pieces:
-            body = "0"
-        else:
-            body = pieces[0]
-            for piece in pieces[1:]:
-                if piece.startswith("-"):
-                    body += " - " + piece[1:]
-                else:
-                    body += " + " + piece
+        pieces = [f"{c}{'' if k == 0 else ' t' if k == 1 else f' t^{k}'}" for k, c in enumerate(self.coefficients) if c]
+        body = pieces[0] if pieces else "0"
+        for piece in pieces[1:]:
+            body += " - " + piece[1:] if piece.startswith("-") else " + " + piece
         return f"{body} (+ O(t^{self.order + 1}))"
 
     __repr__ = __str__
 
 
-def _coerce1(x, order):
-    if isinstance(x, TruncatedSeries1):
-        return x
-    return TruncatedSeries1.constant(x, order)
-
-
 def _from_ratios(ratios, order) -> TruncatedSeries1:
     """sum num/den t^k over the {k: (num, den)} of ints (den nonzero, k <= order)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     den = math.lcm(*[d for _, d in ratios.values()])
-    nums = [0] * (order + 1)
-    for k, (num, d) in ratios.items():
-        nums[k] = num * (den // d)
-    return TruncatedSeries1._reduced(nums, den, order)
+    return TruncatedSeries1._of((den, {(k,): num * (den // d) for k, (num, d) in ratios.items() if num}), order)
 
 
 def log_of_one_plus(f: TruncatedSeries1) -> TruncatedSeries1:
@@ -267,17 +273,19 @@ def log_of_one_plus(f: TruncatedSeries1) -> TruncatedSeries1:
     and L_k = G_{k-1} / (k D^k) goes over lcm(1..n) D^n: O(n^2) products
     where composing with log(1 + t) by Horner's rule takes O(n^3).
     """
-    if f.nums[0]:
+    D, nums = f.form
+    if (0,) in nums:
         raise ValueError("composition requires zero constant term in the inner series")
-    n, F, D = f.order, f.nums, f.den
+    n = f.order
+    F = [nums.get((k,), 0) for k in range(n + 1)]
     powers = [D**k for k in range(n + 1)]
     scaled = [F[i] * powers[i - 1] for i in range(1, n + 1)]
     G = []
     for m in range(n):
         G.append((m + 1) * F[m + 1] * powers[m] - sum(map(mul, scaled[:m], reversed(G))))
     lcm = math.lcm(*range(1, n + 1))
-    return TruncatedSeries1._reduced(
-        [0] + [G[k - 1] * (lcm // k) * powers[n - k] for k in range(1, n + 1)], lcm * powers[n], n
+    return TruncatedSeries1._of(
+        (lcm * powers[n], {(k,): G[k - 1] * (lcm // k) * powers[n - k] for k in range(1, n + 1) if G[k - 1]}), n
     )
 
 
@@ -355,42 +363,12 @@ def t_over_exp_minus_one(order) -> TruncatedSeries1:
 # two-variable series
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries2:
-    """Series sum c_{ij} t^i u^j over the triangle i + j <= order, with
-    c_{ij} = nums[(i, j)] / den and the zero coefficients left out."""
+class TruncatedSeries2(_Series):
+    """Series sum c_{ij} t^i u^j over the triangle i + j <= order, keyed by
+    (i, j); built from a {(i, j): rational} dict."""
 
-    __slots__ = ("nums", "den", "order")
-
-    def __init__(self, coefficients, order):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        cleaned = {}
-        for (i, j), c in coefficients.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c != 0 and i + j <= order:
-                cleaned[(i, j)] = c
-        nums, self.den = _numerators(cleaned.values())
-        self.nums = dict(zip(cleaned, nums))
-        self.order = order
-
-    @classmethod
-    def _reduced(cls, nums, den, order):
-        """The series over den > 0 with the nonzero numerators ``nums``, all
-        keys within the order, divided through by their common factor."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        common = math.gcd(den, *nums.values())
-        if common > 1:
-            nums = {k: v // common for k, v in nums.items()}
-            den //= common
-        s = object.__new__(cls)
-        s.nums, s.den, s.order = nums, den, order
-        return s
-
-    @classmethod
-    def zero(cls, order):
-        return cls({}, order)
+    __slots__ = ()
+    _ONE = (0, 0)  # the key of the constant term
 
     @classmethod
     def from_t(cls, f: TruncatedSeries1, order):
@@ -400,116 +378,50 @@ class TruncatedSeries2:
     @classmethod
     def from_u(cls, f: TruncatedSeries1, order):
         """f(u) viewed in two variables; ``order`` may not exceed f's own."""
-        f = f.truncate(order)
-        return cls._reduced({(0, k): v for k, v in enumerate(f.nums) if v}, f.den, order)
+        den, nums = f.truncate(order).form
+        return cls._of((den, {(0, k): v for (k,), v in sorted(nums.items())}), order)
 
     @classmethod
     def from_sum(cls, f: TruncatedSeries1, order):
         """f(t + u), expanded binomially; ``order`` may not exceed f's own."""
-        f = f.truncate(order)
-        terms = {(k, n - k): v * math.comb(n, k) for n, v in enumerate(f.nums) if v for k in range(n + 1)}
-        return cls._reduced(terms, f.den, order)
+        den, nums = f.truncate(order).form
+        return cls._of(
+            (den, {(k, n - k): v * math.comb(n, k) for (n,), v in sorted(nums.items()) for k in range(n + 1)}), order
+        )
 
     @property
     def coefficients(self) -> dict:
         """The nonzero coefficients as a new {(i, j): Fraction} dict."""
-        den = self.den
-        return {k: Fraction(v, den) for k, v in self.nums.items()}
+        return dict(self.terms)
 
     def coeff(self, i, j) -> Fraction:
-        v = self.nums.get((i, j))
-        return Fraction(v, self.den) if v else _ZERO
-
-    def is_zero(self) -> bool:
-        return not self.nums
+        return self.terms.get((i, j), _ZERO)
 
     def swap(self) -> "TruncatedSeries2":
         """Exchange t and u."""
-        return TruncatedSeries2._reduced(
-            {(j, i): v for (i, j), v in self.nums.items()}, self.den, self.order
-        )
-
-    def __add__(self, other):
-        other = _coerce2(other, self.order)
-        n = min(self.order, other.order)
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        terms = {k: v * sa for k, v in self.nums.items()}
-        for k, v in other.nums.items():
-            terms[k] = terms.get(k, 0) + v * sb
-        return TruncatedSeries2._reduced(
-            {k: v for k, v in terms.items() if v and k[0] + k[1] <= n}, den, n
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries2._reduced({k: -v for k, v in self.nums.items()}, self.den, self.order)
-
-    def __sub__(self, other):
-        return self + (-_coerce2(other, self.order))
-
-    def __rsub__(self, other):
-        return _coerce2(other, self.order) - self
+        den, nums = self.form
+        return TruncatedSeries2._of((den, {(j, i): v for (i, j), v in nums.items()}), self.order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            terms = {k: v * num for k, v in self.nums.items()} if num else {}
-            return TruncatedSeries2._reduced(terms, self.den * other.denominator, self.order)
-        if not isinstance(other, TruncatedSeries2):
-            return NotImplemented
-        n = min(self.order, other.order)
-        # (i, j) is packed as i*w + j, so adding keys multiplies monomials
-        w = n + 1
-        left = [(i * w + j, i + j, c) for (i, j), c in self.nums.items()]
-        right = [(i * w + j, i + j, c) for (i, j), c in other.nums.items()]
-        acc = {}
-        for k1, d1, c1 in left:
-            room = n - d1
-            for k2, d2, c2 in right:
-                if d2 <= room:
-                    k = k1 + k2
-                    acc[k] = acc.get(k, 0) + c1 * c2
-        return TruncatedSeries2._reduced(
-            {divmod(k, w): v for k, v in acc.items() if v}, self.den * other.den, n
-        )
+        # t^i u^j packs as i*w + j
+        return self._times(other, lambda nums, w: [(i * w + j, i + j, v) for (i, j), v in nums.items()], divmod)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries2({(0, 0): other}, self.order)
-        if not isinstance(other, TruncatedSeries2):
-            return NotImplemented
-        return self.order == other.order and self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        # a constant equals its value, so it hashes like it
-        if not any(k != (0, 0) for k in self.nums):
-            return hash(Fraction(self.nums.get((0, 0), 0), self.den))
-        return hash((self.order, self.den, frozenset(self.nums.items())))
-
     def __str__(self):
-        if not self.nums:
+        terms = self.terms
+        if not terms:
             return f"0 (+ O(total degree {self.order + 1}))"
         pieces = []
-        for (i, j) in sorted(self.nums, key=lambda k: (k[0] + k[1], k)):
-            c = Fraction(self.nums[(i, j)], self.den)
+        for (i, j) in sorted(terms, key=lambda k: (k[0] + k[1], k)):
             mono = "".join(
                 [f" t^{i}" if i > 1 else " t" if i == 1 else "",
                  f" u^{j}" if j > 1 else " u" if j == 1 else ""]
             )
-            pieces.append(f"{c}{mono}")
+            pieces.append(f"{terms[(i, j)]}{mono}")
         return " + ".join(pieces) + f" (+ O(total degree {self.order + 1}))"
 
     __repr__ = __str__
-
-
-def _coerce2(x, order):
-    if isinstance(x, TruncatedSeries2):
-        return x
-    return TruncatedSeries2({(0, 0): Fraction(x)}, order)
 
 
 def divided_difference(f: TruncatedSeries1, order=None) -> TruncatedSeries2:
@@ -525,12 +437,13 @@ def divided_difference(f: TruncatedSeries1, order=None) -> TruncatedSeries2:
         raise ValueError(
             f"divided difference to total order {order} needs the series to order {order + 1}"
         )
+    den, nums = f.form
     terms = {}
-    for n, a in enumerate(f.nums[: order + 2]):
-        if a and n:
+    for (n,), a in sorted(nums.items()):
+        if 0 < n <= order + 1:
             for k in range(n):
                 terms[(k, n - k - 1)] = a * math.comb(n, k)
-    return TruncatedSeries2._reduced(terms, f.den, order)
+    return TruncatedSeries2._of((den, terms), order)
 
 
 def divided_difference_t(f: TruncatedSeries1, order=None) -> TruncatedSeries2:

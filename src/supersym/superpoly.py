@@ -30,7 +30,7 @@ their own on U(g) words.
 
 This module owns the integer form (den, {key: int}) of a linear combination
 that sums, U(g), C_c, tau and ``ad_matrix`` compute in, and it is the
-stored state of a SuperPolynomial and of a ``PbwElement`` (``_Formed``):
+stored state of a SuperPolynomial, a ``PbwElement`` and a series (``_Formed``):
 den > 0, the gcd of den and the ints 1, no zero int, so equal values have
 equal forms.  ``_form`` makes one from Fractions, ``_combine`` sums int
 multiples of forms, ``_lowest`` divides one through by its gcd and ``_poly``

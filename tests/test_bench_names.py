@@ -48,3 +48,10 @@ def test_import_sites_read_by_the_benchmark_tests_are_wrapped(spans, sup, dotted
     value = getattr(getattr(sup, module), attr)
     assert inspect.isfunction(value)
     assert value in {fn for _, _, fn in spans.targets(sup)}, dotted
+
+
+@pytest.mark.parametrize("cls", [supersym.TruncatedSeries1, supersym.TruncatedSeries2])
+def test_series_classes_define_their_own_product(cls):
+    # the tracer wraps vars(cls)["__mul__"] and every alias of it in the class
+    own = vars(cls)
+    assert "__mul__" in own and own["__rmul__"] is own["__mul__"]

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supersym import series
+from supersym.enveloping import PbwElement
+from supersym.liealg import catalog
 from supersym.series import TruncatedSeries1, TruncatedSeries2
+from supersym.superpoly import VariableTable
 
 
 # Series helpers that only the tests call: composition by Horner's rule on
@@ -15,24 +18,25 @@ from supersym.series import TruncatedSeries1, TruncatedSeries2
 def compose(f: TruncatedSeries1, g: TruncatedSeries1) -> TruncatedSeries1:
     """f(g(t)); requires g(0) = 0 so the substitution is finite.
 
-    Horner's rule on numerators: after each step the value so far is
-    r / (f.den * d), so multiplying by g multiplies d by g.den and the next
-    coefficient of f enters as f.nums[k] * d.
+    Horner's rule on the numerators of the forms (fd, fn) of f and (gd, gn)
+    of g: after each step the value so far is r / (fd * d), so multiplying
+    by g multiplies d by gd and the next coefficient of f enters as fn[k] * d.
     """
-    if g.nums[0]:
+    (fd, f_form), (gd, g_form) = f.form, g.form
+    if (0,) in g_form:
         raise ValueError("composition requires zero constant term in the inner series")
     n = min(f.order, g.order)
-    gn = g.nums[: n + 1]
-    r, d = [f.nums[n]] + [0] * n, 1
+    fn, gn = ([form.get((k,), 0) for k in range(n + 1)] for form in (f_form, g_form))
+    r, d = [fn[n]] + [0] * n, 1
     for k in range(n - 1, -1, -1):
         r = [sum(map(mul, r[: j + 1], gn[j::-1])) for j in range(n + 1)]
-        d *= g.den
-        r[0] += f.nums[k] * d
+        d *= gd
+        r[0] += fn[k] * d
         common = math.gcd(d, *r)
         if common > 1:
             r = [v // common for v in r]
             d //= common
-    return TruncatedSeries1._reduced(r, f.den * d, n)
+    return TruncatedSeries1._of((fd * d, {(k,): v for k, v in enumerate(r) if v}), n)
 
 
 def exp_series(order) -> TruncatedSeries1:
@@ -446,8 +450,9 @@ def oracle_compose(f, g):
 
 
 def assert_reduced(s):
-    nums = s.nums if isinstance(s, TruncatedSeries1) else list(s.nums.values())
-    assert s.den > 0 and math.gcd(s.den, *nums) == 1
+    den, nums = s.form
+    assert den > 0 and math.gcd(den, *nums.values()) == 1
+    assert all(nums.values()) and all(sum(k) <= s.order for k in nums)
 
 
 scalars = st.sampled_from([0, 1, -1, 3]) | coefficients
@@ -520,13 +525,13 @@ class TestStoredForm:
         for s in (a, b):
             back = (s * 2) * Fraction(1, 2)
             assert back == s and hash(back) == hash(s)
-            assert (back.nums, back.den) == (s.nums, s.den)
+            assert back.form == s.form
             assert_reduced(s)
         scaled = TruncatedSeries1([2, 4], 1) * Fraction(1, 6)
-        assert (scaled.nums, scaled.den) == ([1, 2], 3)
+        assert scaled.form == (3, {(0,): 1, (1,): 2})
         scaled = TruncatedSeries2({(0, 1): 6, (1, 0): 18}, 1) * Fraction(1, 8)
-        assert (scaled.nums, scaled.den) == ({(0, 1): 3, (1, 0): 9}, 4)
-        assert (TruncatedSeries1.zero(3).den, TruncatedSeries2.zero(3).den) == (1, 1)
+        assert scaled.form == (4, {(0, 1): 3, (1, 0): 9})
+        assert (TruncatedSeries1.zero(3).form, TruncatedSeries2.zero(3).form) == ((1, {}), (1, {}))
 
     def test_one_variable_constants_hash_like_their_value(self):
         for value in (0, 3, Fraction(-5, 7)):
@@ -588,7 +593,7 @@ def assert_same_series(got, expected):
     """Same order, values and stored form."""
     assert got.order == expected.order
     assert got.coefficients == expected.coefficients
-    assert (got.nums, got.den) == (expected.nums, expected.den)
+    assert got.form == expected.form
 
 
 def parity_series(parity, order, base=None):
@@ -678,7 +683,7 @@ class TestOrderContracts:
     def test_negative_orders_are_refused(self):
         for call in (
             lambda: TruncatedSeries2({}, -1),
-            lambda: TruncatedSeries2._reduced({}, 1, -1),
+            lambda: TruncatedSeries2._of((1, {}), -1),
             lambda: TruncatedSeries2.from_t(series.p_c(1, 4), -2),
             lambda: series.divided_difference(TruncatedSeries1([5], 0)),
             lambda: series.check_symmetric_equations(series.p_c(1, 1), TruncatedSeries1([0, -1], 1), -1),
@@ -689,9 +694,90 @@ class TestOrderContracts:
             with pytest.raises(ValueError, match="order must be nonnegative"):
                 call()
 
+    def test_order_0_has_no_derivative(self):
+        # 5 + O(t) says nothing about f', so neither f' nor f/t nor a divided
+        # difference of it has a value
+        f = TruncatedSeries1([5], 0)
+        for call in (f.derivative, f.divide_by_t, lambda: series.divided_difference(f)):
+            with pytest.raises(ValueError):
+                call()
+        assert TruncatedSeries1([5, 3], 1).derivative() == TruncatedSeries1([3], 0)
+
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError, match="k >= 0"):
+            TruncatedSeries1.monomial(1, -1, 3)
+        assert TruncatedSeries1.monomial(2, 5, 3).is_zero() and TruncatedSeries1.monomial(2, 3, 3).coeff(3) == 2
+
     def test_two_variable_views_refuse_a_higher_order(self):
         f = TruncatedSeries1([1, 2], 1)
         for view in (TruncatedSeries2.from_t, TruncatedSeries2.from_u, TruncatedSeries2.from_sum):
             with pytest.raises(ValueError, match="higher order"):
                 view(f, 5)
             assert view(f, 1).order == 1 and view(f, 0) == TruncatedSeries2({(0, 0): 1}, 0)
+
+
+class TestSeparateRings:
+    """The two series classes, SuperPolynomial and PbwElement share the
+    integer form of ``superpoly`` but are separate rings."""
+
+    def operands(self):
+        alg, _ = catalog("osp12")
+        return (
+            TruncatedSeries1.constant(3, 4),
+            TruncatedSeries2.constant(3, 4),
+            VariableTable(["x", "e"], ["even", "odd"], 4).constant(3),
+            PbwElement.from_scalar(alg, Fraction(3)),
+        )
+
+    def test_mixed_operands_raise_type_error(self):
+        s1, s2, poly, pbw = self.operands()
+        for a, b in ((s1, s2), (s1, poly), (s2, pbw), (s1, pbw), (s2, poly)):
+            for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(TypeError):
+                        op(x, y)
+
+    def test_equality_never_crosses_classes(self):
+        operands = self.operands()
+        # each one equals the scalar 3, and no two of them are equal
+        assert all(x == 3 for x in operands)
+        for i, x in enumerate(operands):
+            for y in operands[i + 1 :]:
+                assert x != y and y != x
+
+    @given(series1(12))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_one_variable_series_hash_alike(self, f):
+        n = f.order
+        routes = [
+            TruncatedSeries1(f.coefficients, n),
+            TruncatedSeries1(f.coefficients + [1], n + 1).truncate(n),
+            (f * 3 - f * 2) + 0,
+            (f + TruncatedSeries1.t(n + 2)) - TruncatedSeries1.t(n),
+            (f * Fraction(-2, 7)) * Fraction(-7, 2),
+            1 - (1 - f),
+            -(-f),
+            f.scale_variable(3).scale_variable(Fraction(1, 3)),
+            TruncatedSeries1([0] + f.coefficients, n + 1).divide_by_t(),
+        ]
+        for g in routes:
+            assert g == f and hash(g) == hash(f) and g.form == f.form
+        assert len(set(routes)) == 1
+
+    @given(series1(12))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_two_variable_series_hash_alike(self, f):
+        n = f.order
+        by_t = TruncatedSeries2.from_t(f, n)
+        routes = [
+            TruncatedSeries2({(k, 0): c for k, c in enumerate(f.coefficients)}, n),
+            TruncatedSeries2.from_u(f, n).swap(),
+            TruncatedSeries2.from_sum(f, n) - (TruncatedSeries2.from_sum(f, n) - by_t),
+            TruncatedSeries2.from_t(f, n) * TruncatedSeries2.constant(1, n + 3),
+            # (f(t + u) - f(t))/u is 1 for f = t
+            series.divided_difference(TruncatedSeries1.t(n + 1), n) * by_t,
+            (by_t * 2 + 1) * Fraction(1, 2) - Fraction(1, 2),
+        ]
+        for g in routes:
+            assert g == by_t and hash(g) == hash(by_t) and g.form == by_t.form
+        assert len(set(routes)) == 1

@@ -1,11 +1,22 @@
 """The scripts under ``tools/``, run as a user runs them."""
 
+import glob
+import importlib.util
+import os
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 AB_TIMING = ROOT / "tools" / "ab_timing.py"
+ACCEPTANCE = ROOT / "tools" / "acceptance_outputs.py"
+
+
+def load_acceptance():
+    spec = importlib.util.spec_from_file_location("acceptance_outputs", ACCEPTANCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_ab(*argv):
@@ -26,3 +37,33 @@ def test_ab_timing_refuses_unknown_workloads_and_checkouts(tmp_path):
     assert run_ab(ROOT, ROOT, "gorelik-ladder", "--passes", "0").returncode == 2
     proc = run_ab(tmp_path, ROOT, "gorelik-ladder")
     assert proc.returncode == 1 and "no supersym package" in proc.stderr
+
+
+def test_acceptance_commands_cover_every_algebra_file():
+    acc = load_acceptance()
+    names = [name for name, _ in acc.commands(ROOT)]
+    stems = [pathlib.Path(p).stem for p in glob.glob(str(ROOT / "algebras" / "*.alg"))]
+    assert len(names) == len(set(names)) == 3 + 8 * len(stems)
+    assert names[:3] == ["selftest", "series-30", "series-30-perturb"]
+    for stem in stems:
+        assert len({name for name in names if name.split(".")[0] == stem}) == 8, stem
+    assert [name for name, _ in acc.demos(ROOT)] == [
+        "demo.demo_enveloping", "demo.demo_gorelik", "demo.demo_jacobian", "demo.demo_series"
+    ]
+
+
+def test_acceptance_record_writes_output_and_exit_code(tmp_path, capsys):
+    acc = load_acceptance()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    base = str(tmp_path / "perturb")
+    # a perturbed series has nonzero residuals: the run fails with exit code 1
+    acc.record(base, ["-m", "supersym.cli", "series", "--order", "3", "--perturb"], str(ROOT), env)
+    assert (tmp_path / "perturb.exit").read_text() == "1\n"
+    assert "FAIL" in (tmp_path / "perturb.stdout").read_text()
+    assert (tmp_path / "perturb.stderr").read_bytes() == b""
+    assert capsys.readouterr().out == "1  perturb\n"
+
+
+def test_acceptance_main_wants_two_arguments(capsys):
+    assert load_acceptance().main([]) == 2
+    assert "SRC_DIR OUT_DIR" in capsys.readouterr().err
