@@ -21,8 +21,8 @@ C_c, C_c^u and tau run on the integer forms (den, {S(q) monomial: int}) of
 form of each result, with no Fraction between beta and tau.  Their memos die
 with the pair: ``pair.nest_memo`` keeps the bracket nests S(K)(a) by degree
 (``_nest_levels``), read by C_c, Theta and ``jacobian.series_of_ad_y``;
-``pair.tau_memo`` the chain C_1^m(1) of each PBW monomial m tau meets, as a
-form, ``pair.p_c_memo`` the series p_c they use and ``pair.generators_memo``
+``pair.tau_memo`` the chain C_1^m(1) of each PBW q-monomial m tau meets, as
+a form, ``pair.p_c_memo`` the series p_c they use and ``pair.generators_memo``
 the Lie-generating set.
 
 tau (the inverse of the symmetrization onto U(g)/U(g)h), the quotient mod
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import gt, sub
+from operator import gt, mul, sub
 
 from . import linalg
 from .enveloping import (
@@ -101,7 +101,9 @@ def _nest_levels(span, a_index: int, degree: int) -> list:
     ``enveloping._support_sum``, a key missing below being a zero nest."""
     alg = span.algebra
     parities = alg.parities[: len(span.q_indices)]  # q is the first block of g
-    levels = span.nest_memo.setdefault(a_index, [{(0,) * len(parities): (0, (1, {a_index: 1}))}])
+    levels = span.nest_memo.get(a_index)
+    if levels is None:
+        levels = span.nest_memo[a_index] = [{(0,) * len(parities): (0, (1, {a_index: 1}))}]
     brackets, bden = alg.int_brackets, alg.bracket_den
     while len(levels) <= degree:
         below, level = levels[-1], {}
@@ -126,18 +128,18 @@ def _coderivation(pair: SymmetricPair, series: TruncatedSeries1, a_index: int, w
     (-1)^{p(a) p(K)}; one ``_combine`` sums the legs.  An h letter runs the
     same step with the series -t, the form (1, {(1,): -1}): the derivation
     extending ad a."""
-    table = sq_table(pair)
-    order = table.truncation_order
-    pa = pair.algebra.parities[a_index]
+    table = pair.sq_table
+    order, parities = table.truncation_order, table.parities
+    in_h, pa = pair.in_h(a_index), pair.algebra.parities[a_index]
     den, terms = w
-    # C_c^a raises the even degree by at most one, and not at all for even a in h
-    if order is not None and (not pair.in_h(a_index) or pa == ODD):
-        if any(table.even_degree(m) >= order for m in terms):
-            raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
-    nums_den, nums = (1, {(1,): -1}) if pair.in_h(a_index) else series.form
-    parities = table.parities
-    mixed = order is not None  # even letters: the odd masks alone do not decide K <= m
     top = max(map(sum, terms), default=0)
+    # C_c^a raises the even degree by at most one, and not at all for even a
+    # in h; the even degree of m is sum(m) less its odd letters, at most top
+    if order is not None and top >= order and (not in_h or pa == ODD):
+        if any(sum(m) - sum(map(mul, m, parities)) >= order for m in terms):
+            raise ValueError(f"S(q) is truncated at even degree {order}: C_c^a of w would drop terms")
+    nums_den, nums = (1, {(1,): -1}) if in_h else series.form
+    mixed = order is not None  # even letters: the odd masks alone do not decide K <= m
     walk = [(n, v) for (n,), v in nums.items() if n <= top]
     levels = _nest_levels(pair, a_index, max((n for n, _ in walk), default=0))
     pairs = []
@@ -165,26 +167,32 @@ def coderivation_C(pair: SymmetricPair, c, a_index: int, w: SuperPolynomial) -> 
     return coderivation_C_u(pair, c, PbwElement.from_basis(pair.algebra, a_index), w)
 
 
-def _words(pair: SymmetricPair, c, u: PbwElement, chains: dict) -> tuple:
-    """C_c^u(w) as a form, for the form w that ``chains`` holds under the
-    zero PBW monomial: the chain of each PBW monomial of u is ``_chain``.
-    C_c raises the degree by at most one, so p_c is read to the degree of
-    w plus that of u (``_p_c``)."""
+def _own_form(pair: SymmetricPair, u: PbwElement) -> tuple:
+    """The form of u, refused unless u lies in U(g) of the pair's own algebra."""
+    if u.alg is not pair.algebra:
+        raise ValueError("elements of enveloping algebras of different Lie superalgebras")
+    return u.form
+
+
+def _words(pair: SymmetricPair, c, form: tuple, chains: dict) -> tuple:
+    """C_c^u(w) as a form, for the form (den, {PBW monomial: int}) of u and
+    the form w that ``chains`` holds under the zero PBW monomial: the chain
+    of each PBW monomial of u is ``_chain``.  C_c raises the degree by at
+    most one, so p_c is read to the degree of w plus that of u (``_p_c``)."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("C_c requires c != 0")
-    if u.alg is not pair.algebra:
-        raise ValueError("elements of enveloping algebras of different Lie superalgebras")
-    series = _p_c(pair, c, max((sum(m) for m in chains[(0,) * u.alg.dim][1]), default=0) + u.degree())
-    den, terms = u.form
+    den, terms = form
+    w_degree = max((sum(m) for m in chains[(0,) * pair.algebra.dim][1]), default=0)
+    series = _p_c(pair, c, w_degree + max(map(sum, terms), default=0))
     return _combine([(coeff, _chain(pair, series, chains, mono)) for mono, coeff in terms.items()], den)
 
 
 def _p_c(pair: SymmetricPair, c, degree: int) -> TruncatedSeries1:
     """p_c to ``degree``, built once per (c, degree) and kept in ``pair.p_c_memo``."""
-    key = Fraction(c), degree
-    series = pair.p_c_memo.get(key)
+    series = pair.p_c_memo.get((c, degree))  # a rational c hashes and compares as its Fraction
     if series is None:
+        key = Fraction(c), degree
         series = pair.p_c_memo[key] = p_c(*key)
     return series
 
@@ -195,7 +203,9 @@ def _chain(pair: SymmetricPair, series: TruncatedSeries1, chains: dict, mono) ->
     in ``chains`` under its monomial unless it raises, zero ones too."""
     acc = chains.get(mono)
     if acc is None:
-        i = next(k for k, e in enumerate(mono) if e)
+        for i, e in enumerate(mono):
+            if e:
+                break
         acc = _chain(pair, series, chains, mono[:i] + (mono[i] - 1,) + mono[i + 1 :])
         acc = chains[mono] = _coderivation(pair, series, i, acc) if acc[1] else acc
     return acc
@@ -204,15 +214,21 @@ def _chain(pair: SymmetricPair, series: TruncatedSeries1, chains: dict, mono) ->
 def coderivation_C_u(pair: SymmetricPair, c, u: PbwElement, w: SuperPolynomial) -> SuperPolynomial:
     """Multiplicative extension u -> C_c^u to the enveloping algebra."""
     _check_tables(sq_table(pair), (w,))
-    return _poly(sq_table(pair), _words(pair, c, u, {(0,) * pair.algebra.dim: w.form}))
+    return _poly(sq_table(pair), _words(pair, c, _own_form(pair, u), {(0,) * pair.algebra.dim: w.form}))
 
 
 def tau(pair: SymmetricPair, u: PbwElement) -> SuperPolynomial:
     """tau(u) = C_1^u(1): the inverse of the symmetrization onto U(g)/U(g)h, as
-    an element of S(q).  The chain C_1^m(1) of every PBW monomial m met, and
-    of the monomials its recursion passes, stays in ``pair.tau_memo`` as a
-    form while the pair lives."""
-    return _poly(sq_table(pair), _words(pair, 1, u, pair.tau_memo))
+    an element of S(q).  tau reads only the q-part of u: h is the final
+    segment of the basis, so a PBW monomial with an h letter ends in one,
+    whose C_1 is a derivation and kills 1, so tau kills U(g)h term by term.
+    The chain C_1^m(1) of every q-monomial m of u, and of the monomials its
+    recursion passes, stays in ``pair.tau_memo`` as a form while the pair
+    lives; it holds q-monomials only."""
+    den, terms = _own_form(pair, u)
+    nq = len(pair.q_indices)
+    form = den, {m: v for m, v in terms.items() if not any(m[nq:])}
+    return _poly(pair.sq_table, _words(pair, 1, form, pair.tau_memo))
 
 
 def _quotient_form(pair: SymmetricPair, u: PbwElement) -> tuple:

@@ -146,7 +146,11 @@ def _letter_product(alg: LieSuperAlgebra, i, m):
     out = alg._mono_product_cache.get(key)
     if out is None:
         parities = alg.parities
-        j = next((k for k, e in enumerate(m) if e), alg.dim)  # first letter of e^m
+        for j, e in enumerate(m):  # the first letter of e^m, alg.dim for e^m = 1
+            if e:
+                break
+        else:
+            j = alg.dim
         if i < j or (i == j and parities[i] != ODD):
             out = (1, {m[:i] + (m[i] + 1,) + m[i + 1 :]: 1})
         else:

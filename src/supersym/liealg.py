@@ -207,7 +207,8 @@ class SymmetricPair:
     when q has even vectors it is truncated at even degree 24, and the
     coderivations refuse to act where that would drop terms.  ``coderiv``
     fills four memos that die with the pair: ``tau_memo`` ({PBW monomial
-    m: C_1^m(1)} as forms, seeded with 1), ``nest_memo`` ({a: the degree
+    m: C_1^m(1)} as forms, seeded with 1; tau reads only the q-part of an
+    element, so m is a q-monomial), ``nest_memo`` ({a: the degree
     levels of the nests S(K)(a)} of ``coderiv._nest_levels``, read by C_c,
     Theta and the fields f(ad y)(a)), ``p_c_memo`` ({(c, degree): p_c}) and
     ``generators_memo`` (the indices of ``coderiv.lie_generators``).

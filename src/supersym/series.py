@@ -76,13 +76,11 @@ class _Series(_Formed):
 
     __slots__ = ("order",)
 
-    def __init__(self, terms, order):
-        """The series of the {key: rational} ``terms``, those past the order left out."""
+    def __init__(self, items, order):
+        """The series of the (key, rational) ``items``, whose keys are within the order."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        self.form = _form({
-            k: f for k, c in terms.items() if sum(k) <= order and (f := c if type(c) is Fraction else Fraction(c))
-        })
+        self.form = _form({k: f for k, c in items if (f := c if type(c) is Fraction else Fraction(c))})
         self.order, self._terms = order, None
 
     @classmethod
@@ -185,9 +183,8 @@ class TruncatedSeries1(_Series):
 
     def __init__(self, coefficients, order=None):
         coefficients = list(coefficients)
-        super().__init__(
-            {(k,): c for k, c in enumerate(coefficients)}, len(coefficients) - 1 if order is None else order
-        )
+        order = len(coefficients) - 1 if order is None else order
+        super().__init__((((k,), c) for k, c in enumerate(coefficients[: order + 1])), order)
 
     @classmethod
     def t(cls, order):
@@ -369,6 +366,14 @@ class TruncatedSeries2(_Series):
 
     __slots__ = ()
     _ONE = (0, 0)  # the key of the constant term
+
+    def __init__(self, terms, order):
+        """The series of the {(i, j): rational} ``terms``, those past the
+        order left out; a key is two nonnegative exponents, or ValueError."""
+        for key in terms:
+            if len(key) != 2 or min(key) < 0:
+                raise ValueError(f"{key!r} is not a pair (i, j) of nonnegative exponents")
+        super().__init__(((k, c) for k, c in terms.items() if sum(k) <= order), order)
 
     @classmethod
     def from_t(cls, f: TruncatedSeries1, order):

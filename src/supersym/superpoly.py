@@ -178,15 +178,21 @@ class SuperPolynomial(_Formed):
     __slots__ = ("table",)
 
     def __init__(self, table: VariableTable, terms):
+        """The polynomial of the {monomial: rational} ``terms``; a monomial is
+        a tuple of one nonnegative exponent per variable, or ValueError."""
         self.table = table
-        order = table.truncation_order
-        # zero terms go, and so do terms past the truncation or with an odd letter squared
-        self.form, self._terms = _form({
-            m: c for m, c in terms.items()
-            if c != 0
-            and (order is None or table.even_degree(m) <= order)
-            and (max(m, default=0) < 2 or all(e < 2 for e, p in zip(m, table.parities) if p == ODD))
-        }), None
+        order, parities = table.truncation_order, table.parities
+        n, kept = len(parities), {}
+        for m, c in terms.items():
+            if len(m) != n or n and min(m) < 0:
+                raise ValueError(f"{m!r} is not a monomial of the {n} variables of the table")
+            # zero terms go, and so do terms with an odd letter squared or past the truncation
+            if not c or n and max(m) > 1 and max(map(mul, m, parities)) > 1:
+                continue
+            if order is not None and (d := sum(m)) > order and d - sum(map(mul, m, parities)) > order:
+                continue
+            kept[m] = c
+        self.form, self._terms = _form(kept), None
 
     # -- queries ----------------------------------------------------------
 
@@ -574,7 +580,7 @@ def _scale(form, c) -> tuple:
 def _form(terms) -> tuple:
     """{key: nonzero rational} as a canonical form, over the lcm of the
     denominators."""
-    den = math.lcm(*(v.denominator for v in terms.values()))
+    den = math.lcm(*[v.denominator for v in terms.values()])
     return den, {key: v.numerator * (den // v.denominator) for key, v in terms.items()}
 
 

@@ -386,10 +386,25 @@ class TestTau:
                 w = SuperPolynomial(table, {mono: Fraction(1)})
                 assert cd.tau(pair, cd.beta_of_sq(pair, w)) == w, (name, mono)
 
-    def test_kills_right_h_factors(self):
-        alg, pair = catalog("osp12")
-        u = PbwElement.from_basis(alg, 0) * PbwElement.from_basis(alg, 2)
-        assert cd.tau(pair, u).is_zero()
+    @pytest.mark.parametrize("name", sorted(FORM_PAIRS))
+    def test_kills_right_h_factors(self, name):
+        # tau reads only the q-part; the word route reads every word, and
+        # agrees: u e_a ends in the h letter a, whose C_1 kills 1, and
+        # v e_a lies in U(g)h, for every h letter a, odd ones too
+        pair = FORM_PAIRS[name]()
+        alg, one = pair.algebra, cd.sq_table(pair).one()
+        rng = random.Random(73)
+        us = list(random_pbw_elements(pair, rng, 4, max_degree=3))
+        vs = list(random_pbw_elements(pair, rng, 4, max_degree=3))
+        for a in pair.h_indices:
+            e_a = PbwElement.from_basis(alg, a)
+            for u, v in zip(us, vs):
+                assert cd.tau(pair, u * e_a).is_zero(), (a, u)
+                assert oracle_words(pair, 1, u * e_a, {(): one}).is_zero(), (a, u)
+                x = u + v * e_a
+                assert cd.tau(pair, x) == cd.tau(pair, u) == oracle_words(pair, 1, x, {(): one}), (a, u, v)
+        nq = len(pair.q_indices)
+        assert len(pair.tau_memo) > 1 and not any(any(m[nq:]) for m in pair.tau_memo)
 
 
 INTERTWINING_PAIRS = {
@@ -1246,16 +1261,17 @@ class TestFormsAgainstTheChainRoute:
         for mono in sq_monos(pair, 4):
             u = cd.beta_of_sq(pair, SuperPolynomial(table, {mono: Fraction(1)}))
             assert_same_terms(cd.tau(pair, u), oracle_words(pair, 1, u, chains), mono)
-        # the memo holds every chain of the word route, in its order, plus the
-        # zero chains of the words that extend a zero chain of the word route
-        words = [env._monomial_to_word(m) for m in pair.tau_memo]
-        assert [w for w in words if w in chains] == list(chains)
-        for word, form in zip(words, pair.tau_memo.values()):
+        # tau reads only the q-part: the memo holds the chains of the word
+        # route's q-words, in its order, none of them zero, and the word
+        # route's chain of each word with an h letter is zero
+        nq = len(pair.q_indices)
+        q_words = [w for w in chains if all(i < nq for i in w)]
+        assert [env._monomial_to_word(m) for m in pair.tau_memo] == q_words
+        for word, form in zip(q_words, pair.tau_memo.values()):
             assert_lowest_terms(form, word)
-            k = next(k for k in range(len(word) + 1) if word[k:] in chains)
-            want = chains[word[k:]]
-            assert k == 0 or want.is_zero(), word
-            assert list(sp._fractions(form).items()) == list(want.terms.items()), word
+            assert form[1] and list(sp._fractions(form).items()) == list(chains[word].terms.items()), word
+        assert len(q_words) < len(chains)
+        assert all(chains[w].is_zero() for w in chains if w not in q_words)
         # level n of the nests holds exactly the monomials of degree n whose
         # nest is nonzero, each with its odd mask, against the word route
         alg = pair.algebra

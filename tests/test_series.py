@@ -708,6 +708,13 @@ class TestOrderContracts:
             TruncatedSeries1.monomial(1, -1, 3)
         assert TruncatedSeries1.monomial(2, 5, 3).is_zero() and TruncatedSeries1.monomial(2, 3, 3).coeff(3) == 2
 
+    def test_two_variable_keys_are_two_nonnegative_exponents(self):
+        # {(-1, 2): 1} was kept, printed as u^2 and multiplied as if it were u^2
+        for key in ((-1, 2), (2, -1), (1,), (1, 0, 0), ()):
+            with pytest.raises(ValueError, match="nonnegative exponents"):
+                TruncatedSeries2({key: 1, (0, 1): 1}, 3)
+        assert TruncatedSeries2({(0, 2): 1, (3, 1): 1}, 3).coefficients == {(0, 2): 1}
+
     def test_two_variable_views_refuse_a_higher_order(self):
         f = TruncatedSeries1([1, 2], 1)
         for view in (TruncatedSeries2.from_t, TruncatedSeries2.from_u, TruncatedSeries2.from_sum):

@@ -111,6 +111,32 @@ class TestTable:
             odd_table(2).variable(-1)
 
 
+class TestConstructor:
+    def test_a_monomial_has_one_exponent_per_variable(self):
+        t = VariableTable(["s", "x"], [EVEN, ODD], 4)
+        for mono in ((1,), (1, 0, 0), ()):
+            with pytest.raises(ValueError, match="not a monomial of the 2 variables"):
+                SuperPolynomial(t, {mono: Fraction(1)})
+        with pytest.raises(ValueError, match="not a monomial of the 0 variables"):
+            SuperPolynomial(VariableTable([], []), {(0,): Fraction(1)})
+
+    def test_negative_exponents_are_refused(self):
+        # {(-1, 2): 1} used to be kept and printed as a^-1*b^2
+        t = VariableTable(["a", "b"], [EVEN, EVEN], 4)
+        for mono in ((-1, 2), (0, -1)):
+            with pytest.raises(ValueError, match="not a monomial"):
+                SuperPolynomial(t, {mono: Fraction(1)})
+        # a zero coefficient does not excuse a malformed key
+        with pytest.raises(ValueError, match="not a monomial"):
+            SuperPolynomial(t, {(-1, 0): 0})
+
+    def test_zero_terms_odd_squares_and_terms_past_the_truncation_go(self):
+        t = VariableTable(["s", "x", "r"], [EVEN, ODD, EVEN], 3)
+        p = SuperPolynomial(t, {(0, 0, 0): 0, (0, 2, 0): 5, (2, 1, 2): 1, (2, 1, 1): 3, (3, 0, 0): -1})
+        assert dict(p.terms) == {(2, 1, 1): 3, (3, 0, 0): -1}
+        assert SuperPolynomial(VariableTable([], []), {(): Fraction(2)}).evaluate_at_zero() == 2
+
+
 class TestMultiply:
     def test_ordered_odd_product(self):
         t = odd_table(2)

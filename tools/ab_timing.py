@@ -13,11 +13,13 @@ wall time to verdict) and ``run.check_task`` (the known answer).  One pass
 runs untimed first.
 
 It prints the median of the per-pass time ratio CHANGE / PARENT with its
-quartiles; below 1 means CHANGE is faster.  Drift of the host speed hits
-both sides of a pass alike, which back-to-back runs of ``bench/run.py``
-cannot offer.  ``PARENT PARENT`` is the A/A control: its median should be
-near 1 and its quartiles show the noise floor.  Exit code 1 when a task
-fails its answer check.  Standard library only.
+quartiles, below 1 when CHANGE is faster, and in how many timed passes
+CHANGE took less time than PARENT: a gain should win at least nine passes
+in ten.  Drift of the host speed hits both sides of a pass alike, which
+back-to-back runs of ``bench/run.py`` cannot offer.  ``PARENT PARENT`` is
+the A/A control: its median should be near 1 and its quartiles show the
+noise floor.  Exit code 1 when a task fails its answer check.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ def main(argv=None):
     print(f"# A = {args.parent}: median pass {statistics.median(totals[0]):.4f} s, {failed[0]} failed answers")
     print(f"# B = {args.change}: median pass {statistics.median(totals[1]):.4f} s, {failed[1]} failed answers")
     print(f"B/A per-pass time ratio: median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}")
+    print(f"B faster than A in {sum(r < 1 for r in ratios)} of {len(ratios)} timed passes")
     return 1 if any(failed) else 0
 
 
