@@ -184,7 +184,7 @@ class TruncatedSeries1(_Series):
     def __init__(self, coefficients, order=None):
         coefficients = list(coefficients)
         order = len(coefficients) - 1 if order is None else order
-        super().__init__((((k,), c) for k, c in enumerate(coefficients[: order + 1])), order)
+        super().__init__(zip(zip(range(order + 1)), coefficients), order)  # keys (0,), (1,), ...
 
     @classmethod
     def t(cls, order):
