@@ -139,20 +139,6 @@ def parse(source: str) -> AlgebraFile:
     return AlgebraFile(name, basis, brackets, pair_h)
 
 
-def render(file: AlgebraFile) -> str:
-    """Canonical text for an AlgebraFile; parse(render(f)) == f."""
-    lines = [f"algebra {file.name}"]
-    for nm, par in file.basis:
-        lines.append(f"basis {nm} {par}")
-    for (i, j) in sorted(file.brackets):
-        comps = file.brackets[(i, j)]
-        body = " + ".join(f"{comps[k]} {file.basis[k][0]}" for k in sorted(comps))
-        lines.append(f"bracket {file.basis[i][0]} {file.basis[j][0]} = {body}")
-    if file.pair_h:
-        lines.append("pair h = " + " ".join(file.pair_h))
-    return "\n".join(lines) + "\n"
-
-
 def _algebra(file: AlgebraFile, check=True):
     names = [nm for nm, _ in file.basis]
     parities = [par for _, par in file.basis]
@@ -171,14 +157,6 @@ def build(file: AlgebraFile):
     """(algebra, pair, used_default_pair); raises ValueError on bad input."""
     alg = _algebra(file)
     return (alg, *_pair(alg, file))
-
-
-def catalog_file(name: str) -> AlgebraFile:
-    """Render a catalog algebra as a definition file."""
-    alg, pair = liealg.catalog(name)
-    basis = [(nm, "odd" if p == ODD else "even") for nm, p in zip(alg.names, alg.parities)]
-    pair_h = [alg.names[i] for i in pair.h_indices] or None
-    return AlgebraFile(name, basis, dict(alg.brackets), pair_h)
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,10 @@ from operator import gt, mul, sub
 from . import linalg
 from .enveloping import (
     PbwElement,
-    _monomial_to_word,
     _support_sum,
     _symmetrize,
     factorization,
-    symmetrize_word,
+    symmetrize_word,  # unused here; bench/tests/test_bench.py reads coderiv.symmetrize_word
     twisted_adjoint,
 )
 from .liealg import SymmetricPair
@@ -71,20 +70,6 @@ def sq_table(pair: SymmetricPair) -> VariableTable:
     """The pair's variable table realizing S(q); ``coderivation_C`` refuses
     to pass its truncation degree."""
     return pair.sq_table
-
-
-def sq_from_element(pair, element: dict) -> SuperPolynomial:
-    """Embed a q-supported algebra element as a degree-1 polynomial."""
-    table = sq_table(pair)
-    unit = (0,) * len(table)
-    terms = {}
-    for i, c in element.items():
-        if c == 0:
-            continue
-        if not 0 <= i < len(table):
-            raise ValueError("element has components outside q")
-        terms[unit[:i] + (1,) + unit[i + 1 :]] = Fraction(c)
-    return SuperPolynomial(table, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +236,6 @@ def quotient_mod_h(pair: SymmetricPair, u: PbwElement) -> PbwElement:
     return _symmetrize(pair.algebra, _quotient_form(pair, u))
 
 
-def scale_degrees(pair: SymmetricPair, w: SuperPolynomial, c) -> SuperPolynomial:
-    """The Hopf automorphism I_c of S(q): multiplication by c^n in degree n."""
-    c = Fraction(c)
-    table = sq_table(pair)
-    _check_tables(table, (w,))
-    return SuperPolynomial(table, {m: co * c ** sum(m) for m, co in w.terms.items()})
-
-
 def check_representation(pair: SymmetricPair, c, max_degree: int):
     """[C_c^a, C_c^b] = C_c^{[a,b]} on all basis pairs and monomials of
     degree <= max_degree.  Returns (True, None) or (False, witness)."""
@@ -315,28 +292,11 @@ class Character:
                         f"not a character: nonzero value {s} on [{alg.names[a]},{alg.names[b]}]"
                     )
 
-    @classmethod
-    def trivial(cls, pair):
-        return cls(pair, {})
-
-    @classmethod
-    def supertrace_on_quotient(cls, pair):
-        """a |-> str over q of ad a, the character twisting the dualizing
-        module; always a valid character."""
-        return cls(pair, pair.q_supertraces())
-
     def of_element(self, element: dict) -> Fraction:
         return sum(
             (self.values.get(i, Fraction(0)) * c for i, c in element.items()),
             Fraction(0),
         )
-
-    def of_h_monomial(self, mono) -> Fraction:
-        out = Fraction(1)
-        for i, e in enumerate(mono):
-            if e:
-                out *= self.values.get(i, Fraction(0)) ** e
-        return out
 
 
 def theta_action(pair: SymmetricPair, c, chi: Character, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
@@ -358,25 +318,6 @@ def theta_action(pair: SymmetricPair, c, chi: Character, a_index: int, w: SuperP
         scalar = fn * chi.of_element({i: Fraction(v, den) for i, v in nest.items()})
         if scalar:
             pairs.append((SuperPolynomial(table, {leg1: coeff * scalar * (-1) ** (pa & table.monomial_parity(leg1))}), one))
-    return sum_of_products(table, pairs)
-
-
-def induced_action(pair: SymmetricPair, chi: Character, a_index: int, w: SuperPolynomial) -> SuperPolynomial:
-    """Left multiplication by j(a) on the induced module U(g) (x)_h V_chi,
-    computed concretely: multiply in U(g), refactor as beta(S(q)) U(h), and
-    push the h factors through chi."""
-    alg = pair.algebra
-    table = sq_table(pair)
-    _check_tables(table, (w,))
-    f = factorization(pair, w.total_degree() + 1)
-    pairs = []
-    for mono, coeff in w.terms.items():
-        u = PbwElement.from_basis(alg, a_index) * symmetrize_word(alg, _monomial_to_word(mono))
-        terms = {}
-        for (qm, hm), cc in f.coordinates(u).items():
-            qm_local = tuple(qm[i] for i in pair.q_indices)
-            terms[qm_local] = terms.get(qm_local, 0) + cc * chi.of_h_monomial(hm)
-        pairs.append((SuperPolynomial(table, terms), table.constant(coeff)))
     return sum_of_products(table, pairs)
 
 

@@ -48,7 +48,6 @@ from .superpoly import (
     _combine,
     _form,
     _Formed,
-    _fractions,
     _letter_sign,
     _lowest,
     _odd_count,
@@ -314,20 +313,6 @@ def _pbw(alg: LieSuperAlgebra, form: tuple) -> PbwElement:
 # coalgebra structure
 # ---------------------------------------------------------------------------
 
-def tensor_mul_pbw(alg, left: dict, right: dict) -> dict:
-    """Product in U(g) (x) U(g) of tensors given as {(m1, m2): coeff}."""
-    (dl, left), (dr, right) = _form(left), _form(right)
-    pairs = []
-    for (a1, a2), c1 in left.items():
-        for (b1, b2), c2 in right.items():
-            sign = -1 if monomial_parity(alg, a2) & monomial_parity(alg, b1) else 1
-            d2, second = _monomial_product(alg, a2, b2)
-            d1, first = _monomial_product(alg, a1, b1)
-            for m1, e1 in first.items():
-                pairs.append((c1 * c2 * sign * e1, (d1 * d2, {(m1, m2): e2 for m2, e2 in second.items()})))
-    return _fractions(_combine(pairs, dl * dr))
-
-
 def coproduct(u: PbwElement) -> dict:
     """Hopf coproduct, as {(monomial, monomial): coefficient}.  The letters
     are primitive, and those of a PBW monomial increase, so their product
@@ -339,16 +324,15 @@ def antipode(u: PbwElement) -> PbwElement:
     """The Hopf antipode: anti-automorphism with S(j(a)) = -j(a).
 
     S(e^m) is (-1)^n times the reversed word of e^m, with the Koszul sign
-    (-1)^{k(k-1)/2} of reversing its k odd letters.
+    of sorting that word back to e^m (``_word_to_monomial``).
     """
     alg = u.alg
     den, terms = u.form
     pairs = []
     for mono, coeff in terms.items():
-        word = _monomial_to_word(mono)
-        k = _odd_count(alg.parities, mono)
-        sign = -1 if (k * (k - 1) // 2 + len(word)) % 2 else 1
-        pairs.append((coeff * sign, PbwElement.from_word(alg, word[::-1]).form))
+        word = _monomial_to_word(mono)[::-1]
+        sign = (-1) ** len(word) * _word_to_monomial(alg.parities, word, alg.dim)[0]
+        pairs.append((coeff * sign, PbwElement.from_word(alg, word).form))
     return _pbw(alg, _combine(pairs, den))
 
 
@@ -465,9 +449,10 @@ class Factorization:
     splitting each m by support into (w, u) and subtracting (c/s) beta(w) u,
     where s = +-1 is the coefficient of m in that product, one degree at a
     time in one ``_combine``.  The products are memoised per monomial, as
-    forms.  The induced module (``coderiv.induced_action``) reads these
-    coordinates, and ``coderiv.verify_twisted_invariance`` its witness of
-    an element outside beta(S(q)); the quotient mod U(g)h is read off tau.
+    forms.  ``coderiv.verify_twisted_invariance`` reads its witness of an
+    element outside beta(S(q)) off these coordinates, on its failure path
+    only; ``demos/demo_gorelik.py`` and the benchmark read them too.  The
+    quotient mod U(g)h is read off tau.
     """
 
     def __init__(self, pair: SymmetricPair, max_degree: int):

@@ -120,9 +120,6 @@ class LieSuperAlgebra:
     def even_indices(self):
         return [i for i, p in enumerate(self.parities) if p == EVEN]
 
-    def odd_indices(self):
-        return [i for i, p in enumerate(self.parities) if p == ODD]
-
     def bracket_basis(self, i: int, j: int) -> dict:
         """[e_i, e_j] as {k: Fraction}, for any index order."""
         return {k: Fraction(v, self.bracket_den) for k, v in self.int_brackets[i][j].items()}

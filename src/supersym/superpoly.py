@@ -25,8 +25,9 @@ coproduct leg (``_leg_sign``): ``_coproduct_legs`` walks the legs of a
 monomial for the coproduct of S(q) and U(g), and each C_c^a step signs the
 legs it reads off the nest levels of ``coderiv``.  No
 other module counts crossings of odd letters in canonical monomials;
-``enveloping._letter_product``, ``normal_form`` and ``antipode`` count
-their own on U(g) words.
+``symmetrize_word`` and ``antipode`` read the sign of sorting a U(g) word
+off ``enveloping._word_to_monomial``, and only the two-letter swaps of
+``enveloping._letter_product`` and ``normal_form`` count their own.
 
 This module owns the integer form (den, {key: int}) of a linear combination
 that sums, U(g), C_c, tau and ``ad_matrix`` compute in, and it is the
@@ -283,20 +284,6 @@ class SuperPolynomial(_Formed):
                 rest = mono[:i] + (e - 1,) + mono[i + 1 :]
                 out[rest] = v * e * _letter_sign(parities, i, _shape(parities, rest)[0])
         return _poly(table, (den, out))
-
-    def berezin_integral(self) -> Fraction:
-        """Iterated odd derivative, highest variable first, evaluated at 0.
-
-        Only defined on purely odd tables (exterior algebras); equals the
-        signed coefficient of the top monomial.
-        """
-        table = self.table
-        if any(p == EVEN for p in table.parities):
-            raise ValueError("Berezin integral requires a purely odd variable table")
-        p = self
-        for i in range(len(table) - 1, -1, -1):
-            p = p.partial_derivative(i)
-        return p.evaluate_at_zero()
 
     def exp(self) -> "SuperPolynomial":
         """exp of a polynomial with zero constant term (nilpotent, exact)."""

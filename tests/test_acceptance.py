@@ -222,7 +222,7 @@ def test_criterion_6_coderivation_representation():
         for c in (Fraction(1), Fraction(2)):
             ok, witness = cd.check_representation(pair, c, 3)
             assert ok, (name, c, witness)
-        for chi in (cd.Character.trivial(pair), cd.Character.supertrace_on_quotient(pair)):
+        for chi in (cd.Character(pair, {}), cd.Character(pair, pair.q_supertraces())):
             ok, witness = check_theta_vs_induced(pair, chi, 2)
             assert ok, (name, witness)
     _report(6, "coderivation commutation and induced-module match", time.perf_counter() - start)

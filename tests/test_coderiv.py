@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import supersym
 from supersym import cli
 from supersym import coderiv as cd
 from supersym import enveloping as env
@@ -29,6 +30,7 @@ from conftest import (
     draw_word,
     draw_word_route_pair,
     gl_pair,
+    induced_action,
     oracle_apply_radx,
     oracle_coderivation,
     oracle_coderivation_C,
@@ -41,6 +43,8 @@ from conftest import (
     oracle_theta_action,
     oracle_words,
     osp14_pair,
+    scale_degrees,
+    sq_from_element,
 )
 from test_enveloping import oracle_twisted_adjoint
 from test_linalg import oracle_nullspace
@@ -56,6 +60,13 @@ def smono(alg, *pairs):
 def sq_monos(pair, max_degree):
     table = cd.sq_table(pair)
     return [m for m in exhaustive_monomials(table, max_degree)]
+
+
+# the trivial character and a |-> str over q of ad a, which twists the dualizing module
+CHARACTERS = {
+    "trivial": lambda pair: cd.Character(pair, {}),
+    "supertrace_on_quotient": lambda pair: cd.Character(pair, pair.q_supertraces()),
+}
 
 
 class TestApplyRadx:
@@ -200,8 +211,8 @@ class TestCoderivationC:
         # gl11: q = x12, x21 (indices 0, 1), so S(q) has two variables
         alg, pair = catalog("gl11")
         with pytest.raises(ValueError, match="outside q"):
-            cd.sq_from_element(pair, {index: 1})
-        assert cd.sq_from_element(pair, {1: 2}).terms == {(0, 1): 2}
+            sq_from_element(pair, {index: 1})
+        assert sq_from_element(pair, {1: 2}).terms == {(0, 1): 2}
 
     def test_degree_zero_and_one(self):
         alg, pair = catalog("osp12")
@@ -231,7 +242,7 @@ class TestCoderivationC:
         for c in (Fraction(1), Fraction(2)):
             for a in pair.q_indices:
                 out = cd.coderivation_C(pair, c, a, b1b2)
-                lead = cd.sq_from_element(pair, {a: Fraction(1)}) * b1b2 * c
+                lead = sq_from_element(pair, {a: Fraction(1)}) * b1b2 * c
                 nested1 = alg.bracket(
                     {0: Fraction(1)}, alg.bracket({1: Fraction(1)}, {a: Fraction(1)})
                 )
@@ -239,7 +250,7 @@ class TestCoderivationC:
                     {1: Fraction(1)}, alg.bracket({0: Fraction(1)}, {a: Fraction(1)})
                 )
                 correction = {k: nested1.get(k, Fraction(0)) - nested2.get(k, Fraction(0)) for k in set(nested1) | set(nested2)}
-                corr_poly = cd.sq_from_element(pair, {k: v for k, v in correction.items() if v != 0})
+                corr_poly = sq_from_element(pair, {k: v for k, v in correction.items() if v != 0})
                 assert out == lead + corr_poly * Fraction(1, 3) * (1 / c)
 
     def test_truncation_is_refused(self):
@@ -308,7 +319,7 @@ class TestCoderivationC:
                 value = apply_radx(pair, bad, {a_index: Fraction(1)}, env._monomial_to_word(l1))
                 if not value:
                     continue
-                out = out + cd.sq_from_element(pair, value) * SuperPolynomial(table, {l2: Fraction(1)}) * coeff
+                out = out + sq_from_element(pair, value) * SuperPolynomial(table, {l2: Fraction(1)}) * coeff
             return out
 
         broken = False
@@ -333,8 +344,8 @@ class TestCoderivationC:
                 for a in range(alg.dim):
                     for mono in sq_monos(pair, 4):
                         w = SuperPolynomial(table, {mono: Fraction(1)})
-                        lhs = cd.scale_degrees(pair, cd.coderivation_C(pair, 1, a, w), c)
-                        rhs = cd.coderivation_C(pair, c, a, cd.scale_degrees(pair, w, c))
+                        lhs = scale_degrees(pair, cd.coderivation_C(pair, 1, a, w), c)
+                        rhs = cd.coderivation_C(pair, c, a, scale_degrees(pair, w, c))
                         assert lhs == rhs
 
 
@@ -362,7 +373,7 @@ class TestTau:
             got = cd.tau(pair, u)
             lead = table.one()
             for b in letters:
-                lead = lead * cd.sq_from_element(pair, {b: Fraction(1)})
+                lead = lead * sq_from_element(pair, {b: Fraction(1)})
             nested1 = alg.bracket(
                 alg.bracket({b1: Fraction(1)}, {b2: Fraction(1)}), {b3: Fraction(1)}
             )
@@ -375,7 +386,7 @@ class TestTau:
                 for k, c in src.items():
                     corr[k] = corr.get(k, Fraction(0)) + s * c
             corr = {k: c for k, c in corr.items() if c != 0}
-            expected = lead + cd.sq_from_element(pair, corr) * Fraction(1, 3)
+            expected = lead + sq_from_element(pair, corr) * Fraction(1, 3)
             assert got == expected, letters
 
     def test_inverse_of_symmetrization(self):
@@ -448,28 +459,33 @@ class TestBackboneIntertwining:
 class TestCharacter:
     def test_trivial_and_supertrace(self):
         alg, pair = catalog("osp12")
-        cd.Character.trivial(pair)
-        chi = cd.Character.supertrace_on_quotient(pair)
+        cd.Character(pair, {})
+        chi = cd.Character(pair, pair.q_supertraces())
         assert all(v == 0 for v in chi.values.values())
 
     def test_supertrace_character_nontrivial_case(self):
         # q = span(y), h = span(x) in the solvable algebra: str_q(ad x) = 1
         alg = LieSuperAlgebra(["y", "x"], [0, 0], {(0, 1): {0: Fraction(-1)}})
         pair = SymmetricPair(alg, [1])
-        chi = cd.Character.supertrace_on_quotient(pair)
+        chi = cd.Character(pair, pair.q_supertraces())
         assert chi.values == {1: Fraction(1)}
 
     def test_invalid_character_rejected(self):
         # on osp12, h = sl(2): any character must kill [h, h] = h
         alg, pair = catalog("osp12")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"not a character: nonzero value 1 on \[E,F\]"):
             cd.Character(pair, {2: Fraction(1)})
+
+    def test_odd_h_value_rejected(self):
+        pair = diagonal_pair("gl11")
+        with pytest.raises(ValueError, match="must vanish on odd vectors"):
+            cd.Character(pair, {pair.algebra.index("h_x12"): 1})
 
     @pytest.mark.parametrize("index", [0, 9, -1])
     def test_value_outside_h_rejected(self, index):
         # gl11: q = x12, x21 (indices 0, 1), h = d1, d2 (indices 2, 3)
         alg, pair = catalog("gl11")
-        with pytest.raises(ValueError, match=f"index {index}"):
+        with pytest.raises(ValueError, match=f"takes values on h only, not at index {index}"):
             cd.Character(pair, {2: 5, index: 3})
         assert cd.Character(pair, {2: 5, 3: 3}).values == {2: 5, 3: 3}
 
@@ -478,14 +494,15 @@ class TestTheta:
     def test_h_action_on_unit(self):
         alg = LieSuperAlgebra(["y", "x"], [0, 0], {(0, 1): {0: Fraction(-1)}})
         pair = SymmetricPair(alg, [1])
-        chi = cd.Character.supertrace_on_quotient(pair)
+        chi = cd.Character(pair, pair.q_supertraces())
         table = cd.sq_table(pair)
-        out = cd.theta_action(pair, 1, chi, 1, table.one())
+        out = supersym.theta_action(pair, 1, chi, 1, table.one())
         assert out == table.one()  # chi(x) = 1
+        assert supersym.theta_action is cd.theta_action
 
     def test_q_action_on_unit(self):
         alg, pair = catalog("osp12")
-        chi = cd.Character.trivial(pair)
+        chi = cd.Character(pair, {})
         table = cd.sq_table(pair)
         for c in (Fraction(1), Fraction(2)):
             out = cd.theta_action(pair, c, chi, 0, table.one())
@@ -498,34 +515,19 @@ class TestTheta:
         w = table.variable(1) * table.variable(2) ** 24
         h0 = pair.algebra.index("h_x12")
         with pytest.raises(ValueError, match="truncated at even degree 24"):
-            cd.theta_action(pair, 1, cd.Character.trivial(pair), h0, w)
+            cd.theta_action(pair, 1, cd.Character(pair, {}), h0, w)
 
     def test_matches_induced_module(self):
         for name in ("abelian(1,2)", "osp12", "gl11"):
             alg, pair = catalog(name)
-            for chi in (cd.Character.trivial(pair), cd.Character.supertrace_on_quotient(pair)):
+            for chi in (cd.Character(pair, {}), cd.Character(pair, pair.q_supertraces())):
                 ok, witness = check_theta_vs_induced(pair, chi, 2)
                 assert ok, (name, witness)
-
-    def test_induced_action_builds_one_factorization(self, monkeypatch):
-        # a sum of monomials of several degrees is refactored through one
-        # Factorization, and the action stays linear in w
-        alg, pair = catalog("osp12")
-        chi = cd.Character.supertrace_on_quotient(pair)
-        table = cd.sq_table(pair)
-        monos = sq_monos(pair, 2)
-        w = SuperPolynomial(table, {m: Fraction(k + 1, 2) for k, m in enumerate(monos)})
-        singles = [cd.induced_action(pair, chi, 0, SuperPolynomial(table, {m: c})) for m, c in w.terms.items()]
-        built = []
-        real = cd.factorization
-        monkeypatch.setattr(cd, "factorization", lambda p, bound: built.append(bound) or real(p, bound))
-        assert cd.induced_action(pair, chi, 0, w) == sum(singles, table.zero())
-        assert built == [w.total_degree() + 1]
 
     def test_matches_induced_nontrivial_character(self):
         alg = LieSuperAlgebra(["y", "x"], [0, 0], {(0, 1): {0: Fraction(-1)}})
         pair = SymmetricPair(alg, [1])
-        chi = cd.Character.supertrace_on_quotient(pair)
+        chi = cd.Character(pair, pair.q_supertraces())
         ok, witness = check_theta_vs_induced(pair, chi, 3)
         assert ok, witness
 
@@ -561,7 +563,7 @@ class TestTheta:
         broken = False
         for mono in sq_monos(pair, 2):
             w = SuperPolynomial(table, {mono: Fraction(1)})
-            if cd.induced_action(pair, chi, 0, w) != theta_bad(0, w):
+            if induced_action(pair, chi, 0, w) != theta_bad(0, w):
                 broken = True
         assert broken
 
@@ -700,6 +702,13 @@ SOLVER_PAIRS = {
     "gl12": lambda: gl_pair(1, 2),
     "osp14": lambda: osp14_pair()[1],
 }
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_PAIRS))
+def test_supertrace_on_q_is_a_character(name):
+    # a |-> str over q of ad a passes every check of the Character constructor
+    pair = SOLVER_PAIRS[name]()
+    assert cd.Character(pair, pair.q_supertraces()).values.keys() == set(pair.h_indices)
 
 
 class TestGeneratingSetSolverOracle:
@@ -1008,7 +1017,7 @@ class TestMixedParityPairs:
 
     @pytest.mark.parametrize("character", ["trivial", "supertrace_on_quotient"])
     def test_theta_matches_induced_module(self, mixed_pair, character):
-        chi = getattr(cd.Character, character)(mixed_pair)
+        chi = CHARACTERS[character](mixed_pair)
         ok, witness = check_theta_vs_induced(mixed_pair, chi, 2)
         assert ok, witness
 
@@ -1038,7 +1047,7 @@ class TestMixedParityPairs:
 
     def test_borel_supertrace_character_is_nonzero(self):
         pair = MIXED_PAIRS["diag-borel"]()
-        chi = cd.Character.supertrace_on_quotient(pair)
+        chi = cd.Character(pair, pair.q_supertraces())
         names = pair.algebra.names
         assert {names[a]: v for a, v in chi.values.items()} == {"h_e": 0, "h_H": 1, "h_E": 0}
 
@@ -1335,7 +1344,7 @@ class TestNestLevels:
         })
         a = data.draw(st.integers(0, alg.dim - 1), label="a")
         c = data.draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(-3, 2)]), label="c")
-        chi = getattr(cd.Character, data.draw(st.sampled_from(["trivial", "supertrace_on_quotient"]), label="chi"))(pair)
+        chi = CHARACTERS[data.draw(st.sampled_from(list(CHARACTERS)), label="chi")](pair)
         assert_same_terms(cd.coderivation_C(pair, c, a, w), oracle_coderivation_C(pair, c, a, w), c, a, w)
         assert_same_terms(cd.theta_action(pair, c, chi, a, w), oracle_theta_action(pair, c, chi, a, w), c, a, w)
 
@@ -1416,7 +1425,7 @@ class TestThetaHLetters:
     @pytest.mark.parametrize("character", ["trivial", "supertrace_on_quotient"])
     def test_against_C_plus_chi(self, mixed_pair, character):
         # the series 1 keeps the leg (w, 1) alone: Theta^a w = C_c^a w + chi(a) w
-        chi = getattr(cd.Character, character)(mixed_pair)
+        chi = CHARACTERS[character](mixed_pair)
         for w in random_sq_polynomials(mixed_pair, random.Random(101), 6, max_degree=3):
             for a in mixed_pair.h_indices:
                 for c in (1, Fraction(2, 3)):
@@ -1467,19 +1476,11 @@ FOREIGN_INPUTS = {
         DIFFERENT_TABLES,
     ),
     "theta_action-x-table": (
-        lambda pair: cd.theta_action(pair, 1, cd.Character.trivial(pair), 2, _x_table_variable(pair)),
-        DIFFERENT_TABLES,
-    ),
-    "induced_action-three-variables": (
-        # the even third variable used to be read as the letter H of h, giving 0
-        lambda pair: cd.induced_action(
-            pair, cd.Character.trivial(pair), 0, VariableTable(["u", "v", "w"], [ODD, ODD, EVEN], 4).variable(2)
-        ),
+        lambda pair: cd.theta_action(pair, 1, cd.Character(pair, {}), 2, _x_table_variable(pair)),
         DIFFERENT_TABLES,
     ),
     "beta_of_sq-x-table": (lambda pair: cd.beta_of_sq(pair, _x_table_variable(pair)), DIFFERENT_TABLES),
     "beta_of_sq-three-variables": (lambda pair: cd.beta_of_sq(pair, _three_variable_polynomial(pair)), DIFFERENT_TABLES),
-    "scale_degrees-x-table": (lambda pair: cd.scale_degrees(pair, _x_table_variable(pair), 2), DIFFERENT_TABLES),
 }
 
 
@@ -1493,4 +1494,3 @@ def test_input_from_another_algebra_or_table_is_refused(entry):
         call(pair)
     table = cd.sq_table(pair)
     assert cd.tau(pair, PbwElement.from_word(alg, (0, 1))) == table.variable(0) * table.variable(1)
-    assert cd.scale_degrees(pair, table.variable(0), 2) == table.variable(0) * 2

@@ -12,18 +12,19 @@ from supersym import superpoly as sp
 from supersym.coderiv import quotient_coordinates, quotient_mod_h, tau
 from supersym.enveloping import (
     PbwElement,
+    _monomial_product,
     antipode,
     coproduct,
     factorization,
     gamma,
+    monomial_parity,
     normal_form,
     symmetrize,
     symmetrize_word,
-    tensor_mul_pbw,
     twisted_adjoint,
 )
 from supersym.liealg import LieSuperAlgebra, SymmetricPair, algebra_from_matrices, catalog, defining_matrices
-from supersym.superpoly import EVEN, ODD, VariableTable, exhaustive_monomials
+from supersym.superpoly import EVEN, ODD, VariableTable, _combine, _form, _fractions, exhaustive_monomials
 
 from conftest import (
     assert_canonical,
@@ -430,6 +431,20 @@ class TestLetterProductOracle:
         assert got.coefficient(smono(alg, (x21, 1), (d1, n))) == 1
         assert PbwElement.from_word(alg, (d1,) * n + (x21,)) == got
         assert antipode(antipode(got)) == got
+
+
+def tensor_mul_pbw(alg, left: dict, right: dict) -> dict:
+    """Product in U(g) (x) U(g) of tensors given as {(m1, m2): coeff}."""
+    (dl, left), (dr, right) = _form(left), _form(right)
+    pairs = []
+    for (a1, a2), c1 in left.items():
+        for (b1, b2), c2 in right.items():
+            sign = -1 if monomial_parity(alg, a2) & monomial_parity(alg, b1) else 1
+            d2, second = _monomial_product(alg, a2, b2)
+            d1, first = _monomial_product(alg, a1, b1)
+            for m1, e1 in first.items():
+                pairs.append((c1 * c2 * sign * e1, (d1 * d2, {(m1, m2): e2 for m2, e2 in second.items()})))
+    return _fractions(_combine(pairs, dl * dr))
 
 
 class TestCoproduct:

@@ -26,6 +26,7 @@ from conftest import (
     oracle_h_twisted_vector_field,
     oracle_series_of_ad_y,
     osp14_pair as _osp14,
+    scale_degrees,
     str_ad_power,
     str_ad_power_full,
 )
@@ -535,7 +536,7 @@ class TestQuotientTransport:
             w1 = jac.interior_product(gp, jac.jacobian_Jc(gp, 1).J, d)
             w2 = jac.interior_product(gp, jac.jacobian_Jc(gp, 2).J, d)
             q = len(pair.q_indices)
-            assert cd.scale_degrees(pair, w1, 2) == w2 * Fraction(2**q), name
+            assert scale_degrees(pair, w1, 2) == w2 * Fraction(2**q), name
             lhs = env.gamma(pair, cd.beta_of_sq(pair, w1))
             rhs = cd.beta_of_sq(pair, w2).scale(Fraction(2**q))
             assert lhs == rhs, name

@@ -243,7 +243,7 @@ class TestCatalog:
         defining representation."""
         alg, _ = catalog(name)
         mats, parities, module_parities = defining_matrices(name)
-        assert (len(alg.even_indices()), len(alg.odd_indices())) == dim
+        assert (len(alg.even_indices()), alg.parities.count(ODD)) == dim
         n = len(mats[0])
         for i in range(alg.dim):
             for j in range(alg.dim):
