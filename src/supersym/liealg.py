@@ -33,6 +33,7 @@ from .superpoly import (
     _accumulate,
     _combine,
     PowerChain,
+    _packed_poly,
     _poly,
     matrix_product,
     parity_of,
@@ -501,10 +502,10 @@ def supertraces_of_powers(mat: SuperMatrix, ks) -> dict:
     table, chain, out = mat.table, PowerChain(mat.table, mat.entries), {}
     for k in ks:
         (left_den, left), (right_den, right) = chain.power((k + 1) // 2), chain.power(k // 2)
-        out[k] = _poly(table, (left_den * right_den, _accumulate(table, [
+        out[k] = _packed_poly(table, left_den * right_den, _accumulate(table, [
             ([(m, o, z, d, -c) for m, o, z, d, c in e] if p == ODD else e, right[j][i])
             for i, p in enumerate(mat.module_parities) for j, e in enumerate(left[i])
-        ])))
+        ]))
     return out
 
 

@@ -13,10 +13,12 @@ letters), which makes equality of polynomials structural.
 
 Every product of polynomials runs in two steps.  A factor is shaped: its
 coefficients are scaled to the lcm of the denominators of its side, and
-each term carries the bitmask of its odd letters, the bitmask that gives
-the Koszul sign of a product as a popcount, and its even degree.
-``_accumulate`` then multiplies and adds the numerators of shaped factor
-pairs as plain ints.  :func:`sum_of_products` (``a_1 b_1 + ... + a_k b_k``)
+each term carries its monomial packed into one int (exponent i in byte i),
+the bitmask of its odd letters, the bitmask that gives the Koszul sign of a
+product as a popcount, and its even degree.  ``_accumulate`` then adds the
+packed keys and multiplies the numerators of shaped factor pairs as plain
+ints; a key becomes a tuple again only where a SuperPolynomial is built
+(``_packed_poly``).  :func:`sum_of_products` (``a_1 b_1 + ... + a_k b_k``)
 shapes its factors in each call; :func:`matrix_product` shapes every entry
 of both matrices once (``_shape_rows``).  The masks also give the sign of
 a letter times a monomial (``_letter_sign``), which the left derivative,
@@ -39,10 +41,10 @@ wraps one.  Fractions are built only when ``terms`` is read (``_fractions``).
 ``_render`` prints SuperPolynomials and PBW elements alike.
 
 :class:`PowerChain` is the one place powers are formed: it keeps x^0 ...
-x^k of a polynomial or a square matrix as shaped ints, each step one
-``_accumulate`` per entry.  Every power series in a nilpotent x (``exp``,
-``inverse``, ``f(ad y)``) is one :func:`power_sum` on a chain, each entry
-one ``_combine`` of its ints.
+x^k of a polynomial or a square matrix as packed shaped ints, each step one
+``_accumulate`` per entry.  A power series in a nilpotent x (``inverse``,
+``SuperMatrix.exp``, ``f(ad y)``) is one :func:`power_sum` on a chain, each
+entry one ``_combine``; ``SuperPolynomial.exp`` sums parts by degree.
 
 All values are immutable; a table can be shared freely between threads.
 """
@@ -52,7 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import mul, sub
 from types import MappingProxyType
 
 EVEN = 0
@@ -82,8 +84,8 @@ class VariableTable:
             raise ValueError("variable names must be distinct")
         if truncation_order is None and any(p == EVEN for p in self.parities):
             raise ValueError("a finite truncation_order is required when even variables are present")
-        if truncation_order is not None and truncation_order < 0:
-            raise ValueError("truncation_order must be nonnegative")
+        if truncation_order is not None and not 0 <= truncation_order <= 255:
+            raise ValueError("truncation_order must lie in 0..255: products pack one exponent per byte")
         self.truncation_order = truncation_order
         self._index = {n: i for i, n in enumerate(self.names)}
 
@@ -286,11 +288,27 @@ class SuperPolynomial(_Formed):
         return _poly(table, (den, out))
 
     def exp(self) -> "SuperPolynomial":
-        """exp of a polynomial with zero constant term (nilpotent, exact)."""
+        """exp of s with zero constant term (nilpotent, exact), as
+        exp(s_even) (1 + s_odd): an odd element squares to 0, an even one is
+        central.  The Euler operator is a derivation, so the parts E_n of
+        total degree n of exp(s_even) satisfy n E_n = sum_d d s_d E_(n-d),
+        one ``_accumulate`` each, up to the order plus the odd letters."""
         if self.evaluate_at_zero() != 0:
             raise ValueError("exp is only defined for zero constant term")
-        coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
-        return power_sum(coeffs, PowerChain(self.table, [[self]]))[0][0]
+        table, (den, nums), masks = self.table, self.form, {}
+        top = (table.truncation_order or 0) + sum(table.parities)
+        odd, parts = [], [[] for _ in range(top + 1)]  # s_odd, and s_even by total degree
+        for m, v in nums.items():
+            (odd if _odd_count(table.parities, m) & 1 else parts[sum(m)]).append((m, v))
+        parts, comps = [_shaped(table.parities, p, masks) for p in parts], [(1, [(0, 0, 0, 0, 1)])]
+        for n in range(1, top + 1):  # E_n as (den, shaped ints), from the pairs (d, E_(n-d))
+            pairs = [(d, *comps[n - d]) for d in range(1, n + 1) if parts[d] and comps[n - d][1]]
+            lcm = math.lcm(*(de for _, de, _ in pairs))
+            acc = _accumulate(table, [([(*p[:4], p[4] * d * (lcm // de)) for p in parts[d]], e) for d, de, e in pairs])
+            g = math.gcd(n * den * lcm, *acc.values())
+            comps.append((n * den * lcm // g, _shaped(table.parities, ((k, v // g) for k, v in acc.items()), masks)))
+        even = _packed_poly(table, *_combine([(1, (d, {k: v for k, *_, v in e})) for d, e in comps]))
+        return even + even * _poly(table, (den, dict(odd))) if odd else even
 
     def inverse(self) -> "SuperPolynomial":
         """Inverse of a polynomial whose constant term is invertible.
@@ -401,15 +419,23 @@ def _scaled_terms(parities, p, den, masks) -> list:
 
 
 def _shaped(parities, items, masks) -> list:
-    """The (monomial, int) ``items`` as (monomial, odd, koszul, even degree,
-    int), with the masks of ``_shape`` memoised per monomial in ``masks``."""
+    """The (monomial, int) ``items``, a monomial a tuple or its packed key
+    (exponent i in byte i), as (key, odd, koszul, even degree, int), with
+    the key and the masks of ``_shape`` memoised per monomial in ``masks``."""
     out = []
     for m, v in items:
         s = masks.get(m)
         if s is None:
-            s = masks[m] = _shape(parities, m)
-        out.append((m, *s, v))
+            mono = tuple(m.to_bytes(len(parities), "little")) if type(m) is int else m
+            s = masks[m] = (int.from_bytes(bytes(mono), "little"), *_shape(parities, mono))
+        out.append((*s, v))
     return out
+
+
+def _packed_poly(table: VariableTable, den, nums) -> "SuperPolynomial":
+    """The SuperPolynomial of {packed key: nonzero int} ``nums`` over ``den``."""
+    n = len(table.parities)
+    return _poly(table, (den, {tuple(k.to_bytes(n, "little")): v for k, v in nums.items()}))
 
 
 def _shape_rows(table: VariableTable, rows, masks) -> tuple:
@@ -424,23 +450,25 @@ def _shape_rows(table: VariableTable, rows, masks) -> tuple:
 
 
 def _accumulate(table: VariableTable, pairs) -> dict:
-    """l_1 r_1 + ... + l_k r_k for (l, r) pairs of shaped terms, as {monomial:
-    int} over the product of the two sides' denominators: the products
-    accumulate as plain ints, with the Koszul sign of each as a popcount, and
-    a monomial whose running sum reaches 0 leaves the dict."""
+    """l_1 r_1 + ... + l_k r_k for (l, r) pairs of shaped terms, as {packed
+    key: int} over the product of the two sides' denominators: the products
+    accumulate as plain ints, with the Koszul sign of each as a popcount and
+    its monomial as the sum of two keys, and a key whose running sum reaches
+    0 leaves the dict.  A product that passes the odd-mask and even-degree
+    checks has no exponent above the order (<= 255), so no byte carries."""
     order = table.truncation_order
     limit = 0 if order is None else order  # no even letters without an order
     acc = {}
     for left, right in pairs:
-        for m1, odd1, koszul1, even1, c1 in left:
+        for k1, odd1, koszul1, even1, c1 in left:
             room = limit - even1
-            for m2, odd2, _, even2, c2 in right:
+            for k2, odd2, _, even2, c2 in right:
                 if odd1 & odd2 or even2 > room:
                     continue
                 c = c1 * c2
                 if (koszul1 & odd2).bit_count() & 1:
                     c = -c
-                m = tuple(map(add, m1, m2))
+                m = k1 + k2
                 v = acc.get(m, 0) + c
                 if v:
                     acc[m] = v
@@ -470,9 +498,9 @@ def sum_of_products(table: VariableTable, pairs) -> SuperPolynomial:
     left_den = math.lcm(*(a.form[0] for a, _ in pairs))
     right_den = math.lcm(*(b.form[0] for _, b in pairs))
     parities, masks = table.parities, {}
-    return _poly(table, (left_den * right_den, _accumulate(table, [
+    return _packed_poly(table, left_den * right_den, _accumulate(table, [
         (_scaled_terms(parities, a, left_den, masks), _scaled_terms(parities, b, right_den, masks)) for a, b in pairs
-    ])))
+    ]))
 
 
 def matrix_product(table: VariableTable, a_rows, b_rows, n_cols) -> list:
@@ -484,13 +512,13 @@ def matrix_product(table: VariableTable, a_rows, b_rows, n_cols) -> list:
     left_den, left = _shape_rows(table, a_rows, masks)
     right_den, right = _shape_rows(table, b_rows, masks)
     den = left_den * right_den
-    return [[_poly(table, (den, e)) for e in row] for row in _products(table, left, right, n_cols)]
+    return [[_packed_poly(table, den, e) for e in row] for row in _products(table, left, right, n_cols)]
 
 
 class PowerChain:
     """The powers x^0, x^1, ... of a square matrix x of polynomials over one
     table (a polynomial is a 1 x 1 matrix), kept as shaped int rows (den,
-    [[(monomial, odd, koszul, even degree, int)]]).  x is shaped once;
+    [[(packed key, odd, koszul, even degree, int)]]).  x is shaped once;
     x^(k+1) = x^k x is one ``_accumulate`` per entry, divided through by its
     gcd and shaped from the ints with the masks of each monomial memoised in
     the chain.  No Fraction is built until ``rows`` reads a power out; the
@@ -503,14 +531,14 @@ class PowerChain:
     def __init__(self, table: VariableTable, rows):
         self.table, self._masks = table, {}
         den, x = _shape_rows(table, rows, self._masks)
-        unit = ((0,) * len(table), 0, 0, 0, 1)
+        unit = (0, 0, 0, 0, 1)
         self.powers = [(1, [[[unit] if i == j else [] for j in range(len(x))] for i in range(len(x))]), (den, x)]
 
     def _push(self, den, entries):
         """Append the power with ``_accumulate`` dicts ``entries`` over ``den``."""
         g = math.gcd(den, *(v for row in entries for e in row for v in e.values()))
         parities, masks = self.table.parities, self._masks
-        rows = [[_shaped(parities, ((m, v // g) for m, v in e.items()), masks) for e in row] for row in entries]
+        rows = [[_shaped(parities, ((k, v // g) for k, v in e.items()), masks) for e in row] for row in entries]
         self.powers.append((den // g, rows))
 
     def power(self, k: int) -> tuple:
@@ -524,7 +552,7 @@ class PowerChain:
     def rows(self, k: int) -> list:
         """x^k as rows of SuperPolynomials."""
         den, rows = self.power(k)
-        return [[_poly(self.table, (den, {m: v for m, *_, v in e})) for e in row] for row in rows]
+        return [[_packed_poly(self.table, den, {m: v for m, *_, v in e}) for e in row] for row in rows]
 
 
 def _combine(pairs, den=1) -> tuple:
@@ -608,7 +636,7 @@ def _render(terms, names) -> str:
 
 def power_sum(coeffs, chain: PowerChain) -> list:
     """c_0 x^0 + c_1 x^1 + ... for the nilpotent x of ``chain``, as rows of
-    SuperPolynomials.
+    SuperPolynomials; the packed keys become tuples once, in the sum.
 
     A power is formed only when its coefficient is nonzero, in increasing k,
     and the sum stops at the first one that is zero or when ``coeffs`` runs
@@ -625,7 +653,8 @@ def power_sum(coeffs, chain: PowerChain) -> list:
             kept.append((c.numerator, den * c.denominator, rows))
     n = len(chain.powers[0][1])
     return [
-        [_poly(chain.table, _combine([(s, (d, {m: v for m, *_, v in rows[i][j]})) for s, d, rows in kept])) for j in range(n)]
+        [_packed_poly(chain.table, *_combine([(s, (d, {m: v for m, *_, v in rows[i][j]})) for s, d, rows in kept]))
+         for j in range(n)]
         for i in range(n)
     ]
 

@@ -198,6 +198,11 @@ class TestCommands:
     def test_jacobian_zero_c(self):
         assert run(["jacobian", ALGEBRAS / "osp12.alg", "--c", "0"]) == 2
 
+    def test_jacobian_order_past_one_byte_exits_2(self, capsys):
+        # even q: the generic point's table packs one exponent per byte
+        assert run(["jacobian", ALGEBRAS / "diag_gl11.alg", "--order", "256"]) == 2
+        assert "truncation_order must lie in 0..255" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

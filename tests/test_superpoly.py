@@ -643,6 +643,30 @@ class TestPowerSum:
         assert (x + c0).inverse() == inverse
         assert (x + c0) * inverse == table.one()
 
+    def test_exp_on_every_parity_matches_the_loop(self):
+        # the degree recurrence holds for the even part only: an odd or mixed
+        # s goes through exp(s_even) (1 + s_odd)
+        table = VariableTable(["x", "y", "a", "b"], [EVEN, EVEN, ODD, ODD], 4)
+        x, y, a, b = (table.variable(i) for i in range(4))
+        odd = a + b * x
+        mixed = x + a + a * b * Fraction(1, 2) - b * y * 3
+        even = x + y * y * Fraction(2, 3) - a * b * x + x * x * y * 5
+        assert odd.exp() == 1 + a + b * x
+        exp_x = 1 + x + x * x * Fraction(1, 2) + x * x * x * Fraction(1, 6) + x * x * x * x * Fraction(1, 24)
+        # exp(x + ab/2) (1 + a - 3by), with (ab)^2 = 0
+        assert mixed.exp() == exp_x * (1 + a * b * Fraction(1, 2)) * (1 + a - b * y * 3)
+        for s in (odd, mixed, even, a * b * x * y, table.zero()):
+            exp_coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
+            assert s.exp() == power_sum_by_loop(exp_coeffs, s, table.one()), s
+        # a purely odd table: parts in degrees 1 to 3, no truncation
+        t = odd_table(4)
+        x1, x2, x3, x4 = (t.variable(i) for i in range(4))
+        for s in (x1 + x2 * x3 * x4, x1 * x2 - x3 * x4 * 2 + x1 * x2 * x3, x1 + x2 + x3 * x4):
+            exp_coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
+            assert s.exp() == power_sum_by_loop(exp_coeffs, s, t.one()), s
+        with pytest.raises(ValueError, match="zero constant term"):
+            (x1 + 1).exp()
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matrix_sum_matches_the_term_by_term_loop(self, data):
@@ -721,6 +745,100 @@ class TestPowerChain:
         zero = PowerChain(table, matrix_product(table, [[], []], [], 2))
         assert rows_items(zero.rows(1)) == rows_items(zero.rows(2)) == [[[], []], [[], []]]
         assert rows_items(zero.rows(0)) == [[[((0, 0, 0), 1)], []], [[], [((0, 0, 0), 1)]]]
+
+
+def boundary_case(order):
+    """A table with ``order`` and two polynomials with zero constant term
+    whose products reach even degree ``order`` exactly on each even letter:
+    the exponents of t and of u, the last letter, sum to the order, and the
+    products one past it are truncated before their keys are added.  With
+    ``order`` None the table is purely odd."""
+    if order is None:
+        table = odd_table(5)
+        x1, x2, x3, x4, x5 = (table.variable(i) for i in range(5))
+        return table, x1 + x2 * x3 - x1 * x4 * x5 * 2, x2 + x3 * x4 * x5 * Fraction(1, 3) + x1 * x5
+
+    table = VariableTable(["x1", "t", "x2", "u"], [ODD, EVEN, ODD, EVEN], order)
+    h, r = order // 2, order - order // 2
+
+    def mono(c, *exponents):
+        return SuperPolynomial(table, {exponents: Fraction(c)})
+
+    a = mono(1, 1, h, 0, 0) + mono(3, 0, 0, 0, h) + mono(Fraction(1, 2), 0, order - 1, 1, 0)
+    b = mono(1, 0, r, 1, 0) - mono(1, 0, r + 1, 0, 0) + mono(1, 1, 0, 0, r) + mono(2, 0, 1, 0, h - 1)
+    return table, a, b
+
+
+def fraction_matrix_product(table, a, b):
+    """The rows of A B, every entry the sum of ``oracle_product`` dicts."""
+    return [
+        [sum((SuperPolynomial(table, oracle_product(a[i][m], b[m][j])) for m in range(len(b))), table.zero())
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+class TestPacking:
+    """Products on packed monomials (exponent i in byte i) at the largest
+    exponent one byte holds, against the Fraction loop ``oracle_product``
+    and the Fraction-power oracles of ``tests/conftest.py``, for values and
+    key order: order 254 is just below it, 255 fills the byte, and 256 is
+    refused."""
+
+    CASES = pytest.mark.parametrize("order", [254, 255, None], ids=["order-254", "order-255", "purely-odd"])
+
+    @CASES
+    def test_products_reach_the_order_exactly(self, order):
+        table, a, b = boundary_case(order)
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            assert list((x * y).terms.items()) == list(oracle_product(x, y).items())
+        if order is not None:
+            t, u = table.variable("t"), table.variable("u")
+            assert {(1, order, 1, 0), (1, 0, 0, order)} <= set((a * b).terms)
+            # one past the order, where the sum of the keys would carry into
+            # the next byte, the product is truncated first
+            ab = a * b
+            for x, y in ((ab, t), (t, ab), (ab, u), (u, ab)):
+                assert list((x * y).terms.items()) == list(oracle_product(x, y).items())
+            top_t = SuperPolynomial(table, {(0, order, 0, 0): Fraction(1)})
+            assert (top_t * t).is_zero() and (u * top_t).is_zero()
+        pairs = [(a, b), (b, a), (a, a), (table.one(), b)]
+        want = sum((SuperPolynomial(table, oracle_product(x, y)) for x, y in pairs), table.zero())
+        assert sum_of_products(table, pairs) == want
+
+    @CASES
+    def test_matrix_product_and_powers(self, order):
+        table, a, b = boundary_case(order)
+        rows = [[a, b], [b * 2, a - b]]
+        square = fraction_matrix_product(table, rows, rows)
+        assert matrix_product(table, rows, rows, 2) == square
+        assert rows_items(matrix_product(table, rows, rows, 2)) == rows_items(oracle_matrix_product(table, rows, rows, 2))
+        chain, power = PowerChain(table, rows), [[table.one(), table.zero()], [table.zero(), table.one()]]
+        for k in range(5):
+            assert chain.rows(k) == power, k
+            power = fraction_matrix_product(table, power, rows)
+        assert all(e.is_zero() for row in power for e in row)
+        mat = SuperMatrix(table, [EVEN, ODD], rows, check=False)
+        coeffs = [Fraction(1, k + 1) for k in range(8)]
+        assert rows_items(power_sum(coeffs, PowerChain(table, rows))) == rows_items(oracle_power_sum(coeffs, mat).entries)
+        ks = range(6)
+        got, want = supertraces_of_powers(mat, ks), oracle_supertraces_of_powers(mat, ks)
+        assert [list(s.terms.items()) for s in got.values()] == [list(s.terms.items()) for s in want.values()]
+
+    @CASES
+    def test_exp_and_single_powers(self, order):
+        table, a, b = boundary_case(order)
+        for x in (a, b, a + b):
+            assert PowerChain(table, [[x]]).rows(2)[0][0] == SuperPolynomial(table, oracle_product(x, x))
+            exp_coeffs = (Fraction(1, math.factorial(k)) for k in itertools.count())
+            assert x.exp() == power_sum_by_loop(exp_coeffs, x, table.one())
+
+    def test_an_order_past_one_byte_is_refused(self):
+        message = r"truncation_order must lie in 0\.\.255: products pack one exponent per byte"
+        for order in (256, 1000, -1):
+            with pytest.raises(ValueError, match=message):
+                VariableTable(["t", "x"], [EVEN, ODD], order)
+        assert VariableTable(["t", "x"], [EVEN, ODD], 255).truncation_order == 255
 
 
 class TestExhaustiveMonomials:

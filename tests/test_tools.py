@@ -2,6 +2,7 @@
 
 import glob
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -72,3 +73,24 @@ def test_acceptance_record_writes_output_and_exit_code(tmp_path, capsys):
 def test_acceptance_main_wants_two_arguments(capsys):
     assert load_acceptance().main([]) == 2
     assert "SRC_DIR OUT_DIR" in capsys.readouterr().err
+
+
+def test_bench_records_name_a_benchmark_claim_and_both_sides():
+    # every committed BENCH_*.json claims an end-to-end metric of a workload
+    # that BENCHMARK.json declares, and records both sides of each pair
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        claim = record["claim"]
+        assert claim["workload"] in workloads and claim["metric"] in metrics, path.name
+        assert claim["metric"] in record["workloads"][claim["workload"]]["metrics"], path.name
+        for name, runs in record["workloads"].items():
+            assert name in workloads, (path.name, name)
+            for side in ("parent", "change"):
+                assert len(runs["failed"][side]) == runs["pairs"], (path.name, name, side)
+                for metric, values in runs["metrics"].items():
+                    assert isinstance(values[side]["median"], (int, float)), (path.name, name, metric, side)
