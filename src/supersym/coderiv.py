@@ -164,7 +164,7 @@ def _words(pair: SymmetricPair, c, form: tuple, chains: dict) -> tuple:
     the form w that ``chains`` holds under the zero PBW monomial: the chain
     of each PBW monomial of u is ``_chain``.  C_c raises the degree by at
     most one, so p_c is read to the degree of w plus that of u (``_p_c``)."""
-    c = Fraction(c)
+    c = c if type(c) is int else Fraction(c)  # an int hashes and compares as its Fraction in ``_p_c``
     if c == 0:
         raise ValueError("C_c requires c != 0")
     den, terms = form

@@ -381,8 +381,13 @@ def symmetrize(alg: LieSuperAlgebra, s_terms: dict) -> PbwElement:
 
 
 def _symmetrize(alg: LieSuperAlgebra, form: tuple) -> PbwElement:
-    """``symmetrize`` of the form (den, {PBW monomial: int})."""
+    """``symmetrize`` of the form (den, {PBW monomial: int}); one term scales
+    its memoised ``_symmetrized`` entry."""
     den, terms = form
+    if len(terms) == 1:
+        ((m, c),) = terms.items()
+        d, beta = _symmetrized(alg, m)
+        return _pbw(alg, (den * d, {k: c * v for k, v in beta.items()}))
     return _pbw(alg, _combine([(c, _symmetrized(alg, m)) for m, c in terms.items()], den))
 
 

@@ -34,6 +34,8 @@ from .superpoly import (
     PowerChain,
     SuperPolynomial,
     VariableTable,
+    _combine,
+    _poly,
     matrix_product,
     power_sum,
     sum_of_products,
@@ -172,9 +174,10 @@ def jacobian_Jc(gp: GenericPoint, c) -> JacobianResult:
 
 
 def _w_sum(gp: GenericPoint, w: series_mod.TruncatedSeries1, str_powers) -> SuperPolynomial:
-    """sum_k w[k] str (ad y)^k over the (k, supertrace) pairs."""
-    table = gp.table
-    return sum_of_products(table, [(s, table.constant(w.coeff(k))) for k, s in str_powers])
+    """sum_k w[k] str (ad y)^k over the (k, supertrace) pairs: one
+    ``_combine`` of the supertraces, scaled by the ints of w's form."""
+    den, nums = w.form
+    return _poly(gp.table, _combine([(nums.get((k,), 0), s.form) for k, s in str_powers], den))
 
 
 def _f_of_ad_y(gp: GenericPoint, f: series_mod.TruncatedSeries1) -> SuperMatrix:

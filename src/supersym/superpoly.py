@@ -559,14 +559,20 @@ def _combine(pairs, den=1) -> tuple:
     """(s_1 f_1 + ... + s_k f_k) / den for (s, f) pairs of int scalars s and
     forms f = (d, {key: nonzero int}), as a form in lowest terms.
 
-    Every form is scaled to the lcm of the d, so the products accumulate as
-    plain ints; a key whose running sum reaches zero leaves the dict, so the
-    keys come in the order of the term-by-term sum.
+    One pass: the sum is kept over the running lcm of the d, and a form
+    whose d does not divide it rescales the sum in place, so the products
+    accumulate as plain ints; a key whose running sum reaches zero leaves
+    the dict, so the keys come in the order of the term-by-term sum.
     """
-    pairs = [(s, f) for s, f in pairs if s and f[1]]
-    lcm = math.lcm(*[d for _, (d, _) in pairs])
-    acc = {}
+    lcm, acc = 1, {}
     for s, (d, terms) in pairs:
+        if not s or not terms:
+            continue
+        if lcm % d:
+            r = d // math.gcd(lcm, d)
+            lcm *= r
+            for key in acc:
+                acc[key] *= r
         s *= lcm // d
         for key, v in terms.items():
             t = acc.get(key, 0) + s * v

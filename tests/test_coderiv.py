@@ -224,6 +224,15 @@ class TestCoderivationC:
             out = cd.coderivation_C(pair, c, 0, table.variable(1))
             assert out == table.variable(0) * table.variable(1) * c
 
+    @pytest.mark.parametrize("c", [0, Fraction(0), False])
+    def test_c_zero_is_refused(self, c):
+        alg, pair = catalog("osp12")
+        one = cd.sq_table(pair).one()
+        with pytest.raises(ValueError, match=r"^C_c requires c != 0$"):
+            cd.coderivation_C(pair, c, 0, one)
+        with pytest.raises(ValueError, match=r"^C_c requires c != 0$"):
+            cd.coderivation_C_u(pair, c, PbwElement.from_basis(alg, 0), one)
+
     def test_h_action_is_bracket(self):
         alg, pair = catalog("osp12")
         table = cd.sq_table(pair)
@@ -1307,9 +1316,11 @@ class TestFormsAgainstTheChainRoute:
         for mono in sq_monos(pair, 3):
             u = cd.beta_of_sq(pair, SuperPolynomial(table, {mono: Fraction(1)}))
             cd.tau(pair, u)
-            for c in (1, Fraction(2, 3)):
+            # an int c and its Fraction share the memo's entries
+            for c in (1, Fraction(1), Fraction(2, 3)):
                 cd.coderivation_C_u(pair, c, u, w)
         assert built == list(pair.p_c_memo) and len(set(built)) == len(built) > 1
+        assert all(type(c) is Fraction for c, _ in built)
         for (c, order), s in pair.p_c_memo.items():
             assert s == real(c, order) and s.order == order
 

@@ -261,10 +261,28 @@ class TestCombine:
     @example([])
     @example([(0, {"a": Fraction(1, 3)})])
     @example([(1, {"a": 1, "b": Fraction(1, 2)}), (Fraction(-1, 2), {"a": 2}), (2, {"a": Fraction(1, 6)})])
+    # the running lcm grows 2, 6, 12 in the middle of the sum; "a" cancels
+    # after the last growth and re-enters at the end
+    @example([
+        (1, {"a": Fraction(1, 2)}),
+        (1, {"b": Fraction(1, 3), "a": 1}),
+        (1, {"c": Fraction(1, 4), "a": Fraction(-3, 2)}),
+        (2, {"a": 1}),
+    ])
+    # a zero scalar on a new denominator and an empty form between them
+    @example([
+        (1, {"a": Fraction(1, 2)}),
+        (0, {"b": Fraction(1, 5)}),
+        (3, {}),
+        (Fraction(1, 3), {"a": Fraction(1, 4), "b": 1}),
+        (1, {"a": Fraction(-7, 12)}),
+    ])
     def test_against_the_term_by_term_sum(self, pairs):
         # the rational scalars as ints over their lcm, each dict as a form
         den = math.lcm(*(Fraction(c).denominator for c, _ in pairs))
         got = sp._combine([(int(c * den), sp._form(terms)) for c, terms in pairs], den)
+        # the pairs may come as a generator
+        assert sp._combine(((int(c * den), sp._form(terms)) for c, terms in pairs), den) == got
         want = term_by_term(pairs)
         assert list(sp._fractions(got).items()) == list(want.items())
         d, nums = got

@@ -42,7 +42,7 @@ def test_ab_timing_refuses_unknown_workloads_and_checkouts(tmp_path):
     assert run_ab(ROOT, ROOT, "no-such-workload").returncode == 2
     assert run_ab(ROOT, ROOT, "gorelik-ladder", "--passes", "0").returncode == 2
     proc = run_ab(tmp_path, ROOT, "gorelik-ladder")
-    assert proc.returncode == 1 and "no supersym package" in proc.stderr
+    assert proc.returncode == 2 and "no supersym package" in proc.stderr
 
 
 def test_acceptance_commands_cover_every_algebra_file():

@@ -18,8 +18,9 @@ CHANGE took less time than PARENT: a gain should win at least nine passes
 in ten.  Drift of the host speed hits both sides of a pass alike, which
 back-to-back runs of ``bench/run.py`` cannot offer.  ``PARENT PARENT`` is
 the A/A control: its median should be near 1 and its quartiles show the
-noise floor.  Exit code 1 when a task fails its answer check.  Standard
-library only.
+noise floor.  Exit code 1 when a task fails its answer check, 2 for bad
+arguments: an unknown workload, no timed pass, or a checkout without
+``src/supersym``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ def load_bench():
     return run
 
 
+def package_init(checkout):
+    return os.path.join(os.path.abspath(checkout), "src", "supersym", "__init__.py")
+
+
 def load_package(name, checkout, module_names):
     """The checkout's src/supersym imported as package ``name``, with the
     attributes that ``workloads.Runner`` and ``cold_start`` read."""
-    init = os.path.join(os.path.abspath(checkout), "src", "supersym", "__init__.py")
-    if not os.path.isfile(init):
-        raise SystemExit(f"error: no supersym package under {checkout}/src")
+    init = package_init(checkout)
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[os.path.dirname(init)])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
@@ -71,6 +74,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be positive")
+    for checkout in (args.parent, args.change):
+        if not os.path.isfile(package_init(checkout)):
+            parser.error(f"no supersym package under {checkout}/src")
     run = load_bench()
     if args.workload not in run.workloads.NAMES:
         parser.error(f"unknown workload {args.workload!r}; expected one of {', '.join(run.workloads.NAMES)}")
