@@ -35,7 +35,7 @@ import threading
 from fractions import Fraction
 from operator import mul
 
-from .superpoly import _combine, _form, _Formed, _lowest, _scale
+from .superpoly import _form, _Formed, _lowest, _scale
 
 _bernoulli_cache = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
@@ -113,7 +113,16 @@ class _Series(_Formed):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den, acc = _combine([(1, self.form), (sign, other.form)])
+        (da, a), (db, b) = self.form, other.form
+        den = math.lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        acc = {k: v * sa for k, v in a.items()}
+        for k, v in b.items():
+            t = acc.get(k, 0) + v * sb
+            if t:
+                acc[k] = t
+            else:
+                del acc[k]
         n = min(self.order, other.order)
         if self.order != other.order:
             acc = {k: v for k, v in acc.items() if sum(k) <= n}

@@ -277,6 +277,13 @@ class TestCombine:
         (Fraction(1, 3), {"a": Fraction(1, 4), "b": 1}),
         (1, {"a": Fraction(-7, 12)}),
     ])
+    # the whole sum cancels over 6 before the running lcm grows to 30 and 60
+    @example([
+        (1, {"a": Fraction(1, 2), "b": Fraction(1, 3)}),
+        (-1, {"b": Fraction(1, 3), "a": Fraction(1, 2)}),
+        (1, {"c": Fraction(1, 5)}),
+        (1, {"a": Fraction(1, 4), "c": Fraction(-1, 5)}),
+    ])
     def test_against_the_term_by_term_sum(self, pairs):
         # the rational scalars as ints over their lcm, each dict as a form
         den = math.lcm(*(Fraction(c).denominator for c, _ in pairs))
