@@ -309,16 +309,17 @@ def theta_action(pair: SymmetricPair, c, chi: Character, a_index: int, w: SuperP
     if c == 0:
         raise ValueError("Theta_c requires c != 0")
     table = sq_table(pair)
-    one, pa = table.one(), pair.algebra.parities[a_index]
-    pairs = [(coderivation_C(pair, c, a_index, w), one)]
+    pa = pair.algebra.parities[a_index]
+    forms = [(1, coderivation_C(pair, c, a_index, w).form)]
     series = TruncatedSeries1.constant(1, 0) if pair.in_h(a_index) else q_c(c, w.total_degree() + 1)
     levels = _nest_levels(pair, a_index, w.total_degree())
     for (leg1, leg2), coeff in coproduct_terms(table.parities, w.terms).items():
         fn, (_, (den, nest)) = series.coeff(sum(leg2)), levels[sum(leg2)].get(leg2, (0, (1, {})))
         scalar = fn * chi.of_element({i: Fraction(v, den) for i, v in nest.items()})
         if scalar:
-            pairs.append((SuperPolynomial(table, {leg1: coeff * scalar * (-1) ** (pa & table.monomial_parity(leg1))}), one))
-    return sum_of_products(table, pairs)
+            leg = coeff * scalar * (-1) ** (pa & table.monomial_parity(leg1))
+            forms.append((leg.numerator, (leg.denominator, {leg1: 1})))
+    return _poly(table, _combine(forms))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Truncated formal power series over the rationals, in one and two variables.
 
-Home of the Bernoulli numbers and of the three distinguished series used
-throughout the toolkit:
+Home of the Bernoulli numbers, read off the tangent numbers of an integer
+recurrence (``bernoulli``), and of the three distinguished series used
+throughout the toolkit, whose coefficients they are:
 
 * ``p_c(t) = t*coth(t/c)``, the even series driving the universal
   coderivation representation of a symmetric pair,
@@ -44,26 +45,40 @@ _ZERO = Fraction(0)
 
 
 def bernoulli(n: int) -> Fraction:
-    """n-th Bernoulli number, from the generating series t/(e^t - 1).
+    """n-th Bernoulli number, the coefficient of t^n/n! in t/(e^t - 1).
 
-    Computed by exact recursive inversion of (e^t - 1)/t and cached;
-    the convention has bernoulli(1) == -1/2.
+    Read off the tangent numbers of an integer recurrence by
+    ``_bernoulli_table``; the convention has bernoulli(1) == -1/2.
     """
     if n < 0:
         raise ValueError("Bernoulli numbers are indexed by naturals")
+    return _bernoulli_table(n)[n]
+
+
+def _bernoulli_table(n) -> list:
+    """The kept table B_0, B_1, ... of at least n + 1 Bernoulli numbers.
+
+    A shorter table is filled anew, whole, from the tangent numbers T_1 ..
+    T_m, m = n // 2, of the O(m^2) integer recurrence of Brent and Harvey
+    ("Fast computation of Bernoulli, tangent and secant numbers", 2011):
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), and the odd B_n vanish for
+    n >= 3.  A refill keeps every entry already there, so a caller that
+    needs B_0 .. B_n reads them off one call without the lock.
+    """
     with _bernoulli_lock:
-        if n < len(_bernoulli_cache):
-            return _bernoulli_cache[n]
-        # E_k = coefficient of t^k in (e^t - 1)/t; invert: I_0 = 1,
-        # I_m = -sum_{k=1..m} E_k I_{m-k}; bernoulli(m) = m! * I_m.
-        inv = [_bernoulli_cache[m] / math.factorial(m) for m in range(len(_bernoulli_cache))]
-        for m in range(len(_bernoulli_cache), n + 1):
-            s = Fraction(0)
+        if n >= len(_bernoulli_cache):
+            m = n // 2
+            tangent = [0, 1] + [0] * (m - 1)  # T_1 .. T_m at indices 1 .. m
+            for k in range(2, m + 1):
+                tangent[k] = (k - 1) * tangent[k - 1]
+            for k in range(2, m + 1):
+                for j in range(k, m + 1):
+                    tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+            table = [Fraction(1), Fraction(-1, 2)]
             for k in range(1, m + 1):
-                s += Fraction(1, math.factorial(k + 1)) * inv[m - k]
-            inv.append(-s)
-            _bernoulli_cache.append(inv[m] * math.factorial(m))
-        return _bernoulli_cache[n]
+                table += [Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4**k * (4**k - 1)), _ZERO]
+            _bernoulli_cache[:] = table
+        return _bernoulli_cache
 
 
 class _Series(_Formed):
@@ -305,9 +320,9 @@ def p_c(c, order) -> TruncatedSeries1:
     if c == 0:
         raise ValueError("p_c requires c != 0")
     a, b = c.numerator, c.denominator
-    ratios = {0: (a, b)}
+    ratios, table = {0: (a, b)}, _bernoulli_table(order)
     for n in range(1, order // 2 + 1):
-        bn = bernoulli(2 * n)
+        bn = table[2 * n]
         ratios[2 * n] = (
             bn.numerator * 4**n * b ** (2 * n - 1),
             bn.denominator * math.factorial(2 * n) * a ** (2 * n - 1),
@@ -322,9 +337,9 @@ def q_c(c, order) -> TruncatedSeries1:
     if c == 0:
         raise ValueError("q_c requires c != 0")
     a, b = c.numerator, c.denominator
-    ratios = {}
+    ratios, table = {}, _bernoulli_table(order + 1)
     for n in range(1, (order + 1) // 2 + 1):
-        bn = bernoulli(2 * n)
+        bn = table[2 * n]
         ratios[2 * n - 1] = (
             -2 * bn.numerator * (4**n - 1) * b ** (2 * n - 1),
             bn.denominator * math.factorial(2 * n) * a ** (2 * n - 1),
@@ -339,9 +354,9 @@ def w_c(c, order) -> TruncatedSeries1:
     if c == 0:
         raise ValueError("w_c requires c != 0")
     a, b = c.numerator, c.denominator
-    ratios = {}
+    ratios, table = {}, _bernoulli_table(order)
     for n in range(1, order // 2 + 1):
-        bn = bernoulli(2 * n)
+        bn = table[2 * n]
         ratios[2 * n] = (
             bn.numerator * 4**n * b ** (2 * n),
             bn.denominator * 2 * n * math.factorial(2 * n) * a ** (2 * n),
@@ -351,9 +366,11 @@ def w_c(c, order) -> TruncatedSeries1:
 
 def t_over_exp_minus_one(order) -> TruncatedSeries1:
     """t/(e^t - 1), the Bernoulli generating series itself."""
-    return TruncatedSeries1(
-        [bernoulli(n) / math.factorial(n) for n in range(order + 1)], order
-    )
+    ratios, table = {}, _bernoulli_table(order)
+    for n in range(order + 1):
+        bn = table[n]
+        ratios[n] = (bn.numerator, bn.denominator * math.factorial(n))
+    return _from_ratios(ratios, order)
 
 
 # ---------------------------------------------------------------------------

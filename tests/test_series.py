@@ -85,6 +85,26 @@ def coth_times_t(order):
     return cosh_series(order) * inverse_of(series.sinh_over_t(order))
 
 
+def oracle_bernoulli(n) -> list:
+    """B_0 .. B_n by the exact Fraction inversion of (e^t - 1)/t, the route
+    ``series.bernoulli`` took before the tangent numbers: I_0 = 1,
+    I_m = -sum_{k=1..m} I_{m-k} / (k+1)!, and B_m = m! I_m."""
+    inv = [Fraction(1)]
+    for m in range(1, n + 1):
+        inv.append(-sum(Fraction(1, math.factorial(k + 1)) * inv[m - k] for k in range(1, m + 1)))
+    return [v * math.factorial(m) for m, v in enumerate(inv)]
+
+
+@pytest.fixture
+def empty_bernoulli_table():
+    """The kept Bernoulli table, emptied for the test and restored after."""
+    table = series._bernoulli_cache
+    saved = list(table)
+    table.clear()
+    yield table
+    table[:] = saved
+
+
 class TestBernoulli:
     def test_small_values(self):
         assert series.bernoulli(0) == 1
@@ -93,6 +113,49 @@ class TestBernoulli:
         assert series.bernoulli(3) == 0
         assert series.bernoulli(4) == Fraction(-1, 30)
         assert series.bernoulli(12) == Fraction(-691, 2730)
+
+    def test_against_the_fraction_inversion(self):
+        assert [series.bernoulli(n) for n in range(101)] == oracle_bernoulli(100)
+
+    def test_a_larger_n_refills_the_table_whole(self, empty_bernoulli_table):
+        table, expected = empty_bernoulli_table, oracle_bernoulli(40)
+        for n, length in ((4, 6), (40, 42), (10, 42)):
+            assert series.bernoulli(n) == expected[n]
+            assert series._bernoulli_cache is table and len(table) == length
+        assert table == expected + [0]
+
+    def test_odd_numbers_vanish_and_negative_indices_are_refused(self):
+        assert all(series.bernoulli(n) == 0 for n in range(3, 80, 2))
+        with pytest.raises(ValueError):
+            series.bernoulli(-1)
+
+    def test_series_from_the_oracle_numbers(self, empty_bernoulli_table):
+        # each series at order 31, built on an empty table, against its
+        # coefficients in B_n read off the oracle: the same form, keys in the
+        # same order
+        order, b = 31, oracle_bernoulli(32)
+        fact = math.factorial
+
+        def built(make, *args):
+            empty_bernoulli_table.clear()
+            return make(*args, order)
+
+        cases = [(built(series.t_over_exp_minus_one), [b[n] / fact(n) for n in range(order + 1)])]
+        for c in (Fraction(1), Fraction(2, 3), Fraction(-5, 2)):
+            cases += [
+                (built(series.p_c, c), [
+                    c if n == 0 else b[n] * 2**n / (fact(n) * c ** (n - 1)) if n % 2 == 0 else 0 for n in range(order + 1)
+                ]),
+                (built(series.q_c, c), [
+                    -2 * b[n + 1] * (2 ** (n + 1) - 1) / (fact(n + 1) * c**n) if n % 2 else 0 for n in range(order + 1)
+                ]),
+                (built(series.w_c, c), [
+                    b[n] * 2**n / (n * fact(n) * c**n) if n and n % 2 == 0 else 0 for n in range(order + 1)
+                ]),
+            ]
+        for got, coefficients in cases:
+            want = TruncatedSeries1(coefficients, order)
+            assert got == want and list(got.form[1]) == list(want.form[1])
 
     def test_generating_series(self):
         # sum b_n t^n / n! times (e^t - 1)/t is 1

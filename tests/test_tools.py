@@ -13,11 +13,15 @@ AB_TIMING = ROOT / "tools" / "ab_timing.py"
 ACCEPTANCE = ROOT / "tools" / "acceptance_outputs.py"
 
 
-def load_acceptance():
-    spec = importlib.util.spec_from_file_location("acceptance_outputs", ACCEPTANCE)
+def load_tool(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_acceptance():
+    return load_tool(ACCEPTANCE)
 
 
 def run_ab(*argv):
@@ -36,6 +40,36 @@ def test_ab_timing_control_run_checks_every_answer():
     ratio = float(lines[-2].split("median ")[1].split(",")[0])
     wins = (0, 1) if ratio == 1 else (int(ratio < 1),)
     assert lines[-1] in [f"B faster than A in {k} of 1 timed passes" for k in wins]
+
+
+def test_ab_timing_imports_both_packages_afresh_for_every_pass(monkeypatch, capsys):
+    # in this process: the bench modules and both packages leave sys.modules
+    # and sys.path as they were
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    ab = load_tool(AB_TIMING)
+    run = ab.load_bench()
+    seen, time_task = [], run.time_task
+
+    def spy(runner, task, task_id):
+        seen.append(runner.sup)
+        return time_task(runner, task, task_id)
+
+    monkeypatch.setattr(run, "time_task", spy)
+    monkeypatch.setattr(ab, "load_bench", lambda: run)
+    try:
+        assert ab.main([str(ROOT), str(ROOT), "gorelik-ladder", "--passes", "2"]) == 0
+    finally:
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
+    assert "0 failed answers" in capsys.readouterr().out
+    # pass 0 (untimed) and two timed passes run every task on both sides,
+    # each pass on one package object per side that no other pass ran on
+    n = len(seen) // 3
+    passes = [{id(sup.package): sup.package.__name__ for sup in seen[k * n : (k + 1) * n]} for k in range(3)]
+    assert len(seen) == 3 * n and n > 0
+    assert all(sorted(names.values()) == ["supersym_a", "supersym_b"] for names in passes)
+    assert len(set().union(*passes)) == 6
 
 
 def test_ab_timing_refuses_unknown_workloads_and_checkouts(tmp_path):

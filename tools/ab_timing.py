@@ -6,11 +6,15 @@ PARENT and CHANGE are checkouts; each one's ``src/supersym`` is imported
 under a package name of its own (``supersym_a``, ``supersym_b``), so both
 live in this process.  The tasks are one pass of the benchmark's workload,
 ``bench/workloads.build_tasks(WORKLOAD, seed)``, from the ``bench/`` next to
-this script, which it only reads.  Every pass runs the tasks in a shuffled
-order and, task by task, the two checkouts in a random order, each through
-the benchmark's own ``run.time_task`` (``cold_start``, ``gc.collect()``,
-wall time to verdict) and ``run.check_task`` (the known answer).  One pass
-runs untimed first.
+this script, which it only reads.  Before every pass both packages are
+imported afresh and parse the pass's algebra texts, as ``bench/run.py``
+sets up again between passes, so per-import costs (module-level tables
+filled on first use, such as the Bernoulli numbers) fall inside the timed
+tasks on both sides.  Every pass runs the tasks in a shuffled order and,
+task by task, the two checkouts in a random order, each through the
+benchmark's own ``run.time_task`` (``cold_start``, ``gc.collect()``, wall
+time to verdict) and ``run.check_task`` (the known answer).  One pass runs
+untimed first.
 
 It prints the median of the per-pass time ratio CHANGE / PARENT with its
 quartiles, below 1 when CHANGE is faster, and in how many timed passes
@@ -53,8 +57,11 @@ def package_init(checkout):
 
 
 def load_package(name, checkout, module_names):
-    """The checkout's src/supersym imported as package ``name``, with the
-    attributes that ``workloads.Runner`` and ``cold_start`` read."""
+    """The checkout's src/supersym imported afresh as package ``name``, with
+    the attributes that ``workloads.Runner`` and ``cold_start`` read; an
+    earlier import under ``name`` and its submodules leave ``sys.modules``."""
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
     init = package_init(checkout)
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[os.path.dirname(init)])
     package = importlib.util.module_from_spec(spec)
@@ -82,18 +89,21 @@ def main(argv=None):
         parser.error(f"unknown workload {args.workload!r}; expected one of {', '.join(run.workloads.NAMES)}")
     workdir = tempfile.mkdtemp(prefix="ab_timing_")
     try:
-        sides = []
-        for label, checkout in (("a", args.parent), ("b", args.change)):
-            sup = load_package(f"supersym_{label}", checkout, run.tracing.MODULES)
+        checkouts, sides = {"a": args.parent, "b": args.change}, []
+        for label in checkouts:
             tasks = run.workloads.build_tasks(args.workload, args.seed)
             side_dir = os.path.join(workdir, label)
             os.makedirs(side_dir)
             run.workloads.write_inputs(tasks, side_dir)
-            sides.append((run.workloads.Runner(sup, side_dir), tasks))
+            sides.append((run.workloads.Runner(None, side_dir), tasks))
         rng = random.Random(f"ab:{args.seed}")
         failed = [0, 0]
         ratios, totals = [], ([], [])
         for p in range(args.passes + 1):
+            for (label, checkout), (runner, tasks) in zip(checkouts.items(), sides):
+                runner.sup = load_package(f"supersym_{label}", checkout, run.tracing.MODULES)
+                for text in {t.text for t in tasks if t.text is not None}:
+                    runner.sup.cli.parse(text)
             spent = [0.0, 0.0]
             order = list(range(len(sides[0][1])))
             rng.shuffle(order)
